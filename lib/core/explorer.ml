@@ -378,7 +378,9 @@ let tradeoff_score ~alpha ~footprint ~ops =
 
 (* The single scoring pass shared by every driver. [score_all] may fan the
    batch out to worker domains; ties keep the lowest index, so batch and
-   sequential runs pick the same winner. *)
+   sequential runs pick the same winner. It may also answer a lower bound
+   >= [scores.(0)] for a candidate that cannot beat candidate 0: such a
+   candidate loses here exactly as its true score would. *)
 let refine_batch ~score_all = function
   | [] -> invalid_arg "Explorer.refine: no candidates"
   | candidates ->

@@ -155,10 +155,16 @@ val refine : score:(design -> int) -> design list -> design * int
 val refine_batch : score_all:(design array -> int array) -> design list -> design * int
 (** {!refine} with the whole candidate array scored in one call, so the
     scorer can fan out to worker domains ([Dmm_engine]) or batch-memoise.
-    [score_all] must return one score per candidate, input-ordered; the
-    winner (lowest score, lowest index on ties) is then identical to the
-    sequential {!refine}. Raises [Invalid_argument] on an empty list or a
-    length-mismatched score array. *)
+    [score_all] must return one score per candidate, input-ordered.
+    Candidate 0 is the incumbent, and its score must be exact. Every
+    other candidate whose true score is below [scores.(0)] must get its
+    exact score; one whose true score is >= [scores.(0)] may instead get
+    any lower bound that is itself >= [scores.(0)], since it loses to
+    candidate 0 either way. The winner (lowest score, lowest index on
+    ties) and its score, which [Batch_scored] reports, are then identical
+    to the sequential {!refine}'s. [Dmm_engine.Sim.score_all] uses this
+    to stop a replay once it can no longer win. Raises [Invalid_argument]
+    on an empty list or a length-mismatched score array. *)
 
 val explore :
   ?order:Decision.tree list ->

@@ -41,6 +41,8 @@ let m_idle_us =
 
 module Span = Dmm_obs.Span
 
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
 let parse_jobs s =
   match int_of_string_opt (String.trim s) with
   | Some n when n >= 1 -> n
@@ -98,7 +100,7 @@ let map input f =
     Reg.add m_domains (workers - 1);
     Span.with_span ~args:[ ("tasks", n); ("workers", workers) ] "pool.map" @@ fun () ->
     Reg.set m_queue_depth n;
-    let started = Unix.gettimeofday () in
+    let started = now_ns () in
     (* Each slot is written by exactly one domain (indices are handed out
        through [next]), and the joins publish the writes. *)
     let slots = Array.make n None in
@@ -108,28 +110,27 @@ let map input f =
       Fun.protect
         ~finally:(fun () -> Domain.DLS.set inside_worker false)
         (fun () ->
-          let w_start = Unix.gettimeofday () in
-          let busy = ref 0.0 in
+          let w_start = now_ns () in
+          let busy = ref 0 in
           let rec go () =
             let i = Atomic.fetch_and_add next 1 in
             if i < n then begin
-              Reg.observe m_wait_us
-                (int_of_float (1e6 *. (Unix.gettimeofday () -. started)));
-              let t0 = Unix.gettimeofday () in
+              Reg.observe m_wait_us ((now_ns () - started) / 1000);
+              let t0 = now_ns () in
               slots.(i) <-
                 Some
                   (match f input.(i) with
                   | v -> Ok v
                   | exception e -> Error (e, Printexc.get_raw_backtrace ()));
-              busy := !busy +. (Unix.gettimeofday () -. t0);
+              busy := !busy + (now_ns () - t0);
               Reg.set m_queue_depth (max 0 (n - Atomic.get next));
               go ()
             end
           in
           go ();
-          let total = Unix.gettimeofday () -. w_start in
-          Reg.add m_busy_us (int_of_float (1e6 *. !busy));
-          Reg.add m_idle_us (int_of_float (1e6 *. Float.max 0.0 (total -. !busy))))
+          let total = now_ns () - w_start in
+          Reg.add m_busy_us (!busy / 1000);
+          Reg.add m_idle_us (max 0 (total - !busy) / 1000))
     in
     let run_worker () = Span.with_span "pool.worker" worker in
     let spawned = Array.init (workers - 1) (fun _ -> Domain.spawn run_worker) in

@@ -20,8 +20,12 @@ let m_misses =
     "dmm_sim_memo_misses_total"
 
 let m_replays =
-  Reg.counter ~help:"Trace replays executed (memo misses + probed runs)"
+  Reg.counter ~help:"Trace replays executed (memo misses, probed and unkeyed runs)"
     Reg.global "dmm_sim_replays_total"
+
+let m_stopped =
+  Reg.counter ~help:"Replays stopped early by an incumbent bound" Reg.global
+    "dmm_sim_replays_stopped_total"
 
 let m_replay_us =
   Reg.histogram ~help:"Wall-clock per design replay" Reg.global
@@ -50,7 +54,14 @@ let m_search_events =
 
 module Span = Dmm_obs.Span
 
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
 type outcome = { footprint : int; ops : int }
+
+(* How one replay ended. A replay its bound stopped ran fewer [events]
+   than the trace holds, and its [outcome] is the running high water and
+   op count at the stop — a lower bound on the whole replay's. *)
+type run = { outcome : outcome; events : int }
 
 type t = {
   trace : Trace.t;
@@ -59,6 +70,7 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable replays : int;
+  mutable stopped : int;
   mutable replay_seconds : float;
 }
 
@@ -70,6 +82,7 @@ let create trace =
     hits = 0;
     misses = 0;
     replays = 0;
+    stopped = 0;
     replay_seconds = 0.0;
   }
 
@@ -77,72 +90,109 @@ let trace t = t.trace
 let hits t = t.hits
 let misses t = t.misses
 let replays t = t.replays
+let stopped t = t.stopped
 let replay_seconds t = t.replay_seconds
+let complete t r = r.events = Trace.length t.trace
 
-(* Pure worker function: safe on any domain. Accounting of replay counts
-   and wall time happens on the parent domain only. *)
-let replay ?probe ?graph t (d : Explorer.design) =
+(* The only place replay accounting happens, on the parent domain: [hits]
+   and [misses] are memo lookups, [runs] every replay behind them. *)
+let record_replays ?(hits = 0) ?(misses = 0) t runs =
+  let events = Array.fold_left (fun acc r -> acc + r.events) 0 runs in
+  let stopped = Array.fold_left (fun acc r -> if complete t r then acc else acc + 1) 0 runs in
+  let n = Array.length runs in
+  t.hits <- t.hits + hits;
+  t.misses <- t.misses + misses;
+  t.replays <- t.replays + n;
+  t.stopped <- t.stopped + stopped;
+  Reg.add m_hits hits;
+  Reg.add m_search_hits hits;
+  Reg.add m_misses misses;
+  Reg.add m_search_misses misses;
+  Reg.add m_replays n;
+  Reg.add m_stopped stopped;
+  Reg.add m_search_sims n;
+  Reg.add m_search_events events
+
+let score_of ~alpha o = Explorer.tradeoff_score ~alpha ~footprint:o.footprint ~ops:o.ops
+
+(* The bound test runs after every [check_every]-th event, off the
+   per-event path: a replay plays at most [check_every - 1] events past the
+   point its score reached the bound. *)
+let check_every = 64
+
+exception Reached of int
+
+(* Pure worker function: safe on any domain. With [bound], the replay
+   stops at the first check where its running score is >= [bound]. Both
+   terms of the score only grow as the trace plays (the footprint is a
+   high-water mark, ops a counter), so such a candidate's whole-trace
+   score is >= [bound] too. *)
+let replay ?probe ?graph ?(alpha = 0.0) ?bound t a =
   Span.with_span ~args:[ ("events", Trace.length t.trace) ] "sim.replay" @@ fun () ->
-  let start = Unix.gettimeofday () in
-  let space = Address_space.create ?probe () in
-  let m =
-    Manager.create ~expected_live:t.live_hint ~params:d.Explorer.params ?probe
-      d.Explorer.vector space
+  let start = now_ns () in
+  let n = Trace.length t.trace in
+  let events =
+    match bound with
+    | None ->
+      Replay.run ?probe ?graph ~live_hint:t.live_hint t.trace a;
+      n
+    | Some bound -> (
+      let on_event i a =
+        if i land (check_every - 1) = check_every - 1 then begin
+          let ops = if alpha = 0.0 then 0 else (Allocator.stats a).Dmm_core.Metrics.ops in
+          if Explorer.tradeoff_score ~alpha ~footprint:(Allocator.max_footprint a) ~ops >= bound
+          then raise_notrace (Reached (i + 1))
+        end
+      in
+      match Replay.run ?probe ?graph ~on_event ~live_hint:t.live_hint t.trace a with
+      | () -> n
+      | exception Reached k -> k)
   in
-  let a = Manager.allocator m in
-  Replay.run ?probe ?graph ~live_hint:t.live_hint t.trace a;
-  let o =
-    {
-      footprint = Allocator.max_footprint a;
-      ops = (Allocator.stats a).Dmm_core.Metrics.ops;
-    }
+  let outcome =
+    { footprint = Allocator.max_footprint a; ops = (Allocator.stats a).Dmm_core.Metrics.ops }
   in
-  Reg.observe m_replay_us
-    (int_of_float (1e6 *. (Unix.gettimeofday () -. start)));
-  o
+  Reg.observe m_replay_us ((now_ns () - start) / 1000);
+  { outcome; events }
+
+let allocator ?probe t (d : Explorer.design) =
+  Manager.allocator
+    (Manager.create ~expected_live:t.live_hint ~params:d.Explorer.params ?probe
+       d.Explorer.vector (Address_space.create ?probe ()))
 
 let timed t f =
-  let start = Unix.gettimeofday () in
+  let start = now_ns () in
   let r = f () in
-  t.replay_seconds <- t.replay_seconds +. (Unix.gettimeofday () -. start);
+  t.replay_seconds <- t.replay_seconds +. (float_of_int (now_ns () - start) *. 1e-9);
   r
 
+(* An observed replay: always live, never a memo lookup. *)
+let observed ?graph t probe d =
+  let r = timed t (fun () -> replay ~probe ?graph t (allocator ~probe t d)) in
+  record_replays t [| r |];
+  r.outcome
+
 let outcome ?(probe = Probe.null) t d =
+  let key = Explorer.design_key d in
   if Probe.enabled probe then begin
     (* An observed replay must actually run: bypass the memo (but still
        serve its result into the table for later unobserved queries). *)
-    let o = timed t (fun () -> replay ~probe t d) in
-    t.replays <- t.replays + 1;
-    Reg.incr m_replays;
-    Reg.incr m_search_sims;
-    Reg.add m_search_events (Trace.length t.trace);
-    Hashtbl.replace t.memo (Explorer.design_key d) o;
+    let o = observed t probe d in
+    Hashtbl.replace t.memo key o;
     o
   end
   else
-    let key = Explorer.design_key d in
     match Hashtbl.find_opt t.memo key with
     | Some o ->
-      t.hits <- t.hits + 1;
-      Reg.incr m_hits;
-      Reg.incr m_search_hits;
+      record_replays t ~hits:1 [||];
       o
     | None ->
-      let o = timed t (fun () -> replay t d) in
-      t.misses <- t.misses + 1;
-      t.replays <- t.replays + 1;
-      Reg.incr m_misses;
-      Reg.incr m_replays;
-      Reg.incr m_search_misses;
-      Reg.incr m_search_sims;
-      Reg.add m_search_events (Trace.length t.trace);
-      Hashtbl.replace t.memo key o;
-      o
+      let r = timed t (fun () -> replay t (allocator t d)) in
+      record_replays t ~misses:1 [| r |];
+      Hashtbl.replace t.memo key r.outcome;
+      r.outcome
 
-let outcomes t designs =
-  Span.with_span ~args:[ ("designs", Array.length designs) ] "sim.score-batch" @@ fun () ->
-  let keys = Array.map Explorer.design_key designs in
-  (* Unique cache misses, in first-occurrence order. *)
+(* Unique cache misses among [keys], in first-occurrence order. *)
+let misses_of t keys designs =
   let fresh = Hashtbl.create 16 in
   let missing = ref [] in
   Array.iteri
@@ -152,19 +202,26 @@ let outcomes t designs =
         missing := (key, designs.(i)) :: !missing
       end)
     keys;
-  let missing = Array.of_list (List.rev !missing) in
-  let scored = timed t (fun () -> Pool.map missing (fun (_, d) -> replay t d)) in
-  Array.iteri (fun i (key, _) -> Hashtbl.replace t.memo key scored.(i)) missing;
-  t.misses <- t.misses + Array.length missing;
-  t.replays <- t.replays + Array.length missing;
-  t.hits <- t.hits + (Array.length designs - Array.length missing);
-  Reg.add m_misses (Array.length missing);
-  Reg.add m_replays (Array.length missing);
-  Reg.add m_hits (Array.length designs - Array.length missing);
-  Reg.add m_search_misses (Array.length missing);
-  Reg.add m_search_sims (Array.length missing);
-  Reg.add m_search_events (Array.length missing * Trace.length t.trace);
-  Reg.add m_search_hits (Array.length designs - Array.length missing);
+  Array.of_list (List.rev !missing)
+
+(* Replays [missing] on the pool; only complete runs enter the memo, so a
+   stopped run never answers a later exact query. *)
+let replay_misses ?alpha ?bound t missing =
+  let runs =
+    timed t (fun () -> Pool.map missing (fun (_, d) -> replay ?alpha ?bound t (allocator t d)))
+  in
+  Array.iteri
+    (fun i (key, _) -> if complete t runs.(i) then Hashtbl.replace t.memo key runs.(i).outcome)
+    missing;
+  runs
+
+let outcomes t designs =
+  Span.with_span ~args:[ ("designs", Array.length designs) ] "sim.score-batch" @@ fun () ->
+  let keys = Array.map Explorer.design_key designs in
+  let missing = misses_of t keys designs in
+  let runs = replay_misses t missing in
+  let misses = Array.length missing in
+  record_replays t ~hits:(Array.length designs - misses) ~misses runs;
   Array.map (fun key -> Hashtbl.find t.memo key) keys
 
 let lifetimes t (d : Explorer.design) =
@@ -181,30 +238,56 @@ let oracle t (d : Explorer.design) =
   let orc = Dmm_check.Oracle.create () in
   Probe.attach probe (fun clock event ->
       Dmm_check.Oracle.feed orc { Dmm_check.Stream.clock; event });
-  let (_ : outcome) = timed t (fun () -> replay ~probe ~graph:true t d) in
-  t.replays <- t.replays + 1;
-  Reg.incr m_replays;
-  Reg.incr m_search_sims;
-  Reg.add m_search_events (Trace.length t.trace);
+  let (_ : outcome) = observed ~graph:true t probe d in
   Dmm_check.Oracle.finalize orc
 
 let sanitize t (d : Explorer.design) =
   let probe = Probe.create () in
   let sink = Dmm_obs.Collect_sink.create ~capacity:(4 * Trace.length t.trace) () in
   Dmm_obs.Collect_sink.attach probe sink;
-  let (_ : outcome) = timed t (fun () -> replay ~probe t d) in
-  t.replays <- t.replays + 1;
-  Reg.incr m_replays;
-  Reg.incr m_search_sims;
-  Reg.add m_search_events (Trace.length t.trace);
+  let (_ : outcome) = observed t probe d in
   let stream = Dmm_check.Stream.of_pairs (Dmm_obs.Collect_sink.to_array sink) in
   Dmm_check.Sanitizer.run ~design:d stream
 
-let score ?(alpha = 0.0) ?probe t d =
-  let o = outcome ?probe t d in
-  Explorer.tradeoff_score ~alpha ~footprint:o.footprint ~ops:o.ops
+let score ?(alpha = 0.0) ?probe t d = score_of ~alpha (outcome ?probe t d)
 
+(* Branch and bound on the incumbent, candidate 0: it is scored exactly
+   first, and its score bounds every other replay of the batch. A stopped
+   candidate answers with its running score, which is >= the bound, so it
+   loses to candidate 0 exactly as its whole-trace score would (ties keep
+   the lowest index). The bound is known before the fan-out, so which
+   replays stop, and where, does not depend on the worker count. *)
 let score_all ?(alpha = 0.0) t designs =
-  Array.map
-    (fun o -> Explorer.tradeoff_score ~alpha ~footprint:o.footprint ~ops:o.ops)
-    (outcomes t designs)
+  if Array.length designs = 0 then [||]
+  else
+    Span.with_span ~args:[ ("designs", Array.length designs) ] "sim.score-batch" @@ fun () ->
+    let bound = score_of ~alpha (outcome t designs.(0)) in
+    let keys = Array.map Explorer.design_key designs in
+    let missing = misses_of t keys designs in
+    let runs = replay_misses ~alpha ~bound t missing in
+    let misses = Array.length missing in
+    record_replays t ~hits:(Array.length designs - 1 - misses) ~misses runs;
+    let scored = Hashtbl.create 16 in
+    Array.iteri (fun i (key, _) -> Hashtbl.replace scored key (score_of ~alpha runs.(i).outcome)) missing;
+    Array.map
+      (fun key ->
+        match Hashtbl.find_opt scored key with
+        | Some s -> s
+        | None -> score_of ~alpha (Hashtbl.find t.memo key))
+      keys
+
+let score_allocators ?(alpha = 0.0) ?incumbent t makes =
+  let n = Array.length makes in
+  if n = 0 then [||]
+  else
+    let first, bound =
+      match incumbent with
+      | Some s -> ([||], s)
+      | None ->
+        let r = timed t (fun () -> replay t (makes.(0) ())) in
+        ([| r |], score_of ~alpha r.outcome)
+    in
+    let rest = Array.sub makes 1 (n - 1) in
+    let runs = timed t (fun () -> Pool.map rest (fun make -> replay ~alpha ~bound t (make ()))) in
+    record_replays t (Array.append first runs);
+    Array.append [| bound |] (Array.map (fun r -> score_of ~alpha r.outcome) runs)

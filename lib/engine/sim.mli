@@ -13,7 +13,11 @@
     fanned out through {!Pool.map} (fresh manager and address space per
     replay, so the tasks share nothing), then the table is filled from the
     parent domain. Results are therefore identical to replaying every
-    design sequentially, whatever [DMM_JOBS] says. *)
+    design sequentially, whatever [DMM_JOBS] says.
+
+    Every replay is counted in [dmm_sim_*]/[dmm_search_*]; the replayed
+    events counter adds the events a replay actually played, so a replay
+    stopped by {!score_all}'s bound counts only its prefix. *)
 
 type outcome = {
   footprint : int;  (** maximum memory footprint of the replay, bytes *)
@@ -64,7 +68,22 @@ val score : ?alpha:float -> ?probe:Dmm_obs.Probe.t -> t -> Dmm_core.Explorer.des
     [0.], the pure footprint objective). *)
 
 val score_all : ?alpha:float -> t -> Dmm_core.Explorer.design array -> int array
-(** Batch counterpart of {!score}, for [Explorer.*_batch] drivers. *)
+(** Batch counterpart of {!score} for [Explorer.*_batch] drivers, bounded
+    by the incumbent as {!Dmm_core.Explorer.refine_batch} allows:
+    candidate 0 is scored exactly first (memo or one replay), then the
+    remaining unique misses run through {!Pool.map}, each stopped as soon
+    as its running score reaches candidate 0's. A stopped candidate
+    answers with that running score, a lower bound that is >= candidate
+    0's; every other answer is exact. Stopped outcomes never enter the
+    memo. Use {!outcomes} where every score must be exact. *)
+
+val score_allocators :
+  ?alpha:float -> ?incumbent:int -> t -> (unit -> Dmm_core.Allocator.t) array -> int array
+(** {!score_all} for candidates the memo cannot key, such as a multi-phase
+    driver's whole global-manager specs: [makes.(i) ()] builds candidate
+    [i]'s fresh allocator (on a worker domain). [incumbent] is candidate
+    0's exact score when the caller already knows it, which skips its
+    replay. Every replay is counted in {!replays}, none as memo traffic. *)
 
 val hits : t -> int
 (** Designs served from the memo table so far (including duplicates inside
@@ -74,8 +93,11 @@ val misses : t -> int
 (** Unmemoised queries so far. *)
 
 val replays : t -> int
-(** Actual trace replays performed so far (memo misses plus probed
-    replays). *)
+(** Actual trace replays performed so far (memo misses, probed replays
+    and {!score_allocators} runs), stopped ones included. *)
+
+val stopped : t -> int
+(** Replays an incumbent bound stopped before the end of the trace. *)
 
 val replay_seconds : t -> float
 (** Cumulative wall-clock seconds spent replaying, measured on the parent

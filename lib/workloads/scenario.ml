@@ -149,10 +149,12 @@ let global_design_for ?(detect_phases = false) ?advisor trace =
     in
     let default = heuristic (Dmm_core.Profile.total profile) in
     let initial = List.map (fun s -> (s.Dmm_core.Profile.phase, heuristic s)) phases in
-    let score spec = max_footprint trace (custom_global spec) in
+    let sim = Dmm_engine.Sim.create trace in
     (* One coordinate-descent pass: refine each phase's design with the
-       other phases held fixed. *)
-    let refine_one overrides (s : Dmm_core.Profile.phase_summary) =
+       other phases held fixed. A round's candidate 0 is the phase's
+       current design, so its spec is the previous round's winner, whose
+       exact score bounds the round without a replay. *)
+    let refine_one (overrides, incumbent) (s : Dmm_core.Profile.phase_summary) =
       let pid = s.phase in
       Explorer.progress (Explorer.Round { label = Printf.sprintf "phase %d" pid });
       Span.with_span ~args:[ ("phase", pid) ] "scenario.refine-round" @@ fun () ->
@@ -160,15 +162,17 @@ let global_design_for ?(detect_phases = false) ?advisor trace =
       let with_design d =
         { default; overrides = List.map (fun (p, x) -> (p, if p = pid then d else x)) overrides }
       in
-      let best, _ =
+      let best, score =
         (* A phase override changes the whole spec, so the memo key would
-           be the spec, not the design: score fresh, but fan the candidate
-           replays out to the pool. *)
+           be the spec, not the design: score fresh, but bounded and fanned
+           out to the pool. *)
         Explorer.refine_batch
-          ~score_all:(fun ds -> Dmm_engine.Pool.map ds (fun d -> score (with_design d)))
+          ~score_all:(fun ds ->
+            Dmm_engine.Sim.score_allocators ?incumbent sim
+              (Array.map (fun d () -> custom_global (with_design d) ()) ds))
           (Explorer.candidates ?advisor s base)
       in
-      List.map (fun (p, x) -> (p, if p = pid then best else x)) overrides
+      (List.map (fun (p, x) -> (p, if p = pid then best else x)) overrides, Some score)
     in
     (* The advisor turns the refinement sweep into an agenda: phases with
        a negligible span share keep their initial per-phase heuristic
@@ -196,7 +200,7 @@ let global_design_for ?(detect_phases = false) ?advisor trace =
           order
     in
     Explorer.progress (Explorer.Agenda { rounds = List.length agenda });
-    let overrides = List.fold_left refine_one initial agenda in
+    let overrides, _ = List.fold_left refine_one (initial, None) agenda in
     { default; overrides }
 
 let drr_paper_design () =

@@ -81,10 +81,13 @@ val global_design_for :
     phases' designs held fixed (one coordinate-descent pass). With
     [detect_phases] (default false), phase boundaries are recovered from
     the trace with {!Dmm_trace.Phase_detect} instead of relying on the
-    application's markers. With [advisor], phases below the span-share
-    floor keep their initial heuristic design (their candidate rounds are
-    tallied as skipped) and the remaining rounds run in descending
-    span-share order. *)
+    application's markers. Candidates are scored by
+    {!Dmm_engine.Sim.score_allocators}: a replay stops once it can no
+    longer beat the round's incumbent, the phase's current design, whose
+    score after the first round is the previous round's winning score.
+    With [advisor], phases below the span-share floor keep their initial
+    heuristic design (their candidate rounds are tallied as skipped) and
+    the remaining rounds run in descending span-share order. *)
 
 val drr_paper_design : unit -> Dmm_core.Explorer.design
 (** The custom manager the paper derives by hand for DRR (Section 5),

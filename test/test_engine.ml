@@ -1,7 +1,8 @@
 (* The parallel simulation engine: Pool.map must be indistinguishable from
    Array.map for any worker count, Sim memoisation must return the scores a
-   fresh replay would, and the experiment drivers must produce identical
-   results under DMM_JOBS=1 and DMM_JOBS=4. *)
+   fresh replay would, incumbent-bounded scoring must pick the winner
+   exhaustive scoring picks, and the experiment drivers must produce
+   identical results under DMM_JOBS=1 and DMM_JOBS=4. *)
 
 module Pool = Dmm_engine.Pool
 module Sim = Dmm_engine.Sim
@@ -101,6 +102,106 @@ let check_sim_batch_dedupes () =
   let seq = Sim.outcomes (Sim.create trace) batch in
   Alcotest.(check bool) "batch equals fresh batch" true (out = seq)
 
+(* --- incumbent-bounded scoring ------------------------------------------ *)
+
+let drr_prefix =
+  lazy
+    (let trace = drr_trace () in
+     Dmm_trace.Trace.of_list (List.filteri (fun i _ -> i < 2500) (Dmm_trace.Trace.to_list trace)))
+
+(* Lowest score, lowest index on ties: [Explorer.refine_batch]'s rule. *)
+let argmin scores =
+  let best = ref 0 in
+  Array.iteri (fun i s -> if s < scores.(!best) then best := i) scores;
+  (!best, scores.(!best))
+
+let qcheck_bounded_scoring =
+  QCheck.Test.make ~name:"bounded score_all picks what exhaustive outcomes pick" ~count:20
+    QCheck.(triple small_nat (int_range 1 5) (oneofl [ 0.0; 0.5 ]))
+    (fun (seed, n, alpha) ->
+      let trace = Lazy.force drr_prefix in
+      let profile = Dmm_core.Profile.total (Dmm_trace.Profile_builder.of_trace trace) in
+      let rng = Dmm_util.Prng.create seed in
+      let batch =
+        Array.of_list (base_design trace :: List.init n (fun _ -> Explorer.random_design rng profile))
+      in
+      let reference = Sim.outcomes (Sim.create trace) batch in
+      let exact =
+        Array.map
+          (fun (o : Sim.outcome) ->
+            Explorer.tradeoff_score ~alpha ~footprint:o.Sim.footprint ~ops:o.Sim.ops)
+          reference
+      in
+      List.for_all
+        (fun jobs ->
+          let sim = Sim.create trace in
+          let bounded = Pool.with_jobs jobs (fun () -> Sim.score_all ~alpha sim batch) in
+          (* Exact, or a lower bound that already reaches the incumbent. *)
+          let contract =
+            Array.for_all2 (fun b e -> b = e || (bounded.(0) <= b && b <= e)) bounded exact
+          in
+          (* Each stopped design misses the memo once, then answers like a
+             fresh replay. *)
+          let misses = Sim.misses sim in
+          let later = Array.map (Sim.outcome sim) batch in
+          argmin bounded = argmin exact
+          && contract
+          && Sim.misses sim - misses = Sim.stopped sim
+          && later = reference)
+        [ 1; 2 ])
+
+let check_bounded_scoring_stops_losers () =
+  let trace = drr_trace () in
+  let profile = Dmm_core.Profile.total (Dmm_trace.Profile_builder.of_trace trace) in
+  let batch = Array.of_list (Explorer.candidates profile (base_design trace)) in
+  let sim = Sim.create trace in
+  let bounded = Sim.score_all sim batch in
+  let exact = Array.map (fun (o : Sim.outcome) -> o.Sim.footprint) (Sim.outcomes (Sim.create trace) batch) in
+  Alcotest.(check (pair int int)) "same winner and score" (argmin exact) (argmin bounded);
+  Alcotest.(check bool) "some losers stopped early" true (Sim.stopped sim > 0);
+  Alcotest.(check int) "every unique candidate replayed once" (Array.length batch) (Sim.replays sim)
+
+(* The multi-phase path against a coordinate descent that replays every
+   candidate of every round to the end. *)
+let exhaustive_global_design trace =
+  let profile = Dmm_trace.Profile_builder.of_trace trace in
+  let heuristic s =
+    match Explorer.heuristic_design s with Ok d -> d | Error msg -> Alcotest.fail msg
+  in
+  let default = heuristic (Dmm_core.Profile.total profile) in
+  let phases = Dmm_core.Profile.phases profile in
+  let refine overrides (s : Dmm_core.Profile.phase_summary) =
+    let with_design d =
+      {
+        Scenario.default;
+        overrides = List.map (fun (p, x) -> (p, if p = s.phase then d else x)) overrides;
+      }
+    in
+    let best, _ =
+      Explorer.refine
+        ~score:(fun d -> Scenario.max_footprint trace (Scenario.custom_global (with_design d)))
+        (Explorer.candidates s (List.assoc s.phase overrides))
+    in
+    List.map (fun (p, x) -> (p, if p = s.phase then best else x)) overrides
+  in
+  let initial = List.map (fun (s : Dmm_core.Profile.phase_summary) -> (s.phase, heuristic s)) phases in
+  { Scenario.default; overrides = List.fold_left refine initial phases }
+
+let spec_keys (spec : Scenario.global_spec) =
+  Explorer.design_key spec.default
+  :: List.map (fun (p, d) -> Printf.sprintf "%d:%s" p (Explorer.design_key d)) spec.overrides
+
+let check_global_design_matches_exhaustive () =
+  List.iter
+    (fun seed ->
+      let trace = Experiments.render_trace_seed seed in
+      let bounded = Pool.with_jobs 2 (fun () -> Scenario.global_design_for trace) in
+      Alcotest.(check (list string))
+        (Printf.sprintf "render seed %d" seed)
+        (spec_keys (exhaustive_global_design trace))
+        (spec_keys bounded))
+    [ 1; 2; 3 ]
+
 (* --- sequential/parallel equivalence of the drivers --------------------- *)
 
 let check_design_for_jobs_invariant () =
@@ -143,6 +244,10 @@ let tests =
         check_set_jobs_rejects_nonpositive;
       Alcotest.test_case "sim memoises by design key" `Quick check_sim_memoises;
       Alcotest.test_case "sim batch dedupes and fans out" `Quick check_sim_batch_dedupes;
+      Alcotest.test_case "bounded scoring stops losers, keeps the winner" `Quick
+        check_bounded_scoring_stops_losers;
+      Alcotest.test_case "global_design_for matches an exhaustive descent" `Slow
+        check_global_design_matches_exhaustive;
       Alcotest.test_case "design_for invariant under worker count" `Slow
         check_design_for_jobs_invariant;
       Alcotest.test_case "table1 invariant under worker count" `Slow
@@ -150,4 +255,4 @@ let tests =
       Alcotest.test_case "search comparison invariant under worker count" `Slow
         check_search_comparison_jobs_invariant;
     ]
-    @ List.map QCheck_alcotest.to_alcotest [ qcheck_map ] )
+    @ List.map QCheck_alcotest.to_alcotest [ qcheck_map; qcheck_bounded_scoring ] )
