@@ -726,9 +726,17 @@ let replay_cmd =
         prerr_endline ("invalid trace: " ^ msg);
         exit 1
       | Ok () ->
-        let make = maker_for manager trace in
-        let a = make () in
-        Replay.run trace a;
+        (* A request the manager cannot serve (past its largest class,
+           its payload word or 2^61) is a one-line error, not a crash. *)
+        let a =
+          try
+            let a = maker_for manager trace () in
+            Replay.run trace a;
+            a
+          with Invalid_argument msg ->
+            prerr_endline ("dmm replay: " ^ msg);
+            exit 1
+        in
         Format.printf "events:        %d@." (Trace.length trace);
         Format.printf "max footprint: %d B@." (Dmm_core.Allocator.max_footprint a);
         Format.printf "stats:         %a@." Dmm_core.Metrics.pp_snapshot

@@ -20,10 +20,16 @@ module Obs_event = Dmm_obs.Event
    stays valid across capacity doublings — each doubling simply appends a
    free block of the old capacity at its level.
 
+   Like MintOS's [exist_bit_count], each level keeps the number of its set
+   bits, so the upward scan passes an empty level without reading its
+   bitmap. Each level also keeps a hint: a lower bound on its first set
+   bit, where the bit search starts. The search then skips whole zero
+   64-bit words, so its cost follows the words it skips, not the arena.
+
    The per-min-block level byte (0xFF = not an allocated block base) is the
    MintOS allocated-block index: O(1) size recovery and wild/double-free
    detection on free. The requested payload is stored in-band in the arena
-   at the block base. *)
+   at the block base, as a signed 32-bit word. *)
 
 type config = { min_block : int }
 
@@ -35,6 +41,8 @@ type t = {
   mutable cap : int; (* power-of-two arena size (0 before first use) *)
   mutable n_levels : int; (* log2 (cap / min_block) + 1 *)
   mutable bitmaps : Bytes.t array; (* level -> occupancy bitmap, 1 = free *)
+  mutable free_count : int array; (* level -> number of set bits *)
+  mutable hint : int array; (* level -> lower bound on the first set bit *)
   mutable level_bytes : Bytes.t; (* addr/min_block -> level | 0xFF *)
   metrics : Metrics.t;
   probe : Probe.t;
@@ -42,6 +50,9 @@ type t = {
   mutable live_payload : int;
   mutable live_gross : int;
 }
+
+(* The largest payload the in-band signed 32-bit word holds. *)
+let max_payload = 0x7FFF_FFFF
 
 let create ?(config = default_config) ?(probe = Probe.null) space =
   if not (Size.is_power_of_two config.min_block) then
@@ -53,6 +64,8 @@ let create ?(config = default_config) ?(probe = Probe.null) space =
     cap = 0;
     n_levels = 0;
     bitmaps = [||];
+    free_count = [||];
+    hint = [||];
     level_bytes = Bytes.empty;
     metrics = Metrics.create ();
     probe;
@@ -69,34 +82,56 @@ let acct_ops t n =
 
 let bit_get bm i = Char.code (Bytes.unsafe_get bm (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let bit_set bm i =
+(* Every set is of a clear bit and every clear of a set bit, so the count
+   stays exact. Setting lowers the hint; clearing leaves it a lower bound. *)
+let mark_free t l i =
+  let bm = t.bitmaps.(l) in
   let j = i lsr 3 in
-  Bytes.unsafe_set bm j (Char.unsafe_chr (Char.code (Bytes.unsafe_get bm j) lor (1 lsl (i land 7))))
+  Bytes.unsafe_set bm j (Char.unsafe_chr (Char.code (Bytes.unsafe_get bm j) lor (1 lsl (i land 7))));
+  t.free_count.(l) <- t.free_count.(l) + 1;
+  if i < t.hint.(l) then t.hint.(l) <- i
 
-let bit_clear bm i =
+let mark_used t l i =
+  let bm = t.bitmaps.(l) in
   let j = i lsr 3 in
   Bytes.unsafe_set bm j
-    (Char.unsafe_chr (Char.code (Bytes.unsafe_get bm j) land lnot (1 lsl (i land 7)) land 0xff))
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get bm j) land lnot (1 lsl (i land 7)) land 0xff));
+  t.free_count.(l) <- t.free_count.(l) - 1
 
-let bits_at_level t l = t.cap asr (t.shift + l)
+(* Bitmaps are whole 64-bit words; the bits past a level's block count stay
+   clear. *)
+let bitmap_for t l = Bytes.make (8 * ((max 1 (t.cap asr (t.shift + l)) + 63) / 64)) '\000'
 
-let bitmap_bytes nbits = (nbits + 7) / 8
+(* Index of the lowest set bit of a non-zero [v], by halving. *)
+let ctz v =
+  let v = ref v and n = ref 0 in
+  if !v land 0xFFFF_FFFF = 0 then begin v := !v lsr 32; n := 32 end;
+  if !v land 0xFFFF = 0 then begin v := !v lsr 16; n := !n + 16 end;
+  if !v land 0xFF = 0 then begin v := !v lsr 8; n := !n + 8 end;
+  if !v land 0xF = 0 then begin v := !v lsr 4; n := !n + 4 end;
+  if !v land 0x3 = 0 then begin v := !v lsr 2; n := !n + 2 end;
+  if !v land 1 = 0 then !n + 1 else !n
 
-(* First set bit in [bm] among the first [nbits] bits, skipping zero bytes. *)
-let first_set bm nbits =
-  let nbytes = bitmap_bytes nbits in
-  let rec go j =
-    if j >= nbytes then -1
-    else
-      let byte = Char.code (Bytes.unsafe_get bm j) in
-      if byte = 0 then go (j + 1)
-      else begin
-        let rec bit k = if byte land (1 lsl k) <> 0 then (j lsl 3) + k else bit (k + 1) in
-        let i = bit 0 in
-        if i < nbits then i else -1
-      end
-  in
-  go 0
+(* Lowest set bit of word [w] of [bm] at bit [from] (0..63) or above, or -1. *)
+let low_bit bm w from =
+  let x = Int64.logand (Bytes.get_int64_le bm (w lsl 3)) (Int64.shift_left (-1L) from) in
+  if Int64.equal x 0L then -1
+  else
+    (* [Int64.to_int] keeps the low 63 bits: zero means only bit 63 is set. *)
+    let v = Int64.to_int x in
+    (w lsl 6) + if v = 0 then 63 else ctz v
+
+let rec nonzero_word bm w =
+  if Int64.equal (Bytes.get_int64_le bm (w lsl 3)) 0L then nonzero_word bm (w + 1) else w
+
+(* First set bit at level [l], which must hold one: search from the hint,
+   skipping zero words, then move the hint up to the bit found. *)
+let first_free t l =
+  let bm = t.bitmaps.(l) and h = t.hint.(l) in
+  let i = low_bit bm (h lsr 6) (h land 63) in
+  let i = if i >= 0 then i else low_bit bm (nonzero_word bm ((h lsr 6) + 1)) 0 in
+  t.hint.(l) <- i;
+  i
 
 (* First use: one sbrk covering the request, the whole arena a single free
    block at the top level. *)
@@ -106,10 +141,11 @@ let init_arena t needed =
   acct_ops t 4;
   t.cap <- request;
   t.n_levels <- Size.log2_ceil (request asr t.shift) + 1;
-  t.bitmaps <-
-    Array.init t.n_levels (fun l -> Bytes.make (bitmap_bytes (max 1 (t.cap asr (t.shift + l)))) '\000');
+  t.bitmaps <- Array.init t.n_levels (bitmap_for t);
+  t.free_count <- Array.make t.n_levels 0;
+  t.hint <- Array.make t.n_levels 0;
   t.level_bytes <- Bytes.make (t.cap asr t.shift) '\255';
-  bit_set t.bitmaps.(t.n_levels - 1) 0
+  mark_free t (t.n_levels - 1) 0
 
 (* Double the arena: every bitmap doubles its bit count (base 0 keeps every
    existing index valid), a fresh top level appears, and the new upper half
@@ -120,53 +156,53 @@ let grow_once t =
   acct_ops t 4;
   t.cap <- 2 * old_cap;
   let n = t.n_levels + 1 in
-  let bitmaps =
+  t.bitmaps <-
     Array.init n (fun l ->
-        let bm = Bytes.make (bitmap_bytes (max 1 (t.cap asr (t.shift + l)))) '\000' in
+        let bm = bitmap_for t l in
         if l < t.n_levels then Bytes.blit t.bitmaps.(l) 0 bm 0 (Bytes.length t.bitmaps.(l));
-        bm)
-  in
-  t.bitmaps <- bitmaps;
+        bm);
+  t.free_count <- Array.append t.free_count [| 0 |];
+  t.hint <- Array.append t.hint [| 0 |];
   t.n_levels <- n;
   let lb = Bytes.make (t.cap asr t.shift) '\255' in
   Bytes.blit t.level_bytes 0 lb 0 (Bytes.length t.level_bytes);
   t.level_bytes <- lb;
-  bit_set t.bitmaps.(t.n_levels - 2) 1
+  mark_free t (t.n_levels - 2) 1
 
-(* Find a free block at [lt] or above; each level probed charges one step. *)
+(* Lowest level at or above [lt] holding a free block, or -1. It charges
+   one step per level probed and one more on a miss; an empty level is
+   passed by its count, without reading its bitmap. *)
 let scan t lt =
-  let rec go l steps =
-    if l >= t.n_levels then (-1, -1, steps + 1)
-    else
-      let i = first_set t.bitmaps.(l) (max 1 (bits_at_level t l)) in
-      if i >= 0 then (l, i, steps + 1) else go (l + 1) (steps + 1)
-  in
-  go lt 0
+  let l = ref lt in
+  while !l < t.n_levels && t.free_count.(!l) = 0 do
+    incr l
+  done;
+  acct_ops t (!l - lt + 1);
+  if !l < t.n_levels then !l else -1
 
 let alloc t payload =
   if payload <= 0 then invalid_arg "Buddy_bitmap.alloc: non-positive size";
+  if payload > max_payload then
+    invalid_arg
+      (Printf.sprintf "Buddy_bitmap.alloc: request of %d bytes exceeds the 32-bit payload word"
+         payload);
   let needed = max t.config.min_block (Size.pow2_ceil payload) in
   let lt = Size.log2_ceil needed - t.shift in
   if t.cap = 0 then init_arena t needed;
-  let rec acquire () =
-    let l, i, steps = scan t lt in
-    acct_ops t steps;
-    if l < 0 then begin
-      grow_once t;
-      acquire ()
-    end
-    else (l, i)
-  in
-  let l, i = acquire () in
-  bit_clear t.bitmaps.(l) i;
-  let addr = i lsl (t.shift + l) in
+  let l = ref (scan t lt) in
+  while !l < 0 do
+    grow_once t;
+    l := scan t lt
+  done;
+  let i = first_free t !l in
+  mark_used t !l i;
+  let addr = i lsl (t.shift + !l) in
   (* Split down to the target level, re-flagging each upper half. *)
-  let lvl = ref l in
-  while !lvl > lt do
-    let parent = t.config.min_block lsl !lvl in
+  while !l > lt do
+    let parent = t.config.min_block lsl !l in
     let half = parent lsr 1 in
-    decr lvl;
-    bit_set t.bitmaps.(!lvl) ((addr + half) asr (t.shift + !lvl));
+    decr l;
+    mark_free t !l ((addr + half) asr (t.shift + !l));
     acct_ops t 1;
     Metrics.on_split t.metrics;
     if Probe.enabled t.probe then
@@ -205,7 +241,7 @@ let free t addr =
     let sz = t.config.min_block lsl !l in
     let buddy = !a lxor sz in
     if buddy < t.cap && bit_get t.bitmaps.(!l) (buddy asr (t.shift + !l)) then begin
-      bit_clear t.bitmaps.(!l) (buddy asr (t.shift + !l));
+      mark_used t !l (buddy asr (t.shift + !l));
       a := min !a buddy;
       incr l;
       acct_ops t 1;
@@ -216,7 +252,7 @@ let free t addr =
     end
     else continue_ := false
   done;
-  bit_set t.bitmaps.(!l) (!a asr (t.shift + !l))
+  mark_free t !l (!a asr (t.shift + !l))
 
 let current_footprint t = t.cap
 let max_footprint t = t.cap (* the arena never shrinks *)

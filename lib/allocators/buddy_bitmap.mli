@@ -10,7 +10,17 @@
     the buddy ([addr XOR size]) while it is free. Capacity grows by
     doubling; each doubling appends one free block of the old capacity, and
     the zero base keeps all existing bit positions valid. Addresses are
-    naturally size-aligned: [addr mod gross = 0]. *)
+    naturally size-aligned: [addr mod gross = 0].
+
+    The search costs O(levels) plus the zero 64-bit words it skips. Each
+    level keeps the exact count of its set bits, so an empty level is
+    passed without reading its bitmap, and a hint that never exceeds its
+    first set bit: setting a bit lowers the hint to it, and a search
+    starts at the hint and leaves it at the bit found. The block chosen
+    is always the lowest-indexed free one at the lowest non-empty level
+    at or above the request's, and a search charges one step per level
+    probed (plus one when every level is empty), whether or not the
+    level's bitmap was read. *)
 
 type config = {
   min_block : int;  (** smallest block size, a power of two (default 32) *)
@@ -27,7 +37,8 @@ val create : ?config:config -> ?probe:Dmm_obs.Probe.t -> Dmm_vmem.Address_space.
     merging. *)
 
 val alloc : t -> int -> int
-(** Raises [Invalid_argument] on a non-positive request. *)
+(** Raises [Invalid_argument] on a non-positive request and on one of
+    2 GiB or more: the payload is kept in a signed 32-bit in-band word. *)
 
 val free : t -> int -> unit
 (** Raises {!Dmm_core.Allocator.Invalid_free} on wild or double frees. *)

@@ -7,6 +7,8 @@ let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
 let pow2_ceil n =
   if n < 0 then invalid_arg "Size.pow2_ceil: negative size";
+  (* 2^62 is past max_int: doubling would wrap to 0 and never stop. *)
+  if n > 1 lsl 61 then invalid_arg "Size.pow2_ceil: size above 2^61";
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 

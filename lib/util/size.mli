@@ -8,10 +8,12 @@ val is_power_of_two : int -> bool
 
 val pow2_ceil : int -> int
 (** Smallest power of two >= [n] (with [pow2_ceil 0 = 1]). Raises
-    [Invalid_argument] if [n < 0]. *)
+    [Invalid_argument] if [n < 0] or [n > 2^61], whose power of two
+    would not fit in an [int]. *)
 
 val log2_ceil : int -> int
-(** [log2_ceil n] is the exponent of [pow2_ceil n]. *)
+(** [log2_ceil n] is the exponent of [pow2_ceil n]; it raises where
+    {!pow2_ceil} does. *)
 
 val kib : int -> int
 val mib : int -> int

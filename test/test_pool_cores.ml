@@ -163,6 +163,153 @@ let check_buddy_growth () =
   let held = Buddy_bitmap.current_footprint b in
   Alcotest.(check int) "never trims" held (Buddy_bitmap.max_footprint b)
 
+(* The payload lives in a signed 32-bit in-band word, so a request of
+   2 GiB or more is refused before anything is carved; a 16 MiB one still
+   round-trips. *)
+let check_buddy_payload_bound () =
+  let b = Buddy_bitmap.create (Address_space.create ()) in
+  Alcotest.check_raises "2 GiB payload"
+    (Invalid_argument
+       "Buddy_bitmap.alloc: request of 2147483648 bytes exceeds the 32-bit payload word")
+    (fun () -> ignore (Buddy_bitmap.alloc b 0x8000_0000));
+  Alcotest.(check int) "nothing carved" 0 (Buddy_bitmap.current_footprint b);
+  let payload = (1 lsl 24) + 1 in
+  let addr = Buddy_bitmap.alloc b payload in
+  Alcotest.(check int) "payload held" payload (Buddy_bitmap.breakdown b).Metrics.live_payload;
+  Buddy_bitmap.free b addr;
+  Alcotest.(check int) "payload released" 0 (Buddy_bitmap.breakdown b).Metrics.live_payload
+
+(* A reference binary buddy written for clarity, not speed: one set of free
+   block indexes per level; an allocation takes the lowest index at the
+   lowest non-empty level at or above the request's, doubling the arena
+   while there is none. It charges the steps Buddy_bitmap promises: 4 per
+   sbrk, one per level probed plus one on a miss, one per split, per free
+   and per coalesce. *)
+module Int_set = Set.Make (Int)
+
+type ref_buddy = {
+  mutable cap : int;
+  mutable free_at : Int_set.t array; (* level -> free block indexes *)
+  level_of : (int, int) Hashtbl.t; (* live block addr -> level *)
+  mutable ops : int;
+  mutable splits : int;
+  mutable coalesces : int;
+}
+
+let ref_min = 32
+let ref_shift = 5
+
+let ref_create () =
+  { cap = 0; free_at = [||]; level_of = Hashtbl.create 16; ops = 0; splits = 0; coalesces = 0 }
+
+let ref_add r l i = r.free_at.(l) <- Int_set.add i r.free_at.(l)
+let ref_remove r l i = r.free_at.(l) <- Int_set.remove i r.free_at.(l)
+
+let ref_alloc r payload =
+  let needed = max ref_min (Size.pow2_ceil payload) in
+  let lt = Size.log2_ceil needed - ref_shift in
+  if r.cap = 0 then begin
+    r.cap <- max 4096 needed;
+    r.free_at <- Array.make (Size.log2_ceil r.cap - ref_shift + 1) Int_set.empty;
+    ref_add r (Array.length r.free_at - 1) 0;
+    r.ops <- r.ops + 4
+  end;
+  let rec level () =
+    let n = Array.length r.free_at in
+    let rec probe l = if l >= n || not (Int_set.is_empty r.free_at.(l)) then l else probe (l + 1) in
+    let l = probe lt in
+    r.ops <- r.ops + (l - lt + 1);
+    if l < n then l
+    else begin
+      (* The new upper half is one free block of the old capacity. *)
+      r.ops <- r.ops + 4;
+      r.cap <- 2 * r.cap;
+      r.free_at <- Array.append r.free_at [| Int_set.empty |];
+      ref_add r (n - 1) 1;
+      level ()
+    end
+  in
+  let l = level () in
+  let i = Int_set.min_elt r.free_at.(l) in
+  ref_remove r l i;
+  let addr = i lsl (ref_shift + l) in
+  for k = l - 1 downto lt do
+    ref_add r k ((addr lsr (ref_shift + k)) + 1);
+    r.ops <- r.ops + 1;
+    r.splits <- r.splits + 1
+  done;
+  Hashtbl.replace r.level_of addr lt;
+  addr
+
+let ref_free r addr =
+  let lt = Hashtbl.find r.level_of addr in
+  Hashtbl.remove r.level_of addr;
+  r.ops <- r.ops + 1;
+  let rec merge a l =
+    let buddy = a lxor (ref_min lsl l) in
+    let bi = buddy lsr (ref_shift + l) in
+    if l < Array.length r.free_at - 1 && buddy < r.cap && Int_set.mem bi r.free_at.(l) then begin
+      ref_remove r l bi;
+      r.ops <- r.ops + 1;
+      r.coalesces <- r.coalesces + 1;
+      merge (min a buddy) (l + 1)
+    end
+    else ref_add r l (a lsr (ref_shift + l))
+  in
+  merge addr lt
+
+(* Buddy_bitmap's counts, hints and word scan change how a block is found,
+   never which: after every step of a random script it must agree with the
+   reference on the address, ops, splits, coalesces and footprint. *)
+let qcheck_buddy_reference =
+  let ops_gen =
+    QCheck.Gen.(
+      list_size (1 -- 250)
+        (frequency
+           [
+             (3, map (fun s -> `Alloc s) (oneof [ 1 -- 64; 1 -- 2048; 1 -- 65536 ]));
+             (2, map (fun i -> `Free i) nat);
+           ]))
+  in
+  let print =
+    QCheck.Print.list (function
+      | `Alloc p -> Printf.sprintf "a %d" p
+      | `Free i -> Printf.sprintf "f #%d" i)
+  in
+  QCheck.Test.make ~name:"buddy-bitmap picks the reference buddy's blocks" ~count:300
+    (QCheck.make ~print ops_gen)
+    (fun ops ->
+      let b = Buddy_bitmap.create (Address_space.create ()) in
+      let r = ref_create () in
+      let live = ref [] in
+      let agree () =
+        let m = Buddy_bitmap.metrics b in
+        m.Metrics.ops = r.ops
+        && m.Metrics.splits = r.splits
+        && m.Metrics.coalesces = r.coalesces
+        && Buddy_bitmap.current_footprint b = r.cap
+      in
+      List.for_all
+        (fun op ->
+          let same_addr =
+            match op with
+            | `Alloc p ->
+              let addr = Buddy_bitmap.alloc b p in
+              live := addr :: !live;
+              addr = ref_alloc r p
+            | `Free i -> (
+              match !live with
+              | [] -> true
+              | l ->
+                let addr = List.nth l (i mod List.length l) in
+                Buddy_bitmap.free b addr;
+                ref_free r addr;
+                live := List.filter (fun x -> x <> addr) !live;
+                true)
+          in
+          same_addr && agree ())
+        ops)
+
 (* A deterministic mixed script shared by the stream checks below. *)
 let run_script (a : Allocator.t) =
   let live = ref [] in
@@ -216,7 +363,8 @@ let tests =
       Alcotest.test_case "fixed-pool LIFO reuse" `Quick check_fixed_pool_lifo;
       Alcotest.test_case "buddy split/merge symmetry" `Quick check_buddy_split_merge;
       Alcotest.test_case "buddy growth" `Quick check_buddy_growth;
+      Alcotest.test_case "buddy payload bound" `Quick check_buddy_payload_bound;
       Alcotest.test_case "sanitizer-clean streams" `Quick check_sanitizer_clean;
       Alcotest.test_case "probe on/off identity" `Quick check_probe_identity;
     ]
-    @ List.map QCheck_alcotest.to_alcotest qcheck_model )
+    @ List.map QCheck_alcotest.to_alcotest (qcheck_buddy_reference :: qcheck_model) )

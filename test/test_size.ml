@@ -15,7 +15,19 @@ let check_pow2 () =
   Alcotest.(check int) "pow2_ceil 64" 64 (Size.pow2_ceil 64);
   Alcotest.(check bool) "is_power_of_two" true (Size.is_power_of_two 64);
   Alcotest.(check bool) "48 is not" false (Size.is_power_of_two 48);
-  Alcotest.(check bool) "0 is not" false (Size.is_power_of_two 0)
+  Alcotest.(check bool) "0 is not" false (Size.is_power_of_two 0);
+  (* 2^61 is the largest power of two an int holds: past it pow2_ceil
+     would double into overflow and loop forever, so it raises instead. *)
+  let top = 1 lsl 61 in
+  Alcotest.(check int) "pow2_ceil at the bound" top (Size.pow2_ceil top);
+  Alcotest.(check int) "pow2_ceil just below" top (Size.pow2_ceil (top - 1));
+  Alcotest.(check int) "log2_ceil at the bound" 61 (Size.log2_ceil top);
+  let past = Invalid_argument "Size.pow2_ceil: size above 2^61" in
+  Alcotest.check_raises "pow2_ceil past the bound" past (fun () ->
+      ignore (Size.pow2_ceil (top + 1)));
+  Alcotest.check_raises "pow2_ceil max_int" past (fun () -> ignore (Size.pow2_ceil max_int));
+  Alcotest.check_raises "log2_ceil past the bound" past (fun () ->
+      ignore (Size.log2_ceil (top + 1)))
 
 let check_log2 () =
   Alcotest.(check int) "log2_ceil 1" 0 (Size.log2_ceil 1);
