@@ -1342,7 +1342,7 @@ let append_ledger ~wall ~(obs : obs_report) tables =
       |> fun b -> if b = max_int then 0 else b
     in
     let sims =
-      Dmm_obs.Registry.(value (counter global "dmm_search_simulations_total"))
+      Dmm_obs.Registry.(value (counter global "dmm_sim_replays_total"))
     in
     let record =
       {

@@ -213,9 +213,9 @@ let explore_cmd =
        (module initialisation may predate us; handles stay valid). *)
     if telemetry then Registry.reset Registry.global;
     let t_start = Unix.gettimeofday () in
-    let sims_c = Registry.counter Registry.global "dmm_search_simulations_total" in
-    let hits_c = Registry.counter Registry.global "dmm_search_cache_hits_total" in
-    let miss_c = Registry.counter Registry.global "dmm_search_cache_misses_total" in
+    let sims_c = Registry.counter Registry.global "dmm_sim_replays_total" in
+    let hits_c = Registry.counter Registry.global "dmm_sim_memo_hits_total" in
+    let miss_c = Registry.counter Registry.global "dmm_sim_memo_misses_total" in
     let sims0 = Registry.value sims_c in
     let hits0 = Registry.value hits_c in
     let miss0 = Registry.value miss_c in
@@ -1249,10 +1249,6 @@ let report_cmd =
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)
 
-let pow2_ceil v =
-  let rec go p = if p >= v then p else go (p * 2) in
-  if v <= 1 then 1 else go 1
-
 let profile_cmd =
   let run jsonl workload quick seed manager json_out chrome =
     (* One chrome sink carries both the counter tracks (fed the raw
@@ -1268,7 +1264,7 @@ let profile_cmd =
       | Some cs ->
         incr span_id;
         Chrome_sink.async_span cs ~id:!span_id
-          ~name:(Printf.sprintf "<=%d B" (pow2_ceil s.Lifetime_sink.gross))
+          ~name:(Printf.sprintf "<=%d B" (Dmm_util.Size.pow2_class s.Lifetime_sink.gross))
           ~start_clock:s.Lifetime_sink.born_clock ~end_clock:s.Lifetime_sink.freed_clock
           ~payload:s.Lifetime_sink.payload
     in

@@ -225,10 +225,6 @@ let feed t (e : Stream.entry) =
 
 (* --- backward pass ---------------------------------------------------------- *)
 
-let pow2_ceil n =
-  let rec go c = if c >= n then c else go (c * 2) in
-  if n <= 1 then 1 else go 1
-
 let finalize t =
   if t.finalized then invalid_arg "Oracle.finalize: already finalized";
   t.finalized <- true;
@@ -332,7 +328,7 @@ let finalize t =
         incr freed;
         let drag = o.free - o.death in
         Log_hist.record drag_all drag;
-        Log_hist.record (hist by_class (pow2_ceil o.gross)) drag;
+        Log_hist.record (hist by_class (Dmm_util.Size.pow2_class o.gross)) drag;
         Log_hist.record (hist by_phase o.birth_phase) drag
       end
       else if o.reached then incr end_live

@@ -513,8 +513,3 @@ let run_source ?design ?leaks src =
   match Stream.iter_source src ~f:(fun e -> feed st e) with
   | Error _ as e -> e
   | Ok _ -> Ok (finalize st)
-
-let pp_report ppf r =
-  List.iter (fun d -> Format.fprintf ppf "%a@." Diag.pp d) r.diags;
-  Format.fprintf ppf "%d events, %d diagnostics (%s)@." r.events (List.length r.diags)
-    (if r.conformance_checked then "invariants + design conformance" else "invariants")

@@ -23,9 +23,9 @@
       require a pool layout whose search covers every adequate block
       (single pool or range pools).
 
-    Both passes are skipped when {!Stream.integrity} rejects the stream, so
-    a tampered record yields the single [incomplete-stream] finding rather
-    than phantom violations. *)
+    Both passes are skipped once an event's clock differs from its position
+    (the integrity gate of {!feed}), so a tampered record yields the single
+    [incomplete-stream] finding rather than phantom violations. *)
 
 type report = {
   events : int;
@@ -74,5 +74,3 @@ val run_source :
 (** Drive a {!Stream.source} to exhaustion through {!feed}. [Error] is a
     decode failure of the underlying record (malformed line, corrupt
     chunk) — distinct from heap diagnostics, which live in the report. *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -415,11 +415,6 @@ let load path =
 
 let of_jsonl_string s = collect (jsonl_source (reader_of_string s))
 
-let load_jsonl path =
-  match open_in_bin path with
-  | exception Sys_error m -> Error m
-  | ic -> collect (jsonl_source ~path ~close:(fun () -> close_in_noerr ic) (reader_of_channel ic))
-
 (* --- stream integrity ------------------------------------------------------
    The probe's logical clock ticks exactly once per emitted event, so a
    faithful record carries clocks 0,1,2,…  Any gap, duplicate or disorder
@@ -436,11 +431,3 @@ let clock_gap ~clock ~position =
      (events lost, duplicated or reordered); heap invariant and conformance \
      passes skipped to avoid phantom findings"
     clock position
-
-let integrity (t : t) =
-  let rec scan i =
-    if i >= Array.length t then []
-    else if t.(i).clock = i then scan (i + 1)
-    else [ clock_gap ~clock:t.(i).clock ~position:i ]
-  in
-  scan 0

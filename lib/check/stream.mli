@@ -91,22 +91,13 @@ val of_jsonl_string : string -> (t, string) result
 (** Parse the {!Dmm_obs.Jsonl_sink} line format. A parse failure is an
     I/O-level error (malformed file), not a heap diagnostic. *)
 
-val load_jsonl : string -> (t, string) result
-(** Like {!load} but the format is forced to JSONL. Reads line by line
-    through one reused buffer: peak memory is a single line, whatever
-    the file size, and parse errors name the offending line. *)
-
 (** {1 Integrity} *)
 
 val clock_gap : clock:int -> position:int -> Diag.t
-(** The [incomplete-stream] diagnostic for an event whose clock does
-    not equal its position — shared by {!integrity} and the
-    sanitizer's incremental gate so both report identically. *)
-
-val integrity : t -> Diag.t list
-(** The probe's logical clock ticks once per event, so a faithful record
-    carries clocks [0,1,2,…]. A gap, duplicate or disorder yields a single
-    [incomplete-stream] diagnostic — the caller should then skip invariant
-    checking, whose findings would be phantoms of the missing events. A
-    truncated tail still forms a gap-free prefix and passes: the heap
-    invariants are prefix-closed. *)
+(** The [incomplete-stream] diagnostic for an event whose clock does not
+    equal its position. The probe's logical clock ticks once per event,
+    so a faithful record carries clocks [0,1,2,…]; a gap, duplicate or
+    disorder means invariant checking would report phantoms of the
+    missing events, so the sanitizer's gate reports this once and skips
+    its passes. A truncated tail still forms a gap-free prefix and
+    passes: the heap invariants are prefix-closed. *)

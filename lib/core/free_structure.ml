@@ -1,124 +1,11 @@
 open Decision
 
-(* Doubly linked list with an address-keyed node table for O(1) removal. *)
-module Dll = struct
-  type node = {
-    block : Block.t;
-    mutable prev : node option;
-    mutable next : node option;
-  }
-
-  type t = {
-    mutable head : node option;
-    mutable tail : node option;
-    nodes : (int, node) Hashtbl.t;
-  }
-
-  let create () = { head = None; tail = None; nodes = Hashtbl.create 64 }
-
-  let mem t (b : Block.t) = Hashtbl.mem t.nodes b.addr
-
-  let push_front t block =
-    let node = { block; prev = None; next = t.head } in
-    (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
-    t.head <- Some node;
-    Hashtbl.replace t.nodes block.Block.addr node
-
-  (* Insert keeping ascending address order; returns the number of nodes
-     visited so the caller can charge traversal steps. *)
-  let insert_sorted t block =
-    let rec find_pos cur visited =
-      match cur with
-      | None -> (None, visited)
-      | Some n ->
-        if n.block.Block.addr > block.Block.addr then (Some n, visited + 1)
-        else find_pos n.next (visited + 1)
-    in
-    let after, visited = find_pos t.head 0 in
-    let node = { block; prev = None; next = None } in
-    (match after with
-    | None ->
-      (* Append at tail. *)
-      node.prev <- t.tail;
-      (match t.tail with Some tl -> tl.next <- Some node | None -> t.head <- Some node);
-      t.tail <- Some node
-    | Some succ ->
-      node.next <- Some succ;
-      node.prev <- succ.prev;
-      (match succ.prev with Some p -> p.next <- Some node | None -> t.head <- Some node);
-      succ.prev <- Some node);
-    Hashtbl.replace t.nodes block.Block.addr node;
-    visited
-
-  let unlink t node =
-    (match node.prev with Some p -> p.next <- node.next | None -> t.head <- node.next);
-    (match node.next with Some n -> n.prev <- node.prev | None -> t.tail <- node.prev);
-    Hashtbl.remove t.nodes node.block.Block.addr
-
-  let remove t (b : Block.t) =
-    match Hashtbl.find_opt t.nodes b.Block.addr with
-    | None -> raise Not_found
-    | Some node -> unlink t node
-
-  let iter f t =
-    let rec go = function
-      | None -> ()
-      | Some n ->
-        let next = n.next in
-        f n.block;
-        go next
-    in
-    go t.head
-
-  (* Scan computing the chosen node per fit; returns (node option, steps). *)
-  let scan_fit t fit need ~after =
-    let better_exact current candidate =
-      match current with
-      | None -> true
-      | Some (c : node) -> candidate.block.Block.size < c.block.Block.size
-    in
-    let rec go cur best steps =
-      match cur with
-      | None -> (best, steps)
-      | Some n ->
-        let sz = n.block.Block.size in
-        let steps = steps + 1 in
-        if sz < need then go n.next best steps
-        else begin
-          match fit with
-          | First_fit -> (Some n, steps)
-          | Next_fit -> (
-            match after with
-            | None -> (Some n, steps)
-            | Some a ->
-              if n.block.Block.addr <> a then (Some n, steps)
-              else go n.next (if best = None then Some n else best) steps)
-          | Exact_fit ->
-            if sz = need then (Some n, steps)
-            else go n.next (if better_exact best n then Some n else best) steps
-          | Best_fit ->
-            if sz = need then (Some n, steps)
-            else go n.next (if better_exact best n then Some n else best) steps
-          | Worst_fit ->
-            let best' =
-              match best with
-              | Some (c : node) when c.block.Block.size >= sz -> best
-              | _ -> Some n
-            in
-            go n.next best' steps
-        end
-    in
-    go t.head None 0
-end
-
-(* Flat slot-arena twin of the boxed lists: blocks park in parallel unboxed
-   arrays, so the fit scans chase int indices through [addrs]/[sizes]/[nxt]
-   instead of pointer-hopping across heap-allocated nodes. The physical
-   [Block.t] records are retained in [blocks] because managers mutate and
-   re-insert the very records they take out. Charge counts, scan order and
-   iteration order mirror the boxed structures exactly (pinned by the
-   equivalence property tests); slots are recycled through a free chain
-   threaded through [nxt]. *)
+(* The three lists share one flat slot arena: blocks park in parallel
+   unboxed arrays, so the fit scans chase int indices through
+   [addrs]/[sizes]/[nxt] instead of pointer-hopping across heap-allocated
+   nodes. The physical [Block.t] records are retained in [blocks] because
+   managers mutate and re-insert the very records they take out. Slots are
+   recycled through a free chain threaded through [nxt]. *)
 module Flat = struct
   type t = {
     mutable blocks : Block.t array; (* slot -> the physical block record *)
@@ -212,8 +99,8 @@ module Flat = struct
     if t.head >= 0 then t.prv.(t.head) <- s else t.tail <- s;
     t.head <- s
 
-  (* Insert keeping ascending address order; returns nodes visited, counted
-     exactly like [Dll.insert_sorted]. *)
+  (* Insert keeping ascending address order; returns the nodes visited: the
+     successor's 0-based index + 1, or the length when appending. *)
   let insert_sorted t (b : Block.t) =
     let rec find_pos cur visited =
       if cur < 0 then (-1, visited)
@@ -247,8 +134,8 @@ module Flat = struct
     let s = slot_of t b in
     if s < 0 then raise Not_found else unlink t s
 
-  (* Linear removal with Sll cost semantics: walk from the head, return the
-     1-based position of the match as the traversal charge. *)
+  (* Linear removal for the singly linked list: walk from the head, return
+     the 1-based position of the match as the traversal charge. *)
   let remove_scan t (b : Block.t) =
     let rec go cur visited =
       if cur < 0 then raise Not_found
@@ -333,8 +220,8 @@ module Flat = struct
     in
     go t.head (-1) 0
 
-  (* Twin of [Dll.scan_fit]: same traversal, same step counting, best as a
-     slot index (-1 = none). *)
+  (* The chosen slot (-1 = none) and the nodes visited. [after] is the
+     roving pointer; without one, next fit is first fit. *)
   let scan_fit t fit need ~after =
     match fit with
     | First_fit -> scan_first t need
@@ -342,14 +229,6 @@ module Flat = struct
       match after with
       | None -> scan_first t need
       | Some a -> scan_next t need ~after:a)
-    | Exact_fit | Best_fit -> scan_exact t need
-    | Worst_fit -> scan_worst t need
-
-  (* Twin of the inline Sll scan in [take_fit]: every node charges a visit
-     and Next_fit degrades to First_fit (no roving pointer in an SLL). *)
-  let scan_lifo t fit need =
-    match fit with
-    | First_fit | Next_fit -> scan_first t need
     | Exact_fit | Best_fit -> scan_exact t need
     | Worst_fit -> scan_worst t need
 end
@@ -363,16 +242,11 @@ end
 
 module Size_map = Map.Make (Size_key)
 
-type repr = Boxed | Unboxed
-
 type impl =
-  | Sll of { mutable items : Block.t list }
-  | Dll_impl of Dll.t
-  | Addr_ordered of Dll.t
+  | Singly of Flat.t
+  | Doubly of Flat.t
+  | By_addr of Flat.t
   | Tree of { mutable map : Block.t Size_map.t }
-  | Fsll of Flat.t
-  | Fdll of Flat.t
-  | Faddr of Flat.t
 
 type t = {
   structure : block_structure;
@@ -383,18 +257,13 @@ type t = {
   mutable last_fit_addr : int option; (* roving pointer for next fit *)
 }
 
-let create ?(repr = Unboxed) structure =
+let create structure =
   let impl =
-    match (repr, structure) with
-    | Boxed, Singly_linked_list -> Sll { items = [] }
-    | Boxed, Doubly_linked_list -> Dll_impl (Dll.create ())
-    | Boxed, Address_ordered_list -> Addr_ordered (Dll.create ())
-    | Unboxed, Singly_linked_list -> Fsll (Flat.create ())
-    | Unboxed, Doubly_linked_list -> Fdll (Flat.create ())
-    | Unboxed, Address_ordered_list -> Faddr (Flat.create ())
-    (* The tree is index-free already (logarithmic over a balanced map);
-       both representations share it. *)
-    | (Boxed | Unboxed), Size_ordered_tree -> Tree { map = Size_map.empty }
+    match structure with
+    | Singly_linked_list -> Singly (Flat.create ())
+    | Doubly_linked_list -> Doubly (Flat.create ())
+    | Address_ordered_list -> By_addr (Flat.create ())
+    | Size_ordered_tree -> Tree { map = Size_map.empty }
   in
   {
     structure;
@@ -406,12 +275,6 @@ let create ?(repr = Unboxed) structure =
   }
 
 let structure t = t.structure
-
-let repr t =
-  match t.impl with
-  | Sll _ | Dll_impl _ | Addr_ordered _ -> Boxed
-  | Fsll _ | Fdll _ | Faddr _ -> Unboxed
-  | Tree _ -> Unboxed
 let cardinal t = t.cardinal
 let total_bytes t = t.total_bytes
 let steps t = t.steps
@@ -422,27 +285,16 @@ let log2_card t = if t.cardinal <= 1 then 1 else Dmm_util.Size.log2_ceil t.cardi
 
 let mem t (b : Block.t) =
   match t.impl with
-  | Sll s -> List.exists (fun (x : Block.t) -> x.addr = b.addr) s.items
-  | Dll_impl d | Addr_ordered d -> Dll.mem d b
-  | Fsll f | Fdll f | Faddr f -> Flat.mem f b
+  | Singly f | Doubly f | By_addr f -> Flat.mem f b
   | Tree tr -> Size_map.mem (b.size, b.addr) tr.map
 
 let insert t (b : Block.t) =
   if mem t b then invalid_arg "Free_structure.insert: duplicate address";
   (match t.impl with
-  | Sll s ->
-    charge t 1;
-    s.items <- b :: s.items
-  | Dll_impl d ->
-    charge t 1;
-    Dll.push_front d b
-  | Fsll f | Fdll f ->
+  | Singly f | Doubly f ->
     charge t 1;
     Flat.push_front f b
-  | Addr_ordered d ->
-    let visited = Dll.insert_sorted d b in
-    charge t (visited + 1)
-  | Faddr f ->
+  | By_addr f ->
     let visited = Flat.insert_sorted f b in
     charge t (visited + 1)
   | Tree tr ->
@@ -453,22 +305,8 @@ let insert t (b : Block.t) =
 
 let remove t (b : Block.t) =
   (match t.impl with
-  | Sll s ->
-    let rec go acc visited = function
-      | [] -> raise Not_found
-      | (x : Block.t) :: rest ->
-        if x.addr = b.addr then begin
-          charge t (visited + 1);
-          s.items <- List.rev_append acc rest
-        end
-        else go (x :: acc) (visited + 1) rest
-    in
-    go [] 0 s.items
-  | Fsll f -> charge t (Flat.remove_scan f b)
-  | Dll_impl d | Addr_ordered d ->
-    charge t 1;
-    Dll.remove d b
-  | Fdll f | Faddr f ->
+  | Singly f -> charge t (Flat.remove_scan f b)
+  | Doubly f | By_addr f ->
     charge t 1;
     Flat.remove f b
   | Tree tr ->
@@ -483,9 +321,7 @@ let remove t (b : Block.t) =
 
 let iter f t =
   match t.impl with
-  | Sll s -> List.iter f s.items
-  | Dll_impl d | Addr_ordered d -> Dll.iter f d
-  | Fsll fl | Fdll fl | Faddr fl -> Flat.iter f fl
+  | Singly fl | Doubly fl | By_addr fl -> Flat.iter f fl
   | Tree tr -> Size_map.iter (fun _ b -> f b) tr.map
 
 (* Deliberately skips the ordering and duplicate checks [insert] performs:
@@ -493,9 +329,7 @@ let iter f t =
    nodes, stale sizes) that a correct manager could never produce. *)
 let unsafe_push_front t (b : Block.t) =
   (match t.impl with
-  | Sll s -> s.items <- b :: s.items
-  | Dll_impl d | Addr_ordered d -> Dll.push_front d b
-  | Fsll f | Fdll f | Faddr f -> Flat.push_front f b
+  | Singly f | Doubly f | By_addr f -> Flat.push_front f b
   | Tree tr -> tr.map <- Size_map.add (b.size, b.addr) b tr.map);
   t.cardinal <- t.cardinal + 1;
   t.total_bytes <- t.total_bytes + b.size
@@ -505,15 +339,15 @@ let to_list t =
   iter (fun b -> acc := b :: !acc) t;
   List.rev !acc
 
-(* List-based fit search: delegate the scan, then remove the winner. *)
-let take_from_list t (d : Dll.t) fit need =
-  let node, visited = Dll.scan_fit d fit need ~after:t.last_fit_addr in
+let take_from_flat t f fit need ~after =
+  let slot, visited = Flat.scan_fit f fit need ~after in
   charge t visited;
-  match node with
-  | None -> None
-  | Some n ->
-    Dll.unlink d n;
-    Some n.Dll.block
+  if slot < 0 then None
+  else begin
+    let b = f.Flat.blocks.(slot) in
+    Flat.unlink f slot;
+    Some b
+  end
 
 (* Empty-structure fast path: the scans below charge exactly 0 on an empty
    list (no node visited) and [log2_card] = 1 on an empty tree, so the
@@ -521,69 +355,15 @@ let take_from_list t (d : Dll.t) fit need =
    makes walking a run of empty bins cheap for the segregated managers. *)
 let take_fit t fit need =
   if t.cardinal = 0 then begin
-    (match t.impl with Tree _ -> charge t 1 | _ -> ());
+    (match t.impl with Tree _ -> charge t 1 | Singly _ | Doubly _ | By_addr _ -> ());
     None
   end
   else
   let found =
     match t.impl with
-    | Sll s ->
-      let better_exact current (candidate : Block.t) =
-        match current with
-        | None -> true
-        | Some (c : Block.t) -> candidate.size < c.size
-      in
-      let rec go best visited = function
-        | [] -> (best, visited)
-        | (x : Block.t) :: rest ->
-          let visited = visited + 1 in
-          if x.size < need then go best visited rest
-          else begin
-            match fit with
-            | First_fit | Next_fit -> (Some x, visited)
-            | Exact_fit | Best_fit ->
-              if x.size = need then (Some x, visited)
-              else go (if better_exact best x then Some x else best) visited rest
-            | Worst_fit ->
-              let best' =
-                match best with
-                | Some (c : Block.t) when c.size >= x.size -> best
-                | _ -> Some x
-              in
-              go best' visited rest
-          end
-      in
-      let found, visited = go None 0 s.items in
-      charge t visited;
-      (match found with
-      | None -> None
-      | Some b ->
-        let rec drop acc = function
-          | [] -> List.rev acc
-          | (x : Block.t) :: rest ->
-            if x.addr = b.Block.addr then List.rev_append acc rest else drop (x :: acc) rest
-        in
-        s.items <- drop [] s.items;
-        Some b)
-    | Fsll f ->
-      let slot, visited = Flat.scan_lifo f fit need in
-      charge t visited;
-      if slot < 0 then None
-      else begin
-        let b = f.Flat.blocks.(slot) in
-        Flat.unlink f slot;
-        Some b
-      end
-    | Dll_impl d | Addr_ordered d -> take_from_list t d fit need
-    | Fdll f | Faddr f ->
-      let slot, visited = Flat.scan_fit f fit need ~after:t.last_fit_addr in
-      charge t visited;
-      if slot < 0 then None
-      else begin
-        let b = f.Flat.blocks.(slot) in
-        Flat.unlink f slot;
-        Some b
-      end
+    (* A singly linked list keeps no roving pointer: next fit is first fit. *)
+    | Singly f -> take_from_flat t f fit need ~after:None
+    | Doubly f | By_addr f -> take_from_flat t f fit need ~after:t.last_fit_addr
     | Tree tr -> (
       charge t (log2_card t);
       let candidate =
@@ -601,9 +381,6 @@ let take_fit t fit need =
   match found with
   | None -> None
   | Some b ->
-    (match t.impl with
-    | Tree _ | Sll _ | Fsll _ -> () (* already removed above *)
-    | Dll_impl _ | Addr_ordered _ | Fdll _ | Faddr _ -> () (* unlinked above *));
     t.cardinal <- t.cardinal - 1;
     t.total_bytes <- t.total_bytes - b.Block.size;
     t.last_fit_addr <- Some b.Block.addr;

@@ -1,36 +1,47 @@
-(** Free-block organisations — the DDTs of decision tree A1.
+(** Free-block organisations — the DDTs of decision tree A1 — and the fit
+    algorithms of tree C1, whose cost depends on the structure.
 
-    All four structures implement the same multiset-of-blocks semantics and
-    differ in traversal cost and ordering, which the [steps] counter makes
-    observable: every visited element or tree level adds one step. The fit
-    algorithms of tree C1 are implemented here because their cost depends on
-    the structure:
+    All four structures hold a multiset of blocks and differ in order and
+    traversal cost, which the [steps] counter makes observable. Below, n
+    is the number of free blocks before the operation and log is
+    ⌈log2 n⌉, at least 1. The specification property test checks every
+    rule against a model, for all four structures and five fits.
 
-    - {e first fit}: first block in structure order with size >= need;
-    - {e next fit}: first fit resuming after the previously chosen block;
-    - {e best fit}: smallest adequate block (ties: lowest address);
-    - {e exact fit}: block of exactly the needed size when one exists,
-      otherwise the best fit (the paper's custom managers split the rest);
-    - {e worst fit}: largest block. *)
+    {b Order} ({!iter}): the singly and doubly linked lists newest first,
+    the address-ordered list by address, the tree by (size, address).
+
+    {b Choice} ({!take_fit}), among the blocks in structure order:
+    - {e first fit}: the first adequate block (size >= need);
+    - {e exact} and {e best fit}: the first exact match; otherwise the
+      smallest adequate block, the earliest winning ties (the paper's
+      custom managers split the rest);
+    - {e worst fit}: the largest adequate block, the earliest winning
+      ties;
+    - {e next fit} on the doubly linked and address-ordered lists: the
+      first adequate block that is not the last block taken, falling
+      back to that block when there is none; on the singly linked list
+      next fit is first fit. Removing the last-taken block clears the
+      pointer;
+    - the tree takes the smallest (size, address) with size >= need, and
+      for worst fit its largest block if that block is adequate.
+
+    {b Step charges}:
+    - {!insert}: 1 on the two unordered lists; on the address-ordered
+      list k + 2 when the successor is at index k and n + 1 when the
+      block is appended; log on the tree;
+    - {!remove}: the 1-based position on the singly linked list, log on
+      the tree, 1 on the doubly linked and address-ordered lists even
+      when the block is absent. An absent block costs 0 on the singly
+      linked list and the tree;
+    - {!take_fit}: on a list the 1-based index of the node where the scan
+      stops, or n for a full scan (0 when empty); log on the tree, 1
+      when it is empty. *)
 
 type t
 
-(** Storage backend. Both representations implement identical multiset,
-    ordering and step-charge semantics (pinned by the equivalence property
-    tests); they differ only in constant factors. [Boxed] is the historical
-    node-per-block implementation (heap-allocated list cells); [Unboxed] —
-    the default — parks blocks in parallel int/record arrays and runs the
-    fit scans over flat indices, which keeps the hot path cache-resident.
-    The size-ordered tree is shared by both (already index-free). *)
-type repr = Boxed | Unboxed
-
-val create : ?repr:repr -> Decision.block_structure -> t
-(** [repr] defaults to [Unboxed]. *)
+val create : Decision.block_structure -> t
 
 val structure : t -> Decision.block_structure
-
-val repr : t -> repr
-(** The backend actually in use ([Unboxed] for the shared tree). *)
 
 val insert : t -> Block.t -> unit
 (** Raises [Invalid_argument] if a block at the same address is present. *)

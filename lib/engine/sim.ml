@@ -31,23 +31,9 @@ let m_replay_us =
   Reg.histogram ~help:"Wall-clock per design replay" Reg.global
     "dmm_sim_replay_microseconds"
 
-(* The same memoisation facts re-exported under the search-engine
-   dmm_search_* prefix, so one scrape/grep surfaces everything the design-space
-   search did: simulations, cache traffic (here), queue depth and worker
-   busy/idle time ([Pool]). Bumped in lock-step with the dmm_sim_*
-   counters above — parent domain only, deterministic under DMM_JOBS. *)
-let m_search_sims =
-  Reg.counter ~help:"Full design simulations executed by the search" Reg.global
-    "dmm_search_simulations_total"
-
-let m_search_hits =
-  Reg.counter ~help:"Design scores served from the memo cache" Reg.global
-    "dmm_search_cache_hits_total"
-
-let m_search_misses =
-  Reg.counter ~help:"Design scores that required a fresh simulation" Reg.global
-    "dmm_search_cache_misses_total"
-
+(* Under the search-engine dmm_search_* prefix beside [Pool]'s queue depth
+   and worker busy/idle time; parent domain only, deterministic under
+   DMM_JOBS. *)
 let m_search_events =
   Reg.counter ~help:"Trace events replayed by search simulations" Reg.global
     "dmm_search_replayed_events_total"
@@ -105,12 +91,9 @@ let record_replays ?(hits = 0) ?(misses = 0) t runs =
   t.replays <- t.replays + n;
   t.stopped <- t.stopped + stopped;
   Reg.add m_hits hits;
-  Reg.add m_search_hits hits;
   Reg.add m_misses misses;
-  Reg.add m_search_misses misses;
   Reg.add m_replays n;
   Reg.add m_stopped stopped;
-  Reg.add m_search_sims n;
   Reg.add m_search_events events
 
 let score_of ~alpha o = Explorer.tradeoff_score ~alpha ~footprint:o.footprint ~ops:o.ops

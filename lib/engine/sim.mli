@@ -15,9 +15,10 @@
     parent domain. Results are therefore identical to replaying every
     design sequentially, whatever [DMM_JOBS] says.
 
-    Every replay is counted in [dmm_sim_*]/[dmm_search_*]; the replayed
-    events counter adds the events a replay actually played, so a replay
-    stopped by {!score_all}'s bound counts only its prefix. *)
+    Every replay is counted in [dmm_sim_*]; the replayed events counter
+    [dmm_search_replayed_events_total] adds the events a replay actually
+    played, so a replay stopped by {!score_all}'s bound counts only its
+    prefix. *)
 
 type outcome = {
   footprint : int;  (** maximum memory footprint of the replay, bytes *)

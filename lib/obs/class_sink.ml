@@ -34,10 +34,6 @@ type t = {
 
 let create () = { classes = Hashtbl.create 32; by_addr = Hashtbl.create 256 }
 
-let pow2_ceil v =
-  let rec go p = if p >= v then p else go (p * 2) in
-  if v <= 1 then 1 else go 1
-
 let cell t cls =
   match Hashtbl.find_opt t.classes cls with
   | Some c -> c
@@ -60,7 +56,7 @@ let cell t cls =
 let on_event t _clock (e : Event.t) =
   match e with
   | Event.Alloc { gross; addr; _ } ->
-    let cls = pow2_ceil gross in
+    let cls = Dmm_util.Size.pow2_class gross in
     Hashtbl.replace t.by_addr addr (cls, gross);
     let c = cell t cls in
     c.allocs <- c.allocs + 1;
@@ -73,7 +69,7 @@ let on_event t _clock (e : Event.t) =
     let cls, gross =
       match Hashtbl.find_opt t.by_addr addr with
       | Some cg -> cg
-      | None -> (pow2_ceil payload, payload)
+      | None -> (Dmm_util.Size.pow2_class payload, payload)
     in
     Hashtbl.remove t.by_addr addr;
     let c = cell t cls in

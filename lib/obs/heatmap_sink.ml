@@ -89,9 +89,11 @@ let merge_cols arr cols =
   done
 
 (* Double the byte-per-column scale until [extent) fits the grid,
-   merging column pairs in the running raster and every completed row. *)
+   merging column pairs in the running raster and every completed row.
+   The doubling stops before [cols * addr_per_col] would overflow; bytes
+   past that width (only a hostile extent gets there) fall off the grid. *)
 let rescale_addr t extent =
-  while extent > t.cols * t.addr_per_col do
+  while extent > t.cols * t.addr_per_col && t.addr_per_col <= max_int / (2 * t.cols) do
     merge_cols t.cur_live t.cols;
     merge_cols t.cur_overhead t.cols;
     for i = 0 to t.len - 1 do
@@ -109,6 +111,10 @@ let snapshot t clock =
     r_brk = t.brk;
   }
 
+(* Saturating addition for the flush schedule: a hostile clock near
+   [max_int] must not wrap it into an endless catch-up loop. *)
+let sat_add a b = if a > max_int - b then max_int else a + b
+
 let flush t =
   if t.len = t.max_rows then begin
     (* Row budget full: keep the later snapshot of every pair and halve
@@ -118,14 +124,14 @@ let flush t =
       t.rows.(i) <- t.rows.((2 * i) + 1)
     done;
     t.len <- kept;
-    t.clock_per_row <- 2 * t.clock_per_row
+    t.clock_per_row <- sat_add t.clock_per_row t.clock_per_row
   end;
   t.rows.(t.len) <- snapshot t t.next_flush;
   t.len <- t.len + 1;
-  t.next_flush <- t.next_flush + t.clock_per_row
+  t.next_flush <- sat_add t.next_flush t.clock_per_row
 
 let on_event t clock (e : Event.t) =
-  while clock >= t.next_flush do
+  while clock >= t.next_flush && t.next_flush < max_int do
     flush t
   done;
   t.last_clock <- clock;

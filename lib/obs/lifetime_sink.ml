@@ -90,10 +90,6 @@ let create ?on_span ?(capacity = 256) () =
     on_span;
   }
 
-let pow2_ceil v =
-  let rec go p = if p >= v then p else go (p * 2) in
-  if v <= 1 then 1 else go 1
-
 let cell tbl key =
   match Hashtbl.find_opt tbl key with
   | Some c -> c
@@ -104,7 +100,7 @@ let cell tbl key =
 
 let open_span t (l : live) addr =
   Hashtbl.replace t.by_addr addr l;
-  let c = cell t.classes (pow2_ceil l.l_gross) in
+  let c = cell t.classes (Dmm_util.Size.pow2_class l.l_gross) in
   c.c_spans <- c.c_spans + 1;
   let p = cell t.phases l.l_phase in
   p.c_spans <- p.c_spans + 1
@@ -130,7 +126,7 @@ let on_event t clock (e : Event.t) =
       t.completed <- t.completed + 1;
       let lifetime = clock - l.l_clock in
       Log_hist.record t.all lifetime;
-      let c = cell t.classes (pow2_ceil l.l_gross) in
+      let c = cell t.classes (Dmm_util.Size.pow2_class l.l_gross) in
       Log_hist.record c.c_hist lifetime;
       let p = cell t.phases l.l_phase in
       Log_hist.record p.c_hist lifetime;
@@ -181,7 +177,7 @@ let leaks t key_of =
   tbl
 
 let class_rows t =
-  let leak = leaks t (fun l -> pow2_ceil l.l_gross) in
+  let leak = leaks t (fun l -> Dmm_util.Size.pow2_class l.l_gross) in
   Hashtbl.fold
     (fun size_class (c : cell) acc ->
       let live, leaked_bytes =

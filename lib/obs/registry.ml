@@ -182,18 +182,6 @@ let view t =
       | Histogram h -> Histogram_view (h.h_name, h))
     (metrics t)
 
-let pp_text ppf t =
-  List.iter
-    (fun m ->
-      match m with
-      | Counter c -> Format.fprintf ppf "%s %d@." c.c_name (value c)
-      | Gauge g -> Format.fprintf ppf "%s %d@." g.g_name (gauge_value g)
-      | Histogram h ->
-        Format.fprintf ppf "%s count=%d sum=%d p50=%d p99=%d max=%d@." h.h_name
-          (hist_count h) (hist_sum h) (hist_percentile h 0.5) (hist_percentile h 0.99)
-          (hist_max h))
-    (metrics t)
-
 (* Prometheus text exposition (histograms as summaries: no cumulative
    bucket blowup, quantiles precomputed server-side).
 

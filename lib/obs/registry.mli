@@ -87,9 +87,6 @@ val view : t -> view list
     that render kinds differently (e.g. wall-clock histograms behind a
     "[time]" prefix so deterministic output stays diffable). *)
 
-val pp_text : Format.formatter -> t -> unit
-(** One line per metric, sorted by name. *)
-
 val to_prometheus : ?prefix:string -> t -> string
 (** Prometheus text exposition: counters and gauges verbatim, histograms
     as summaries with quantiles 0.5/0.9/0.99/0.999 plus [_sum] and

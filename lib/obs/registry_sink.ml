@@ -80,7 +80,10 @@ let create ?(flush_every = 1024) registry =
   }
 
 let flush t =
-  let add c d = if d <> 0 then Registry.add c d in
+  (* Deltas are never negative on a faithful stream; a defective one's
+     negative sizes (or a byte sum wrapped past [max_int]) are dropped
+     rather than raised on. *)
+  let add c d = if d > 0 then Registry.add c d in
   add t.c_events t.d_events;
   add t.c_allocs t.d_allocs;
   add t.c_frees t.d_frees;

@@ -12,6 +12,8 @@ let pow2_ceil n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
+let pow2_class n = if n <= 1 then 1 else if n > 1 lsl 61 then max_int else pow2_ceil n
+
 let log2_ceil n =
   let p = pow2_ceil n in
   let rec go acc v = if v = 1 then acc else go (acc + 1) (v / 2) in

@@ -11,6 +11,11 @@ val pow2_ceil : int -> int
     [Invalid_argument] if [n < 0] or [n > 2^61], whose power of two
     would not fit in an [int]. *)
 
+val pow2_class : int -> int
+(** Total size class for untrusted sizes (decoded streams): 1 for
+    [n <= 1], {!pow2_ceil} up to 2^61, and [max_int] above. Never
+    raises. *)
+
 val log2_ceil : int -> int
 (** [log2_ceil n] is the exponent of [pow2_ceil n]; it raises where
     {!pow2_ceil} does. *)

@@ -237,7 +237,7 @@ do
   fi
 done
 for metric in dmm_events_total dmm_request_size_bytes dmm_footprint_bytes \
-  dmm_search_simulations_total; do
+  dmm_search_replayed_events_total; do
   if ! grep -q "^$metric" "$tmpdir/drr.prom"; then
     echo "bench_smoke: FAIL (Prometheus export missing $metric)" >&2
     exit 1

@@ -62,6 +62,29 @@ let check_mid_decode_drop_concurrent () =
   Alcotest.(check int) "errors unchanged" shards (counter_value registry "dmm_ingest_errors_total");
   Alcotest.(check int) "streams counted" (shards + 1) (counter_value registry "dmm_ingest_streams_total")
 
+(* A size above 2^61 has no power-of-two class in an int. The stream must
+   still complete, and so must the next one through the same context. *)
+let check_hostile_sizes_complete () =
+  let hostile =
+    String.concat "\n"
+      [
+        {|{"t":0,"ev":"alloc","payload":8,"gross":2305843009213693953,"tag":4,"addr":4}|};
+        {|{"t":1,"ev":"free","payload":8,"addr":4}|};
+      ]
+    ^ "\n"
+  in
+  let registry = Registry.create () in
+  let ingest = Ingest.create registry in
+  let events src =
+    match Ingest.run_source ingest (Stream.source_of_string src) with
+    | Ok s -> s.Ingest.report.Dmm_check.Sanitizer.events
+    | Error m -> Alcotest.failf "stream failed: %s" m
+  in
+  Alcotest.(check int) "hostile stream completes" 2 (events hostile);
+  Alcotest.(check int) "next stream completes" 4 (events jsonl_good);
+  Alcotest.(check int) "active back to zero" 0 (gauge_value registry "dmm_ingest_active_streams");
+  Alcotest.(check int) "no errors" 0 (counter_value registry "dmm_ingest_errors_total")
+
 let check_observed_matches_plain () =
   let run f =
     let registry = Registry.create () in
@@ -273,6 +296,7 @@ let tests =
       Alcotest.test_case "fail accounting" `Quick check_fail_accounting;
       Alcotest.test_case "mid-decode drops under concurrent shards" `Quick
         check_mid_decode_drop_concurrent;
+      Alcotest.test_case "hostile sizes complete" `Quick check_hostile_sizes_complete;
       Alcotest.test_case "observed driver matches plain" `Quick check_observed_matches_plain;
       Alcotest.test_case "health gate flips and recovers" `Quick check_health_gate;
       Alcotest.test_case "slo validation" `Quick check_slo_validation;

@@ -29,6 +29,25 @@ let check_pow2 () =
   Alcotest.check_raises "log2_ceil past the bound" past (fun () ->
       ignore (Size.log2_ceil (top + 1)))
 
+(* The total class function never raises, whatever a decoded stream
+   carries: 1 at and below 1, pow2_ceil up to 2^61, max_int past it. *)
+let check_pow2_class () =
+  let top = 1 lsl 61 in
+  List.iter
+    (fun (name, n, want) -> Alcotest.(check int) name want (Size.pow2_class n))
+    [
+      ("min_int", min_int, 1);
+      ("negative", -5, 1);
+      ("0", 0, 1);
+      ("1", 1, 1);
+      ("2", 2, 2);
+      ("17", 17, 32);
+      ("just below 2^61", top - 1, top);
+      ("2^61", top, top);
+      ("just past 2^61", top + 1, max_int);
+      ("max_int", max_int, max_int);
+    ]
+
 let check_log2 () =
   Alcotest.(check int) "log2_ceil 1" 0 (Size.log2_ceil 1);
   Alcotest.(check int) "log2_ceil 9" 4 (Size.log2_ceil 9);
@@ -53,6 +72,7 @@ let tests =
     [
       Alcotest.test_case "align_up" `Quick check_align_up;
       Alcotest.test_case "pow2" `Quick check_pow2;
+      Alcotest.test_case "pow2_class is total" `Quick check_pow2_class;
       Alcotest.test_case "log2 and units" `Quick check_log2;
     ]
     @ List.map QCheck_alcotest.to_alcotest qcheck )
