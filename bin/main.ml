@@ -73,6 +73,14 @@ let quick_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed for the workload.")
 
+(* A count of at least 1. A bad value is a one-line usage error with exit
+   124, as a negative --jobs is, not an exception from deep inside a run. *)
+let positive flag term =
+  Term.(
+    ret
+      (const (fun n -> if n > 0 then `Ok n else `Error (false, flag ^ " must be positive"))
+      $ term))
+
 let trace_for ~quick ~seed workload =
   Experiments.paper_scale := not quick;
   match workload with
@@ -97,6 +105,15 @@ let iter_stream_or_exit ~cmd path ~f =
 let missing_source_exit ~cmd =
   prerr_endline (Printf.sprintf "dmm %s: pass --stream FILE or a workload (-w)" cmd);
   exit 2
+
+(* Every output file is opened and written through here: a path that
+   cannot be written is one line, "dmm <cmd>: <path>: <reason>", and exit
+   2, like an unreadable input. *)
+let write_or_exit ~cmd f =
+  try f ()
+  with Sys_error msg ->
+    prerr_endline (Printf.sprintf "dmm %s: %s" cmd msg);
+    exit 2
 
 let hist_json h =
   Printf.sprintf
@@ -171,9 +188,9 @@ let jobs_arg =
            machine's recommended count; 1 = sequential). Results are identical \
            whatever the worker count.")
 
-(* Histogram values are wall-clock measurements, so those lines carry the
-   same "[time]" prefix the benchmark runner uses: strip them (or pin the
-   job count) and the remaining registry lines are byte-for-byte
+(* Histogram values are wall-clock measurements, so those lines carry a
+   "[time]" prefix: strip them (or pin the job count) and the remaining
+   registry lines are byte-for-byte
    reproducible for a fixed grid, whatever DMM_JOBS says. *)
 let print_registry reg =
   List.iter
@@ -355,7 +372,7 @@ let explore_cmd =
     | Some path, Some tr ->
       let sink = Chrome_sink.create ~name:"dmm explore self-trace" ~pid:1 in
       Span.to_chrome tr sink;
-      Chrome_sink.write_file path [ sink ];
+      write_or_exit ~cmd:"explore" (fun () -> Chrome_sink.write_file path [ sink ]);
       let wall_us = int_of_float (1e6 *. wall) in
       let cover =
         if wall_us > 0 then 100.0 *. float_of_int (Span.root_us tr) /. float_of_int wall_us
@@ -430,7 +447,9 @@ let table1_cmd =
     let tables = Experiments.table1 ~probe ~seeds () in
     List.iter (fun t -> Format.printf "%a@." Experiments.pp_table t) tables
   in
-  let seeds = Arg.(value & opt int 3 & info [ "seeds" ] ~doc:"Traces averaged per workload.") in
+  let seeds =
+    positive "--seeds" Arg.(value & opt int 3 & info [ "seeds" ] ~doc:"Traces averaged per workload.")
+  in
   let probe =
     Arg.(
       value & flag
@@ -452,11 +471,12 @@ let figure5_cmd =
     (match csv with
     | None -> ()
     | Some path ->
-      Csv.write path
-        ~header:[ "manager"; "event"; "current_bytes"; "max_bytes" ]
-        (List.concat_map
-           (fun (name, pts) -> Footprint_series.to_rows ~name pts)
-           series);
+      write_or_exit ~cmd:"figure5" (fun () ->
+          Csv.write path
+            ~header:[ "manager"; "event"; "current_bytes"; "max_bytes" ]
+            (List.concat_map
+               (fun (name, pts) -> Footprint_series.to_rows ~name pts)
+               series));
       Format.printf "wrote %s@." path);
     (match chrome with
     | None -> ()
@@ -481,7 +501,7 @@ let figure5_cmd =
             ("Buddy-bitmap", Scenario.buddy_bitmap);
           ]
       in
-      Chrome_sink.write_file path sinks;
+      write_or_exit ~cmd:"figure5" (fun () -> Chrome_sink.write_file path sinks);
       Format.printf "wrote %s@." path);
     List.iter
       (fun (name, pts) ->
@@ -489,7 +509,9 @@ let figure5_cmd =
           (List.length pts))
       series
   in
-  let every = Arg.(value & opt int 2000 & info [ "every" ] ~doc:"Events between samples.") in
+  let every =
+    positive "--every" Arg.(value & opt int 2000 & info [ "every" ] ~doc:"Events between samples.")
+  in
   let csv =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc:"Write the series to a CSV file.")
   in
@@ -641,7 +663,7 @@ let trace_cmd =
     (match out with
     | None -> ()
     | Some out ->
-      Trace.save trace out;
+      write_or_exit ~cmd:"trace" (fun () -> Trace.save trace out);
       Format.printf "wrote %d events to %s@." (Trace.length trace) out);
     (match (jsonl, binary) with
     | None, None -> ()
@@ -652,7 +674,7 @@ let trace_cmd =
       let closers = ref [] in
       Fun.protect ~finally:(fun () -> List.iter (fun f -> f ()) !closers) @@ fun () ->
       let open_sink path =
-        let oc = open_out_bin path in
+        let oc = write_or_exit ~cmd:"trace" (fun () -> open_out_bin path) in
         closers := (fun () -> close_out_noerr oc) :: !closers;
         oc
       in
@@ -939,7 +961,7 @@ let oracle_cmd =
       (match Trace.validate trace with
       | Ok () -> ()
       | Error msg -> die (Printf.sprintf "synthesized trace is invalid: %s" msg));
-      Trace.save trace path;
+      write_or_exit ~cmd:"oracle" (fun () -> Trace.save trace path);
       Format.printf "wrote %s (%d events: %d allocs, %d frees)@." path
         (Trace.length trace) (Trace.alloc_count trace) (Trace.free_count trace));
     match json_out with
@@ -981,9 +1003,10 @@ let oracle_cmd =
             (if i = List.length leaks - 1 then "" else ","))
         leaks;
       bpf "  ]\n}\n";
-      let oc = open_out path in
-      Buffer.output_buffer oc b;
-      close_out oc;
+      write_or_exit ~cmd:"oracle" (fun () ->
+          let oc = open_out path in
+          Buffer.output_buffer oc b;
+          close_out oc);
       Format.printf "wrote %s@." path
   in
   let stream =
@@ -1023,11 +1046,12 @@ let oracle_cmd =
             "In $(b,--gcheap) mode, model a sloppy deferred-reference-counting client:              a node whose last reference drops is freed $(docv) allocations late              (every free shows positive drag) and reference cycles leak.")
   in
   let nodes =
-    Arg.(
-      value
-      & opt int Gcheap.default_config.Gcheap.nodes_per_phase
-      & info [ "nodes" ] ~docv:"N"
-          ~doc:"Nodes allocated per phase in $(b,--gcheap) mode.")
+    positive "--nodes"
+      Arg.(
+        value
+        & opt int Gcheap.default_config.Gcheap.nodes_per_phase
+        & info [ "nodes" ] ~docv:"N"
+            ~doc:"Nodes allocated per phase in $(b,--gcheap) mode.")
   in
   let json_out =
     Arg.(
@@ -1154,13 +1178,14 @@ let report_cmd =
     (match prom with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Registry.to_prometheus registry);
-      (* Merge the process-global search-engine self-metrics into the
-         same scrape: zero when the report run did no design search, but
-         always present so dashboards can rely on the series existing. *)
-      output_string oc (Registry.to_prometheus ~prefix:"dmm_search_" Registry.global);
-      close_out oc;
+      write_or_exit ~cmd:"report" (fun () ->
+          let oc = open_out path in
+          output_string oc (Registry.to_prometheus registry);
+          (* Merge the process-global search-engine self-metrics into the
+             same scrape: zero when the report run did no design search, but
+             always present so dashboards can rely on the series existing. *)
+          output_string oc (Registry.to_prometheus ~prefix:"dmm_search_" Registry.global);
+          close_out oc);
       Format.printf "@.wrote %s@." path);
     match json_out with
     | None -> ()
@@ -1201,9 +1226,10 @@ let report_cmd =
             (if i = List.length rows - 1 then "" else ","))
         rows;
       bpf "  ]\n}\n";
-      let oc = open_out path in
-      Buffer.output_buffer oc b;
-      close_out oc;
+      write_or_exit ~cmd:"report" (fun () ->
+          let oc = open_out path in
+          Buffer.output_buffer oc b;
+          close_out oc);
       Format.printf "@.wrote %s@." path
   in
   let jsonl =
@@ -1323,7 +1349,8 @@ let profile_cmd =
     (match chrome with
     | None -> ()
     | Some path ->
-      Chrome_sink.write_file path (Option.to_list chrome_sink);
+      write_or_exit ~cmd:"profile" (fun () ->
+          Chrome_sink.write_file path (Option.to_list chrome_sink));
       Format.printf "@.wrote %s@." path);
     match json_out with
     | None -> ()
@@ -1381,9 +1408,10 @@ let profile_cmd =
             (if i = nrows - 1 then "" else ","))
         g.Heatmap_sink.g_rows;
       bpf "  ]}\n}\n";
-      let oc = open_out path in
-      Buffer.output_buffer oc b;
-      close_out oc;
+      write_or_exit ~cmd:"profile" (fun () ->
+          let oc = open_out path in
+          Buffer.output_buffer oc b;
+          close_out oc);
       Format.printf "@.wrote %s@." path
   in
   let jsonl =
@@ -1448,7 +1476,7 @@ let convert_cmd =
     match Stream.source_of_file input with
     | Error m -> die m
     | Ok src -> (
-      let oc = try open_out_bin output with Sys_error m -> die m in
+      let oc = write_or_exit ~cmd:"convert" (fun () -> open_out_bin output) in
       let result =
         match out_fmt with
         | `Binary ->
@@ -1835,7 +1863,7 @@ let serve_cmd =
       Span.set_ambient None;
       let sink = Chrome_sink.create ~name:"dmm serve" ~pid:1 in
       Span.to_chrome tr sink;
-      Chrome_sink.write_file file [ sink ];
+      write_or_exit ~cmd:"serve" (fun () -> Chrome_sink.write_file file [ sink ]);
       Printf.printf "serve: trace: wrote %s (%d spans)\n%!" file (Span.span_count tr)
     | _ -> ()
   in
@@ -2034,7 +2062,7 @@ let feed_cmd =
       Span.set_ambient None;
       let sink = Chrome_sink.create ~name:"dmm feed" ~pid:2 in
       Span.to_chrome tr sink;
-      Chrome_sink.write_file file [ sink ];
+      write_or_exit ~cmd:"feed" (fun () -> Chrome_sink.write_file file [ sink ]);
       Printf.printf "feed: trace: wrote %s (%d spans)\n%!" file (Span.span_count tr)
     | _ -> ());
     if !failed then exit 1
@@ -2510,7 +2538,7 @@ let runs_cmd =
     Cmd.v
       (Cmd.info "record"
          ~doc:
-           "Append a run record by hand — the escape hatch scripts use to inject            synthetic runs (e.g. bench_smoke's simulated regression).")
+           "Append a run record by hand — the escape hatch tests use to inject            synthetic runs (e.g. the simulated regression and drift in test/runs.t).")
       Term.(
         const run $ ledger_arg $ cmd $ scenario $ jobs $ wall $ events $ sims $ sims_per_sec
         $ best $ digest $ git $ time)
@@ -2518,7 +2546,7 @@ let runs_cmd =
   Cmd.group
     (Cmd.info "runs"
        ~doc:
-         "Inspect and diff the persistent run ledger ($(b,BENCH_history.jsonl)) that every          explore/bench invocation appends to.")
+         "Inspect and diff the persistent run ledger ($(b,BENCH_history.jsonl)) that every          explore invocation appends to.")
     [ list_cmd; show_cmd; diff_cmd; record_cmd ]
 
 let () =

@@ -49,6 +49,7 @@ type t = {
   shift : int; (* log2 min_block *)
   mutable live_payload : int;
   mutable live_gross : int;
+  mutable words_read : int; (* bitmap words the searches read; not in ops *)
 }
 
 (* The largest payload the in-band signed 32-bit word holds. *)
@@ -72,6 +73,7 @@ let create ?(config = default_config) ?(probe = Probe.null) space =
     shift = Size.log2_ceil config.min_block;
     live_payload = 0;
     live_gross = 0;
+    words_read = 0;
   }
 
 (* Zero-step scans are accounting no-ops: keep them out of the stream. *)
@@ -125,12 +127,14 @@ let rec nonzero_word bm w =
   if Int64.equal (Bytes.get_int64_le bm (w lsl 3)) 0L then nonzero_word bm (w + 1) else w
 
 (* First set bit at level [l], which must hold one: search from the hint,
-   skipping zero words, then move the hint up to the bit found. *)
+   skipping zero words, then move the hint up to the bit found. The words
+   from the hint's to the found bit's are the words read. *)
 let first_free t l =
   let bm = t.bitmaps.(l) and h = t.hint.(l) in
   let i = low_bit bm (h lsr 6) (h land 63) in
   let i = if i >= 0 then i else low_bit bm (nonzero_word bm ((h lsr 6) + 1)) 0 in
   t.hint.(l) <- i;
+  t.words_read <- t.words_read + (i lsr 6) - (h lsr 6) + 1;
   i
 
 (* First use: one sbrk covering the request, the whole arena a single free
@@ -254,6 +258,7 @@ let free t addr =
   done;
   mark_free t !l (!a asr (t.shift + !l))
 
+let words_read t = t.words_read
 let current_footprint t = t.cap
 let max_footprint t = t.cap (* the arena never shrinks *)
 let metrics t = Metrics.snapshot t.metrics

@@ -43,6 +43,12 @@ val alloc : t -> int -> int
 val free : t -> int -> unit
 (** Raises {!Dmm_core.Allocator.Invalid_free} on wild or double frees. *)
 
+val words_read : t -> int
+(** The 64-bit bitmap words the free-block searches have read so far,
+    counting each search's words from its start word to the word of the
+    bit found. This is the search's real cost beyond its step charge; it
+    is not charged to [ops], so footprints and [ops] are unaffected. *)
+
 val current_footprint : t -> int
 
 val max_footprint : t -> int

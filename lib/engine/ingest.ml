@@ -275,7 +275,7 @@ type stage_stats = {
 
 (* The hot loop is byte-for-byte the same shape as [run_source] —
    next_entry, feed, repeat — because anything extra per event is a tax
-   EXP-SERVE-OBS pays on every stream. The decode/feed split comes from
+   every observed stream pays. The decode/feed split comes from
    sampling instead: every [sample]-th entry is timed individually and
    the averages scale up to the whole stream. The clock only ticks in
    microseconds, far coarser than one entry, but the estimator is

@@ -1,12 +1,12 @@
-(** Persistent run ledger: one flat-JSON line per [dmm explore] / bench
+(** Persistent run ledger: one flat-JSON line per [dmm explore]
     invocation, appended to [BENCH_history.jsonl].
 
-    Where [BENCH_results.json] holds only the *latest* numbers, the
-    ledger accumulates history, so throughput regressions and
-    footprint-table drift are detectable across commits ([dmm runs
-    diff], wired into bench_smoke and CI). Records are hand-rolled flat
-    JSON (string and number fields only, no nesting — the repo carries
-    no JSON library) with unknown fields tolerated on read.
+    The ledger accumulates history, so throughput regressions and
+    footprint-table drift are detectable across runs ([dmm runs diff],
+    whose regression and drift logic test/runs.t pins). Records are
+    hand-rolled flat JSON (string and number fields only, no nesting —
+    the repo carries no JSON library) with unknown fields tolerated on
+    read.
 
     Appending is silent and best-effort by default so it can run under
     every invocation without disturbing byte-exact CLI output; the

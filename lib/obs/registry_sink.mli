@@ -1,7 +1,6 @@
 (** Event sink that publishes the allocation stream as {!Registry}
     metrics ([dmm_events_total], [dmm_allocs_total], [dmm_footprint_bytes],
-    …) — the bridge between a probe and the Prometheus exposition, and the
-    subject of the EXP-TELEM overhead benchmark.
+    …) — the bridge between a probe and the Prometheus exposition.
 
     The hot path touches only plain local fields; accumulated deltas are
     published to the registry with atomic adds every [flush_every] events

@@ -43,14 +43,14 @@ let length t = t.live
 let dummy t = t.dummy
 
 (* Find the slot holding [k], or -1. Probe indices stay masked below the
-   capacity, so the reads can skip bounds checks. *)
-let find_slot t k =
-  let keys = t.keys and mask = t.mask in
-  let rec probe i =
-    let key = Array.unsafe_get keys i in
-    if key = k then i else if key = empty_key then -1 else probe ((i + 1) land mask)
-  in
-  probe (slot_hash t k)
+   capacity, so the reads can skip bounds checks. The probe loops are top
+   level with explicit arguments: a local loop would allocate a closure
+   over them on every call. *)
+let rec probe_find keys mask k i =
+  let key = Array.unsafe_get keys i in
+  if key = k then i else if key = empty_key then -1 else probe_find keys mask k ((i + 1) land mask)
+
+let find_slot t k = probe_find t.keys t.mask k (slot_hash t k)
 
 let mem t k = find_slot t k >= 0
 
@@ -77,25 +77,24 @@ let rec resize t =
 
 and set t k v =
   if k < 0 then invalid_arg "Int_table: negative key";
-  let keys = t.keys and mask = t.mask in
-  let rec probe i insert_at =
-    let key = Array.unsafe_get keys i in
-    if key = k then begin
-      Array.unsafe_set t.vals i v (* overwrite in place *)
-    end
-    else if key = empty_key then begin
-      let i = if insert_at >= 0 then insert_at else i in
-      if Array.unsafe_get keys i = empty_key then t.used <- t.used + 1;
-      Array.unsafe_set keys i k;
-      Array.unsafe_set t.vals i v;
-      t.live <- t.live + 1;
-      if t.used * 3 > (t.mask + 1) * 2 then resize t
-    end
-    else if key = tombstone then
-      probe ((i + 1) land mask) (if insert_at >= 0 then insert_at else i)
-    else probe ((i + 1) land mask) insert_at
-  in
-  probe (slot_hash t k) (-1)
+  probe_set t k v t.keys t.mask (slot_hash t k) (-1)
+
+and probe_set t k v keys mask i insert_at =
+  let key = Array.unsafe_get keys i in
+  if key = k then begin
+    Array.unsafe_set t.vals i v (* overwrite in place *)
+  end
+  else if key = empty_key then begin
+    let i = if insert_at >= 0 then insert_at else i in
+    if Array.unsafe_get keys i = empty_key then t.used <- t.used + 1;
+    Array.unsafe_set keys i k;
+    Array.unsafe_set t.vals i v;
+    t.live <- t.live + 1;
+    if t.used * 3 > (t.mask + 1) * 2 then resize t
+  end
+  else if key = tombstone then
+    probe_set t k v keys mask ((i + 1) land mask) (if insert_at >= 0 then insert_at else i)
+  else probe_set t k v keys mask ((i + 1) land mask) insert_at
 
 let replace = set
 

@@ -5,12 +5,14 @@ let align_up n a =
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
+(* Top level, so no closure over [n] is allocated per call. *)
+let rec pow2_from p n = if p >= n then p else pow2_from (p * 2) n
+
 let pow2_ceil n =
   if n < 0 then invalid_arg "Size.pow2_ceil: negative size";
   (* 2^62 is past max_int: doubling would wrap to 0 and never stop. *)
   if n > 1 lsl 61 then invalid_arg "Size.pow2_ceil: size above 2^61";
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
+  pow2_from 1 n
 
 let pow2_class n = if n <= 1 then 1 else if n > 1 lsl 61 then max_int else pow2_ceil n
 

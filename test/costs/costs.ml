@@ -1,0 +1,60 @@
+(* Exact replay costs of every allocator core: the six baselines and the
+   paper's three custom designs on the quick seed-42 DRR, reconstruct and
+   render traces. Each cell prints the trace's events, the manager's
+   [ops], the minor words allocated by [Replay.run] alone, and for the
+   buddy the bitmap words its free-block searches read.
+
+   On one domain every figure is deterministic, so [dune runtest] diffs
+   this output against the committed costs.expected: a slower search or a
+   new per-event allocation changes a cell, whatever the host's speed.
+   After a deliberate change, [dune promote] records the new figures.
+   Minor words depend on the compiler, so test/costs/dune compares them
+   only under the version named in the header. *)
+
+module Experiments = Dmm_workloads.Experiments
+module Scenario = Dmm_workloads.Scenario
+module Trace = Dmm_trace.Trace
+module Replay = Dmm_trace.Replay
+module Allocator = Dmm_core.Allocator
+module Buddy_bitmap = Dmm_allocators.Buddy_bitmap
+module Address_space = Dmm_vmem.Address_space
+
+let workloads () =
+  [
+    ( "DRR scheduler",
+      Experiments.drr_trace_seed 42,
+      fun _trace -> Scenario.custom_manager (Scenario.drr_paper_design ()) );
+    ( "3D image reconstruction",
+      Experiments.reconstruct_trace_seed 42,
+      fun trace -> Scenario.custom_manager (Scenario.design_for trace) );
+    ( "3D scalable rendering",
+      Experiments.render_trace_seed 42,
+      fun _trace -> Scenario.custom_global (Scenario.render_paper_design ()) );
+  ]
+
+(* A fresh manager, and how to read its bitmap words afterwards. *)
+let instantiate name (make : Scenario.maker) =
+  if name = "Buddy-bitmap" then
+    let b = Buddy_bitmap.create (Address_space.create ()) in
+    (Buddy_bitmap.allocator b, fun () -> string_of_int (Buddy_bitmap.words_read b))
+  else (make (), fun () -> "-")
+
+let () =
+  Experiments.paper_scale := false;
+  Dmm_engine.Pool.with_jobs 1 @@ fun () ->
+  Printf.printf "# minor words under OCaml %s\n" Sys.ocaml_version;
+  Printf.printf "%-24s %-18s %7s %9s %10s %11s\n" "workload" "manager" "events" "ops"
+    "words_read" "minor_words";
+  List.iter
+    (fun (wname, trace, custom) ->
+      let live_hint = Trace.peak_live_count trace in
+      List.iter
+        (fun (mname, make) ->
+          let a, words_read = instantiate mname make in
+          let w0 = Gc.minor_words () in
+          Replay.run ~live_hint trace a;
+          let minor = Gc.minor_words () -. w0 in
+          Printf.printf "%-24s %-18s %7d %9d %10s %11.0f\n" wname mname (Trace.length trace)
+            (Allocator.stats a).ops (words_read ()) minor)
+        (Scenario.baselines () @ [ ("custom DM manager", custom trace) ]))
+    (workloads ())

@@ -129,6 +129,47 @@ let unit_tests =
         if List.rev !via_iter <> l1 then Alcotest.fail "iter disagrees with points";
         Alcotest.(check int) "length" 2000 (Series_sink.length s);
         Alcotest.(check int) "current" 4000 (Series_sink.current s));
+    (* What keeps the registry sink cheap on the hot path: it publishes
+       only every [flush_every] events and allocates nothing per event. *)
+    Alcotest.test_case "registry sink publishes every 1024 events, allocation-free"
+      `Quick (fun () ->
+        let reg = Registry.create () in
+        let sink = Registry_sink.create reg in
+        let events () = Registry.value (Registry.counter reg "dmm_events_total") in
+        let feed n =
+          for _ = 1 to n do
+            Registry_sink.on_event sink 0 (Obs_event.Fit_scan { steps = 1 })
+          done
+        in
+        feed 1023;
+        Alcotest.(check int) "nothing published before the 1024th event" 0 (events ());
+        feed 1;
+        Alcotest.(check int) "published at the 1024th event" 1024 (events ());
+        feed 10;
+        Alcotest.(check int) "the tail stays buffered" 1024 (events ());
+        Registry_sink.flush sink;
+        Alcotest.(check int) "flush publishes the tail" 1034 (events ());
+        (* The quick DRR stream under Lea, captured first so only
+           [on_event] runs inside the measured window. *)
+        Dmm_workloads.Experiments.paper_scale := false;
+        let probe = Probe.create () in
+        let capture = Dmm_obs.Collect_sink.create () in
+        Dmm_obs.Collect_sink.attach probe capture;
+        Replay.run ~probe
+          (Dmm_workloads.Experiments.drr_trace_seed 42)
+          (Scenario.lea ~probe ());
+        let stream = Dmm_obs.Collect_sink.to_array capture in
+        let n = Array.length stream in
+        Alcotest.(check int) "quick DRR/Lea events" 831853 n;
+        let sink = Registry_sink.create (Registry.create ()) in
+        let w0 = Gc.minor_words () in
+        for i = 0 to n - 1 do
+          let clock, e = stream.(i) in
+          Registry_sink.on_event sink clock e
+        done;
+        let words = Gc.minor_words () -. w0 in
+        if words /. float_of_int n >= 0.001 then
+          Alcotest.failf "registry sink allocated %.0f minor words over %d events" words n);
     Alcotest.test_case "merge_log_hist equals per-value observe" `Quick (fun () ->
         let lh = Log_hist.create () in
         let reg = Registry.create () in
