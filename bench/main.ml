@@ -59,7 +59,7 @@ type obs_report = {
 
 (* Probe-on replays must reproduce the probe-off Table 1 exactly: the
    footprint column is rebuilt by a Series_sink from sbrk/trim deltas and
-   the ops column by a Metrics_sink from fit-scan events, so any missing
+   the ops column by Metrics.on_event from fit-scan events, so any missing
    or double-counted event shows up as a diff. *)
 let obs_section tables =
   section "EXP-OBS: Table 1 reconstructed from the observability event stream";
@@ -554,19 +554,6 @@ let bechamel_tests () =
 (* ------------------------------------------------------------------ *)
 (* BENCH_results.json                                                  *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Exact fields only, so the file is identical under any DMM_JOBS and a
    quick run must reproduce the committed one byte for byte. *)
 let write_results ~(obs : obs_report) ~(orc : oracle_report) ~(ingest : ingest_report)
@@ -609,7 +596,7 @@ let write_results ~(obs : obs_report) ~(orc : oracle_report) ~(ingest : ingest_r
   List.iteri
     (fun i (workload, (r : Experiments.row)) ->
       p "    { \"workload\": \"%s\", \"manager\": \"%s\", \"bytes\": %d, \"ops\": %d }%s\n"
-        (json_escape workload) (json_escape r.manager) r.footprint r.ops
+        (Dmm_obs.Json.escape workload) (Dmm_obs.Json.escape r.manager) r.footprint r.ops
         (if i = List.length rows - 1 then "" else ","))
     rows;
   p "  ]\n";

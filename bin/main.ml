@@ -6,6 +6,7 @@
 module Decision = Dmm_core.Decision
 module Constraints = Dmm_core.Constraints
 module Profile = Dmm_core.Profile
+module Metrics = Dmm_core.Metrics
 module Explorer = Dmm_core.Explorer
 module Scenario = Dmm_workloads.Scenario
 module Experiments = Dmm_workloads.Experiments
@@ -29,7 +30,6 @@ module Log_hist = Dmm_obs.Log_hist
 module Hist_sink = Dmm_obs.Hist_sink
 module Frag_sink = Dmm_obs.Frag_sink
 module Class_sink = Dmm_obs.Class_sink
-module Metrics_sink = Dmm_obs.Metrics_sink
 module Registry_sink = Dmm_obs.Registry_sink
 module Lifetime_sink = Dmm_obs.Lifetime_sink
 module Heatmap_sink = Dmm_obs.Heatmap_sink
@@ -37,9 +37,9 @@ module Pool = Dmm_engine.Pool
 module Ingest = Dmm_engine.Ingest
 module Span = Dmm_obs.Span
 module Log = Dmm_obs.Log
-module Ledger = Dmm_obs.Ledger
 module Trace_ctx = Dmm_obs.Trace_ctx
 module Access_log = Dmm_obs.Access_log
+module Json = Dmm_obs.Json
 
 open Cmdliner
 
@@ -89,7 +89,7 @@ let trace_for ~quick ~seed workload =
   | Render -> Experiments.render_trace_seed seed
 
 (* The one trace-file entry point for every stream-consuming subcommand
-   (check, report, profile): auto-detected format (JSONL or binary),
+   (check, report, profile, oracle): auto-detected format (JSONL or binary),
    incremental iteration in memory bounded by one event, same one-line
    error, same exit code. Returns the event count. *)
 let iter_stream_or_exit ~cmd path ~f =
@@ -277,8 +277,7 @@ let explore_cmd =
         Span.set_ambient (Some tr);
         Some tr
     in
-    let trace, footprints =
-      Span.with_span "dmm-explore" @@ fun () ->
+    Span.with_span "dmm-explore" (fun () ->
       let trace = trace_for ~quick ~seed workload in
       Format.printf "profiling and exploring (%d events)...@." (Trace.length trace);
       (* The advisor measures the span profile with one extra live replay,
@@ -297,20 +296,13 @@ let explore_cmd =
           Format.printf "@.== phase %d override ==@.%a@." phase Explorer.pp_design d)
         spec.overrides;
       Format.printf "@.== footprint comparison ==@.";
-      let rows =
-        Scenario.baselines () @ [ ("custom (explored)", Scenario.custom_global spec) ]
-      in
-      let footprints =
-        List.map
-          (fun (name, make) ->
-            ( name,
-              Span.with_span ("footprint: " ^ name) (fun () ->
-                  Scenario.max_footprint trace make) ))
-          rows
-      in
       List.iter
-        (fun (name, footprint) -> Format.printf "  %-20s %9d B@." name footprint)
-        footprints;
+        (fun (name, make) ->
+          let footprint =
+            Span.with_span ("footprint: " ^ name) (fun () -> Scenario.max_footprint trace make)
+          in
+          Format.printf "  %-20s %9d B@." name footprint)
+        (Scenario.baselines () @ [ ("custom (explored)", Scenario.custom_global spec) ]);
       if check then begin
         Format.printf "@.== sanitizer (winning designs) ==@.";
         let sim = Dmm_engine.Sim.create trace in
@@ -335,39 +327,10 @@ let explore_cmd =
       if telemetry then begin
         Format.printf "@.== engine telemetry ==@.";
         print_registry Registry.global
-      end;
-      (trace, footprints)
-    in
+      end);
     let wall = Unix.gettimeofday () -. t_start in
     Span.set_ambient None;
     Explorer.on_progress := saved_observer;
-    (* Append this run to the persistent ledger — silently, so the
-       byte-exact CLI output stays unchanged; DMM_LEDGER=off disables. *)
-    if Ledger.enabled () then begin
-      let sims = Registry.value sims_c - sims0 in
-      let wname =
-        match workload with Drr -> "drr" | Reconstruct -> "reconstruct" | Render -> "render"
-      in
-      let record =
-        {
-          Ledger.r_time = Unix.gettimeofday ();
-          r_git = Ledger.git_rev ();
-          r_cmd = "explore";
-          r_scenario = (if quick then wname ^ "-quick" else wname);
-          r_jobs = (if jobs > 0 then jobs else Dmm_engine.Pool.jobs ());
-          r_wall = wall;
-          r_events = Trace.length trace;
-          r_sims = sims;
-          r_sims_per_sec = (if wall > 0.0 then float_of_int sims /. wall else 0.0);
-          r_best_footprint =
-            Option.value ~default:0 (List.assoc_opt "custom (explored)" footprints);
-          r_digest = Ledger.digest footprints;
-        }
-      in
-      match Ledger.append (Ledger.default_path ()) record with
-      | Ok () -> ()
-      | Error msg -> Log.warn "explore: run ledger: %s" msg
-    end;
     match (trace_self, tracer) with
     | Some path, Some tr ->
       let sink = Chrome_sink.create ~name:"dmm explore self-trace" ~pid:1 in
@@ -580,7 +543,7 @@ let breakdown_cmd =
         Format.printf "%s@." workload;
         List.iter
           (fun (manager, b) ->
-            Format.printf "  %-22s %a@." manager Dmm_core.Metrics.pp_breakdown b)
+            Format.printf "  %-22s %a@." manager Metrics.pp_breakdown b)
           rows)
       (Experiments.breakdown_table ())
   in
@@ -656,6 +619,39 @@ let maker_for manager trace : Scenario.maker =
 
 let manager_arg ~default ~doc =
   Arg.(value & opt manager_conv default & info [ "m"; "manager" ] ~docv:"MANAGER" ~doc)
+
+(* A workload's or manager's name as the command line spells it. *)
+let conv_name conv v = Format.asprintf "%a" (Arg.conv_printer conv) v
+
+(* The one stream input of check, report, profile and oracle. *)
+let stream_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "stream"; "jsonl" ] ~docv:"FILE"
+        ~doc:
+          "Analyse a recorded event stream offline — a $(b,dmm trace) export in \
+           either JSONL or compact binary framing, auto-detected.")
+
+(* The event source of report, profile and oracle: the recorded stream
+   when one is given, else a live replay of the workload against the
+   manager, with the scripted client's object-graph events when [graph].
+   Feeds every event to [f] in clock order and returns the event count
+   and a label naming the source. *)
+let event_source ~cmd ?(graph = false) ~stream ~workload ~quick ~seed ~manager f =
+  match (stream, workload) with
+  | Some path, _ ->
+    (iter_stream_or_exit ~cmd path ~f:(fun (e : Stream.entry) -> f e.clock e.event), path)
+  | None, None -> missing_source_exit ~cmd
+  | None, Some w ->
+    let trace = trace_for ~quick ~seed w in
+    let probe = Probe.create () in
+    Probe.attach probe f;
+    Replay.run ~probe ~graph trace (maker_for manager trace ~probe ());
+    ( Probe.clock probe,
+      Printf.sprintf "%s/%s %s replay" (conv_name workload_conv w)
+        (conv_name manager_conv manager)
+        (if graph then "graph" else "live") )
 
 let trace_cmd =
   let run workload quick seed out jsonl binary manager =
@@ -740,29 +736,31 @@ let trace_cmd =
 
 let replay_cmd =
   let run file manager =
-    match Trace.load file with
-    | Error msg -> prerr_endline msg; exit 1
-    | Ok trace -> (
-      match Trace.validate trace with
-      | Error msg ->
-        prerr_endline ("invalid trace: " ^ msg);
+    (* An unreadable or invalid trace is bad input: one line and exit 2,
+       as in every other command. *)
+    let die msg =
+      prerr_endline ("dmm replay: " ^ msg);
+      exit 2
+    in
+    let trace = match Trace.load file with Ok trace -> trace | Error msg -> die msg in
+    (match Trace.validate trace with
+    | Ok () -> ()
+    | Error msg -> die (Printf.sprintf "%s: %s" file msg));
+    (* A request the manager cannot serve (past its largest class, its
+       payload word or 2^61) is a one-line error with exit 1, not a
+       crash. *)
+    let a =
+      try
+        let a = maker_for manager trace () in
+        Replay.run trace a;
+        a
+      with Invalid_argument msg ->
+        prerr_endline ("dmm replay: " ^ msg);
         exit 1
-      | Ok () ->
-        (* A request the manager cannot serve (past its largest class,
-           its payload word or 2^61) is a one-line error, not a crash. *)
-        let a =
-          try
-            let a = maker_for manager trace () in
-            Replay.run trace a;
-            a
-          with Invalid_argument msg ->
-            prerr_endline ("dmm replay: " ^ msg);
-            exit 1
-        in
-        Format.printf "events:        %d@." (Trace.length trace);
-        Format.printf "max footprint: %d B@." (Dmm_core.Allocator.max_footprint a);
-        Format.printf "stats:         %a@." Dmm_core.Metrics.pp_snapshot
-          (Dmm_core.Allocator.stats a))
+    in
+    Format.printf "events:        %d@." (Trace.length trace);
+    Format.printf "max footprint: %d B@." (Dmm_core.Allocator.max_footprint a);
+    Format.printf "stats:         %a@." Metrics.pp_snapshot (Dmm_core.Allocator.stats a)
   in
   let file =
     Arg.(required & opt (some string) None & info [ "t"; "trace" ] ~docv:"FILE" ~doc:"Trace file to replay.")
@@ -779,7 +777,7 @@ let replay_cmd =
 (* check                                                               *)
 
 let check_cmd =
-  let run jsonl workload quick seed manager strict leaks =
+  let run stream workload quick seed manager strict leaks =
     let finish (report : Sanitizer.report) extra_diags =
       let diags = report.Sanitizer.diags @ extra_diags in
       List.iter (fun d -> Format.printf "%s@." (Diag.to_string d)) diags;
@@ -792,7 +790,7 @@ let check_cmd =
            (if leaks then " + leaks" else ""));
       if diags = [] then Format.printf "clean@." else if strict then exit 1
     in
-    match (jsonl, workload) with
+    match (stream, workload) with
     | Some path, _ ->
       (* File mode: the design behind the stream is unknown, so only the
          integrity gate and the design-independent invariants apply. The
@@ -845,14 +843,6 @@ let check_cmd =
       let stream = Stream.of_pairs (Collect_sink.to_array sink) in
       finish (Sanitizer.run ?design ~leaks stream) (List.rev !wrapper_diags @ shape_diags)
   in
-  let jsonl =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stream"; "jsonl" ] ~docv:"FILE"
-          ~doc:
-            "Analyse a recorded event stream offline — a $(b,dmm trace) export in              either JSONL or compact binary framing, auto-detected.")
-  in
   let workload =
     Arg.(
       value
@@ -881,7 +871,7 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:
          "Heap sanitizer: verify allocator invariants and design conformance over a          recorded allocation-event stream, offline or against a live replay.")
-    Term.(const run $ jsonl $ workload $ quick_arg $ seed_arg $ manager $ strict $ leaks)
+    Term.(const run $ stream_arg $ workload $ quick_arg $ seed_arg $ manager $ strict $ leaks)
 
 (* ------------------------------------------------------------------ *)
 (* oracle                                                              *)
@@ -894,29 +884,17 @@ let oracle_cmd =
     in
     let report, source =
       match (stream, workload, gcheap) with
-      | Some path, _, _ ->
-        (* Offline mode: analyse a recorded stream of either encoding,
-           incrementally — same entry point, error wording and exit code
-           as check/report/profile. *)
+      | Some _, _, _ | None, Some _, _ ->
+        (* A recorded stream, or a scripted-workload replay at the graph
+           probe level. The scripted client holds exactly one root per
+           live block, so a replay is the zero-drag, zero-leak baseline
+           for the manager. *)
         let t = Oracle.create () in
-        let (_ : int) =
-          iter_stream_or_exit ~cmd:"oracle" path ~f:(fun e -> Oracle.feed t e)
+        let (_ : int), source =
+          event_source ~cmd:"oracle" ~graph:true ~stream ~workload ~quick ~seed ~manager
+            (fun clock event -> Oracle.feed t { Stream.clock; event })
         in
-        (Oracle.finalize t, path)
-      | None, Some w, _ ->
-        (* Scripted-workload mode: replay at the graph probe level. The
-           scripted client holds exactly one root per live block, so this
-           is the zero-drag, zero-leak baseline for the manager. *)
-        let trace = trace_for ~quick ~seed w in
-        let probe = Probe.create () in
-        let t = Oracle.create () in
-        Probe.attach probe (fun clock event -> Oracle.feed t { Stream.clock; event });
-        Replay.run ~probe ~graph:true trace (maker_for manager trace ~probe ());
-        let wname =
-          match w with Drr -> "drr" | Reconstruct -> "reconstruct" | Render -> "render"
-        in
-        let mname = Format.asprintf "%a" (Arg.conv_printer manager_conv) manager in
-        (Oracle.finalize t, Printf.sprintf "%s/%s graph replay" wname mname)
+        (Oracle.finalize t, source)
       | None, None, true ->
         (* GC-heap mode: the pointer-aware mutator never frees (or frees
            late with --lag); the oracle reconstructs the free schedule. *)
@@ -938,11 +916,8 @@ let oracle_cmd =
           "gcheap: %d allocs, %d frees, %d ptr writes, %d root ops, %d referenced at exit@."
           stats.Gcheap.g_allocs stats.Gcheap.g_frees stats.Gcheap.g_ptr_writes
           stats.Gcheap.g_root_ops stats.Gcheap.g_refcount_live;
-        let mname = Format.asprintf "%a" (Arg.conv_printer manager_conv) manager in
-        (Oracle.run stream, Printf.sprintf "gcheap/%s live run" mname)
-      | None, None, false ->
-        prerr_endline "dmm oracle: pass --stream FILE, a workload (-w) or --gcheap";
-        exit 2
+        (Oracle.run stream, Printf.sprintf "gcheap/%s live run" (conv_name manager_conv manager))
+      | None, None, false -> die "pass --stream FILE, a workload (-w) or --gcheap"
     in
     Format.printf "%a" Oracle.pp report;
     (match synth with
@@ -969,7 +944,7 @@ let oracle_cmd =
     | Some path ->
       let b = Buffer.create 2048 in
       let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-      bpf "{\n  \"source\": %S,\n" source;
+      bpf "{\n  \"source\": \"%s\",\n" (Json.escape source);
       bpf "  \"events\": %d,\n  \"graph_events\": %d,\n  \"graph\": %b,\n"
         report.Oracle.r_events report.Oracle.r_graph_events report.Oracle.r_graph;
       bpf "  \"objects\": %d,\n  \"freed\": %d,\n  \"end_live\": %d,\n"
@@ -1008,14 +983,6 @@ let oracle_cmd =
           Buffer.output_buffer oc b;
           close_out oc);
       Format.printf "wrote %s@." path
-  in
-  let stream =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stream"; "jsonl" ] ~docv:"FILE"
-          ~doc:
-            "Analyse a recorded event stream offline — a $(b,dmm trace) export in              either JSONL or compact binary framing, auto-detected.")
   in
   let workload =
     Arg.(
@@ -1074,49 +1041,29 @@ let oracle_cmd =
        ~doc:
          "Merlin-style lifetime oracle: reconstruct object death times from          reachability (pointer-write and root events), report drag — bytes held          between last reachability and the explicit free — per size class and birth          phase, detect leaks, and optionally synthesize the ideal free schedule.")
     Term.(
-      const run $ stream $ workload $ gcheap $ quick_arg $ seed_arg $ manager $ lag
+      const run $ stream_arg $ workload $ gcheap $ quick_arg $ seed_arg $ manager $ lag
       $ nodes $ json_out $ synth)
 
 (* ------------------------------------------------------------------ *)
 (* report                                                              *)
 
 let report_cmd =
-  let run jsonl workload quick seed manager prom json_out =
+  let run stream workload quick seed manager prom json_out =
     let registry = Registry.create () in
     let hist = Hist_sink.create () in
     let frag = Frag_sink.create () in
     let cls = Class_sink.create () in
-    let met = Metrics_sink.create () in
+    let met = Metrics.create () in
     let reg_sink = Registry_sink.create registry in
     let feed clock ev =
       Hist_sink.on_event hist clock ev;
       Frag_sink.on_event frag clock ev;
       Class_sink.on_event cls clock ev;
-      Metrics_sink.on_event met clock ev;
+      Metrics.on_event met clock ev;
       Registry_sink.on_event reg_sink clock ev
     in
     let events, source =
-      match (jsonl, workload) with
-      | Some path, _ ->
-        let n =
-          iter_stream_or_exit ~cmd:"report" path ~f:(fun (e : Stream.entry) ->
-              feed e.Stream.clock e.Stream.event)
-        in
-        (n, path)
-      | None, None -> missing_source_exit ~cmd:"report"
-      | None, Some w ->
-        let trace = trace_for ~quick ~seed w in
-        let probe = Probe.create () in
-        let counted = ref 0 in
-        Probe.attach probe (fun clock ev ->
-            incr counted;
-            feed clock ev);
-        Replay.run ~probe trace (maker_for manager trace ~probe ());
-        let wname =
-          match w with Drr -> "drr" | Reconstruct -> "reconstruct" | Render -> "render"
-        in
-        let mname = Format.asprintf "%a" (Arg.conv_printer manager_conv) manager in
-        (!counted, Printf.sprintf "%s/%s live replay" wname mname)
+      event_source ~cmd:"report" ~stream ~workload ~quick ~seed ~manager feed
     in
     (* Publish the buffered counter deltas and the aggregated size
        distributions before the registry is read or exported. *)
@@ -1133,17 +1080,17 @@ let report_cmd =
          "dmm_fit_scan_steps")
       (Hist_sink.fit_steps hist);
     let counter name = Registry.value (Registry.counter registry name) in
-    let s = Metrics_sink.snapshot met in
+    let s = Metrics.snapshot met in
     Format.printf "report: %s (%d events)@.@." source events;
     Format.printf "== events ==@.";
-    Format.printf "  allocs    %-9d frees     %d@." s.Metrics_sink.allocs
-      s.Metrics_sink.frees;
-    Format.printf "  splits    %-9d coalesces %d@." s.Metrics_sink.splits
-      s.Metrics_sink.coalesces;
+    Format.printf "  allocs    %-9d frees     %d@." s.Metrics.allocs
+      s.Metrics.frees;
+    Format.printf "  splits    %-9d coalesces %d@." s.Metrics.splits
+      s.Metrics.coalesces;
     Format.printf "  sbrks     %-9d trims     %d@." (counter "dmm_sbrks_total")
       (counter "dmm_trims_total");
     Format.printf "  fit scans %-9d steps     %d@.@." (counter "dmm_fit_scans_total")
-      s.Metrics_sink.ops;
+      s.Metrics.ops;
     Format.printf "== size distributions ==@.";
     Format.printf "  request bytes   %a@." Log_hist.pp (Hist_sink.request hist);
     Format.printf "  gross bytes     %a@." Log_hist.pp (Hist_sink.gross hist);
@@ -1192,12 +1139,12 @@ let report_cmd =
     | Some path ->
       let b = Buffer.create 4096 in
       let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-      bpf "{\n  \"source\": %S,\n  \"events\": %d,\n" source events;
+      bpf "{\n  \"source\": \"%s\",\n  \"events\": %d,\n" (Json.escape source) events;
       bpf
         "  \"counts\": {\"allocs\": %d, \"frees\": %d, \"splits\": %d, \"coalesces\": \
          %d, \"sbrks\": %d, \"trims\": %d, \"fit_scans\": %d},\n"
-        s.Metrics_sink.allocs s.Metrics_sink.frees s.Metrics_sink.splits
-        s.Metrics_sink.coalesces (counter "dmm_sbrks_total") (counter "dmm_trims_total")
+        s.Metrics.allocs s.Metrics.frees s.Metrics.splits
+        s.Metrics.coalesces (counter "dmm_sbrks_total") (counter "dmm_trims_total")
         (counter "dmm_fit_scans_total");
       bpf "  \"request_bytes\": %s,\n" (hist_json (Hist_sink.request hist));
       bpf "  \"gross_bytes\": %s,\n" (hist_json (Hist_sink.gross hist));
@@ -1232,14 +1179,6 @@ let report_cmd =
           close_out oc);
       Format.printf "@.wrote %s@." path
   in
-  let jsonl =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stream"; "jsonl" ] ~docv:"FILE"
-          ~doc:
-            "Analyse a recorded event stream offline — a $(b,dmm trace) export in              either JSONL or compact binary framing, auto-detected.")
-  in
   let workload =
     Arg.(
       value
@@ -1270,13 +1209,13 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:
          "Stream analytics over an allocation-event stream: size percentiles,          fragmentation factors over time and per-size-class attribution, offline          ($(b,--jsonl)) or from a live replay ($(b,-w)).")
-    Term.(const run $ jsonl $ workload $ quick_arg $ seed_arg $ manager $ prom $ json_out)
+    Term.(const run $ stream_arg $ workload $ quick_arg $ seed_arg $ manager $ prom $ json_out)
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)
 
 let profile_cmd =
-  let run jsonl workload quick seed manager json_out chrome =
+  let run stream workload quick seed manager json_out chrome =
     (* One chrome sink carries both the counter tracks (fed the raw
        stream) and the async span bars (fed by the lifetime sink's
        completion callback), so spans line up with the footprint curve. *)
@@ -1302,27 +1241,7 @@ let profile_cmd =
       Option.iter (fun cs -> Chrome_sink.on_event cs clock ev) chrome_sink
     in
     let events, source =
-      match (jsonl, workload) with
-      | Some path, _ ->
-        let n =
-          iter_stream_or_exit ~cmd:"profile" path ~f:(fun (e : Stream.entry) ->
-              feed e.Stream.clock e.Stream.event)
-        in
-        (n, path)
-      | None, None -> missing_source_exit ~cmd:"profile"
-      | None, Some w ->
-        let trace = trace_for ~quick ~seed w in
-        let probe = Probe.create () in
-        let counted = ref 0 in
-        Probe.attach probe (fun clock ev ->
-            incr counted;
-            feed clock ev);
-        Replay.run ~probe trace (maker_for manager trace ~probe ());
-        let wname =
-          match w with Drr -> "drr" | Reconstruct -> "reconstruct" | Render -> "render"
-        in
-        let mname = Format.asprintf "%a" (Arg.conv_printer manager_conv) manager in
-        (!counted, Printf.sprintf "%s/%s live replay" wname mname)
+      event_source ~cmd:"profile" ~stream ~workload ~quick ~seed ~manager feed
     in
     let u = Lifetime_sink.unmatched lt in
     let classes = Lifetime_sink.class_rows lt in
@@ -1357,7 +1276,7 @@ let profile_cmd =
     | Some path ->
       let b = Buffer.create 4096 in
       let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-      bpf "{\n  \"source\": %S,\n  \"events\": %d,\n" source events;
+      bpf "{\n  \"source\": \"%s\",\n  \"events\": %d,\n" (Json.escape source) events;
       bpf
         "  \"spans\": {\"completed\": %d, \"leaked\": %d, \"leaked_bytes\": %d, \
          \"free_without_alloc\": %d, \"realloc_over_live\": %d},\n"
@@ -1414,14 +1333,6 @@ let profile_cmd =
           close_out oc);
       Format.printf "@.wrote %s@." path
   in
-  let jsonl =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "stream"; "jsonl" ] ~docv:"FILE"
-          ~doc:
-            "Profile a recorded event stream offline — a $(b,dmm trace) export in              either JSONL or compact binary framing, auto-detected.")
-  in
   let workload =
     Arg.(
       value
@@ -1453,7 +1364,7 @@ let profile_cmd =
        ~doc:
          "Span-matching lifetime profiler: pair every alloc with its free, aggregate          lifetime histograms per size class and phase, rasterize address-space          occupancy into a heat map — offline ($(b,--jsonl)) or from a live replay          ($(b,-w)). The profile feeds $(b,dmm explore --advise).")
     Term.(
-      const run $ jsonl $ workload $ quick_arg $ seed_arg $ manager $ json_out $ chrome)
+      const run $ stream_arg $ workload $ quick_arg $ seed_arg $ manager $ json_out $ chrome)
 
 (* ------------------------------------------------------------------ *)
 (* convert                                                             *)
@@ -2333,222 +2244,6 @@ let top_cmd =
          "Live operator view of a running $(b,dmm serve): poll $(b,/statusz) and          render health, throughput, error rate, tail latency and per-shard queue          depths, refreshing in place.")
     Term.(const run $ addr $ interval $ count $ plain)
 
-(* ------------------------------------------------------------------ *)
-(* runs                                                                *)
-
-let runs_cmd =
-  let ledger_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ledger" ] ~docv:"FILE"
-          ~doc:"Run-history file (default: DMM_LEDGER, else BENCH_history.jsonl).")
-  in
-  let cmd_filter =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cmd" ] ~docv:"CMD" ~doc:"Only consider runs recorded by this command (e.g. bench, explore).")
-  in
-  let scenario_filter =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "scenario" ] ~docv:"NAME" ~doc:"Only consider runs of this scenario.")
-  in
-  let path_of = function Some p -> p | None -> Ledger.default_path () in
-  let die ~cmd msg =
-    prerr_endline (Printf.sprintf "dmm %s: %s" cmd msg);
-    exit 2
-  in
-  let load_or_exit ~cmd path =
-    if not (Sys.file_exists path) then
-      die ~cmd (Printf.sprintf "no run history at %s (run dmm explore or the bench first)" path);
-    match Ledger.load path with
-    | Ok records -> records
-    | Error msg -> die ~cmd (Printf.sprintf "%s: %s" path msg)
-  in
-  let matches cmdf scenario (r : Ledger.record) =
-    (match cmdf with None -> true | Some c -> String.equal r.Ledger.r_cmd c)
-    && match scenario with None -> true | Some s -> String.equal r.Ledger.r_scenario s
-  in
-  let list_cmd =
-    let run ledger cmdf scenario =
-      let path = path_of ledger in
-      let indexed = List.mapi (fun i r -> (i, r)) (load_or_exit ~cmd:"runs" path) in
-      let indexed = List.filter (fun (_, r) -> matches cmdf scenario r) indexed in
-      List.iter
-        (fun (i, (r : Ledger.record)) ->
-          Printf.printf "%3d  %s  %-8s %-18s j%-2d %9.2fs %9.1f/s %10d B  %s  %s\n" i
-            (Ledger.iso_time r.Ledger.r_time) r.Ledger.r_cmd r.Ledger.r_scenario
-            r.Ledger.r_jobs r.Ledger.r_wall r.Ledger.r_sims_per_sec
-            r.Ledger.r_best_footprint r.Ledger.r_digest r.Ledger.r_git)
-        indexed
-    in
-    Cmd.v
-      (Cmd.info "list" ~doc:"One line per recorded run, oldest first (index, time, command, scenario, jobs, wall, sims/s, best footprint, digest, git rev).")
-      Term.(const run $ ledger_arg $ cmd_filter $ scenario_filter)
-  in
-  let show_cmd =
-    let run ledger index =
-      let path = path_of ledger in
-      let records = load_or_exit ~cmd:"runs" path in
-      let n = List.length records in
-      let i = match index with None -> n - 1 | Some i -> i in
-      if i < 0 || i >= n then
-        die ~cmd:"runs show" (Printf.sprintf "no run #%d (ledger has %d runs)" i n);
-      let r : Ledger.record = List.nth records i in
-      Printf.printf "run #%d of %s\n" i path;
-      Printf.printf "  time            %s\n" (Ledger.iso_time r.Ledger.r_time);
-      Printf.printf "  git             %s\n" r.Ledger.r_git;
-      Printf.printf "  cmd             %s\n" r.Ledger.r_cmd;
-      Printf.printf "  scenario        %s\n" r.Ledger.r_scenario;
-      Printf.printf "  jobs            %d\n" r.Ledger.r_jobs;
-      Printf.printf "  wall            %.6f s\n" r.Ledger.r_wall;
-      Printf.printf "  events          %d\n" r.Ledger.r_events;
-      Printf.printf "  sims            %d\n" r.Ledger.r_sims;
-      Printf.printf "  sims/s          %.3f\n" r.Ledger.r_sims_per_sec;
-      Printf.printf "  best footprint  %d B\n" r.Ledger.r_best_footprint;
-      Printf.printf "  digest          %s\n" r.Ledger.r_digest
-    in
-    let index =
-      Arg.(
-        value
-        & pos 0 (some int) None
-        & info [] ~docv:"N" ~doc:"Run index as printed by $(b,dmm runs list) (default: the latest run).")
-    in
-    Cmd.v (Cmd.info "show" ~doc:"Print one run in full.") Term.(const run $ ledger_arg $ index)
-  in
-  let diff_cmd =
-    let run ledger cmdf scenario threshold indices =
-      let cmdname = "runs diff" in
-      let path = path_of ledger in
-      let all = load_or_exit ~cmd:"runs" path in
-      let filtered = List.filter (matches cmdf scenario) all in
-      let pair =
-        match indices with
-        | [ a; b ] ->
-          let n = List.length all in
-          let get i =
-            if i < 0 || i >= n then
-              die ~cmd:cmdname (Printf.sprintf "no run #%d (ledger has %d runs)" i n)
-            else List.nth all i
-          in
-          Some (get a, get b)
-        | [] -> Ledger.last_pair filtered
-        | _ -> die ~cmd:cmdname "expected zero or exactly two run indices"
-      in
-      match pair with
-      | None ->
-        die ~cmd:cmdname
-          (Printf.sprintf "need at least two comparable runs (have %d)" (List.length filtered))
-      | Some (older, newer) ->
-        let v = Ledger.compare_runs ~threshold:(threshold /. 100.0) ~older ~newer () in
-        Printf.printf "comparing %s/%s: %s (%s) -> %s (%s)\n" newer.Ledger.r_cmd
-          newer.Ledger.r_scenario older.Ledger.r_git
-          (Ledger.iso_time older.Ledger.r_time)
-          newer.Ledger.r_git
-          (Ledger.iso_time newer.Ledger.r_time);
-        Printf.printf "  throughput  %.1f -> %.1f sims/s (%+.1f%%)%s\n"
-          older.Ledger.r_sims_per_sec newer.Ledger.r_sims_per_sec
-          (100.0 *. (v.Ledger.v_ratio -. 1.0))
-          (if v.Ledger.v_throughput_regression then
-             Printf.sprintf "  REGRESSION (threshold %.0f%%)" threshold
-           else "");
-        (if newer.Ledger.r_digest = "" || older.Ledger.r_digest = "" then
-           Printf.printf "  footprint digest  (not recorded)\n"
-         else if v.Ledger.v_digest_drift then
-           Printf.printf "  footprint digest  %s != %s  DRIFT\n" older.Ledger.r_digest
-             newer.Ledger.r_digest
-         else Printf.printf "  footprint digest  %s (no drift)\n" newer.Ledger.r_digest);
-        if v.Ledger.v_throughput_regression || v.Ledger.v_digest_drift then begin
-          print_endline "regression detected";
-          exit 1
-        end
-        else print_endline "ok: no regression"
-    in
-    let threshold =
-      Arg.(
-        value & opt float 25.0
-        & info [ "threshold" ] ~docv:"PCT"
-            ~doc:"Throughput loss (percent) beyond which the diff exits non-zero.")
-    in
-    let indices =
-      Arg.(
-        value & pos_all int []
-        & info [] ~docv:"OLD NEW"
-          ~doc:"Two run indices to compare (default: the latest run against the previous              run with the same command and scenario).")
-    in
-    Cmd.v
-      (Cmd.info "diff"
-         ~doc:
-           "Compare two runs: exits 1 on a throughput regression beyond the threshold or            on footprint-digest drift, 2 when there are not two comparable runs.")
-      Term.(const run $ ledger_arg $ cmd_filter $ scenario_filter $ threshold $ indices)
-  in
-  let record_cmd =
-    let run ledger cmd scenario jobs wall events sims sims_per_sec best digest git time =
-      let path = path_of ledger in
-      let record =
-        {
-          Ledger.r_time = (match time with Some t -> t | None -> Unix.gettimeofday ());
-          r_git = (match git with Some g -> g | None -> Ledger.git_rev ());
-          r_cmd = cmd;
-          r_scenario = scenario;
-          r_jobs = jobs;
-          r_wall = wall;
-          r_events = events;
-          r_sims = sims;
-          r_sims_per_sec = sims_per_sec;
-          r_best_footprint = best;
-          r_digest = digest;
-        }
-      in
-      match Ledger.append path record with
-      | Error msg -> die ~cmd:"runs record" (Printf.sprintf "%s: %s" path msg)
-      | Ok () ->
-        let n = match Ledger.load path with Ok rs -> List.length rs - 1 | Error _ -> -1 in
-        Printf.printf "recorded run #%d in %s\n" n path
-    in
-    let sopt name doc = Arg.(value & opt string "" & info [ name ] ~doc) in
-    let cmd = Arg.(value & opt string "manual" & info [ "cmd" ] ~doc:"Recording command name.") in
-    let scenario = sopt "scenario" "Scenario name." in
-    let jobs = Arg.(value & opt int 1 & info [ "jobs" ] ~doc:"Worker domains used.") in
-    let wall = Arg.(value & opt float 0.0 & info [ "wall" ] ~doc:"Wall seconds.") in
-    let events = Arg.(value & opt int 0 & info [ "events" ] ~doc:"Trace events driving the run.") in
-    let sims = Arg.(value & opt int 0 & info [ "sims" ] ~doc:"Full replays executed.") in
-    let sims_per_sec =
-      Arg.(value & opt float 0.0 & info [ "sims-per-sec" ] ~doc:"Replay throughput.")
-    in
-    let best =
-      Arg.(value & opt int 0 & info [ "best-footprint" ] ~doc:"Best footprint found, bytes.")
-    in
-    let digest = sopt "digest" "Footprint-table digest." in
-    let git =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "git" ] ~doc:"Git revision to record (default: ask git).")
-    in
-    let time =
-      Arg.(
-        value
-        & opt (some float) None
-        & info [ "time" ] ~docv:"EPOCH" ~doc:"Record time as unix seconds (default: now).")
-    in
-    Cmd.v
-      (Cmd.info "record"
-         ~doc:
-           "Append a run record by hand — the escape hatch tests use to inject            synthetic runs (e.g. the simulated regression and drift in test/runs.t).")
-      Term.(
-        const run $ ledger_arg $ cmd $ scenario $ jobs $ wall $ events $ sims $ sims_per_sec
-        $ best $ digest $ git $ time)
-  in
-  Cmd.group
-    (Cmd.info "runs"
-       ~doc:
-         "Inspect and diff the persistent run ledger ($(b,BENCH_history.jsonl)) that every          explore invocation appends to.")
-    [ list_cmd; show_cmd; diff_cmd; record_cmd ]
-
 let () =
   let doc = "Custom dynamic-memory manager design methodology (DATE 2004 reproduction)" in
   let info = Cmd.info "dmm" ~version:"1.0.0" ~doc in
@@ -2575,5 +2270,4 @@ let () =
             feed_cmd;
             scrape_cmd;
             top_cmd;
-            runs_cmd;
           ]))

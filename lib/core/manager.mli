@@ -58,8 +58,8 @@ val create :
 (** [probe] (default {!Dmm_obs.Probe.null}) receives one event per
     accounting step: [Alloc]/[Free] at the service boundary, [Split] and
     [Coalesce] as the mechanisms fire, and [Fit_scan] mirroring every
-    bookkeeping-cost increment, so a {!Dmm_obs.Metrics_sink} rebuilds
-    exactly the snapshot returned by {!metrics}.
+    bookkeeping-cost increment, so {!Metrics.on_event} rebuilds exactly
+    the snapshot returned by {!metrics}.
 
     Raises [Invalid_argument] with the violated rules if the vector fails
     {!Constraints.check}, or if the parameters are inconsistent (e.g. empty

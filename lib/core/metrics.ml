@@ -64,6 +64,15 @@ let on_split t = t.splits <- t.splits + 1
 let on_coalesce t = t.coalesces <- t.coalesces + 1
 let add_ops t n = t.ops <- t.ops + n
 
+let on_event t _clock (e : Dmm_obs.Event.t) =
+  match e with
+  | Alloc { payload; _ } -> on_alloc t ~payload
+  | Free { payload; _ } -> on_free t ~payload
+  | Split _ -> on_split t
+  | Coalesce _ -> on_coalesce t
+  | Fit_scan { steps } -> add_ops t steps
+  | Phase _ | Sbrk _ | Trim _ | Ptr_write _ | Root_add _ | Root_remove _ -> ()
+
 let snapshot t : snapshot =
   {
     allocs = t.allocs;

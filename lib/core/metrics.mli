@@ -42,6 +42,17 @@ val on_split : t -> unit
 val on_coalesce : t -> unit
 val add_ops : t -> int -> unit
 
+val on_event : t -> int -> Dmm_obs.Event.t -> unit
+(** A probe sink ([Probe.attach probe (on_event t)]) that rebuilds these
+    counters from the event stream alone: [Alloc], [Free], [Split] and
+    [Coalesce] call the matching [on_*], and [Fit_scan] adds its steps to
+    [ops]. Attached to a replay's probe, its snapshot equals the
+    manager's own inline one field for field. For a per-phase global
+    manager it is stronger: it sees the composition's true live payload
+    over time, so its [peak_live_payload] is the real global peak, while
+    the inline combined snapshot sums each atomic manager's private
+    peak. *)
+
 val snapshot : t -> snapshot
 val live_payload : t -> int
 val ops : t -> int

@@ -16,28 +16,15 @@ let open_file path =
   | exception Sys_error m -> Error m
   | oc -> Ok { oc; lock = Mutex.create (); owned = true }
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let render fields =
   let b = Buffer.create 256 in
   Buffer.add_char b '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":" (escape k));
+      Buffer.add_string b (Printf.sprintf "\"%s\":" (Json.escape k));
       match v with
-      | S s -> Buffer.add_string b (Printf.sprintf "\"%s\"" (escape s))
+      | S s -> Buffer.add_string b (Printf.sprintf "\"%s\"" (Json.escape s))
       | I n -> Buffer.add_string b (string_of_int n)
       | F f -> Buffer.add_string b (Printf.sprintf "%.3f" f)
       | B x -> Buffer.add_string b (if x then "true" else "false"))

@@ -47,18 +47,6 @@ let on_event t clock (e : Event.t) =
 let attach probe t = Probe.attach probe (on_event t)
 let events t = t.events
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Async begin/end pair: chrome://tracing draws one bar per id between
    the two timestamps. Both halves are emitted at once (a span is only
    known complete at its Free), which Trace Event Format permits —
@@ -67,11 +55,11 @@ let async_span t ~id ~name ~start_clock ~end_clock ~payload =
   add t
     (Printf.sprintf
        "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"b\",\"id\":%d,\"ts\":%d,\"pid\":%d,\"tid\":0,\"args\":{\"payload\":%d}}"
-       (json_escape name) id start_clock t.pid payload);
+       (Json.escape name) id start_clock t.pid payload);
   add t
     (Printf.sprintf
        "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"e\",\"id\":%d,\"ts\":%d,\"pid\":%d,\"tid\":0}"
-       (json_escape name) id end_clock t.pid)
+       (Json.escape name) id end_clock t.pid)
 
 (* Synchronous duration events for the self-tracer ([Span.to_chrome]):
    unlike the logical-clock tracks above these carry a real tid (domain
@@ -84,16 +72,16 @@ let begin_span t ~ts ~tid ?(args = []) ?(sargs = []) name =
     | _ ->
       ",\"args\":{"
       ^ String.concat ","
-          (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v) args
+          (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (Json.escape k) v) args
           @ List.map
               (fun (k, v) ->
-                Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+                Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
               sargs)
       ^ "}"
   in
   add t
     (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"self\",\"ph\":\"B\",\"ts\":%d,\"pid\":%d,\"tid\":%d%s}"
-       (json_escape name) ts t.pid tid args_s)
+       (Json.escape name) ts t.pid tid args_s)
 
 let end_span t ~ts ~tid =
   add t (Printf.sprintf "{\"ph\":\"E\",\"ts\":%d,\"pid\":%d,\"tid\":%d}" ts t.pid tid)
@@ -109,7 +97,7 @@ let write_file path sinks =
       first := false;
       Printf.fprintf oc
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-        t.pid (json_escape t.name);
+        t.pid (Json.escape t.name);
       if t.events > 0 then begin
         output_string oc ",\n";
         Buffer.output_buffer oc t.buf

@@ -1,11 +1,11 @@
 (* Event sink that publishes the allocation stream into a {!Registry}.
 
    A naive version would pay several atomic RMWs per event — measurably
-   slower than the bare mutable-field {!Metrics_sink} on fit-scan-heavy
-   streams. Instead the hot path increments plain local fields (same cost
-   as Metrics_sink) and [flush] publishes the accumulated deltas with one
-   atomic add per counter, automatically every [flush_every] events and
-   explicitly before the registry is read. The registry is therefore
+   slower than bare mutable-field counters ([Dmm_core.Metrics.on_event])
+   on fit-scan-heavy streams. Instead the hot path increments plain local
+   fields (the same cost) and [flush] publishes the accumulated deltas
+   with one atomic add per counter, automatically every [flush_every]
+   events and explicitly before the registry is read. The registry is therefore
    near-live (at most [flush_every] events stale) while the per-event
    overhead stays amortised-constant. *)
 

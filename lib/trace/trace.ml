@@ -163,18 +163,20 @@ let load path =
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () ->
-        (* Pre-size from the byte length: trace lines are short, so
-           [bytes / 8] over-estimates rarely and avoids most regrowth. *)
-        let t = create ~capacity:(max 1024 (in_channel_length ic / 8)) () in
-        let rec go lineno =
-          match input_line ic with
-          | exception End_of_file -> Ok t
-          | "" -> go (lineno + 1)
-          | line -> (
-            match Event.of_line line with
-            | Ok e ->
-              add t e;
-              go (lineno + 1)
-            | Error m -> Error (Printf.sprintf "line %d: %s" lineno m))
-        in
-        go 1)
+        try
+          (* Pre-size from the byte length: trace lines are short, so
+             [bytes / 8] over-estimates rarely and avoids most regrowth. *)
+          let t = create ~capacity:(max 1024 (in_channel_length ic / 8)) () in
+          let rec go lineno =
+            match input_line ic with
+            | exception End_of_file -> Ok t
+            | "" -> go (lineno + 1)
+            | line -> (
+              match Event.of_line line with
+              | Ok e ->
+                add t e;
+                go (lineno + 1)
+              | Error m -> Error (Printf.sprintf "%s: line %d: %s" path lineno m))
+          in
+          go 1
+        with Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg))

@@ -43,3 +43,7 @@ val save : t -> string -> unit
 (** Write to a file, one event per line. *)
 
 val load : string -> (t, string) result
+(** Read a file written by {!save}. Every error is one line that names
+    the file, [PATH: REASON] or [PATH: line N: REASON]; an unreadable
+    path, a directory included, is an [Error], not an exception. The
+    result is not {!validate}d. *)

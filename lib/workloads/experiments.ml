@@ -8,7 +8,6 @@ module Profile_builder = Dmm_trace.Profile_builder
 module Pool = Dmm_engine.Pool
 module Sim = Dmm_engine.Sim
 module Probe = Dmm_obs.Probe
-module Metrics_sink = Dmm_obs.Metrics_sink
 module Series_sink = Dmm_obs.Series_sink
 
 type row = {
@@ -77,13 +76,13 @@ let measure ?live_hint trace (make : Scenario.maker) =
    exactly is the end-to-end check that the stream is complete. *)
 let measure_probed ?live_hint trace (make : Scenario.maker) =
   let probe = Probe.create () in
-  let ms = Metrics_sink.create () in
-  Metrics_sink.attach probe ms;
+  let ms = Dmm_core.Metrics.create () in
+  Probe.attach probe (Dmm_core.Metrics.on_event ms);
   let ss = Series_sink.create () in
   Series_sink.attach probe ss;
   let a = make ~probe () in
   Replay.run ~probe ?live_hint trace a;
-  (Series_sink.peak ss, Metrics_sink.ops ms)
+  (Series_sink.peak ss, Dmm_core.Metrics.ops ms)
 
 let timed f =
   let start = Unix.gettimeofday () in

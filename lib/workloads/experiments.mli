@@ -40,7 +40,7 @@ val drr_table : ?probe:bool -> ?seeds:int -> unit -> table
     as the paper averages 10 simulations (default 3). With [probe] (default
     false), every replay carries a {!Dmm_obs.Probe.t} and the reported
     footprint and ops are reconstructed from the event stream by a
-    {!Dmm_obs.Series_sink} and a {!Dmm_obs.Metrics_sink} instead of read
+    {!Dmm_obs.Series_sink} and {!Dmm_core.Metrics.on_event} instead of read
     from the manager's inline accounting — identical output is the
     end-to-end completeness check of the observability layer. *)
 

@@ -22,7 +22,6 @@ let () =
       Test_trace.tests;
       Test_obs.tests;
       Test_span.tests;
-      Test_ledger.tests;
       Test_codec.tests;
       Test_telemetry.tests;
       Test_recorder_replay.tests;

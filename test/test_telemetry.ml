@@ -13,7 +13,6 @@ module Class_sink = Dmm_obs.Class_sink
 module Series_sink = Dmm_obs.Series_sink
 module Registry = Dmm_obs.Registry
 module Registry_sink = Dmm_obs.Registry_sink
-module Metrics_sink = Dmm_obs.Metrics_sink
 module Metrics = Dmm_core.Metrics
 module Allocator = Dmm_core.Allocator
 module Trace = Dmm_trace.Trace
@@ -251,8 +250,8 @@ let qcheck =
       (fun (ops, flush_every) ->
         let trace = trace_of ops in
         let probe = Probe.create () in
-        let met = Metrics_sink.create () in
-        Metrics_sink.attach probe met;
+        let met = Metrics.create () in
+        Probe.attach probe (Metrics.on_event met);
         let reg = Registry.create () in
         let sink = Registry_sink.create ~flush_every reg in
         Registry_sink.attach probe sink;
@@ -260,11 +259,11 @@ let qcheck =
         Replay.run ~probe trace (make ~probe ());
         Registry_sink.flush sink;
         let counter name = Registry.value (Registry.counter reg name) in
-        let s = Metrics_sink.snapshot met in
-        counter "dmm_allocs_total" = s.Metrics_sink.allocs
-        && counter "dmm_frees_total" = s.Metrics_sink.frees
-        && counter "dmm_splits_total" = s.Metrics_sink.splits
-        && counter "dmm_coalesces_total" = s.Metrics_sink.coalesces
+        let s = Metrics.snapshot met in
+        counter "dmm_allocs_total" = s.Metrics.allocs
+        && counter "dmm_frees_total" = s.Metrics.frees
+        && counter "dmm_splits_total" = s.Metrics.splits
+        && counter "dmm_coalesces_total" = s.Metrics.coalesces
         && counter "dmm_events_total" = Probe.clock probe);
     QCheck.Test.make ~name:"class sink conserves blocks and bytes" ~count:30
       QCheck.(list_of_size Gen.(5 -- 80) (pair small_nat small_nat))

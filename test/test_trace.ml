@@ -81,6 +81,29 @@ let check_save_load () =
       | Ok t' ->
         Alcotest.(check bool) "roundtrip" true (Trace.to_list t = Trace.to_list t'))
 
+(* Bad input is an [Error] naming the file, never an exception: a missing
+   file, a malformed line and a directory. *)
+let check_load_errors () =
+  let names_file path =
+    match Trace.load path with
+    | Ok _ -> Alcotest.failf "%s: accepted" path
+    | Error msg ->
+      let prefix = path ^ ": " in
+      if not (String.starts_with ~prefix msg) then
+        Alcotest.failf "%s: error %S does not name the file" path msg
+  in
+  let dir = Filename.temp_dir "dmm_trace" "" in
+  let bad = Filename.concat dir "bad.trace" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists bad then Sys.remove bad;
+      Sys.rmdir dir)
+    (fun () ->
+      names_file (Filename.concat dir "missing.trace");
+      Out_channel.with_open_text bad (fun oc -> output_string oc "a 1 8\nzz\n");
+      names_file bad;
+      names_file dir)
+
 let qcheck =
   let event_gen =
     QCheck.Gen.(
@@ -106,5 +129,6 @@ let tests =
       Alcotest.test_case "validate rejects bad frees" `Quick check_validate_bad_free;
       Alcotest.test_case "event line format" `Quick check_event_lines;
       Alcotest.test_case "save/load roundtrip" `Quick check_save_load;
+      Alcotest.test_case "load errors name the file" `Quick check_load_errors;
     ]
     @ List.map QCheck_alcotest.to_alcotest qcheck )
