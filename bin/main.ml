@@ -36,6 +36,7 @@ module Heatmap_sink = Dmm_obs.Heatmap_sink
 module Pool = Dmm_engine.Pool
 module Ingest = Dmm_engine.Ingest
 module Span = Dmm_obs.Span
+module Clock = Dmm_obs.Clock
 module Log = Dmm_obs.Log
 module Trace_ctx = Dmm_obs.Trace_ctx
 module Access_log = Dmm_obs.Access_log
@@ -206,7 +207,7 @@ let print_registry reg =
     (Registry.view reg)
 
 let explore_cmd =
-  let run workload quick seed detect jobs check telemetry advise progress trace_self quiet =
+  let run workload quick seed detect jobs check telemetry progress trace_self quiet =
     (* --progress lifts the log level to Info so the lines actually show;
        --quiet wins when both are given. *)
     if progress then (
@@ -229,7 +230,7 @@ let explore_cmd =
     (* Zero the engine self-metrics so the printout covers this run only
        (module initialisation may predate us; handles stay valid). *)
     if telemetry then Registry.reset Registry.global;
-    let t_start = Unix.gettimeofday () in
+    let t_start = Clock.now_s () in
     let sims_c = Registry.counter Registry.global "dmm_sim_replays_total" in
     let hits_c = Registry.counter Registry.global "dmm_sim_memo_hits_total" in
     let miss_c = Registry.counter Registry.global "dmm_sim_memo_misses_total" in
@@ -250,7 +251,7 @@ let explore_cmd =
             (max !rounds_total !rounds_done) label
         | Explorer.Batch_scored { candidates; best_score } ->
           if best_score < !best_seen then best_seen := best_score;
-          let elapsed = Unix.gettimeofday () -. t_start in
+          let elapsed = Clock.now_s () -. t_start in
           let sims = Registry.value sims_c - sims0 in
           let hits = Registry.value hits_c - hits0 in
           let misses = Registry.value miss_c - miss0 in
@@ -280,16 +281,7 @@ let explore_cmd =
     Span.with_span "dmm-explore" (fun () ->
       let trace = trace_for ~quick ~seed workload in
       Format.printf "profiling and exploring (%d events)...@." (Trace.length trace);
-      (* The advisor measures the span profile with one extra live replay,
-         then prunes/reorders profile-refuted B3 refinement work. *)
-      let advisor = if advise then Some (Scenario.advisor_for trace) else None in
-      let spec = Scenario.global_design_for ~detect_phases:detect ?advisor trace in
-      (match advisor with
-      | None -> ()
-      | Some a ->
-        Format.printf "@.== lifetime advisor ==@.%a@." Explorer.Profile_advisor.pp a;
-        Format.printf "advisor skipped %d candidates@."
-          (Explorer.Profile_advisor.skipped a));
+      let spec = Scenario.global_design_for ~detect_phases:detect trace in
       Format.printf "@.== chosen design (default) ==@.%a@." Explorer.pp_design spec.default;
       List.iter
         (fun (phase, d) ->
@@ -328,7 +320,7 @@ let explore_cmd =
         Format.printf "@.== engine telemetry ==@.";
         print_registry Registry.global
       end);
-    let wall = Unix.gettimeofday () -. t_start in
+    let wall = Clock.now_s () -. t_start in
     Span.set_ambient None;
     Explorer.on_progress := saved_observer;
     match (trace_self, tracer) with
@@ -365,13 +357,6 @@ let explore_cmd =
           ~doc:
             "Print the engine self-metrics registry (simulator memo hits/misses,              explorer candidate counts, pool scheduling) after the run. Counter lines              are deterministic for a fixed grid; wall-clock histogram lines carry a              [time] prefix.")
   in
-  let advise =
-    Arg.(
-      value & flag
-      & info [ "advise" ]
-          ~doc:
-            "Measure the workload's allocation-lifetime profile first (one live replay              with the span profiler attached) and let it prune and reorder the B3              pool-division candidates; reports how many candidates it skipped. The              chosen design is unchanged on the seed workloads — only the simulation              work shrinks.")
-  in
   let progress =
     Arg.(
       value & flag
@@ -399,7 +384,7 @@ let explore_cmd =
        ~doc:"Run the full methodology on a workload and print the derived custom manager.")
     Term.(
       const run $ workload_arg $ quick_arg $ seed_arg $ detect $ jobs_arg $ check
-      $ telemetry $ advise $ progress $ trace_self $ quiet)
+      $ telemetry $ progress $ trace_self $ quiet)
 
 (* ------------------------------------------------------------------ *)
 (* table1                                                              *)
@@ -1362,7 +1347,7 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Span-matching lifetime profiler: pair every alloc with its free, aggregate          lifetime histograms per size class and phase, rasterize address-space          occupancy into a heat map — offline ($(b,--jsonl)) or from a live replay          ($(b,-w)). The profile feeds $(b,dmm explore --advise).")
+         "Span-matching lifetime profiler: pair every alloc with its free, aggregate          lifetime histograms per size class and phase, rasterize address-space          occupancy into a heat map — offline ($(b,--jsonl)) or from a live replay          ($(b,-w)).")
     Term.(
       const run $ stream_arg $ workload $ quick_arg $ seed_arg $ manager $ json_out $ chrome)
 
@@ -1627,11 +1612,11 @@ let serve_cmd =
         Some
           (Domain.spawn (fun () ->
                let last_depth = Array.make jobs 0 in
-               let since = Array.make jobs (Unix.gettimeofday ()) in
+               let since = Array.make jobs (Clock.now_s ()) in
                let limit = float_of_int stall_ms /. 1000.0 in
                while Atomic.get running do
                  Unix.sleepf (Float.max 0.01 (limit /. 4.0));
-                 let now = Unix.gettimeofday () in
+                 let now = Clock.now_s () in
                  for i = 0 to jobs - 1 do
                    let d = Ingest.shard_depth ingest i in
                    if d = 0 || d < last_depth.(i) then since.(i) <- now
@@ -1725,8 +1710,8 @@ let serve_cmd =
       let rec loop () =
         match pop shard with
         | None -> ()
-        | Some (fd, enq_wall) ->
-          let wait_us = max 0 (int_of_float (1e6 *. (Unix.gettimeofday () -. enq_wall))) in
+        | Some (fd, enqueued) ->
+          let wait_us = max 0 (int_of_float (1e6 *. (Clock.now_s () -. enqueued))) in
           Ingest.shard_dequeue ingest shard ~wait_us;
           (* Recorded before the conn span opens, so the wait renders as
              a root-level bar the conn span follows — a child would have
@@ -1752,7 +1737,7 @@ let serve_cmd =
       let shard = !accepted mod jobs in
       incr accepted;
       Ingest.shard_enqueue ingest shard;
-      push shard (Some (fd, Unix.gettimeofday ()))
+      push shard (Some (fd, Clock.now_s ()))
     done;
     for i = 0 to jobs - 1 do
       push i None
@@ -2177,7 +2162,7 @@ let top_cmd =
       match http_get ~timeout:5.0 ~retries:20 addr "/statusz" with
       | Error m -> die m
       | Ok body ->
-        let now = Unix.gettimeofday () in
+        let now = Clock.now_s () in
         let events = top_int body "events_total" in
         let rate =
           match !prev with

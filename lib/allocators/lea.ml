@@ -155,8 +155,17 @@ let carve_top t gross =
   acct_ops t 1;
   Block.v ~addr ~size:gross ~status:Block.Used ~run_id:0
 
+(* A tag holds [size * 2 + used] in 32 bits, so a chunk must stay below
+   2^30 bytes. Chunks tile the heap, coalesced ones included, so bounding
+   the heap's end bounds them all, and only growth pays for the check. *)
+let max_heap = 1 lsl 30
+
 let extend_top t need =
   let request = Size.align_up (max need t.config.granularity) t.config.granularity in
+  let heap_end = Address_space.brk t.space + request in
+  if heap_end >= max_heap then
+    invalid_arg
+      (Printf.sprintf "Lea.alloc: a heap of %d bytes overflows the 32-bit boundary tag" heap_end);
   let base = Address_space.sbrk t.space request in
   t.held <- t.held + request;
   if t.held > t.max_held then t.max_held <- t.held;

@@ -10,7 +10,9 @@
     coalescing, but system memory held in coarse granules.
 
     The allocator assumes exclusive use of its address space (the benches
-    give every manager its own). *)
+    give every manager its own). Its heap stays below 1 GiB, the range of
+    the 32-bit boundary tag: {!alloc} raises [Invalid_argument] rather
+    than grow the heap to 2^30 bytes. *)
 
 type config = {
   granularity : int;  (** system request unit, default 64 KiB *)

@@ -389,19 +389,6 @@ let leak_diags r =
         o.o_id o.o_addr o.o_payload o.o_birth o.o_death)
     r.r_leaks
 
-type phase_drag = { pd_phase : int; pd_count : int; pd_p50 : int; pd_p99 : int }
-
-let phase_drags r =
-  List.map
-    (fun (phase, h) ->
-      {
-        pd_phase = phase;
-        pd_count = Log_hist.count h;
-        pd_p50 = Log_hist.percentile h 0.5;
-        pd_p99 = Log_hist.percentile h 0.99;
-      })
-    r.r_drag_by_phase
-
 (* --- oracle-free rewriting -------------------------------------------------- *)
 
 type op = Op_alloc of { id : int; size : int } | Op_free of { id : int } | Op_phase of int

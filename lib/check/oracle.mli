@@ -98,13 +98,6 @@ val run_source : Stream.source -> (report, string) result
 val leak_diags : report -> Diag.t list
 (** One [oracle-leak] diagnostic per leak, indexed by the death clock. *)
 
-type phase_drag = { pd_phase : int; pd_count : int; pd_p50 : int; pd_p99 : int }
-
-val phase_drags : report -> phase_drag list
-(** Per-birth-phase drag digest in the shape
-    {!Dmm_core.Explorer.Profile_advisor} consumes to refute pool
-    candidates whose lifetime profile is inflated by drag. *)
-
 type op = Op_alloc of { id : int; size : int } | Op_free of { id : int } | Op_phase of int
 
 val synthesize : report -> op list

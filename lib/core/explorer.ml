@@ -188,117 +188,7 @@ let heuristic_design ?order s =
   | Error _ as e -> (match e with Error m -> Error m | Ok _ -> assert false)
   | Ok vector -> Ok { vector; params = heuristic_params s vector }
 
-(* Lifetime-profile advisor for the B3 (pool division by lifetime) axis.
-
-   Consumes the per-phase span digest measured by
-   [Dmm_obs.Lifetime_sink.phase_summaries] and rules on two things the
-   blind search cannot know: whether a per-phase pool set is worth
-   scoring at all (it needs more than one phase, and at least one
-   meaningful phase whose spans die inside it), and which phases carry
-   enough of the span volume to deserve a refinement round of their own.
-   Everything it drops is tallied in [skipped], so drivers can report
-   exactly how much simulation the profile saved. *)
-module Profile_advisor = struct
-  type phase_drag = { pd_phase : int; pd_count : int; pd_p50 : int; pd_p99 : int }
-
-  type t = {
-    phases : Dmm_obs.Lifetime_sink.phase_summary list;
-    drag : phase_drag list;
-    total_spans : int;
-    mutable skipped : int;
-  }
-
-  (* Below this share of all spans a phase cannot move the whole-trace
-     footprint enough to justify its own refinement round. *)
-  let min_share = 0.02
-
-  let of_phase_summaries ?(drag = []) phases =
-    let total =
-      List.fold_left
-        (fun acc (s : Dmm_obs.Lifetime_sink.phase_summary) -> acc + s.s_spans)
-        0 phases
-    in
-    { phases; drag; total_spans = total; skipped = 0 }
-
-  let phases t = t.phases
-  let skipped t = t.skipped
-  let note_skipped t n = t.skipped <- t.skipped + n
-
-  let summary t phase =
-    List.find_opt
-      (fun (s : Dmm_obs.Lifetime_sink.phase_summary) -> s.s_phase = phase)
-      t.phases
-
-  let share t phase =
-    if t.total_spans = 0 then 0.0
-    else
-      match summary t phase with
-      | None -> 0.0
-      | Some s -> float_of_int s.Dmm_obs.Lifetime_sink.s_spans /. float_of_int t.total_spans
-
-  (* A phase whose median drag rivals its median lifetime has a span
-     profile the application's frees inflated: the Merlin oracle says
-     the objects were dead for most of their measured lifetime, so
-     sizing a per-phase pool from those spans would provision for
-     garbage. Such a phase cannot argue *for* pool refinement (it can
-     still ride along when another phase justifies the B3 variant).
-     Without oracle data — or on scripted clients, whose drag is zero —
-     no phase is ever drag-dominated, so the pruning is conservative. *)
-  let drag_dominated t phase =
-    match List.find_opt (fun d -> d.pd_phase = phase) t.drag with
-    | None -> false
-    | Some d -> (
-      d.pd_count > 0
-      && d.pd_p50 > 0
-      &&
-      match summary t phase with
-      | None -> false
-      | Some s -> 2 * d.pd_p50 >= s.Dmm_obs.Lifetime_sink.s_p50_lifetime)
-
-  let want_phase_pools t =
-    List.length t.phases > 1
-    && List.exists
-         (fun (s : Dmm_obs.Lifetime_sink.phase_summary) ->
-           share t s.s_phase >= min_share
-           && s.s_contained > s.s_escaped
-           && not (drag_dominated t s.s_phase))
-         t.phases
-
-  let refine_phase t phase =
-    match summary t phase with
-    | None -> false
-    | Some s -> s.s_spans > 0 && share t phase >= min_share && not (drag_dominated t phase)
-
-  (* Refinement agenda: biggest span share first (stable on ties), so the
-     phases that dominate the footprint are settled before the long tail. *)
-  let order t phase_ids =
-    List.stable_sort
-      (fun a b -> compare (share t b) (share t a))
-      phase_ids
-
-  let pp ppf t =
-    Format.fprintf ppf "@[<v>advisor: %d phases, %d spans@," (List.length t.phases)
-      t.total_spans;
-    (match t.drag with
-    | [] -> ()
-    | drags ->
-      Format.fprintf ppf "  oracle drag:";
-      List.iter
-        (fun d ->
-          Format.fprintf ppf " phase %d p50 %d (%s)" d.pd_phase d.pd_p50
-            (if drag_dominated t d.pd_phase then "dominated" else "ok"))
-        drags;
-      Format.fprintf ppf "@,");
-    List.iter
-      (fun (s : Dmm_obs.Lifetime_sink.phase_summary) ->
-        Format.fprintf ppf "  %a (share %.3f, refine %b)@,"
-          Dmm_obs.Lifetime_sink.pp_phase_summary s (share t s.s_phase)
-          (refine_phase t s.s_phase))
-      t.phases;
-    Format.fprintf ppf "  phase pools worth scoring: %b@]" (want_phase_pools t)
-end
-
-let candidates ?advisor s base =
+let candidates s base =
   Span.with_span "explorer.candidates" @@ fun () ->
   let chunk0 = base.params.chunk_request in
   let param_variants =
@@ -328,8 +218,7 @@ let candidates ?advisor s base =
     (* The B3 alternative the heuristics never pick: a pool set per phase
        (with the pool structure that entails — a fixed pool count needs
        per-size pools). Scoring it is what makes the search exhaustive on
-       the B3 axis; the advisor prunes it when the lifetime profile shows
-       no phase keeps its spans to itself. *)
+       the B3 axis. *)
     let vector =
       {
         base.vector with
@@ -339,13 +228,6 @@ let candidates ?advisor s base =
       }
     in
     if Constraints.is_valid vector then [ { base with vector } ] else []
-  in
-  let phase_variant =
-    match advisor with
-    | Some a when not (Profile_advisor.want_phase_pools a) ->
-      Profile_advisor.note_skipped a (List.length phase_variant);
-      []
-    | Some _ | None -> phase_variant
   in
   let fixed_variant =
     (* For moderately varied workloads it is worth scoring the fixed-class
@@ -430,11 +312,11 @@ let random_search_batch ~rng ~samples ~profile ~score_all =
 let random_search ~rng ~samples ~profile ~score =
   random_search_batch ~rng ~samples ~profile ~score_all:(scores_in_order score)
 
-let explore_batch ?order ?advisor ~profile ~score_all () =
+let explore_batch ?order ~profile ~score_all () =
   Span.with_span "explorer.explore" @@ fun () ->
   match heuristic_design ?order profile with
   | Error m -> Error m
-  | Ok base -> Ok (refine_batch ~score_all (candidates ?advisor profile base))
+  | Ok base -> Ok (refine_batch ~score_all (candidates profile base))
 
-let explore ?order ?advisor ~profile ~score () =
-  explore_batch ?order ?advisor ~profile ~score_all:(scores_in_order score) ()
+let explore ?order ~profile ~score () =
+  explore_batch ?order ~profile ~score_all:(scores_in_order score) ()

@@ -45,68 +45,6 @@ val heuristic_params : Profile.phase_summary -> Decision_vector.t -> Manager.par
 val heuristic_design :
   ?order:Decision.tree list -> Profile.phase_summary -> (design, string) result
 
-(** Lifetime-profile advisor for the B3 (pool division by lifetime) axis.
-
-    Built from the per-phase span digest of
-    {!Dmm_obs.Lifetime_sink.phase_summaries} — the measured
-    characterization the paper's pool-division-by-lifetime decision
-    presupposes. {!candidates} consults it to drop the per-phase pool-set
-    variant when no phase keeps its spans to itself, and multi-phase
-    drivers ({!Dmm_workloads.Scenario.global_design_for}) use it to skip
-    and reorder per-phase refinement rounds. Every candidate it drops is
-    tallied, so [dmm explore --advise] can report how much simulation the
-    profile saved. *)
-module Profile_advisor : sig
-  type t
-
-  type phase_drag = { pd_phase : int; pd_count : int; pd_p50 : int; pd_p99 : int }
-  (** Per-phase drag digest from the Merlin oracle ([Dmm_check.Oracle]):
-      how long, at the median/p99, explicitly freed objects born in the
-      phase had already been dead (in probe clocks) when the application
-      freed them. *)
-
-  val of_phase_summaries : ?drag:phase_drag list -> Dmm_obs.Lifetime_sink.phase_summary list -> t
-  (** [drag] (default none) sharpens the B3 pruning: a phase whose median
-      drag rivals its median lifetime ([2*p50_drag >= p50_lifetime]) has a
-      span profile inflated by late frees and is refuted as a pool-refine
-      argument ({!refine_phase} false, and it cannot by itself satisfy
-      {!want_phase_pools}). Scripted explicit-free clients measure zero
-      drag, so their advice is unchanged. *)
-
-  val min_share : float
-  (** Span-share floor (0.02) below which a phase gets no refinement round
-      of its own. *)
-
-  val phases : t -> Dmm_obs.Lifetime_sink.phase_summary list
-
-  val share : t -> int -> float
-  (** Fraction of all completed-or-leaked spans born in the phase (0. for
-      an unknown phase or an empty profile). *)
-
-  val want_phase_pools : t -> bool
-  (** True iff the profile has more than one phase and at least one phase
-      with share >= {!min_share} whose spans mostly die inside it
-      (contained > escaped) — the precondition for a per-phase pool set
-      (B3) to be worth a simulation. *)
-
-  val refine_phase : t -> int -> bool
-  (** True iff the phase carries spans, at least {!min_share} of the span
-      volume, and its lifetime profile is not drag-dominated. *)
-
-  val order : t -> int list -> int list
-  (** Refinement agenda: phase ids sorted by descending span share,
-      stable on ties. *)
-
-  val skipped : t -> int
-  (** Candidates dropped on this advisor's say-so, cumulative. *)
-
-  val note_skipped : t -> int -> unit
-  (** Tally [n] more dropped candidates (used by drivers that skip whole
-      refinement rounds). *)
-
-  val pp : Format.formatter -> t -> unit
-end
-
 (** {1 Search progress}
 
     Coarse-grained events the drivers emit on the orchestrating domain
@@ -131,14 +69,12 @@ val progress : progress -> unit
 (** Emit an event to the current observer (for drivers outside this
     module, e.g. scenario orchestration). *)
 
-val candidates : ?advisor:Profile_advisor.t -> Profile.phase_summary -> design -> design list
+val candidates : Profile.phase_summary -> design -> design list
 (** The simulation round: the heuristic design plus parameter and
     near-miss leaf variations worth trying (all constraint-valid),
     deduplicated by {!design_key} keeping first occurrences. The heuristic
     design itself is always the head of the list. The list includes the
-    per-phase pool-set (B3) alternative when it is constraint-valid;
-    [advisor] prunes it when the measured lifetime profile rules it out
-    ({!Profile_advisor.want_phase_pools}), tallying the drop. *)
+    per-phase pool-set (B3) alternative when it is constraint-valid. *)
 
 val tradeoff_score : alpha:float -> footprint:int -> ops:int -> int
 (** Scalarised objective [footprint + alpha * ops]: the paper's closing
@@ -168,17 +104,15 @@ val refine_batch : score_all:(design array -> int array) -> design list -> desig
 
 val explore :
   ?order:Decision.tree list ->
-  ?advisor:Profile_advisor.t ->
   profile:Profile.phase_summary ->
   score:(design -> int) ->
   unit ->
   (design * int, string) result
-(** Full methodology: heuristic walk, candidate generation (advised when
-    [advisor] is given), scored refinement. *)
+(** Full methodology: heuristic walk, candidate generation, scored
+    refinement. *)
 
 val explore_batch :
   ?order:Decision.tree list ->
-  ?advisor:Profile_advisor.t ->
   profile:Profile.phase_summary ->
   score_all:(design array -> int array) ->
   unit ->

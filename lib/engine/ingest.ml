@@ -3,6 +3,7 @@ module Registry_sink = Dmm_obs.Registry_sink
 module Hist_sink = Dmm_obs.Hist_sink
 module Lifetime_sink = Dmm_obs.Lifetime_sink
 module Span = Dmm_obs.Span
+module Clock = Dmm_obs.Clock
 module Stream = Dmm_check.Stream
 module Sanitizer = Dmm_check.Sanitizer
 
@@ -34,7 +35,7 @@ let create ?design registry =
   {
     registry;
     design;
-    started = Unix.gettimeofday ();
+    started = Clock.now_s ();
     streams_total =
       Registry.counter ~help:"Streams accepted by the ingest daemon" registry
         "dmm_ingest_streams_total";
@@ -152,7 +153,7 @@ let health t =
     else Healthy
   end
 
-let uptime_s t = Unix.gettimeofday () -. t.started
+let uptime_s t = Clock.now_s () -. t.started
 
 (* Flat JSON, hand-renderable and hand-parseable ([dmm top] reads it
    back with a field scanner): scalars only, except the per-shard depth
@@ -277,16 +278,13 @@ type stage_stats = {
    next_entry, feed, repeat — because anything extra per event is a tax
    every observed stream pays. The decode/feed split comes from
    sampling instead: every [sample]-th entry is timed individually and
-   the averages scale up to the whole stream. The clock only ticks in
-   microseconds, far coarser than one entry, but the estimator is
-   unbiased — a d-nanosecond phase crosses a tick with probability
-   d/1000 and contributes the full tick when it does — and a stream
-   long enough to care about accumulates thousands of samples. *)
+   the averages scale up to the whole stream, so only one entry in
+   [sample] pays for its three clock readings. *)
 let run_source_observed ?(sample = 512) ctx src =
   let sample = max 1 sample in
   let p = stream ctx in
   let span_t0 = Span.ambient_now_us () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_s () in
   let d_samp = ref 0.0 and f_samp = ref 0.0 and samples = ref 0 in
   let countdown = ref 0 in
   let rec loop () =
@@ -300,14 +298,14 @@ let run_source_observed ?(sample = 512) ctx src =
     end
     else begin
       countdown := sample - 1;
-      let a = Unix.gettimeofday () in
+      let a = Clock.now_s () in
       match Stream.next_entry src with
       | None -> ()
       | Some e ->
-        let b = Unix.gettimeofday () in
+        let b = Clock.now_s () in
         feed p e;
         d_samp := !d_samp +. (b -. a);
-        f_samp := !f_samp +. (Unix.gettimeofday () -. b);
+        f_samp := !f_samp +. (Clock.now_s () -. b);
         incr samples;
         loop ()
     end
@@ -319,7 +317,7 @@ let run_source_observed ?(sample = 512) ctx src =
   in
   Stream.close_source src;
   let events = p.p_events in
-  let fin0 = Unix.gettimeofday () in
+  let fin0 = Clock.now_s () in
   let outcome =
     match streamed with
     | Ok () -> Ok (finish p)
@@ -327,7 +325,7 @@ let run_source_observed ?(sample = 512) ctx src =
       fail p;
       Error m
   in
-  let now = Unix.gettimeofday () in
+  let now = Clock.now_s () in
   let us s = int_of_float (1e6 *. s) in
   let st_total_us = us (now -. t0) in
   let st_decode_us, st_feed_us =

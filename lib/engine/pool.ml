@@ -40,8 +40,7 @@ let m_idle_us =
     "dmm_search_idle_microseconds_total"
 
 module Span = Dmm_obs.Span
-
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
+module Clock = Dmm_obs.Clock
 
 let parse_jobs s =
   match int_of_string_opt (String.trim s) with
@@ -100,7 +99,7 @@ let map input f =
     Reg.add m_domains (workers - 1);
     Span.with_span ~args:[ ("tasks", n); ("workers", workers) ] "pool.map" @@ fun () ->
     Reg.set m_queue_depth n;
-    let started = now_ns () in
+    let started = Clock.now_ns () in
     (* Each slot is written by exactly one domain (indices are handed out
        through [next]), and the joins publish the writes. *)
     let slots = Array.make n None in
@@ -110,25 +109,25 @@ let map input f =
       Fun.protect
         ~finally:(fun () -> Domain.DLS.set inside_worker false)
         (fun () ->
-          let w_start = now_ns () in
+          let w_start = Clock.now_ns () in
           let busy = ref 0 in
           let rec go () =
             let i = Atomic.fetch_and_add next 1 in
             if i < n then begin
-              Reg.observe m_wait_us ((now_ns () - started) / 1000);
-              let t0 = now_ns () in
+              Reg.observe m_wait_us ((Clock.now_ns () - started) / 1000);
+              let t0 = Clock.now_ns () in
               slots.(i) <-
                 Some
                   (match f input.(i) with
                   | v -> Ok v
                   | exception e -> Error (e, Printexc.get_raw_backtrace ()));
-              busy := !busy + (now_ns () - t0);
+              busy := !busy + (Clock.now_ns () - t0);
               Reg.set m_queue_depth (max 0 (n - Atomic.get next));
               go ()
             end
           in
           go ();
-          let total = now_ns () - w_start in
+          let total = Clock.now_ns () - w_start in
           Reg.add m_busy_us (!busy / 1000);
           Reg.add m_idle_us (max 0 (total - !busy) / 1000))
     in

@@ -39,8 +39,7 @@ let m_search_events =
     "dmm_search_replayed_events_total"
 
 module Span = Dmm_obs.Span
-
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
+module Clock = Dmm_obs.Clock
 
 type outcome = { footprint : int; ops : int }
 
@@ -57,7 +56,6 @@ type t = {
   mutable misses : int;
   mutable replays : int;
   mutable stopped : int;
-  mutable replay_seconds : float;
 }
 
 let create trace =
@@ -69,15 +67,12 @@ let create trace =
     misses = 0;
     replays = 0;
     stopped = 0;
-    replay_seconds = 0.0;
   }
 
-let trace t = t.trace
 let hits t = t.hits
 let misses t = t.misses
 let replays t = t.replays
 let stopped t = t.stopped
-let replay_seconds t = t.replay_seconds
 let complete t r = r.events = Trace.length t.trace
 
 (* The only place replay accounting happens, on the parent domain: [hits]
@@ -110,14 +105,14 @@ exception Reached of int
    terms of the score only grow as the trace plays (the footprint is a
    high-water mark, ops a counter), so such a candidate's whole-trace
    score is >= [bound] too. *)
-let replay ?probe ?graph ?(alpha = 0.0) ?bound t a =
+let replay ?probe ?(alpha = 0.0) ?bound t a =
   Span.with_span ~args:[ ("events", Trace.length t.trace) ] "sim.replay" @@ fun () ->
-  let start = now_ns () in
+  let start = Clock.now_ns () in
   let n = Trace.length t.trace in
   let events =
     match bound with
     | None ->
-      Replay.run ?probe ?graph ~live_hint:t.live_hint t.trace a;
+      Replay.run ?probe ~live_hint:t.live_hint t.trace a;
       n
     | Some bound -> (
       let on_event i a =
@@ -127,14 +122,14 @@ let replay ?probe ?graph ?(alpha = 0.0) ?bound t a =
           then raise_notrace (Reached (i + 1))
         end
       in
-      match Replay.run ?probe ?graph ~on_event ~live_hint:t.live_hint t.trace a with
+      match Replay.run ?probe ~on_event ~live_hint:t.live_hint t.trace a with
       | () -> n
       | exception Reached k -> k)
   in
   let outcome =
     { footprint = Allocator.max_footprint a; ops = (Allocator.stats a).Dmm_core.Metrics.ops }
   in
-  Reg.observe m_replay_us ((now_ns () - start) / 1000);
+  Reg.observe m_replay_us ((Clock.now_ns () - start) / 1000);
   { outcome; events }
 
 let allocator ?probe t (d : Explorer.design) =
@@ -142,37 +137,17 @@ let allocator ?probe t (d : Explorer.design) =
     (Manager.create ~expected_live:t.live_hint ~params:d.Explorer.params ?probe
        d.Explorer.vector (Address_space.create ?probe ()))
 
-let timed t f =
-  let start = now_ns () in
-  let r = f () in
-  t.replay_seconds <- t.replay_seconds +. (float_of_int (now_ns () - start) *. 1e-9);
-  r
-
-(* An observed replay: always live, never a memo lookup. *)
-let observed ?graph t probe d =
-  let r = timed t (fun () -> replay ~probe ?graph t (allocator ~probe t d)) in
-  record_replays t [| r |];
-  r.outcome
-
-let outcome ?(probe = Probe.null) t d =
+let outcome t d =
   let key = Explorer.design_key d in
-  if Probe.enabled probe then begin
-    (* An observed replay must actually run: bypass the memo (but still
-       serve its result into the table for later unobserved queries). *)
-    let o = observed t probe d in
-    Hashtbl.replace t.memo key o;
+  match Hashtbl.find_opt t.memo key with
+  | Some o ->
+    record_replays t ~hits:1 [||];
     o
-  end
-  else
-    match Hashtbl.find_opt t.memo key with
-    | Some o ->
-      record_replays t ~hits:1 [||];
-      o
-    | None ->
-      let r = timed t (fun () -> replay t (allocator t d)) in
-      record_replays t ~misses:1 [| r |];
-      Hashtbl.replace t.memo key r.outcome;
-      r.outcome
+  | None ->
+    let r = replay t (allocator t d) in
+    record_replays t ~misses:1 [| r |];
+    Hashtbl.replace t.memo key r.outcome;
+    r.outcome
 
 (* Unique cache misses among [keys], in first-occurrence order. *)
 let misses_of t keys designs =
@@ -190,9 +165,7 @@ let misses_of t keys designs =
 (* Replays [missing] on the pool; only complete runs enter the memo, so a
    stopped run never answers a later exact query. *)
 let replay_misses ?alpha ?bound t missing =
-  let runs =
-    timed t (fun () -> Pool.map missing (fun (_, d) -> replay ?alpha ?bound t (allocator t d)))
-  in
+  let runs = Pool.map missing (fun (_, d) -> replay ?alpha ?bound t (allocator t d)) in
   Array.iteri
     (fun i (key, _) -> if complete t runs.(i) then Hashtbl.replace t.memo key runs.(i).outcome)
     missing;
@@ -207,32 +180,14 @@ let outcomes t designs =
   record_replays t ~hits:(Array.length designs - misses) ~misses runs;
   Array.map (fun key -> Hashtbl.find t.memo key) keys
 
-let lifetimes t (d : Explorer.design) =
-  let probe = Probe.create () in
-  let sink = Dmm_obs.Lifetime_sink.create ~capacity:t.live_hint () in
-  Dmm_obs.Lifetime_sink.attach probe sink;
-  let (_ : outcome) = outcome ~probe t d in
-  Dmm_obs.Lifetime_sink.phase_summaries sink
-
-let oracle t (d : Explorer.design) =
-  (* One observed replay at the graph probe level, fed straight into the
-     Merlin oracle — no stream materialised. *)
-  let probe = Probe.create () in
-  let orc = Dmm_check.Oracle.create () in
-  Probe.attach probe (fun clock event ->
-      Dmm_check.Oracle.feed orc { Dmm_check.Stream.clock; event });
-  let (_ : outcome) = observed ~graph:true t probe d in
-  Dmm_check.Oracle.finalize orc
-
 let sanitize t (d : Explorer.design) =
   let probe = Probe.create () in
   let sink = Dmm_obs.Collect_sink.create ~capacity:(4 * Trace.length t.trace) () in
   Dmm_obs.Collect_sink.attach probe sink;
-  let (_ : outcome) = observed t probe d in
+  (* An observed replay must run: never a memo lookup. *)
+  record_replays t [| replay ~probe t (allocator ~probe t d) |];
   let stream = Dmm_check.Stream.of_pairs (Dmm_obs.Collect_sink.to_array sink) in
   Dmm_check.Sanitizer.run ~design:d stream
-
-let score ?(alpha = 0.0) ?probe t d = score_of ~alpha (outcome ?probe t d)
 
 (* Branch and bound on the incumbent, candidate 0: it is scored exactly
    first, and its score bounds every other replay of the batch. A stopped
@@ -267,10 +222,10 @@ let score_allocators ?(alpha = 0.0) ?incumbent t makes =
       match incumbent with
       | Some s -> ([||], s)
       | None ->
-        let r = timed t (fun () -> replay t (makes.(0) ())) in
+        let r = replay t (makes.(0) ()) in
         ([| r |], score_of ~alpha r.outcome)
     in
     let rest = Array.sub makes 1 (n - 1) in
-    let runs = timed t (fun () -> Pool.map rest (fun make -> replay ~alpha ~bound t (make ()))) in
+    let runs = Pool.map rest (fun make -> replay ~alpha ~bound t (make ())) in
     record_replays t (Array.append first runs);
     Array.append [| bound |] (Array.map (fun r -> score_of ~alpha r.outcome) runs)

@@ -32,45 +32,24 @@ val create : Dmm_trace.Trace.t -> t
     live-block count, which pre-sizes the replay and manager registries of
     every subsequent replay. *)
 
-val trace : t -> Dmm_trace.Trace.t
-
-val outcome : ?probe:Dmm_obs.Probe.t -> t -> Dmm_core.Explorer.design -> outcome
-(** Memoised single-design replay (always on the calling domain). When
-    [probe] is enabled the replay always runs live — memoisation would
-    suppress the event stream — and its result refreshes the table. *)
+val outcome : t -> Dmm_core.Explorer.design -> outcome
+(** Memoised single-design replay (always on the calling domain). *)
 
 val outcomes : t -> Dmm_core.Explorer.design array -> outcome array
 (** Memoised batch replay, input-ordered; unique cache misses run through
     {!Pool.map}. *)
-
-val lifetimes : t -> Dmm_core.Explorer.design -> Dmm_obs.Lifetime_sink.phase_summary list
-(** Replay the design live with a {!Dmm_obs.Lifetime_sink} attached and
-    return its per-phase span digest — the measured input of
-    {!Dmm_core.Explorer.Profile_advisor}. Like every probed replay it
-    bypasses the memo table (but refreshes it) and is counted in
-    {!replays}. *)
-
-val oracle : t -> Dmm_core.Explorer.design -> Dmm_check.Oracle.report
-(** One observed replay at the graph probe level ({!Dmm_trace.Replay.run}
-    with [~graph:true]), fed event-by-event into the Merlin oracle. On a
-    scripted trace every object holds exactly one root from alloc to
-    free, so the report is the zero-drag, zero-leak baseline; its
-    per-phase digests feed {!Dmm_core.Explorer.Profile_advisor}. *)
 
 val sanitize : t -> Dmm_core.Explorer.design -> Dmm_check.Sanitizer.report
 (** Replay the design live with an in-memory event capture and run the
     full {!Dmm_check.Sanitizer} (heap invariants plus design conformance)
     over the recorded stream — the [explore --check] safety net on a
     winning candidate. Never memoised (the events must exist), but counted
-    in {!replays}/{!replay_seconds}. *)
-
-val score : ?alpha:float -> ?probe:Dmm_obs.Probe.t -> t -> Dmm_core.Explorer.design -> int
-(** [Explorer.tradeoff_score ~alpha] over {!outcome} ([alpha] defaults to
-    [0.], the pure footprint objective). *)
+    in {!replays}. *)
 
 val score_all : ?alpha:float -> t -> Dmm_core.Explorer.design array -> int array
-(** Batch counterpart of {!score} for [Explorer.*_batch] drivers, bounded
-    by the incumbent as {!Dmm_core.Explorer.refine_batch} allows:
+(** [Explorer.tradeoff_score ~alpha] ([alpha] defaults to [0.], the pure
+    footprint objective) of each design, for [Explorer.*_batch] drivers,
+    bounded by the incumbent as {!Dmm_core.Explorer.refine_batch} allows:
     candidate 0 is scored exactly first (memo or one replay), then the
     remaining unique misses run through {!Pool.map}, each stopped as soon
     as its running score reaches candidate 0's. A stopped candidate
@@ -94,12 +73,8 @@ val misses : t -> int
 (** Unmemoised queries so far. *)
 
 val replays : t -> int
-(** Actual trace replays performed so far (memo misses, probed replays
-    and {!score_allocators} runs), stopped ones included. *)
+(** Actual trace replays performed so far (memo misses, {!sanitize}
+    replays and {!score_allocators} runs), stopped ones included. *)
 
 val stopped : t -> int
 (** Replays an incumbent bound stopped before the end of the trace. *)
-
-val replay_seconds : t -> float
-(** Cumulative wall-clock seconds spent replaying, measured on the parent
-    domain (a parallel {!outcomes} batch counts its elapsed batch time). *)

@@ -26,5 +26,5 @@ val write : t -> (string * value) list -> unit
 val close : t -> unit
 
 val iso8601 : float -> string
-(** Render a [Unix.gettimeofday] timestamp as
+(** Render a wall-clock date (seconds since the Unix epoch) as
     [YYYY-MM-DDThh:mm:ss.mmmZ] (UTC) — the [ts] field convention. *)

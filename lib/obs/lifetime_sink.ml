@@ -41,8 +41,7 @@ type phase_row = {
   lifetimes : Log_hist.t; (* completed spans born in this phase *)
 }
 
-(* The advisor's view of one phase: everything it needs to rule on the
-   B3 (pool division by lifetime) axis, and nothing mutable. *)
+(* One phase's spans as [dmm profile] prints them, with nothing mutable. *)
 type phase_summary = {
   s_phase : int;
   s_spans : int;

@@ -59,9 +59,8 @@ type phase_summary = {
   s_p99_lifetime : int;
   s_max_lifetime : int;
 }
-(** Immutable per-phase digest — the input contract of the explorer's
-    B3 {!Dmm_core.Explorer.Profile_advisor} (which cannot see this
-    module's mutable state). *)
+(** Immutable per-phase digest of the spans born in one phase, as
+    [dmm profile] prints it. *)
 
 type t
 

@@ -24,7 +24,7 @@ type buf = {
 type t = {
   tr_id : int;
   tr_home : int;
-  tr_epoch : float;
+  tr_epoch : int;
   tr_lock : Mutex.t;
   mutable tr_bufs : buf list;
 }
@@ -36,7 +36,7 @@ let create () =
   {
     tr_id = Atomic.fetch_and_add next_id 1;
     tr_home = (Domain.self () :> int);
-    tr_epoch = Unix.gettimeofday ();
+    tr_epoch = Clock.now_ns ();
     tr_lock = Mutex.create ();
     tr_bufs = [];
   }
@@ -44,7 +44,7 @@ let create () =
 let set_ambient o = Atomic.set ambient_tracer o
 let ambient () = Atomic.get ambient_tracer
 let enabled () = Atomic.get ambient_tracer <> None
-let now_us t = int_of_float ((Unix.gettimeofday () -. t.tr_epoch) *. 1e6)
+let now_us t = (Clock.now_ns () - t.tr_epoch) / 1000
 
 let dls_key : (int * buf) option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
@@ -162,8 +162,8 @@ let to_chrome t sink =
           Hashtbl.replace children s.sp_parent (s :: prev))
         mine;
       let kids p = List.rev (Option.value ~default:[] (Hashtbl.find_opt children p)) in
-      (* Clamp timestamps so B/E pairs nest even if the wall clock
-         stepped backwards mid-run: a child never starts before its
+      (* Clamp timestamps so B/E pairs nest even for a span [record]ed
+         from times measured elsewhere: a child never starts before its
          parent, an end never precedes its own (or its last child's)
          start. *)
       let rec emit lo s =

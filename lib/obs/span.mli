@@ -13,9 +13,9 @@
     Tracing is ambient and off by default: {!with_span} costs one atomic
     read and a branch until {!set_ambient} installs a tracer, so
     instrumentation can stay in release hot paths. Timestamps come from
-    [Unix.gettimeofday] (the stdlib has no monotonic clock) relative to
-    the tracer's creation, in microseconds; {!to_chrome} clamps the rare
-    backwards step so exported B/E pairs always nest. *)
+    {!Clock} relative to the tracer's creation, in microseconds;
+    {!to_chrome} clamps a {!record}ed span that starts before its parent,
+    so exported B/E pairs always nest. *)
 
 type span = {
   sp_name : string;

@@ -99,6 +99,8 @@ let validate t =
       match t.events.(i) with
       | Event.Alloc { id; size } ->
         if size <= 0 then Error (Printf.sprintf "event %d: non-positive size" i)
+        else if id < 0 || id > t.len then
+          Error (Printf.sprintf "event %d: id %d out of range" i id)
         else if Hashtbl.mem seen id then
           Error (Printf.sprintf "event %d: id %d allocated twice" i id)
         else begin

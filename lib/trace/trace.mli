@@ -27,7 +27,9 @@ val interleave : ?seed:int -> t list -> t
 
 val validate : t -> (unit, string) result
 (** Checks the live discipline: ids allocated at most once, frees only of
-    live ids, positive sizes. *)
+    live ids, positive sizes. Ids must also lie in [0, length t]: every
+    generator numbers its blocks densely, and a replay indexes an array
+    by id. *)
 
 val peak_live_count : t -> int
 (** Maximum number of simultaneously live ids anywhere in the trace — the

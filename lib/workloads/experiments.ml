@@ -85,9 +85,9 @@ let measure_probed ?live_hint trace (make : Scenario.maker) =
   (Series_sink.peak ss, Dmm_core.Metrics.ops ms)
 
 let timed f =
-  let start = Unix.gettimeofday () in
+  let start = Dmm_obs.Clock.now_s () in
   let r = f () in
-  (r, Unix.gettimeofday () -. start)
+  (r, Dmm_obs.Clock.now_s () -. start)
 
 (* The generic column runner: record per-seed traces, design the custom
    manager from the first seed's profile (train once, evaluate on all),

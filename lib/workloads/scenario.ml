@@ -95,34 +95,7 @@ let gcheap_stream ?(config = Gcheap.default_config) (make : maker) =
 
 module Span = Dmm_obs.Span
 
-let advisor_for trace =
-  Span.with_span "scenario.advisor" @@ fun () ->
-  let profile = Profile_builder.of_trace trace in
-  match Explorer.heuristic_design (Dmm_core.Profile.total profile) with
-  | Error msg -> invalid_arg ("Scenario.advisor_for: " ^ msg)
-  | Ok base ->
-    (* One live replay of the heuristic design measures the span profile;
-       the matching is address-based, so any correct design yields the
-       same per-phase digest. A second replay at the graph probe level
-       runs the Merlin oracle so drag-inflated lifetime profiles are
-       refuted before they argue for a per-phase pool set (a scripted
-       trace measures zero drag, leaving the advice unchanged). *)
-    let sim = Dmm_engine.Sim.create trace in
-    let summaries = Dmm_engine.Sim.lifetimes sim base in
-    let drag =
-      List.map
-        (fun (d : Dmm_check.Oracle.phase_drag) ->
-          {
-            Explorer.Profile_advisor.pd_phase = d.pd_phase;
-            pd_count = d.pd_count;
-            pd_p50 = d.pd_p50;
-            pd_p99 = d.pd_p99;
-          })
-        (Dmm_check.Oracle.phase_drags (Dmm_engine.Sim.oracle sim base))
-    in
-    Explorer.Profile_advisor.of_phase_summaries ~drag summaries
-
-let design_for ?(alpha = 0.0) ?advisor trace =
+let design_for ?(alpha = 0.0) trace =
   let profile = Profile_builder.of_trace trace in
   (* Candidate scoring goes through the engine: memoised per design key,
      cache misses replayed on the worker pool. *)
@@ -131,16 +104,16 @@ let design_for ?(alpha = 0.0) ?advisor trace =
   Explorer.progress (Explorer.Agenda { rounds = 1 });
   Explorer.progress (Explorer.Round { label = "whole-trace" });
   match
-    Explorer.explore_batch ?advisor ~profile:(Dmm_core.Profile.total profile) ~score_all ()
+    Explorer.explore_batch ~profile:(Dmm_core.Profile.total profile) ~score_all ()
   with
   | Ok (design, _) -> design
   | Error msg -> invalid_arg ("Scenario.design_for: " ^ msg)
 
-let global_design_for ?(detect_phases = false) ?advisor trace =
+let global_design_for ?(detect_phases = false) trace =
   let trace = if detect_phases then Dmm_trace.Phase_detect.annotate trace else trace in
   let profile = Profile_builder.of_trace trace in
   match Dmm_core.Profile.phases profile with
-  | [] | [ _ ] -> { default = design_for ?advisor trace; overrides = [] }
+  | [] | [ _ ] -> { default = design_for trace; overrides = [] }
   | phases ->
     let heuristic (s : Dmm_core.Profile.phase_summary) =
       match Explorer.heuristic_design s with
@@ -170,37 +143,12 @@ let global_design_for ?(detect_phases = false) ?advisor trace =
           ~score_all:(fun ds ->
             Dmm_engine.Sim.score_allocators ?incumbent sim
               (Array.map (fun d () -> custom_global (with_design d) ()) ds))
-          (Explorer.candidates ?advisor s base)
+          (Explorer.candidates s base)
       in
       (List.map (fun (p, x) -> (p, if p = pid then best else x)) overrides, Some score)
     in
-    (* The advisor turns the refinement sweep into an agenda: phases with
-       a negligible span share keep their initial per-phase heuristic
-       (their dropped candidates are tallied), the rest are refined in
-       descending span-share order so the dominant phases settle first. *)
-    let agenda =
-      match advisor with
-      | None -> phases
-      | Some a ->
-        let kept, skipped =
-          List.partition
-            (fun (s : Dmm_core.Profile.phase_summary) ->
-              Explorer.Profile_advisor.refine_phase a s.phase)
-            phases
-        in
-        List.iter
-          (fun (s : Dmm_core.Profile.phase_summary) ->
-            Explorer.Profile_advisor.note_skipped a
-              (List.length (Explorer.candidates ~advisor:a s (List.assoc s.phase initial))))
-          skipped;
-        let order = Explorer.Profile_advisor.order a (List.map (fun (s : Dmm_core.Profile.phase_summary) -> s.phase) kept) in
-        List.map
-          (fun pid ->
-            List.find (fun (s : Dmm_core.Profile.phase_summary) -> s.phase = pid) kept)
-          order
-    in
-    Explorer.progress (Explorer.Agenda { rounds = List.length agenda });
-    let overrides, _ = List.fold_left refine_one (initial, None) agenda in
+    Explorer.progress (Explorer.Agenda { rounds = List.length phases });
+    let overrides, _ = List.fold_left refine_one (initial, None) phases in
     { default; overrides }
 
 let drr_paper_design () =

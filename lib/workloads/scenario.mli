@@ -53,29 +53,14 @@ val custom_global : global_spec -> maker
 
 (** {1 The methodology, end to end} *)
 
-val advisor_for : Dmm_trace.Trace.t -> Dmm_core.Explorer.Profile_advisor.t
-(** Measure the trace's per-phase span profile (one live replay of the
-    heuristic design through {!Dmm_engine.Sim.lifetimes}) and wrap it as
-    the explorer's B3 advisor. Span matching is address-based, so the
-    digest does not depend on which correct design performs the replay. *)
-
-val design_for :
-  ?alpha:float ->
-  ?advisor:Dmm_core.Explorer.Profile_advisor.t ->
-  Dmm_trace.Trace.t ->
-  Dmm_core.Explorer.design
+val design_for : ?alpha:float -> Dmm_trace.Trace.t -> Dmm_core.Explorer.design
 (** Profile the trace, walk the trees in the paper's order, refine the
     run-time parameters by replaying candidates — the full Section 4/5
     flow, collapsed to a single atomic manager. [alpha] (default 0) adds
     the execution-time term of {!Dmm_core.Explorer.tradeoff_score} to the
-    refinement objective. [advisor] prunes profile-refuted B3 candidates
-    from the simulation round ({!Dmm_core.Explorer.Profile_advisor}). *)
+    refinement objective. *)
 
-val global_design_for :
-  ?detect_phases:bool ->
-  ?advisor:Dmm_core.Explorer.Profile_advisor.t ->
-  Dmm_trace.Trace.t ->
-  global_spec
+val global_design_for : ?detect_phases:bool -> Dmm_trace.Trace.t -> global_spec
 (** The full methodology including phase separation: a heuristic design per
     observed phase, each refined by whole-trace replay with the other
     phases' designs held fixed (one coordinate-descent pass). With
@@ -85,9 +70,7 @@ val global_design_for :
     {!Dmm_engine.Sim.score_allocators}: a replay stops once it can no
     longer beat the round's incumbent, the phase's current design, whose
     score after the first round is the previous round's winning score.
-    With [advisor], phases below the span-share floor keep their initial
-    heuristic design (their candidate rounds are tallied as skipped) and
-    the remaining rounds run in descending span-share order. *)
+    Rounds run in phase order. *)
 
 val drr_paper_design : unit -> Dmm_core.Explorer.design
 (** The custom manager the paper derives by hand for DRR (Section 5),

@@ -108,6 +108,33 @@ let check_allocator_interface () =
   Allocator.free a addr;
   Alcotest.(check int) "frees counted" 1 (Allocator.stats a).Dmm_core.Metrics.frees
 
+(* A boundary tag holds [size * 2 + used] in 32 bits, so no chunk may
+   reach 2^30 bytes. Growth to a heap that large is refused, whether one
+   request would need it or a chunk below 1 GiB that would coalesce with
+   its neighbour past it, and the refusal leaves the heap usable. No
+   refused request touches the arena, so the test stays small. *)
+let check_heap_bound () =
+  let lea, space = fresh () in
+  let refused size =
+    match Lea.alloc lea size with
+    | _ -> false
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) "names the tag" true
+        (String.starts_with ~prefix:"Lea.alloc: " msg
+        && String.ends_with ~suffix:"32-bit boundary tag" msg);
+      true
+  in
+  Alcotest.(check bool) "a 1 GiB request" true (refused (1 lsl 30));
+  let a = Lea.alloc lea 60_000 in
+  let brk = Address_space.brk space in
+  (* 60,008 + 1,073,700,008 bytes would coalesce to more than 2^30. *)
+  Alcotest.(check bool) "a chunk below 1 GiB beside another" true (refused 1_073_700_000);
+  Alcotest.(check int) "heap unchanged" brk (Address_space.brk space);
+  Lea.free lea (Lea.alloc lea 100);
+  Lea.free lea a;
+  Alcotest.(check int) "all accounted in top+bins" (Lea.current_footprint lea)
+    (Lea.top_size lea + Lea.binned_bytes lea)
+
 let qcheck =
   [
     QCheck.Test.make ~name:"footprint covers live payload" ~count:100
@@ -141,5 +168,6 @@ let tests =
       Alcotest.test_case "invalid free" `Quick check_invalid_free;
       Alcotest.test_case "no overlap under churn" `Quick check_no_overlap;
       Alcotest.test_case "allocator interface" `Quick check_allocator_interface;
+      Alcotest.test_case "heap stays below the 32-bit tag" `Quick check_heap_bound;
     ]
     @ List.map QCheck_alcotest.to_alcotest qcheck )

@@ -1,9 +1,8 @@
 (* The lifetime profiler's contracts: span matching degrades defective
    streams to counted [unmatched] buckets (never an exception), the heat
    map conserves exact byte counts through both of its rescaling axes,
-   the Event JSON field sets are pinned to what EXPERIMENTS.md documents,
-   and the profile-fed advisor never changes the explored footprint on
-   the seed workloads — it only skips simulation work. *)
+   and the Event JSON field sets are pinned to what EXPERIMENTS.md
+   documents. *)
 
 module Probe = Dmm_obs.Probe
 module Obs_event = Dmm_obs.Event
@@ -12,9 +11,6 @@ module Lifetime_sink = Dmm_obs.Lifetime_sink
 module Heatmap_sink = Dmm_obs.Heatmap_sink
 module Chrome_sink = Dmm_obs.Chrome_sink
 module Stream = Dmm_check.Stream
-module Explorer = Dmm_core.Explorer
-module Scenario = Dmm_workloads.Scenario
-module Experiments = Dmm_workloads.Experiments
 
 let feed_lifetime events =
   let t = Lifetime_sink.create () in
@@ -389,83 +385,6 @@ let event_round_trip =
                entry.Stream.clock >= 0)
              stream)
 
-(* ------------------------------------------------------------------ *)
-(* the advisor closes the loop                                         *)
-
-(* The acceptance bar: the advised search must skip B3 work (>0
-   candidates) yet land on the same best footprint as the exhaustive
-   search — on both the single-phase and the multi-phase seed
-   workloads. *)
-let test_advised_equals_exhaustive () =
-  Experiments.paper_scale := false;
-  List.iter
-    (fun (name, trace) ->
-      let exhaustive =
-        Scenario.max_footprint trace
-          (Scenario.custom_global (Scenario.global_design_for trace))
-      in
-      let advisor = Scenario.advisor_for trace in
-      let advised =
-        Scenario.max_footprint trace
-          (Scenario.custom_global (Scenario.global_design_for ~advisor trace))
-      in
-      Alcotest.(check int) (name ^ ": advised = exhaustive") exhaustive advised;
-      Alcotest.(check bool)
-        (name ^ ": advisor skipped work")
-        true
-        (Explorer.Profile_advisor.skipped advisor > 0))
-    [
-      ("drr", Experiments.drr_trace_seed 1);
-      ("render", Experiments.render_trace_seed 1);
-    ]
-
-let test_advisor_rules () =
-  Experiments.paper_scale := false;
-  (* Single-phase profile: per-phase pools are refuted, the variant is
-     pruned, and the tally reflects it. *)
-  let single =
-    Explorer.Profile_advisor.of_phase_summaries
-      [
-        {
-          Dmm_obs.Lifetime_sink.s_phase = 0;
-          s_spans = 100;
-          s_contained = 100;
-          s_escaped = 0;
-          s_leaked = 0;
-          s_p50_lifetime = 5;
-          s_p99_lifetime = 9;
-          s_max_lifetime = 9;
-        };
-      ]
-  in
-  Alcotest.(check bool) "single phase refutes phase pools" false
-    (Explorer.Profile_advisor.want_phase_pools single);
-  (* Multi-phase with a contained phase: worth scoring; a sub-share
-     phase gets no refinement round; the agenda is share-ordered. *)
-  let mk phase spans contained =
-    {
-      Dmm_obs.Lifetime_sink.s_phase = phase;
-      s_spans = spans;
-      s_contained = contained;
-      s_escaped = spans - contained;
-      s_leaked = 0;
-      s_p50_lifetime = 1;
-      s_p99_lifetime = 2;
-      s_max_lifetime = 2;
-    }
-  in
-  let multi =
-    Explorer.Profile_advisor.of_phase_summaries [ mk 0 300 0; mk 1 697 697; mk 2 3 3 ]
-  in
-  Alcotest.(check bool) "contained phase wants pools" true
-    (Explorer.Profile_advisor.want_phase_pools multi);
-  Alcotest.(check bool) "dominant phase refined" true
-    (Explorer.Profile_advisor.refine_phase multi 1);
-  Alcotest.(check bool) "sub-share phase skipped" false
-    (Explorer.Profile_advisor.refine_phase multi 2);
-  Alcotest.(check (list int)) "agenda by descending share" [ 1; 0; 2 ]
-    (Explorer.Profile_advisor.order multi [ 0; 1; 2 ])
-
 let unit_tests =
   [
     Alcotest.test_case "span basics and phase containment" `Quick test_span_basics;
@@ -480,9 +399,6 @@ let unit_tests =
     Alcotest.test_case "heat map time doubling" `Quick test_heatmap_time_doubling;
     Alcotest.test_case "chrome async span export" `Quick test_chrome_async_span;
     Alcotest.test_case "event JSON field sets pinned" `Quick test_event_field_sets;
-    Alcotest.test_case "advisor rules" `Quick test_advisor_rules;
-    Alcotest.test_case "advised search = exhaustive footprint" `Slow
-      test_advised_equals_exhaustive;
   ]
 
 let qcheck = [ span_conservation; heatmap_deterministic; event_round_trip ]

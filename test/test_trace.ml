@@ -104,6 +104,99 @@ let check_load_errors () =
       names_file bad;
       names_file dir)
 
+(* Ids bound a replay's id array, so they must lie in [0, length]. *)
+let check_validate_id_range () =
+  let rejects events msg =
+    Alcotest.(check (result unit string)) msg (Error msg) (Trace.validate (Trace.of_list events))
+  in
+  rejects
+    [ Event.Alloc { id = -1; size = 16 }; Event.Free { id = -1 } ]
+    "event 0: id -1 out of range";
+  rejects [ Event.Alloc { id = 2; size = 16 } ] "event 0: id 2 out of range";
+  rejects
+    [ Event.Phase 0; Event.Alloc { id = max_int; size = 16 } ]
+    (Printf.sprintf "event 1: id %d out of range" max_int);
+  Alcotest.(check (result unit string)) "id = length" (Ok ())
+    (Trace.validate
+       (Trace.of_list [ Event.Alloc { id = 0; size = 8 }; Event.Alloc { id = 2; size = 8 } ]))
+
+(* The bytes [dmm trace -o] writes for the first 400 events of a
+   quick-scale DRR trace: the corpus the mutation property starts from. *)
+let recorded =
+  lazy
+    (let t = Dmm_workloads.Scenario.drr_trace () in
+     let t = Trace.of_list (List.filteri (fun i _ -> i < 400) (Trace.to_list t)) in
+     let path = Filename.temp_file "dmm_trace" ".trace" in
+     Fun.protect
+       ~finally:(fun () -> Sys.remove path)
+       (fun () ->
+         Trace.save t path;
+         In_channel.with_open_bin path In_channel.input_all))
+
+type mutation = Set of char | Insert of char | Delete
+
+(* Bytes a trace line is made of, so a mutation often stays parseable
+   and reaches [validate]; any other byte as well. *)
+let gen_mutations =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [ (3, oneofl (List.of_seq (String.to_seq "0123456789 -afp\n"))); (1, map Char.chr (0 -- 255)) ]
+  in
+  list_size (1 -- 3)
+    (pair (float_bound_exclusive 1.)
+       (frequency
+          [ (4, map (fun c -> Set c) byte); (2, map (fun c -> Insert c) byte); (1, return Delete) ]))
+
+let show_mutation (at, m) =
+  match m with
+  | Set c -> Printf.sprintf "set %.4f %C" at c
+  | Insert c -> Printf.sprintf "insert %.4f %C" at c
+  | Delete -> Printf.sprintf "delete %.4f" at
+
+let mutate data muts =
+  List.fold_left
+    (fun data (at, m) ->
+      let n = String.length data in
+      let i = int_of_float (at *. float_of_int n) in
+      let before = String.sub data 0 i in
+      match m with
+      | Insert c -> before ^ String.make 1 c ^ String.sub data i (n - i)
+      | Set c when i < n -> before ^ String.make 1 c ^ String.sub data (i + 1) (n - i - 1)
+      | Delete when i < n -> before ^ String.sub data (i + 1) (n - i - 1)
+      | Set _ | Delete -> data)
+    data muts
+
+(* Load then validate, as [dmm replay] does: never an exception, and an
+   [Error] is one line that names the file. The seed is fixed, so a
+   failure reproduces. *)
+let prop_mutated_traces =
+  QCheck.Test.make ~name:"mutated trace files fail on one line naming the file" ~count:300
+    (QCheck.make ~print:(fun muts -> String.concat "; " (List.map show_mutation muts)) gen_mutations)
+    (fun muts ->
+      let path = Filename.temp_file "dmm_trace" ".trace" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (mutate (Lazy.force recorded) muts));
+          let result =
+            match Trace.load path with
+            | exception e ->
+              QCheck.Test.fail_reportf "Trace.load raised %s" (Printexc.to_string e)
+            | Error msg -> Error msg
+            | Ok t -> (
+              match Trace.validate t with
+              | exception e ->
+                QCheck.Test.fail_reportf "Trace.validate raised %s" (Printexc.to_string e)
+              | Ok () -> Ok ()
+              | Error msg -> Error (path ^ ": " ^ msg))
+          in
+          match result with
+          | Ok () -> true
+          | Error msg ->
+            String.starts_with ~prefix:(path ^ ": ") msg && not (String.contains msg '\n')))
+
 let qcheck =
   let event_gen =
     QCheck.Gen.(
@@ -130,5 +223,7 @@ let tests =
       Alcotest.test_case "event line format" `Quick check_event_lines;
       Alcotest.test_case "save/load roundtrip" `Quick check_save_load;
       Alcotest.test_case "load errors name the file" `Quick check_load_errors;
+      Alcotest.test_case "validate bounds ids" `Quick check_validate_id_range;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 6 |]) prop_mutated_traces;
     ]
     @ List.map QCheck_alcotest.to_alcotest qcheck )
