@@ -809,10 +809,7 @@ let check_cmd =
           | [] ->
             let d = spec.Scenario.default in
             let space = Dmm_vmem.Address_space.create ~probe () in
-            let m =
-              Dmm_core.Manager.create ~params:d.Explorer.params ~probe
-                d.Explorer.vector space
-            in
+            let m = Dmm_core.Manager.create ~params:d.Explorer.params d.Explorer.vector space in
             Replay.run ~probe ~graph:leaks trace
               (Dmm_trace.Checker.wrap ~on_diag (Dmm_core.Manager.allocator m));
             (Some d, Dmm_check.Shape.lint_manager m)

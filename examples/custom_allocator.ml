@@ -14,7 +14,12 @@ module Replay = Dmm_trace.Replay
 module Scenario = Dmm_workloads.Scenario
 
 (* A deliberately simple manager: one address-ordered free list, first
-   fit, eager splitting, no coalescing, 4-byte headers, never trims. *)
+   fit, eager splitting, no coalescing, 4-byte headers, never trims.
+
+   Its accounting is the library's idiom: a [Metrics.t] built from the
+   address space's probe counts each step and, when a sink is attached,
+   emits it as an event on the space's stream; the footprint is the
+   space's break, since the space is this manager's alone. *)
 module Naive = struct
   type free_block = { addr : int; size : int }
 
@@ -23,8 +28,6 @@ module Naive = struct
     mutable free : free_block list; (* address-ordered *)
     live : (int, int * int) Hashtbl.t; (* payload addr -> gross, payload *)
     metrics : Metrics.t;
-    mutable held : int;
-    mutable max_held : int;
   }
 
   let header = 4
@@ -35,9 +38,7 @@ module Naive = struct
       space;
       free = [];
       live = Hashtbl.create 64;
-      metrics = Metrics.create ();
-      held = 0;
-      max_held = 0;
+      metrics = Metrics.create ~probe:(Address_space.probe space) ();
     }
 
   let gross_of payload = max min_block ((payload + header + 7) / 8 * 8)
@@ -63,18 +64,14 @@ module Naive = struct
         if remainder >= min_block then begin
           let tail = { addr = b.addr + gross; size = remainder } in
           t.free <- List.sort compare (tail :: rest);
-          Metrics.on_split t.metrics
+          Metrics.on_split t.metrics ~addr:b.addr ~parent:b.size ~taken:gross ~remainder
         end
         else t.free <- rest;
         b.addr
-      | None ->
-        let base = Address_space.sbrk t.space gross in
-        t.held <- t.held + gross;
-        if t.held > t.max_held then t.max_held <- t.held;
-        base
+      | None -> Address_space.sbrk t.space gross
     in
-    Hashtbl.replace t.live (addr + header) (gross_of payload, payload);
-    Metrics.on_alloc t.metrics ~payload;
+    Hashtbl.replace t.live (addr + header) (gross, payload);
+    Metrics.on_alloc t.metrics ~payload ~gross ~tag:header ~addr:(addr + header);
     Metrics.add_ops t.metrics (1 + List.length t.free);
     addr + header
 
@@ -83,7 +80,7 @@ module Naive = struct
     | None -> raise (Allocator.Invalid_free payload_addr)
     | Some (gross, payload) ->
       Hashtbl.remove t.live payload_addr;
-      Metrics.on_free t.metrics ~payload;
+      Metrics.on_free t.metrics ~payload ~addr:payload_addr;
       t.free <-
         List.sort compare ({ addr = payload_addr - header; size = gross } :: t.free)
 
@@ -101,7 +98,7 @@ module Naive = struct
       tag_overhead = !tags;
       internal_padding = !padding;
       free_bytes;
-      total_held = t.held;
+      total_held = Address_space.brk t.space;
     }
 
   let allocator t =
@@ -110,8 +107,8 @@ module Naive = struct
       alloc = (fun size -> alloc t size);
       free = (fun addr -> free t addr);
       phase = Allocator.ignore_phase;
-      current_footprint = (fun () -> t.held);
-      max_footprint = (fun () -> t.max_held);
+      current_footprint = (fun () -> Address_space.brk t.space);
+      max_footprint = (fun () -> Address_space.high_water t.space);
       stats = (fun () -> Metrics.snapshot t.metrics);
       breakdown = (fun () -> breakdown t);
     }
@@ -123,7 +120,7 @@ let () =
 
   (* 1. The checker validates the new manager's alloc/free discipline on
      the fly: overlaps, double frees and footprint lies all raise. *)
-  let naive ?probe:_ () = Naive.allocator (Naive.create (Address_space.create ())) in
+  let naive ?probe () = Naive.allocator (Naive.create (Address_space.create ?probe ())) in
   (try
      Replay.run trace (Checker.wrap (naive ()));
      Format.printf "checker: naive-first-fit honours the allocator contract@."

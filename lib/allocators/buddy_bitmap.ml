@@ -2,8 +2,6 @@ module Address_space = Dmm_vmem.Address_space
 module Size = Dmm_util.Size
 module Metrics = Dmm_core.Metrics
 module Allocator = Dmm_core.Allocator
-module Probe = Dmm_obs.Probe
-module Obs_event = Dmm_obs.Event
 
 (* MintOS-style binary buddy system (SNIPPETS.md §1–2): the heap is one
    power-of-two arena based at address 0, managed with one occupancy bitmap
@@ -45,9 +43,7 @@ type t = {
   mutable hint : int array; (* level -> lower bound on the first set bit *)
   mutable level_bytes : Bytes.t; (* addr/min_block -> level | 0xFF *)
   metrics : Metrics.t;
-  probe : Probe.t;
   shift : int; (* log2 min_block *)
-  mutable live_payload : int;
   mutable live_gross : int;
   mutable words_read : int; (* bitmap words the searches read; not in ops *)
 }
@@ -55,7 +51,7 @@ type t = {
 (* The largest payload the in-band signed 32-bit word holds. *)
 let max_payload = 0x7FFF_FFFF
 
-let create ?(config = default_config) ?(probe = Probe.null) space =
+let create ?(config = default_config) space =
   if not (Size.is_power_of_two config.min_block) then
     invalid_arg "Buddy_bitmap.create: min_block must be a power of two";
   if config.min_block < 8 then invalid_arg "Buddy_bitmap.create: min_block too small";
@@ -68,19 +64,11 @@ let create ?(config = default_config) ?(probe = Probe.null) space =
     free_count = [||];
     hint = [||];
     level_bytes = Bytes.empty;
-    metrics = Metrics.create ();
-    probe;
+    metrics = Metrics.create ~probe:(Address_space.probe space) ();
     shift = Size.log2_ceil config.min_block;
-    live_payload = 0;
     live_gross = 0;
     words_read = 0;
   }
-
-(* Zero-step scans are accounting no-ops: keep them out of the stream. *)
-let acct_ops t n =
-  Metrics.add_ops t.metrics n;
-  if n <> 0 && Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Fit_scan { steps = n })
 
 let bit_get bm i = Char.code (Bytes.unsafe_get bm (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
@@ -142,7 +130,7 @@ let first_free t l =
 let init_arena t needed =
   let request = max 4096 (Size.pow2_ceil needed) in
   let (_ : int) = Address_space.sbrk t.space request in
-  acct_ops t 4;
+  Metrics.add_ops t.metrics 4;
   t.cap <- request;
   t.n_levels <- Size.log2_ceil (request asr t.shift) + 1;
   t.bitmaps <- Array.init t.n_levels (bitmap_for t);
@@ -157,7 +145,7 @@ let init_arena t needed =
 let grow_once t =
   let old_cap = t.cap in
   let (_ : int) = Address_space.sbrk t.space old_cap in
-  acct_ops t 4;
+  Metrics.add_ops t.metrics 4;
   t.cap <- 2 * old_cap;
   let n = t.n_levels + 1 in
   t.bitmaps <-
@@ -181,7 +169,7 @@ let scan t lt =
   while !l < t.n_levels && t.free_count.(!l) = 0 do
     incr l
   done;
-  acct_ops t (!l - lt + 1);
+  Metrics.add_ops t.metrics (!l - lt + 1);
   if !l < t.n_levels then !l else -1
 
 let alloc t payload =
@@ -207,19 +195,13 @@ let alloc t payload =
     let half = parent lsr 1 in
     decr l;
     mark_free t !l ((addr + half) asr (t.shift + !l));
-    acct_ops t 1;
-    Metrics.on_split t.metrics;
-    if Probe.enabled t.probe then
-      Probe.emit t.probe
-        (Obs_event.Split { addr; parent; taken = half; remainder = half })
+    Metrics.add_ops t.metrics 1;
+    Metrics.on_split t.metrics ~addr ~parent ~taken:half ~remainder:half
   done;
   Bytes.unsafe_set t.level_bytes (addr asr t.shift) (Char.unsafe_chr lt);
   Address_space.arena_set32 t.space addr payload;
-  t.live_payload <- t.live_payload + payload;
   t.live_gross <- t.live_gross + needed;
-  Metrics.on_alloc t.metrics ~payload;
-  if Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Alloc { payload; gross = needed; tag = 0; addr });
+  Metrics.on_alloc t.metrics ~payload ~gross:needed ~tag:0 ~addr;
   addr
 
 let free t addr =
@@ -233,11 +215,9 @@ let free t addr =
   let lt = Char.code (Bytes.unsafe_get t.level_bytes idx) in
   Bytes.unsafe_set t.level_bytes idx '\255';
   let payload = Address_space.arena_get32 t.space addr in
-  t.live_payload <- t.live_payload - payload;
   t.live_gross <- t.live_gross - (t.config.min_block lsl lt);
-  acct_ops t 1;
-  Metrics.on_free t.metrics ~payload;
-  if Probe.enabled t.probe then Probe.emit t.probe (Obs_event.Free { payload; addr });
+  Metrics.add_ops t.metrics 1;
+  Metrics.on_free t.metrics ~payload ~addr;
   (* Greedy buddy merging: the buddy of [a] at level [l] is a XOR size. *)
   let a = ref addr and l = ref lt in
   let continue_ = ref true in
@@ -248,28 +228,26 @@ let free t addr =
       mark_used t !l (buddy asr (t.shift + !l));
       a := min !a buddy;
       incr l;
-      acct_ops t 1;
-      Metrics.on_coalesce t.metrics;
-      if Probe.enabled t.probe then
-        Probe.emit t.probe
-          (Obs_event.Coalesce { addr = !a; merged = 2 * sz; absorbed = sz })
+      Metrics.add_ops t.metrics 1;
+      Metrics.on_coalesce t.metrics ~addr:!a ~merged:(2 * sz) ~absorbed:sz
     end
     else continue_ := false
   done;
   mark_free t !l (!a asr (t.shift + !l))
 
 let words_read t = t.words_read
-let current_footprint t = t.cap
-let max_footprint t = t.cap (* the arena never shrinks *)
+let current_footprint t = Address_space.brk t.space
+let max_footprint t = Address_space.high_water t.space
 let metrics t = Metrics.snapshot t.metrics
 
 let breakdown t : Metrics.breakdown =
+  let live_payload = Metrics.live_payload t.metrics and held = current_footprint t in
   {
-    Metrics.live_payload = t.live_payload;
+    Metrics.live_payload;
     tag_overhead = 0;
-    internal_padding = t.live_gross - t.live_payload;
-    free_bytes = t.cap - t.live_gross;
-    total_held = t.cap;
+    internal_padding = t.live_gross - live_payload;
+    free_bytes = held - t.live_gross;
+    total_held = held;
   }
 
 let allocator t =

@@ -30,11 +30,12 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?probe:Dmm_obs.Probe.t -> Dmm_vmem.Address_space.t -> t
+val create : ?config:config -> Dmm_vmem.Address_space.t -> t
 (** Raises [Invalid_argument] on a non-power-of-two or too-small
-    [min_block]. [probe] mirrors the full accounting stream, including the
-    Split events of the split-down path and the Coalesce events of buddy
-    merging. *)
+    [min_block]. The space's probe receives the full accounting stream,
+    including the Split events of the split-down path and the Coalesce
+    events of buddy merging. The space must be this allocator's alone:
+    the arena is based at address 0 and its break is the footprint. *)
 
 val alloc : t -> int -> int
 (** Raises [Invalid_argument] on a non-positive request and on one of

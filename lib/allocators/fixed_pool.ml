@@ -2,8 +2,6 @@ module Address_space = Dmm_vmem.Address_space
 module Size = Dmm_util.Size
 module Metrics = Dmm_core.Metrics
 module Allocator = Dmm_core.Allocator
-module Probe = Dmm_obs.Probe
-module Obs_event = Dmm_obs.Event
 
 (* Kenwright's fixed-size pool (arXiv 2210.16471), segregated by power-of-two
    class: every operation is loop-free index arithmetic over the flat arena.
@@ -35,18 +33,14 @@ type t = {
   bump_end : int array; (* class idx -> end of the current slab *)
   mutable meta : Bytes.t; (* addr/min_class -> class idx + 1, 0 = not live *)
   metrics : Metrics.t;
-  probe : Probe.t;
   shift : int; (* log2 min_class *)
-  mutable live_payload : int;
   mutable live_gross : int;
-  mutable held : int;
-  mutable max_held : int;
 }
 
 let n_classes config =
   Size.log2_ceil config.max_class - Size.log2_ceil config.min_class + 1
 
-let create ?(config = default_config) ?(probe = Probe.null) space =
+let create ?(config = default_config) space =
   if not (Size.is_power_of_two config.min_class) then
     invalid_arg "Fixed_pool.create: min_class must be a power of two";
   if not (Size.is_power_of_two config.max_class) then
@@ -61,20 +55,10 @@ let create ?(config = default_config) ?(probe = Probe.null) space =
     bump_addr = Array.make n 0;
     bump_end = Array.make n 0;
     meta = Bytes.empty;
-    metrics = Metrics.create ();
-    probe;
+    metrics = Metrics.create ~probe:(Address_space.probe space) ();
     shift = Size.log2_ceil config.min_class;
-    live_payload = 0;
     live_gross = 0;
-    held = 0;
-    max_held = 0;
   }
-
-(* Zero-step scans are accounting no-ops: keep them out of the stream. *)
-let acct_ops t n =
-  Metrics.add_ops t.metrics n;
-  if n <> 0 && Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Fit_scan { steps = n })
 
 let class_of_request t payload =
   let cls = max t.config.min_class (Size.pow2_ceil payload) in
@@ -103,10 +87,8 @@ let meta_reserve t brk =
 let grow_class t ci cls =
   let request = max cls (t.config.chunk_bytes / cls * cls) in
   let base = Address_space.sbrk t.space request in
-  t.held <- t.held + request;
-  if t.held > t.max_held then t.max_held <- t.held;
   meta_reserve t (base + request);
-  acct_ops t 4;
+  Metrics.add_ops t.metrics 4;
   t.bump_addr.(ci) <- base + cls;
   t.bump_end.(ci) <- base + request;
   base
@@ -115,7 +97,7 @@ let alloc t payload =
   if payload <= 0 then invalid_arg "Fixed_pool.alloc: non-positive size";
   let cls = class_of_request t payload in
   let ci = class_index t cls in
-  acct_ops t 1;
+  Metrics.add_ops t.metrics 1;
   let addr =
     let head = t.heads.(ci) in
     if head >= 0 then begin
@@ -132,11 +114,8 @@ let alloc t payload =
   in
   Address_space.arena_set32 t.space addr payload;
   Bytes.unsafe_set t.meta (addr lsr t.shift) (Char.unsafe_chr (ci + 1));
-  t.live_payload <- t.live_payload + payload;
   t.live_gross <- t.live_gross + cls;
-  Metrics.on_alloc t.metrics ~payload;
-  if Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Alloc { payload; gross = cls; tag = 0; addr });
+  Metrics.on_alloc t.metrics ~payload ~gross:cls ~tag:0 ~addr;
   addr
 
 let free t addr =
@@ -154,23 +133,22 @@ let free t addr =
   (* O(1) push: overwrite the dead payload word with the next link. *)
   Address_space.arena_set32 t.space addr t.heads.(ci);
   t.heads.(ci) <- addr;
-  t.live_payload <- t.live_payload - payload;
   t.live_gross <- t.live_gross - cls;
-  acct_ops t 1;
-  Metrics.on_free t.metrics ~payload;
-  if Probe.enabled t.probe then Probe.emit t.probe (Obs_event.Free { payload; addr })
+  Metrics.add_ops t.metrics 1;
+  Metrics.on_free t.metrics ~payload ~addr
 
-let current_footprint t = t.held
-let max_footprint t = t.max_held
+let current_footprint t = Address_space.brk t.space
+let max_footprint t = Address_space.high_water t.space
 let metrics t = Metrics.snapshot t.metrics
 
 let breakdown t : Metrics.breakdown =
+  let live_payload = Metrics.live_payload t.metrics and held = current_footprint t in
   {
-    Metrics.live_payload = t.live_payload;
+    Metrics.live_payload;
     tag_overhead = 0;
-    internal_padding = t.live_gross - t.live_payload;
-    free_bytes = t.held - t.live_gross;
-    total_held = t.held;
+    internal_padding = t.live_gross - live_payload;
+    free_bytes = held - t.live_gross;
+    total_held = held;
   }
 
 let allocator t =

@@ -19,10 +19,12 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?probe:Dmm_obs.Probe.t -> Dmm_vmem.Address_space.t -> t
+val create : ?config:config -> Dmm_vmem.Address_space.t -> t
 (** Raises [Invalid_argument] on non-power-of-two classes or non-positive
-    sizes. [probe] mirrors the accounting stream (alloc/free/fit-scan; this
-    allocator never splits, coalesces or trims). *)
+    sizes. The space's probe receives the accounting stream
+    (alloc/free/fit-scan; this allocator never splits, coalesces or
+    trims). The space must be this allocator's alone: its break is the
+    footprint. *)
 
 val alloc : t -> int -> int
 (** Raises [Invalid_argument] if the request is non-positive or exceeds

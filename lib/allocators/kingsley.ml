@@ -2,8 +2,6 @@ module Address_space = Dmm_vmem.Address_space
 module Size = Dmm_util.Size
 module Metrics = Dmm_core.Metrics
 module Allocator = Dmm_core.Allocator
-module Probe = Dmm_obs.Probe
-module Obs_event = Dmm_obs.Event
 
 type config = { header_bytes : int; min_class : int; chunk_bytes : int }
 
@@ -16,12 +14,9 @@ type t = {
   sizes : (int, int) Hashtbl.t; (* payload addr -> class size (live blocks) *)
   req_sizes : (int, int) Hashtbl.t; (* payload addr -> requested bytes *)
   metrics : Metrics.t;
-  probe : Probe.t;
-  mutable held : int;
-  mutable max_held : int;
 }
 
-let create ?(config = default_config) ?(probe = Probe.null) space =
+let create ?(config = default_config) space =
   if not (Size.is_power_of_two config.min_class) then
     invalid_arg "Kingsley.create: min_class must be a power of two";
   if config.header_bytes < 0 || config.chunk_bytes <= 0 then
@@ -32,17 +27,8 @@ let create ?(config = default_config) ?(probe = Probe.null) space =
     free_lists = Hashtbl.create 32;
     sizes = Hashtbl.create 256;
     req_sizes = Hashtbl.create 256;
-    metrics = Metrics.create ();
-    probe;
-    held = 0;
-    max_held = 0;
+    metrics = Metrics.create ~probe:(Address_space.probe space) ();
   }
-
-(* Zero-step scans are accounting no-ops: keep them out of the stream. *)
-let acct_ops t n =
-  Metrics.add_ops t.metrics n;
-  if n <> 0 && Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Fit_scan { steps = n })
 
 let class_of_request t payload =
   max t.config.min_class (Size.pow2_ceil (payload + t.config.header_bytes))
@@ -60,9 +46,7 @@ let free_list t cls =
 let grow_class t cls =
   let request = max cls (t.config.chunk_bytes / cls * cls) in
   let base = Address_space.sbrk t.space request in
-  t.held <- t.held + request;
-  if t.held > t.max_held then t.max_held <- t.held;
-  acct_ops t 4;
+  Metrics.add_ops t.metrics 4;
   let l = free_list t cls in
   let count = request / cls in
   for i = count - 1 downto 1 do
@@ -74,7 +58,7 @@ let alloc t payload =
   if payload <= 0 then invalid_arg "Kingsley.alloc: non-positive size";
   let cls = class_of_request t payload in
   let l = free_list t cls in
-  acct_ops t 2;
+  Metrics.add_ops t.metrics 2;
   let addr =
     match !l with
     | addr :: rest ->
@@ -84,10 +68,7 @@ let alloc t payload =
   in
   Hashtbl.replace t.sizes addr cls;
   Hashtbl.replace t.req_sizes addr payload;
-  Metrics.on_alloc t.metrics ~payload;
-  if Probe.enabled t.probe then
-    Probe.emit t.probe
-      (Obs_event.Alloc { payload; gross = cls; tag = t.config.header_bytes; addr });
+  Metrics.on_alloc t.metrics ~payload ~gross:cls ~tag:t.config.header_bytes ~addr;
   addr
 
 let free t addr =
@@ -101,12 +82,11 @@ let free t addr =
     Hashtbl.remove t.req_sizes addr;
     let l = free_list t cls in
     l := addr :: !l;
-    acct_ops t 2;
-    Metrics.on_free t.metrics ~payload;
-    if Probe.enabled t.probe then Probe.emit t.probe (Obs_event.Free { payload; addr })
+    Metrics.add_ops t.metrics 2;
+    Metrics.on_free t.metrics ~payload ~addr
 
-let current_footprint t = t.held
-let max_footprint t = t.max_held
+let current_footprint t = Address_space.brk t.space
+let max_footprint t = Address_space.high_water t.space
 let metrics t = Metrics.snapshot t.metrics
 
 let breakdown t : Metrics.breakdown =
@@ -126,8 +106,8 @@ let breakdown t : Metrics.breakdown =
     Metrics.live_payload = !live_payload;
     tag_overhead = !tags;
     internal_padding = !padding;
-    free_bytes = t.held - !live_gross;
-    total_held = t.held;
+    free_bytes = current_footprint t - !live_gross;
+    total_held = current_footprint t;
   }
 
 let allocator t =

@@ -17,11 +17,12 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?probe:Dmm_obs.Probe.t -> Dmm_vmem.Address_space.t -> t
+val create : ?config:config -> Dmm_vmem.Address_space.t -> t
 (** Raises [Invalid_argument] on a non-power-of-two [min_class] or
-    non-positive sizes. [probe] mirrors the accounting stream
+    non-positive sizes. The space's probe receives the accounting stream
     (alloc/free/fit-scan; this allocator never splits, coalesces or
-    trims). *)
+    trims). The space must be this allocator's alone: its break is the
+    footprint. *)
 
 val alloc : t -> int -> int
 val free : t -> int -> unit

@@ -4,8 +4,6 @@ module Metrics = Dmm_core.Metrics
 module Allocator = Dmm_core.Allocator
 module Block = Dmm_core.Block
 module Free_structure = Dmm_core.Free_structure
-module Probe = Dmm_obs.Probe
-module Obs_event = Dmm_obs.Event
 
 type config = {
   granularity : int;
@@ -41,17 +39,14 @@ type t = {
   binmap : int array; (* occupancy bitmap: bit (i mod 62) of word (i / 62) *)
   req_sizes : int Dmm_util.Int_table.t;
   metrics : Metrics.t;
-  probe : Probe.t;
   mutable top_addr : int;
   mutable top_size : int; (* wilderness chunk; 0 when absent *)
-  mutable held : int;
-  mutable max_held : int;
   min_chunk : int;
 }
 
 let n_large_bins = 18 (* log2 ranges from small_bin_max up to ~2^26 *)
 
-let create ?(config = default_config) ?(probe = Probe.null) space =
+let create ?(config = default_config) space =
   if
     config.granularity <= 0 || config.header_bytes < 0 || config.alignment <= 0
     || config.small_bin_max <= 0
@@ -73,20 +68,11 @@ let create ?(config = default_config) ?(probe = Probe.null) space =
     bins;
     binmap = Array.make ((Array.length bins + 61) / 62) 0;
     req_sizes = Dmm_util.Int_table.create ~size:256 (-1);
-    metrics = Metrics.create ();
-    probe;
+    metrics = Metrics.create ~probe:(Address_space.probe space) ();
     top_addr = 0;
     top_size = 0;
-    held = 0;
-    max_held = 0;
     min_chunk;
   }
-
-(* Zero-step scans are accounting no-ops: keep them out of the stream. *)
-let acct_ops t n =
-  Metrics.add_ops t.metrics n;
-  if n <> 0 && Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Fit_scan { steps = n })
 
 let n_small t = (t.config.small_bin_max - t.min_chunk) / t.config.alignment
 
@@ -134,7 +120,7 @@ let insert_bin t (b : Block.t) =
   let i = bin_index t b.size in
   Free_structure.insert t.bins.(i) b;
   binmap_update t i;
-  acct_ops t 1
+  Metrics.add_ops t.metrics 1
 
 (* Unlink the chunk at [addr]/[size] from its bin. Bins key doubly linked
    lists by address and trees by (size, addr), so an ephemeral record with
@@ -143,7 +129,7 @@ let remove_bin t ~addr ~size =
   let i = bin_index t size in
   Free_structure.remove t.bins.(i) (Block.v ~addr ~size ~status:Block.Free ~run_id:0);
   binmap_update t i;
-  acct_ops t 1
+  Metrics.add_ops t.metrics 1
 
 (* Carve [gross] bytes from the bottom of the top chunk. *)
 let carve_top t gross =
@@ -152,7 +138,7 @@ let carve_top t gross =
   t.top_addr <- t.top_addr + gross;
   t.top_size <- t.top_size - gross;
   set_tags t addr gross true;
-  acct_ops t 1;
+  Metrics.add_ops t.metrics 1;
   Block.v ~addr ~size:gross ~status:Block.Used ~run_id:0
 
 (* A tag holds [size * 2 + used] in 32 bits, so a chunk must stay below
@@ -167,9 +153,7 @@ let extend_top t need =
     invalid_arg
       (Printf.sprintf "Lea.alloc: a heap of %d bytes overflows the 32-bit boundary tag" heap_end);
   let base = Address_space.sbrk t.space request in
-  t.held <- t.held + request;
-  if t.held > t.max_held then t.max_held <- t.held;
-  acct_ops t 4;
+  Metrics.add_ops t.metrics 4;
   if t.top_size > 0 && t.top_addr + t.top_size = base then t.top_size <- t.top_size + request
   else begin
     t.top_addr <- base;
@@ -185,10 +169,7 @@ let split_remainder t (b : Block.t) gross =
     let rem = Block.v ~addr:(Block.end_addr b) ~size:remainder ~status:Block.Free ~run_id:0 in
     set_tags t rem.addr remainder false;
     insert_bin t rem;
-    Metrics.on_split t.metrics;
-    if Probe.enabled t.probe then
-      Probe.emit t.probe
-        (Obs_event.Split { addr = b.addr; parent; taken = gross; remainder })
+    Metrics.on_split t.metrics ~addr:b.addr ~parent ~taken:gross ~remainder
   end
 
 (* Walking a run of empty bins charges 1 per bin visited plus 1 per empty
@@ -200,17 +181,17 @@ let skipped_charge t ~from ~until =
   (until - from) + max 0 (until - max from (n_small t))
 
 let take_from_bins t gross =
-  if Probe.enabled t.probe then begin
+  if Metrics.probing t.metrics then begin
     (* Probe on: each bin visit and each non-zero scan is its own Fit_scan
        event, so walk bin by bin exactly as the stream promises. *)
     let rec go i =
       if i >= Array.length t.bins then None
       else begin
-        acct_ops t 1;
+        Metrics.add_ops t.metrics 1;
         let fs = t.bins.(i) in
         let before = Free_structure.steps fs in
         let r = Free_structure.take_fit fs Dmm_core.Decision.Best_fit gross in
-        acct_ops t (Free_structure.steps fs - before);
+        Metrics.add_ops t.metrics (Free_structure.steps fs - before);
         match r with
         | Some _ ->
           binmap_update t i;
@@ -260,17 +241,9 @@ let alloc t payload =
       carve_top t gross
   in
   Dmm_util.Int_table.replace t.req_sizes block.Block.addr payload;
-  Metrics.on_alloc t.metrics ~payload;
-  if Probe.enabled t.probe then
-    Probe.emit t.probe
-      (Obs_event.Alloc
-         {
-           payload;
-           gross = block.Block.size;
-           tag = t.config.header_bytes;
-           addr = block.Block.addr + t.config.header_bytes;
-         });
-  block.Block.addr + t.config.header_bytes
+  let addr = block.Block.addr + t.config.header_bytes in
+  Metrics.on_alloc t.metrics ~payload ~gross:block.Block.size ~tag:t.config.header_bytes ~addr;
+  addr
 
 (* Immediate bidirectional coalescing, dlmalloc-style, via boundary tags.
    Forward: chunks tile [0, top_addr), so a header exists at [end_addr b]
@@ -286,10 +259,7 @@ let merge_neighbours t (b : Block.t) =
        remove_bin t ~addr:nxt ~size:absorbed;
        !b.size <- !b.size + absorbed;
        set_tags t !b.addr !b.size false;
-       Metrics.on_coalesce t.metrics;
-       if Probe.enabled t.probe then
-         Probe.emit t.probe
-           (Obs_event.Coalesce { addr = !b.addr; merged = !b.size; absorbed })
+       Metrics.on_coalesce t.metrics ~addr:!b.addr ~merged:!b.size ~absorbed
      end
    end);
   (if !b.Block.addr > 0 then begin
@@ -302,10 +272,7 @@ let merge_neighbours t (b : Block.t) =
        let merged = Block.v ~addr:prev_addr ~size:(psize + absorbed) ~status:Block.Free ~run_id:0 in
        set_tags t merged.addr merged.size false;
        b := merged;
-       Metrics.on_coalesce t.metrics;
-       if Probe.enabled t.probe then
-         Probe.emit t.probe
-           (Obs_event.Coalesce { addr = merged.addr; merged = merged.size; absorbed })
+       Metrics.on_coalesce t.metrics ~addr:merged.addr ~merged:merged.size ~absorbed
      end
    end);
   !b
@@ -313,11 +280,9 @@ let merge_neighbours t (b : Block.t) =
 let maybe_trim t =
   if t.top_size >= t.config.trim_threshold then begin
     let keep = t.config.granularity in
-    let release = t.top_size - keep in
     Address_space.trim t.space (t.top_addr + keep);
     t.top_size <- keep;
-    t.held <- t.held - release;
-    acct_ops t 2
+    Metrics.add_ops t.metrics 2
   end
 
 let free t addr =
@@ -326,8 +291,7 @@ let free t addr =
   | None -> raise (Allocator.Invalid_free addr)
   | Some payload ->
     Dmm_util.Int_table.remove t.req_sizes base;
-    Metrics.on_free t.metrics ~payload;
-    if Probe.enabled t.probe then Probe.emit t.probe (Obs_event.Free { payload; addr });
+    Metrics.on_free t.metrics ~payload ~addr;
     let size = tag_size (Address_space.arena_get32 t.space base) in
     let b = Block.v ~addr:base ~size ~status:Block.Free ~run_id:0 in
     set_tags t base size false;
@@ -340,8 +304,8 @@ let free t addr =
     end
     else insert_bin t b
 
-let current_footprint t = t.held
-let max_footprint t = t.max_held
+let current_footprint t = Address_space.brk t.space
+let max_footprint t = Address_space.high_water t.space
 let metrics t = Metrics.snapshot t.metrics
 let top_size t = t.top_size
 
@@ -361,7 +325,7 @@ let breakdown t : Metrics.breakdown =
     tag_overhead = !tags;
     internal_padding = !padding;
     free_bytes = binned_bytes t + t.top_size;
-    total_held = t.held;
+    total_held = current_footprint t;
   }
 
 let allocator t =

@@ -10,7 +10,7 @@
     coalescing, but system memory held in coarse granules.
 
     The allocator assumes exclusive use of its address space (the benches
-    give every manager its own). Its heap stays below 1 GiB, the range of
+    give every manager its own): the space's break is its footprint. Its heap stays below 1 GiB, the range of
     the 32-bit boundary tag: {!alloc} raises [Invalid_argument] rather
     than grow the heap to 2^30 bytes. *)
 
@@ -26,7 +26,8 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?probe:Dmm_obs.Probe.t -> Dmm_vmem.Address_space.t -> t
+val create : ?config:config -> Dmm_vmem.Address_space.t -> t
+(** The space's probe receives the accounting stream. *)
 
 val alloc : t -> int -> int
 val free : t -> int -> unit

@@ -2,8 +2,6 @@ module Address_space = Dmm_vmem.Address_space
 module Size = Dmm_util.Size
 module Metrics = Dmm_core.Metrics
 module Allocator = Dmm_core.Allocator
-module Probe = Dmm_obs.Probe
-module Obs_event = Dmm_obs.Event
 
 type config = { chunk_bytes : int; alignment : int }
 
@@ -27,13 +25,12 @@ type t = {
   by_addr : (int, obj) Hashtbl.t;
   cache : (int, int list ref) Hashtbl.t; (* chunk size -> cached bases *)
   metrics : Metrics.t;
-  probe : Probe.t;
-  mutable held : int;
+  mutable held : int; (* counted here: the space may be shared *)
   mutable max_held : int;
   mutable dead_count : int;
 }
 
-let create ?(config = default_config) ?(probe = Probe.null) space =
+let create ?(config = default_config) space =
   if config.chunk_bytes <= 0 || config.alignment <= 0 then
     invalid_arg "Obstack.create: bad config";
   {
@@ -43,18 +40,11 @@ let create ?(config = default_config) ?(probe = Probe.null) space =
     stack = [];
     by_addr = Hashtbl.create 256;
     cache = Hashtbl.create 4;
-    metrics = Metrics.create ();
-    probe;
+    metrics = Metrics.create ~probe:(Address_space.probe space) ();
     held = 0;
     max_held = 0;
     dead_count = 0;
   }
-
-(* Zero-step scans are accounting no-ops: keep them out of the stream. *)
-let acct_ops t n =
-  Metrics.add_ops t.metrics n;
-  if n <> 0 && Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Fit_scan { steps = n })
 
 let take_chunk t csize =
   let cached =
@@ -67,13 +57,13 @@ let take_chunk t csize =
   let base =
     match cached with
     | Some base ->
-      acct_ops t 1;
+      Metrics.add_ops t.metrics 1;
       base
     | None ->
       let base = Address_space.sbrk t.space csize in
       t.held <- t.held + csize;
       if t.held > t.max_held then t.max_held <- t.held;
-      acct_ops t 4;
+      Metrics.add_ops t.metrics 4;
       base
   in
   { base; csize; used = 0 }
@@ -84,7 +74,7 @@ let release_chunk t c =
   if c.base + c.csize = Address_space.brk t.space then begin
     Address_space.trim t.space c.base;
     t.held <- t.held - c.csize;
-    acct_ops t 2
+    Metrics.add_ops t.metrics 2
   end
   else begin
     let l =
@@ -96,13 +86,13 @@ let release_chunk t c =
         l
     in
     l := c.base :: !l;
-    acct_ops t 1
+    Metrics.add_ops t.metrics 1
   end
 
 let alloc t payload =
   if payload <= 0 then invalid_arg "Obstack.alloc: non-positive size";
   let gross = Size.align_up payload t.config.alignment in
-  acct_ops t 1;
+  Metrics.add_ops t.metrics 1;
   let chunk =
     match t.chunks with
     | c :: _ when c.used + gross <= c.csize -> c
@@ -117,9 +107,7 @@ let alloc t payload =
   let o = { addr; gross; payload; dead = false; home = chunk } in
   t.stack <- o :: t.stack;
   Hashtbl.replace t.by_addr addr o;
-  Metrics.on_alloc t.metrics ~payload;
-  if Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Alloc { payload; gross; tag = 0; addr });
+  Metrics.on_alloc t.metrics ~payload ~gross ~tag:0 ~addr;
   addr
 
 (* Pop every dead object from the top of the stack, releasing chunks that
@@ -131,7 +119,7 @@ let rec pop_dead t =
     Hashtbl.remove t.by_addr o.addr;
     t.dead_count <- t.dead_count - 1;
     o.home.used <- o.home.used - o.gross;
-    acct_ops t 1;
+    Metrics.add_ops t.metrics 1;
     if o.home.used = 0 then begin
       (match t.chunks with
       | c :: cs when c == o.home ->
@@ -152,10 +140,8 @@ let free t addr =
   | Some o ->
     o.dead <- true;
     t.dead_count <- t.dead_count + 1;
-    Metrics.on_free t.metrics ~payload:o.payload;
-    if Probe.enabled t.probe then
-      Probe.emit t.probe (Obs_event.Free { payload = o.payload; addr });
-    acct_ops t 1;
+    Metrics.on_free t.metrics ~payload:o.payload ~addr;
+    Metrics.add_ops t.metrics 1;
     pop_dead t
 
 let current_footprint t = t.held

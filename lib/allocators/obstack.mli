@@ -18,7 +18,11 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?probe:Dmm_obs.Probe.t -> Dmm_vmem.Address_space.t -> t
+val create : ?config:config -> Dmm_vmem.Address_space.t -> t
+(** The space's probe receives the accounting stream. The space may be
+    shared (the chunk cache exists for chunks trapped below another
+    allocator's growth), so the obstack counts the chunks it holds itself
+    and its footprint is its own, not the space's break. *)
 
 val alloc : t -> int -> int
 val free : t -> int -> unit

@@ -2,8 +2,6 @@ module Address_space = Dmm_vmem.Address_space
 module Size = Dmm_util.Size
 module Metrics = Dmm_core.Metrics
 module Allocator = Dmm_core.Allocator
-module Probe = Dmm_obs.Probe
-module Obs_event = Dmm_obs.Event
 
 type config = { min_slot : int; chunk_bytes : int }
 
@@ -24,12 +22,9 @@ type t = {
   owner : (int, region) Hashtbl.t; (* live slot addr -> its region *)
   chunk_cache : (int, int list ref) Hashtbl.t; (* chunk size -> free bases *)
   metrics : Metrics.t;
-  probe : Probe.t;
-  mutable held : int;
-  mutable max_held : int;
 }
 
-let create ?(config = default_config) ?(probe = Probe.null) space =
+let create ?(config = default_config) space =
   if not (Size.is_power_of_two config.min_slot) || config.chunk_bytes <= 0 then
     invalid_arg "Region.create: bad config";
   {
@@ -38,17 +33,8 @@ let create ?(config = default_config) ?(probe = Probe.null) space =
     by_class = Hashtbl.create 32;
     owner = Hashtbl.create 256;
     chunk_cache = Hashtbl.create 8;
-    metrics = Metrics.create ();
-    probe;
-    held = 0;
-    max_held = 0;
+    metrics = Metrics.create ~probe:(Address_space.probe space) ();
   }
-
-(* Zero-step scans are accounting no-ops: keep them out of the stream. *)
-let acct_ops t n =
-  Metrics.add_ops t.metrics n;
-  if n <> 0 && Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Fit_scan { steps = n })
 
 let slot_of_request t payload = max t.config.min_slot (Size.pow2_ceil payload)
 
@@ -77,17 +63,15 @@ let take_chunk t size =
   in
   match cached with
   | Some base ->
-    acct_ops t 1;
+    Metrics.add_ops t.metrics 1;
     base
   | None ->
     let base = Address_space.sbrk t.space size in
-    t.held <- t.held + size;
-    if t.held > t.max_held then t.max_held <- t.held;
-    acct_ops t 4;
+    Metrics.add_ops t.metrics 4;
     base
 
 let region_alloc_payload t r payload =
-  acct_ops t 2;
+  Metrics.add_ops t.metrics 2;
   let addr =
     match r.free_slots with
     | addr :: rest ->
@@ -104,9 +88,7 @@ let region_alloc_payload t r payload =
   in
   Hashtbl.replace r.live addr payload;
   Hashtbl.replace t.owner addr r;
-  Metrics.on_alloc t.metrics ~payload;
-  if Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Alloc { payload; gross = r.slot; tag = 0; addr });
+  Metrics.on_alloc t.metrics ~payload ~gross:r.slot ~tag:0 ~addr;
   addr
 
 let region_free_internal t r addr =
@@ -116,17 +98,14 @@ let region_free_internal t r addr =
     Hashtbl.remove r.live addr;
     Hashtbl.remove t.owner addr;
     r.free_slots <- addr :: r.free_slots;
-    acct_ops t 2;
-    Metrics.on_free t.metrics ~payload;
-    if Probe.enabled t.probe then Probe.emit t.probe (Obs_event.Free { payload; addr })
+    Metrics.add_ops t.metrics 2;
+    Metrics.on_free t.metrics ~payload ~addr
 
 let destroy_region t r =
   Hashtbl.iter
     (fun addr payload ->
       Hashtbl.remove t.owner addr;
-      Metrics.on_free t.metrics ~payload;
-      if Probe.enabled t.probe then
-        Probe.emit t.probe (Obs_event.Free { payload; addr }))
+      Metrics.on_free t.metrics ~payload ~addr)
     r.live;
   Hashtbl.reset r.live;
   r.free_slots <- [];
@@ -139,7 +118,7 @@ let destroy_region t r =
       l
   in
   List.iter (fun base -> cache := base :: !cache) r.chunks;
-  acct_ops t (List.length r.chunks);
+  Metrics.add_ops t.metrics (List.length r.chunks);
   r.chunks <- []
 
 let class_region t slot =
@@ -160,8 +139,8 @@ let free t addr =
   | None -> raise (Allocator.Invalid_free addr)
   | Some r -> region_free_internal t r addr
 
-let current_footprint t = t.held
-let max_footprint t = t.max_held
+let current_footprint t = Address_space.brk t.space
+let max_footprint t = Address_space.high_water t.space
 let metrics t = Metrics.snapshot t.metrics
 
 let breakdown t : Metrics.breakdown =
@@ -179,8 +158,8 @@ let breakdown t : Metrics.breakdown =
     Metrics.live_payload = !live_payload;
     tag_overhead = 0;
     internal_padding = !padding;
-    free_bytes = t.held - !live_gross;
-    total_held = t.held;
+    free_bytes = current_footprint t - !live_gross;
+    total_held = current_footprint t;
   }
 
 (* The explicit-region API reuses the internals; the requested payload of a

@@ -23,7 +23,9 @@ val default_config : config
 type t
 type region
 
-val create : ?config:config -> ?probe:Dmm_obs.Probe.t -> Dmm_vmem.Address_space.t -> t
+val create : ?config:config -> Dmm_vmem.Address_space.t -> t
+(** The space's probe receives the accounting stream. The space must be
+    this manager's alone: its break is the footprint. *)
 
 val make_region : t -> slot_size:int -> region
 (** Explicit region with the given (rounded-up) slot size. *)

@@ -2,8 +2,6 @@ module Address_space = Dmm_vmem.Address_space
 module Size = Dmm_util.Size
 module Metrics = Dmm_core.Metrics
 module Allocator = Dmm_core.Allocator
-module Probe = Dmm_obs.Probe
-module Obs_event = Dmm_obs.Event
 
 type pool = { slot : int; mutable free_slots : int list }
 
@@ -13,14 +11,11 @@ type t = {
   slot_sizes : int array; (* ascending *)
   live : (int, int * int) Hashtbl.t; (* addr -> slot (0 = overflow), payload *)
   metrics : Metrics.t;
-  probe : Probe.t;
   reserved : int;
   mutable overflow_allocs : int;
-  mutable overflow_live : int;
-  mutable overflow_peak : int;
 }
 
-let create ?(margin = 1.0) ?(probe = Probe.null) space capacities =
+let create ?(margin = 1.0) space capacities =
   if margin <= 0.0 then invalid_arg "Static_pool.create: non-positive margin";
   let scaled =
     List.map
@@ -48,19 +43,10 @@ let create ?(margin = 1.0) ?(probe = Probe.null) space capacities =
     pools;
     slot_sizes = Array.of_list (List.sort compare sizes);
     live = Hashtbl.create 256;
-    metrics = Metrics.create ();
-    probe;
+    metrics = Metrics.create ~probe:(Address_space.probe space) ();
     reserved = !reserved;
     overflow_allocs = 0;
-    overflow_live = 0;
-    overflow_peak = 0;
   }
-
-(* Zero-step scans are accounting no-ops: keep them out of the stream. *)
-let acct_ops t n =
-  Metrics.add_ops t.metrics n;
-  if n <> 0 && Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Fit_scan { steps = n })
 
 let class_for t payload =
   let n = Array.length t.slot_sizes in
@@ -77,18 +63,14 @@ let overflow_alloc t payload =
   t.overflow_allocs <- t.overflow_allocs + 1;
   let gross = Size.align_up (max 8 payload) 8 in
   let addr = Address_space.sbrk t.space gross in
-  t.overflow_live <- t.overflow_live + gross;
-  if t.overflow_live > t.overflow_peak then t.overflow_peak <- t.overflow_live;
   Hashtbl.replace t.live addr (0, payload);
-  acct_ops t 4;
-  if Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Alloc { payload; gross; tag = 0; addr });
+  Metrics.add_ops t.metrics 4;
+  Metrics.on_alloc t.metrics ~payload ~gross ~tag:0 ~addr;
   addr
 
 let alloc t payload =
   if payload <= 0 then invalid_arg "Static_pool.alloc: non-positive size";
-  Metrics.on_alloc t.metrics ~payload;
-  acct_ops t 2;
+  Metrics.add_ops t.metrics 2;
   match class_for t payload with
   | None -> overflow_alloc t payload
   | Some slot -> (
@@ -97,8 +79,7 @@ let alloc t payload =
     | addr :: rest ->
       pool.free_slots <- rest;
       Hashtbl.replace t.live addr (slot, payload);
-      if Probe.enabled t.probe then
-        Probe.emit t.probe (Obs_event.Alloc { payload; gross = slot; tag = 0; addr });
+      Metrics.on_alloc t.metrics ~payload ~gross:slot ~tag:0 ~addr;
       addr
     | [] -> overflow_alloc t payload)
 
@@ -107,23 +88,20 @@ let free t addr =
   | None -> raise (Allocator.Invalid_free addr)
   | Some (slot, payload) ->
     Hashtbl.remove t.live addr;
-    Metrics.on_free t.metrics ~payload;
-    if Probe.enabled t.probe then Probe.emit t.probe (Obs_event.Free { payload; addr });
-    acct_ops t 2;
-    if slot = 0 then
-      (* Emergency memory is not recycled; the static design had no plan
-         for it. *)
-      t.overflow_live <- t.overflow_live - 0
-    else begin
+    Metrics.on_free t.metrics ~payload ~addr;
+    Metrics.add_ops t.metrics 2;
+    (* Emergency memory is not recycled; the static design had no plan
+       for it. *)
+    if slot <> 0 then begin
       let pool = Hashtbl.find t.pools slot in
       pool.free_slots <- addr :: pool.free_slots
     end
 
 let reserved_bytes t = t.reserved
 let overflow_allocs t = t.overflow_allocs
-let overflow_bytes t = t.overflow_peak
-let current_footprint t = t.reserved + t.overflow_peak
-let max_footprint t = t.reserved + t.overflow_peak
+let current_footprint t = Address_space.brk t.space
+let max_footprint t = Address_space.high_water t.space
+let overflow_bytes t = current_footprint t - t.reserved
 let metrics t = Metrics.snapshot t.metrics
 
 let breakdown t : Metrics.breakdown =

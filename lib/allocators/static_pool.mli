@@ -16,13 +16,13 @@
 
 type t
 
-val create :
-  ?margin:float -> ?probe:Dmm_obs.Probe.t -> Dmm_vmem.Address_space.t -> (int * int) list -> t
+val create : ?margin:float -> Dmm_vmem.Address_space.t -> (int * int) list -> t
 (** [create space capacities] reserves [capacity] slots for each
     [(slot_size, capacity)] pair (slot sizes must be distinct positive
     powers of two; capacities non-negative). [margin] scales every
     capacity (default 1.0). Requests larger than the largest slot size
-    always overflow. *)
+    always overflow. The space's probe receives the accounting stream.
+    The space must be this manager's alone: its break is the footprint. *)
 
 val alloc : t -> int -> int
 val free : t -> int -> unit
@@ -34,7 +34,8 @@ val overflow_allocs : t -> int
 (** Requests that did not fit their class's reserved capacity. *)
 
 val overflow_bytes : t -> int
-(** Emergency memory obtained for overflows (peak). *)
+(** Emergency memory obtained for overflows. It is never recycled, so
+    this is also its peak. *)
 
 val current_footprint : t -> int
 val max_footprint : t -> int

@@ -1,16 +1,16 @@
 module Address_space = Dmm_vmem.Address_space
-module Probe = Dmm_obs.Probe
 
 type design = { vector : Decision_vector.t; params : Manager.params }
 
 type t = {
   space : Address_space.t;
-  probe : Probe.t;
   default : design;
   overrides : (int, design) Hashtbl.t;
   managers : (int, Manager.t) Hashtbl.t;
   mutable current : int;
   mutable order : int list; (* phases in instantiation order, most recent first *)
+  mutable live_payload : int; (* the composition's, across its managers *)
+  mutable peak_live_payload : int;
 }
 
 let design_for t phase =
@@ -23,19 +23,20 @@ let validate d =
     invalid_arg
       (Format.asprintf "Global_manager: invalid design: %a" Constraints.pp_violation v)
 
-let create ?(probe = Probe.null) space ~default ?(overrides = []) () =
+let create space ~default ?(overrides = []) () =
   validate default;
   List.iter (fun (_, d) -> validate d) overrides;
   let tbl = Hashtbl.create 8 in
   List.iter (fun (p, d) -> Hashtbl.replace tbl p d) overrides;
   {
     space;
-    probe;
     default;
     overrides = tbl;
     managers = Hashtbl.create 8;
     current = 0;
     order = [];
+    live_payload = 0;
+    peak_live_payload = 0;
   }
 
 let set_phase t p = t.current <- p
@@ -46,12 +47,16 @@ let manager_for t phase =
   | Some m -> m
   | None ->
     let d = design_for t phase in
-    let m = Manager.create ~params:d.params ~probe:t.probe d.vector t.space in
+    let m = Manager.create ~params:d.params d.vector t.space in
     Hashtbl.replace t.managers phase m;
     t.order <- phase :: t.order;
     m
 
-let alloc t size = Manager.alloc (manager_for t t.current) size
+let alloc t size =
+  let addr = Manager.alloc (manager_for t t.current) size in
+  t.live_payload <- t.live_payload + size;
+  if t.live_payload > t.peak_live_payload then t.peak_live_payload <- t.live_payload;
+  addr
 
 let free t addr =
   (* The current phase's manager is the most likely owner; fall back to the
@@ -70,13 +75,18 @@ let free t addr =
         None t.order
   in
   match owner with
-  | Some m -> Manager.free m addr
+  | Some m ->
+    let before = Manager.live_payload m in
+    Manager.free m addr;
+    t.live_payload <- t.live_payload - (before - Manager.live_payload m)
   | None -> raise (Allocator.Invalid_free addr)
 
 let managers t =
   Hashtbl.fold (fun p m acc -> (p, m) :: acc) t.managers []
   |> List.sort (fun (p1, _) (p2, _) -> compare p1 p2)
 
+(* Counts add up across the atomic managers; the payload figures do not
+   (each manager peaks at its own time), so they are the composition's. *)
 let combined_stats t : Metrics.snapshot =
   let zero : Metrics.snapshot =
     {
@@ -85,23 +95,22 @@ let combined_stats t : Metrics.snapshot =
       splits = 0;
       coalesces = 0;
       ops = 0;
-      live_payload = 0;
+      live_payload = t.live_payload;
       live_blocks = 0;
-      peak_live_payload = 0;
+      peak_live_payload = t.peak_live_payload;
     }
   in
   List.fold_left
     (fun (acc : Metrics.snapshot) (_, m) ->
       let s = Manager.metrics m in
       {
+        acc with
         Metrics.allocs = acc.allocs + s.allocs;
         frees = acc.frees + s.frees;
         splits = acc.splits + s.splits;
         coalesces = acc.coalesces + s.coalesces;
         ops = acc.ops + s.ops;
-        live_payload = acc.live_payload + s.live_payload;
         live_blocks = acc.live_blocks + s.live_blocks;
-        peak_live_payload = acc.peak_live_payload + s.peak_live_payload;
       })
     zero (managers t)
 

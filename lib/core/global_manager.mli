@@ -13,7 +13,6 @@ type design = { vector : Decision_vector.t; params : Manager.params }
 type t
 
 val create :
-  ?probe:Dmm_obs.Probe.t ->
   Dmm_vmem.Address_space.t ->
   default:design ->
   ?overrides:(int * design) list ->
@@ -23,9 +22,9 @@ val create :
     atomic manager for phase [p] follows the design in [overrides] when
     present and [default] otherwise. Atomic managers are instantiated
     lazily at the first allocation of their phase. Phase 0 is current
-    initially. [probe] is shared by every atomic manager (attach it to the
-    shared address space too for footprint events); phase-change events are
-    emitted by the replay driver, not here, so a trace replayed against a
+    initially. Every atomic manager emits to the space's probe, the same
+    stream as the space's break events; phase-change events are emitted
+    by [Dmm_trace.Replay.run], not here, so a trace replayed against a
     composition produces each [Phase] marker exactly once. Raises
     [Invalid_argument] if any design is invalid. *)
 

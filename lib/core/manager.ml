@@ -2,8 +2,6 @@ open Decision
 module Address_space = Dmm_vmem.Address_space
 module Size = Dmm_util.Size
 module Int_table = Dmm_util.Int_table
-module Probe = Dmm_obs.Probe
-module Obs_event = Dmm_obs.Event
 
 type params = {
   word_size : int;
@@ -48,7 +46,6 @@ type t = {
   params : params;
   space : Address_space.t;
   metrics : Metrics.t;
-  probe : Probe.t;
   by_base : Block.t Int_table.t;
   mutable phys_last : Block.t; (* highest-addressed block; chain tail *)
   pools : pools;
@@ -59,7 +56,7 @@ type t = {
   mutable last_run_id : int;
   mutable last_run_end : int;
   mutable frees_since_sweep : int;
-  mutable held_bytes : int; (* gross bytes currently obtained from the system *)
+  mutable held_bytes : int; (* counted here: a global manager shares its space *)
   mutable max_held_bytes : int;
   mutable audit : (t -> unit) option; (* opt-in hook, fired after alloc/free *)
 }
@@ -67,37 +64,8 @@ type t = {
 let vector t = t.vec
 let params t = t.params
 let metrics t = Metrics.snapshot t.metrics
+let live_payload t = Metrics.live_payload t.metrics
 let current_footprint t = t.held_bytes
-
-(* --- accounting ---------------------------------------------------------- *)
-
-(* The inline [Metrics.t] stays the always-on aggregate view; every step is
-   mirrored to the probe so external sinks can rebuild it (and more) from
-   the event stream alone. *)
-(* Zero-step scans are accounting no-ops: keep them out of the stream. *)
-let acct_ops t n =
-  Metrics.add_ops t.metrics n;
-  if n <> 0 && Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Fit_scan { steps = n })
-
-let acct_alloc t ~payload ~gross ~addr =
-  Metrics.on_alloc t.metrics ~payload;
-  if Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Alloc { payload; gross; tag = t.tag_bytes; addr })
-
-let acct_free t ~payload ~addr =
-  Metrics.on_free t.metrics ~payload;
-  if Probe.enabled t.probe then Probe.emit t.probe (Obs_event.Free { payload; addr })
-
-let acct_split t ~addr ~parent ~taken ~remainder =
-  Metrics.on_split t.metrics;
-  if Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Split { addr; parent; taken; remainder })
-
-let acct_coalesce t ~addr ~merged ~absorbed =
-  Metrics.on_coalesce t.metrics;
-  if Probe.enabled t.probe then
-    Probe.emit t.probe (Obs_event.Coalesce { addr; merged; absorbed })
 
 (* --- configuration derivation ------------------------------------------- *)
 
@@ -143,8 +111,7 @@ let layout (params : params) vec =
   in
   { l_header_bytes; l_footer_bytes; l_tag_bytes; l_min_block }
 
-let create ?(expected_live = 256) ?(params = default_params) ?(probe = Probe.null) vec
-    space =
+let create ?(expected_live = 256) ?(params = default_params) vec space =
   (match Constraints.check vec with
   | [] -> ()
   | violations ->
@@ -188,8 +155,7 @@ let create ?(expected_live = 256) ?(params = default_params) ?(probe = Probe.nul
     vec;
     params;
     space;
-    metrics = Metrics.create ();
-    probe;
+    metrics = Metrics.create ~probe:(Address_space.probe space) ();
     by_base = Int_table.create ~size:(max 16 expected_live) dummy_block;
     phys_last = Block.none;
     pools;
@@ -244,10 +210,10 @@ let pool_lookup_cost t index =
 let pool_for_size t z =
   match t.pools with
   | P_single fs ->
-    acct_ops t 1;
+    Metrics.add_ops t.metrics 1;
     fs
   | P_by_size tbl ->
-    acct_ops t (pool_lookup_cost t 1);
+    Metrics.add_ops t.metrics (pool_lookup_cost t 1);
     (match Hashtbl.find_opt tbl z with
     | Some fs -> fs
     | None ->
@@ -256,7 +222,7 @@ let pool_for_size t z =
       fs)
   | P_by_range arr ->
     let i = range_index t z in
-    acct_ops t (pool_lookup_cost t i);
+    Metrics.add_ops t.metrics (pool_lookup_cost t i);
     arr.(i)
 
 (* --- registries ------------------------------------------------------------ *)
@@ -274,7 +240,7 @@ let register t ~after (b : Block.t) =
   b.phys_next <- n;
   if after != Block.none then after.Block.phys_next <- b;
   if n != Block.none then n.Block.phys_prev <- b else t.phys_last <- b;
-  acct_ops t 1
+  Metrics.add_ops t.metrics 1
 
 let unregister t (b : Block.t) =
   Int_table.remove t.by_base b.addr;
@@ -284,12 +250,12 @@ let unregister t (b : Block.t) =
   else if t.phys_last == b then t.phys_last <- p;
   b.phys_prev <- Block.none;
   b.phys_next <- Block.none;
-  acct_ops t 1
+  Metrics.add_ops t.metrics 1
 
 let insert_free t (b : Block.t) =
   b.status <- Free;
   Free_structure.insert (pool_for_size t b.size) b;
-  acct_ops t 1
+  Metrics.add_ops t.metrics 1
 
 let remove_free t (b : Block.t) = Free_structure.remove (pool_for_size t b.size) b
 
@@ -333,8 +299,8 @@ let try_split t (b : Block.t) gross =
       in
       register t ~after:b rem;
       insert_free t rem;
-      acct_split t ~addr:b.addr ~parent ~taken:b.size ~remainder:split_off;
-      acct_ops t 1
+      Metrics.on_split t.metrics ~addr:b.addr ~parent ~taken:b.size ~remainder:split_off;
+      Metrics.add_ops t.metrics 1
     end
   end
 
@@ -362,8 +328,8 @@ let merge_neighbours t (b : Block.t) =
       let absorbed = next.size in
       unregister t next;
       !b.size <- !b.size + absorbed;
-      acct_coalesce t ~addr:!b.addr ~merged:!b.size ~absorbed;
-      acct_ops t 2;
+      Metrics.on_coalesce t.metrics ~addr:!b.addr ~merged:!b.size ~absorbed;
+      Metrics.add_ops t.metrics 2;
       forward ()
     end
   in
@@ -378,13 +344,13 @@ let merge_neighbours t (b : Block.t) =
     then begin
       remove_free t prev;
       (* One re-registration step, as when the registries were rebuilt. *)
-      acct_ops t 1;
+      Metrics.add_ops t.metrics 1;
       unregister t !b;
       let absorbed = !b.size in
       prev.size <- prev.size + absorbed;
       b := prev;
-      acct_coalesce t ~addr:prev.addr ~merged:prev.size ~absorbed;
-      acct_ops t 2;
+      Metrics.on_coalesce t.metrics ~addr:prev.addr ~merged:prev.size ~absorbed;
+      Metrics.add_ops t.metrics 2;
       backward ()
     end
   in
@@ -398,7 +364,7 @@ let sweep t =
     Int_table.fold (fun _ b acc -> if Block.is_free b then b :: acc else acc) t.by_base []
   in
   let sorted = List.sort (fun (a : Block.t) b -> compare a.addr b.Block.addr) frees in
-  acct_ops t (List.length sorted);
+  Metrics.add_ops t.metrics (List.length sorted);
   let rec go = function
     | [] | [ _ ] -> ()
     | (a : Block.t) :: (b : Block.t) :: rest ->
@@ -413,7 +379,7 @@ let sweep t =
         unregister t b;
         a.size <- a.size + b.size;
         insert_free t a;
-        acct_coalesce t ~addr:a.addr ~merged:a.size ~absorbed:b.size;
+        Metrics.on_coalesce t.metrics ~addr:a.addr ~merged:a.size ~absorbed:b.size;
         go (a :: rest)
       end
       else go (b :: rest)
@@ -437,7 +403,7 @@ let note_new_run t base size =
 
 (* Obtain a block of [gross] bytes from the system, growing the heap. *)
 let grab_from_system t gross =
-  acct_ops t 4 (* system-call cost *);
+  Metrics.add_ops t.metrics 4 (* system-call cost *);
   let fixed = Array.length t.classes > 0 in
   let oversize = fixed && class_ceiling t gross = None in
   if fixed && not oversize then begin
@@ -490,7 +456,7 @@ let maybe_trim t (b : Block.t) =
       t.last_run_id <- b.run_id;
       t.last_run_end <- b.addr
     end;
-    acct_ops t 2;
+    Metrics.add_ops t.metrics 2;
     true
   end
   else false
@@ -503,16 +469,16 @@ let take_candidate t gross =
   | P_single fs ->
     let before = Free_structure.steps fs in
     let r = Free_structure.take_fit fs fit gross in
-    acct_ops t (Free_structure.steps fs - before + 1);
+    Metrics.add_ops t.metrics (Free_structure.steps fs - before + 1);
     r
   | P_by_size tbl ->
-    acct_ops t (pool_lookup_cost t 1);
+    Metrics.add_ops t.metrics (pool_lookup_cost t 1);
     (match Hashtbl.find_opt tbl gross with
     | None -> None
     | Some fs ->
       let before = Free_structure.steps fs in
       let r = Free_structure.take_fit fs fit gross in
-      acct_ops t (Free_structure.steps fs - before + 1);
+      Metrics.add_ops t.metrics (Free_structure.steps fs - before + 1);
       r)
   | P_by_range arr ->
     (* Search the block's own class, then larger classes (binmap search). *)
@@ -521,11 +487,11 @@ let take_candidate t gross =
     let rec go i =
       if i >= n then None
       else begin
-        acct_ops t (pool_lookup_cost t i);
+        Metrics.add_ops t.metrics (pool_lookup_cost t i);
         let fs = arr.(i) in
         let before = Free_structure.steps fs in
         let r = Free_structure.take_fit fs fit gross in
-        acct_ops t (Free_structure.steps fs - before + 1);
+        Metrics.add_ops t.metrics (Free_structure.steps fs - before + 1);
         match r with Some _ -> r | None -> go (i + 1)
       end
     in
@@ -556,7 +522,7 @@ let alloc t payload =
       else grab_from_system t gross
   in
   block.Block.req_size <- payload;
-  acct_alloc t ~payload ~gross:block.Block.size
+  Metrics.on_alloc t.metrics ~payload ~gross:block.Block.size ~tag:t.tag_bytes
     ~addr:(block.Block.addr + t.header_bytes);
   (match t.audit with None -> () | Some f -> f t);
   block.Block.addr + t.header_bytes
@@ -569,7 +535,7 @@ let free t user_addr =
   else begin
     let payload = b.Block.req_size in
     b.Block.req_size <- 0;
-    acct_free t ~payload ~addr:user_addr;
+    Metrics.on_free t.metrics ~payload ~addr:user_addr;
     b.status <- Block.Free;
     let b =
       if can_coalesce t.vec && t.vec.Decision_vector.d2 = Always then

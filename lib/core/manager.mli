@@ -51,15 +51,14 @@ type t
 val create :
   ?expected_live:int ->
   ?params:params ->
-  ?probe:Dmm_obs.Probe.t ->
   Decision_vector.t ->
   Dmm_vmem.Address_space.t ->
   t
-(** [probe] (default {!Dmm_obs.Probe.null}) receives one event per
-    accounting step: [Alloc]/[Free] at the service boundary, [Split] and
-    [Coalesce] as the mechanisms fire, and [Fit_scan] mirroring every
-    bookkeeping-cost increment, so {!Metrics.on_event} rebuilds exactly
-    the snapshot returned by {!metrics}.
+(** The space's probe receives one event per accounting step:
+    [Alloc]/[Free] at the service boundary, [Split] and [Coalesce] as the
+    mechanisms fire, and [Fit_scan] for every bookkeeping-cost increment,
+    so {!Metrics.on_event} rebuilds exactly the snapshot returned by
+    {!metrics}.
 
     Raises [Invalid_argument] with the violated rules if the vector fails
     {!Constraints.check}, or if the parameters are inconsistent (e.g. empty
@@ -94,6 +93,10 @@ val owns : t -> int -> bool
 val current_footprint : t -> int
 (** Bytes this manager currently holds from the system (its own blocks,
     not the whole address space — several managers may share one space). *)
+
+val live_payload : t -> int
+(** Payload bytes of the blocks this manager has handed out and not yet
+    had back. *)
 
 val metrics : t -> Metrics.snapshot
 

@@ -1,3 +1,6 @@
+module Probe = Dmm_obs.Probe
+module Obs_event = Dmm_obs.Event
+
 type breakdown = {
   live_payload : int;
   tag_overhead : int;
@@ -27,6 +30,7 @@ type snapshot = {
 }
 
 type t = {
+  probe : Probe.t;
   mutable allocs : int;
   mutable frees : int;
   mutable splits : int;
@@ -37,8 +41,9 @@ type t = {
   mutable peak_live_payload : int;
 }
 
-let create () =
+let create ?(probe = Probe.null) () =
   {
+    probe;
     allocs = 0;
     frees = 0;
     splits = 0;
@@ -49,28 +54,53 @@ let create () =
     peak_live_payload = 0;
   }
 
-let on_alloc t ~payload =
+(* The counting half of each step, shared by the emitting updaters and
+   by [on_event], which must never re-emit what it is fed. *)
+let count_alloc t payload =
   t.allocs <- t.allocs + 1;
   t.live_payload <- t.live_payload + payload;
   t.live_blocks <- t.live_blocks + 1;
   if t.live_payload > t.peak_live_payload then t.peak_live_payload <- t.live_payload
 
-let on_free t ~payload =
+let count_free t payload =
   t.frees <- t.frees + 1;
   t.live_payload <- t.live_payload - payload;
   t.live_blocks <- t.live_blocks - 1
 
-let on_split t = t.splits <- t.splits + 1
-let on_coalesce t = t.coalesces <- t.coalesces + 1
-let add_ops t n = t.ops <- t.ops + n
+let probing t = Probe.enabled t.probe
 
-let on_event t _clock (e : Dmm_obs.Event.t) =
+let on_alloc t ~payload ~gross ~tag ~addr =
+  count_alloc t payload;
+  if Probe.enabled t.probe then
+    Probe.emit t.probe (Obs_event.Alloc { payload; gross; tag; addr })
+
+let on_free t ~payload ~addr =
+  count_free t payload;
+  if Probe.enabled t.probe then Probe.emit t.probe (Obs_event.Free { payload; addr })
+
+let on_split t ~addr ~parent ~taken ~remainder =
+  t.splits <- t.splits + 1;
+  if Probe.enabled t.probe then
+    Probe.emit t.probe (Obs_event.Split { addr; parent; taken; remainder })
+
+let on_coalesce t ~addr ~merged ~absorbed =
+  t.coalesces <- t.coalesces + 1;
+  if Probe.enabled t.probe then
+    Probe.emit t.probe (Obs_event.Coalesce { addr; merged; absorbed })
+
+(* Zero-step scans are accounting no-ops: keep them out of the stream. *)
+let add_ops t n =
+  t.ops <- t.ops + n;
+  if n <> 0 && Probe.enabled t.probe then
+    Probe.emit t.probe (Obs_event.Fit_scan { steps = n })
+
+let on_event t _clock (e : Obs_event.t) =
   match e with
-  | Alloc { payload; _ } -> on_alloc t ~payload
-  | Free { payload; _ } -> on_free t ~payload
-  | Split _ -> on_split t
-  | Coalesce _ -> on_coalesce t
-  | Fit_scan { steps } -> add_ops t steps
+  | Alloc { payload; _ } -> count_alloc t payload
+  | Free { payload; _ } -> count_free t payload
+  | Split _ -> t.splits <- t.splits + 1
+  | Coalesce _ -> t.coalesces <- t.coalesces + 1
+  | Fit_scan { steps } -> t.ops <- t.ops + steps
   | Phase _ | Sbrk _ | Trim _ | Ptr_write _ | Root_add _ | Root_remove _ -> ()
 
 let snapshot t : snapshot =

@@ -34,24 +34,34 @@ type snapshot = {
   peak_live_payload : int;
 }
 
-val create : unit -> t
+val create : ?probe:Dmm_obs.Probe.t -> unit -> t
+(** [probe] (default {!Dmm_obs.Probe.null}) receives one event per
+    counted step; a manager passes its address space's
+    ({!Dmm_vmem.Address_space.probe}), so heap and manager events share
+    one logical clock. Each updater below bumps its counter and, only
+    when a sink is attached, builds and emits the matching
+    {!Dmm_obs.Event.t}: one call per step, no allocation with the probe
+    off. *)
 
-val on_alloc : t -> payload:int -> unit
-val on_free : t -> payload:int -> unit
-val on_split : t -> unit
-val on_coalesce : t -> unit
+val on_alloc : t -> payload:int -> gross:int -> tag:int -> addr:int -> unit
+val on_free : t -> payload:int -> addr:int -> unit
+val on_split : t -> addr:int -> parent:int -> taken:int -> remainder:int -> unit
+val on_coalesce : t -> addr:int -> merged:int -> absorbed:int -> unit
+
 val add_ops : t -> int -> unit
+(** Emits a [Fit_scan] only when the count is non-zero. *)
+
+val probing : t -> bool
+(** True when the probe has a sink, so a manager must walk step by step
+    what it could otherwise charge at once. *)
 
 val on_event : t -> int -> Dmm_obs.Event.t -> unit
 (** A probe sink ([Probe.attach probe (on_event t)]) that rebuilds these
     counters from the event stream alone: [Alloc], [Free], [Split] and
-    [Coalesce] call the matching [on_*], and [Fit_scan] adds its steps to
-    [ops]. Attached to a replay's probe, its snapshot equals the
-    manager's own inline one field for field. For a per-phase global
-    manager it is stronger: it sees the composition's true live payload
-    over time, so its [peak_live_payload] is the real global peak, while
-    the inline combined snapshot sums each atomic manager's private
-    peak. *)
+    [Coalesce] count as the matching [on_*] does, and [Fit_scan] adds its
+    steps to [ops]. It only counts; it never emits. Attached to a
+    replay's probe, its snapshot equals the manager's own inline one
+    field for field, for a per-phase global manager too. *)
 
 val snapshot : t -> snapshot
 val live_payload : t -> int

@@ -134,8 +134,8 @@ let replay ?probe ?(alpha = 0.0) ?bound t a =
 
 let allocator ?probe t (d : Explorer.design) =
   Manager.allocator
-    (Manager.create ~expected_live:t.live_hint ~params:d.Explorer.params ?probe
-       d.Explorer.vector (Address_space.create ?probe ()))
+    (Manager.create ~expected_live:t.live_hint ~params:d.Explorer.params d.Explorer.vector
+       (Address_space.create ?probe ()))
 
 let outcome t d =
   let key = Explorer.design_key d in

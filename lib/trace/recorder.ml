@@ -12,7 +12,7 @@ let recording_allocator () =
     let id = !next in
     Hashtbl.replace sizes id size;
     Trace.add trace (Event.Alloc { id; size });
-    Metrics.on_alloc metrics ~payload:size;
+    Metrics.on_alloc metrics ~payload:size ~gross:size ~tag:0 ~addr:id;
     id
   in
   let free id =
@@ -21,7 +21,7 @@ let recording_allocator () =
     | Some size ->
       Hashtbl.remove sizes id;
       Trace.add trace (Event.Free { id });
-      Metrics.on_free metrics ~payload:size
+      Metrics.on_free metrics ~payload:size ~addr:id
   in
   let t =
     {

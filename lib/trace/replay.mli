@@ -16,8 +16,8 @@ val run :
     addresses [a] returns. [on_event i a] fires after event [i]. Raises
     [Invalid_argument] on an invalid trace (free of a non-live id).
     [probe] receives one {!Dmm_obs.Event.Phase} per phase marker replayed
-    (pass the same probe the manager and its address space were built
-    with, so the whole event stream shares one logical clock).
+    (pass the probe the manager's address space was built with, so the
+    whole event stream shares one logical clock).
     [graph] (default false) additionally emits the opt-in object-graph
     probe level: a {!Dmm_obs.Event.Root_add} after each allocation. The
     scripted client holds that single root until the block's free — no

@@ -1,6 +1,8 @@
 let align_up n a =
   if a <= 0 then invalid_arg "Size.align_up: non-positive alignment";
   if n < 0 then invalid_arg "Size.align_up: negative size";
+  (* [n + a - 1] would wrap negative. *)
+  if n > max_int - (a - 1) then invalid_arg "Size.align_up: size past max_int";
   (n + a - 1) / a * a
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0

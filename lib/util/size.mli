@@ -2,7 +2,8 @@
 
 val align_up : int -> int -> int
 (** [align_up n a] rounds [n] up to the next multiple of [a]. Raises
-    [Invalid_argument] if [a <= 0] or [n < 0]. *)
+    [Invalid_argument] if [a <= 0], [n < 0], or [n > max_int - (a - 1)],
+    whose rounding would wrap past [max_int]. *)
 
 val is_power_of_two : int -> bool
 

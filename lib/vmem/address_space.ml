@@ -26,6 +26,7 @@ let create ?(probe = Probe.null) ?(page_size = 4096) () =
   }
 
 let page_size t = t.page_size
+let probe t = t.probe
 let brk t = t.brk
 let high_water t = t.high_water
 

@@ -14,10 +14,16 @@ val create : ?probe:Dmm_obs.Probe.t -> ?page_size:int -> unit -> t
     emulate page-granular OS requests use {!grow_pages}. [probe] (default
     {!Dmm_obs.Probe.null}) receives an {!Dmm_obs.Event.Sbrk} /
     {!Dmm_obs.Event.Trim} event for every break movement — the ground truth
-    of footprint accounting. Raises [Invalid_argument] if
+    of footprint accounting — and, through {!probe}, every event of the
+    managers built over the space. Raises [Invalid_argument] if
     [page_size <= 0]. *)
 
 val page_size : t -> int
+
+val probe : t -> Dmm_obs.Probe.t
+(** The probe given to {!create}. A manager built over this space passes
+    it to its [Metrics], so the space's break events and the manager's
+    own share one stream and one logical clock. *)
 
 val brk : t -> int
 (** Current break: one past the highest mapped address. *)

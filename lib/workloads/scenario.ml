@@ -32,26 +32,19 @@ let render_trace ?(config = Render.default_config) () =
 
 type maker = ?probe:Probe.t -> unit -> Allocator.t
 
-(* Each maker threads one probe through both the address space (sbrk/trim
-   events) and the manager (service/mechanism events), so the stream shares
-   a single logical clock. *)
-let kingsley ?(probe = Probe.null) () =
-  Kingsley.allocator (Kingsley.create ~probe (Address_space.create ~probe ()))
+(* Each maker gives its probe to the address space; the manager built
+   over the space emits its service and mechanism events to the same
+   probe, so the stream shares a single logical clock. *)
+let kingsley ?probe () = Kingsley.allocator (Kingsley.create (Address_space.create ?probe ()))
+let lea ?probe () = Lea.allocator (Lea.create (Address_space.create ?probe ()))
+let regions ?probe () = Region.allocator (Region.create (Address_space.create ?probe ()))
+let obstacks ?probe () = Obstack.allocator (Obstack.create (Address_space.create ?probe ()))
 
-let lea ?(probe = Probe.null) () =
-  Lea.allocator (Lea.create ~probe (Address_space.create ~probe ()))
+let fixed_pool ?probe () =
+  Fixed_pool.allocator (Fixed_pool.create (Address_space.create ?probe ()))
 
-let regions ?(probe = Probe.null) () =
-  Region.allocator (Region.create ~probe (Address_space.create ~probe ()))
-
-let obstacks ?(probe = Probe.null) () =
-  Obstack.allocator (Obstack.create ~probe (Address_space.create ~probe ()))
-
-let fixed_pool ?(probe = Probe.null) () =
-  Fixed_pool.allocator (Fixed_pool.create ~probe (Address_space.create ~probe ()))
-
-let buddy_bitmap ?(probe = Probe.null) () =
-  Buddy_bitmap.allocator (Buddy_bitmap.create ~probe (Address_space.create ~probe ()))
+let buddy_bitmap ?probe () =
+  Buddy_bitmap.allocator (Buddy_bitmap.create (Address_space.create ?probe ()))
 
 let baselines () =
   [
@@ -63,20 +56,19 @@ let baselines () =
     ("Buddy-bitmap", buddy_bitmap);
   ]
 
-let custom_manager (design : Explorer.design) ?(probe = Probe.null) () =
+let custom_manager (design : Explorer.design) ?probe () =
   Manager.allocator
-    (Manager.create ~params:design.params ~probe design.vector
-       (Address_space.create ~probe ()))
+    (Manager.create ~params:design.params design.vector (Address_space.create ?probe ()))
 
 type global_spec = { default : Explorer.design; overrides : (int * Explorer.design) list }
 
 let to_gm_design (d : Explorer.design) =
   { Dmm_core.Global_manager.vector = d.vector; params = d.params }
 
-let custom_global spec ?(probe = Probe.null) () =
+let custom_global spec ?probe () =
   let gm =
-    Dmm_core.Global_manager.create ~probe
-      (Address_space.create ~probe ())
+    Dmm_core.Global_manager.create
+      (Address_space.create ?probe ())
       ~default:(to_gm_design spec.default)
       ~overrides:(List.map (fun (p, d) -> (p, to_gm_design d)) spec.overrides)
       ()

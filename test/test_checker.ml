@@ -23,7 +23,7 @@ let broken_always_same () =
     Allocator.name = "broken";
     alloc =
       (fun size ->
-        Dmm_core.Metrics.on_alloc stats ~payload:size;
+        Dmm_core.Metrics.on_alloc stats ~payload:size ~gross:size ~tag:0 ~addr:0;
         0);
     free = (fun _ -> ());
     phase = Allocator.ignore_phase;

@@ -26,7 +26,7 @@ let fixed_core =
     name = "fixed-pool";
     make =
       (fun ?(probe = Probe.null) () ->
-        Fixed_pool.allocator (Fixed_pool.create ~probe (Address_space.create ~probe ())));
+        Fixed_pool.allocator (Fixed_pool.create (Address_space.create ~probe ())));
     gross_of = (fun p -> max 16 (Size.pow2_ceil p));
     aligned = (fun ~addr ~gross:_ -> addr mod 16 = 0);
   }
@@ -36,8 +36,7 @@ let buddy_core =
     name = "buddy-bitmap";
     make =
       (fun ?(probe = Probe.null) () ->
-        Buddy_bitmap.allocator
-          (Buddy_bitmap.create ~probe (Address_space.create ~probe ())));
+        Buddy_bitmap.allocator (Buddy_bitmap.create (Address_space.create ~probe ())));
     gross_of = (fun p -> max 32 (Size.pow2_ceil p));
     (* Buddy blocks are naturally size-aligned. *)
     aligned = (fun ~addr ~gross -> addr mod gross = 0);

@@ -225,7 +225,7 @@ let static_pool : Scenario.maker =
  fun ?probe () ->
   let space = Address_space.create ?probe () in
   Dmm_allocators.Static_pool.allocator
-    (Dmm_allocators.Static_pool.create ?probe space
+    (Dmm_allocators.Static_pool.create space
        [ (16, 512); (64, 512); (256, 256); (1024, 64); (4096, 16) ])
 
 let grid_managers () =

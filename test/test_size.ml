@@ -6,7 +6,15 @@ let check_align_up () =
   Alcotest.(check int) "zero" 0 (Size.align_up 0 8);
   Alcotest.check_raises "bad alignment"
     (Invalid_argument "Size.align_up: non-positive alignment") (fun () ->
-      ignore (Size.align_up 4 0))
+      ignore (Size.align_up 4 0));
+  (* Rounding adds up to [a - 1] first, so the largest size it takes is
+     [max_int - (a - 1)]; one past it would wrap negative. *)
+  let top = max_int - 7 in
+  Alcotest.(check int) "largest alignable size" top (Size.align_up top 8);
+  Alcotest.(check int) "alignment 1 takes max_int" max_int (Size.align_up max_int 1);
+  let past = Invalid_argument "Size.align_up: size past max_int" in
+  Alcotest.check_raises "one past the bound" past (fun () -> ignore (Size.align_up (top + 1) 8));
+  Alcotest.check_raises "max_int" past (fun () -> ignore (Size.align_up max_int 8))
 
 let check_pow2 () =
   Alcotest.(check int) "pow2_ceil 0" 1 (Size.pow2_ceil 0);
