@@ -19,7 +19,6 @@ module Probe = Dmm_obs.Probe
 module Jsonl_sink = Dmm_obs.Jsonl_sink
 module Binary_sink = Dmm_obs.Binary_sink
 module Chrome_sink = Dmm_obs.Chrome_sink
-module Collect_sink = Dmm_obs.Collect_sink
 module Diag = Dmm_check.Diag
 module Stream = Dmm_check.Stream
 module Sanitizer = Dmm_check.Sanitizer
@@ -787,43 +786,43 @@ let check_cmd =
       finish (Sanitizer.finalize st) []
     | None, None -> missing_source_exit ~cmd:"check"
     | None, Some w ->
-      (* Manager mode: record the workload, replay it against the manager
-         behind the dynamic checker wrapper with an event capture attached,
-         then sanitize the captured stream. For an atomic custom design the
-         stream is also conformance-checked against that design and the
-         quiesced manager's free structures are shape-linted. With --leaks
-         the replay also emits the scripted client's object-graph events
-         (one root per live block), so the oracle pass has reachability to
-         work with. *)
+      (* Manager mode: replay the workload against the manager with the
+         sanitizer fed from the probe as each event is emitted, so memory
+         is bounded by the live set, not by the stream. For an atomic
+         custom design the stream is also conformance-checked against that
+         design and the quiesced manager's free structures are
+         shape-linted. With --leaks the replay also emits the scripted
+         client's object-graph events (one root per live block), so the
+         oracle pass has reachability to work with. *)
       let trace = trace_for ~quick ~seed w in
-      let probe = Probe.create () in
-      let sink = Collect_sink.create ~capacity:(4 * Trace.length trace) () in
-      Collect_sink.attach probe sink;
-      let wrapper_diags = ref [] in
-      let on_diag d = wrapper_diags := d :: !wrapper_diags in
-      let design, shape_diags =
-        match manager with
-        | `Custom -> (
-          let spec = Scenario.global_design_for trace in
-          match spec.Scenario.overrides with
-          | [] ->
-            let d = spec.Scenario.default in
-            let space = Dmm_vmem.Address_space.create ~probe () in
-            let m = Dmm_core.Manager.create ~params:d.Explorer.params d.Explorer.vector space in
-            Replay.run ~probe ~graph:leaks trace
-              (Dmm_trace.Checker.wrap ~on_diag (Dmm_core.Manager.allocator m));
-            (Some d, Dmm_check.Shape.lint_manager m)
-          | _ :: _ ->
-            Replay.run ~probe ~graph:leaks trace
-              (Dmm_trace.Checker.wrap ~on_diag (Scenario.custom_global spec ~probe ()));
-            (None, []))
-        | _ ->
-          Replay.run ~probe ~graph:leaks trace
-            (Dmm_trace.Checker.wrap ~on_diag (maker_for manager trace ~probe ()));
-          (None, [])
+      let spec =
+        match manager with `Custom -> Some (Scenario.global_design_for trace) | _ -> None
       in
-      let stream = Stream.of_pairs (Collect_sink.to_array sink) in
-      finish (Sanitizer.run ?design ~leaks stream) (List.rev !wrapper_diags @ shape_diags)
+      let design =
+        match spec with
+        | Some { Scenario.default; overrides = [] } -> Some default
+        | Some _ | None -> None
+      in
+      (* Attached before the manager exists, so the sanitizer sees the
+         stream from clock 0. *)
+      let probe = Probe.create () in
+      let st = Sanitizer.start ?design ~leaks () in
+      Probe.attach probe (fun clock event -> Sanitizer.feed st { Stream.clock; event });
+      let shape_diags =
+        match (design, spec) with
+        | Some d, _ ->
+          let space = Dmm_vmem.Address_space.create ~probe () in
+          let m = Dmm_core.Manager.create ~params:d.Explorer.params d.Explorer.vector space in
+          Replay.run ~probe ~graph:leaks trace (Dmm_core.Manager.allocator m);
+          Dmm_check.Shape.lint_manager m
+        | None, Some spec ->
+          Replay.run ~probe ~graph:leaks trace (Scenario.custom_global spec ~probe ());
+          []
+        | None, None ->
+          Replay.run ~probe ~graph:leaks trace (maker_for manager trace ~probe ());
+          []
+      in
+      finish (Sanitizer.finalize st) shape_diags
   in
   let workload =
     Arg.(
@@ -1644,13 +1643,10 @@ let serve_cmd =
       let sniff = Bytes.sub_string head 0 n in
       let ctx, prefix, preamble_bytes =
         if sniff = Trace_ctx.magic then begin
-          match input_line ic with
-          | rest -> (
-            let line = sniff ^ rest in
-            match Trace_ctx.of_preamble_line line with
-            | Ok c -> (Some c, "", String.length line + 1)
-            | Error _ -> (None, line ^ "\n", 0))
-          | exception (End_of_file | Sys_error _) -> (None, sniff, 0)
+          let line = sniff ^ Trace_ctx.input_preamble ic in
+          match Trace_ctx.of_preamble_line line with
+          | Ok c -> (Some c, "", String.length line)
+          | Error _ -> (None, line, 0)
         end
         else (None, sniff, 0)
       in

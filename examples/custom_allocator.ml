@@ -1,15 +1,19 @@
 (* Extending the library with your own manager.
 
    Implements a naive first-fit free-list allocator from scratch against
-   the Allocator.t interface, validates it with the dynamic checker, and
-   races it against the framework-derived manager on the DRR case study.
+   the Allocator.t interface, checks its event stream with the heap
+   sanitizer, and races it against the framework-derived manager on the
+   DRR case study.
 
    Run with: dune exec examples/custom_allocator.exe *)
 
 module Allocator = Dmm_core.Allocator
 module Metrics = Dmm_core.Metrics
 module Address_space = Dmm_vmem.Address_space
-module Checker = Dmm_trace.Checker
+module Probe = Dmm_obs.Probe
+module Diag = Dmm_check.Diag
+module Stream = Dmm_check.Stream
+module Sanitizer = Dmm_check.Sanitizer
 module Replay = Dmm_trace.Replay
 module Scenario = Dmm_workloads.Scenario
 
@@ -118,24 +122,33 @@ let () =
   let trace = Scenario.drr_trace () in
   Format.printf "replaying %d DRR events...@.@." (Dmm_trace.Trace.length trace);
 
-  (* 1. The checker validates the new manager's alloc/free discipline on
-     the fly: overlaps, double frees and footprint lies all raise. *)
-  let naive ?probe () = Naive.allocator (Naive.create (Address_space.create ?probe ())) in
-  (try
-     Replay.run trace (Checker.wrap (naive ()));
-     Format.printf "checker: naive-first-fit honours the allocator contract@."
-   with Checker.Violation msg -> Format.printf "checker caught: %s@." msg);
+  (* 1. The sanitizer checks the new manager's event stream as the replay
+     emits it: overlaps, double frees and footprint lies are all
+     diagnostics. It is attached before the manager exists, so it sees
+     the stream from its first event, and this one replay is also the
+     manager's entry in the race below. *)
+  let probe = Probe.create () in
+  let st = Sanitizer.start () in
+  Probe.attach probe (fun clock event -> Sanitizer.feed st { Stream.clock; event });
+  let naive = Naive.allocator (Naive.create (Address_space.create ~probe ())) in
+  Replay.run ~probe trace naive;
+  (match (Sanitizer.finalize st).Sanitizer.diags with
+  | [] -> Format.printf "sanitizer: naive-first-fit honours the allocator contract@."
+  | d :: _ -> Format.printf "sanitizer caught: %s@." (Diag.to_string d));
 
   (* 2. Race it against the library's managers. *)
   Format.printf "@.maximum footprint:@.";
+  let report name a =
+    Format.printf "  %-18s %9d B   (%a)@." name (Allocator.max_footprint a)
+      Metrics.pp_breakdown (Allocator.breakdown a)
+  in
+  report "naive-first-fit" naive;
   List.iter
     (fun (name, (make : Scenario.maker)) ->
       let a = make () in
       Replay.run trace a;
-      Format.printf "  %-18s %9d B   (%a)@." name
-        (Allocator.max_footprint a) Metrics.pp_breakdown (Allocator.breakdown a))
+      report name a)
     [
-      ("naive-first-fit", naive);
       ("Lea-Linux", Scenario.lea);
       ("custom (derived)", Scenario.custom_manager (Scenario.drr_paper_design ()));
     ];

@@ -372,12 +372,6 @@ let run (s : Stream.t) =
   Array.iter (fun e -> feed t e) s;
   finalize t
 
-let run_source src =
-  let t = create () in
-  match Stream.iter_source src ~f:(fun e -> feed t e) with
-  | Error _ as e -> e
-  | Ok _ -> Ok (finalize t)
-
 (* --- consumers -------------------------------------------------------------- *)
 
 let leak_diags r =

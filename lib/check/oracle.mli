@@ -75,9 +75,8 @@ type report = {
 
 (** {1 Running the analysis}
 
-    Incremental ([create]/[feed]/[finalize]) and batch ([run],
-    [run_source]) drivers agree exactly — [run] is implemented on the
-    incremental state. *)
+    Incremental ([create]/[feed]/[finalize]) and batch ([run]) drivers
+    agree exactly — [run] is implemented on the incremental state. *)
 
 type t
 
@@ -88,10 +87,6 @@ val finalize : t -> report
 (** Backward pass + report. The state must not be fed again. *)
 
 val run : Stream.t -> report
-
-val run_source : Stream.source -> (report, string) result
-(** [Error] is a decode failure of the underlying record, as with
-    {!Sanitizer.run_source}. *)
 
 (** {1 Consumers} *)
 

@@ -507,9 +507,3 @@ let run ?design ?leaks (s : Stream.t) =
   let st = start ?design ?leaks () in
   Array.iter (fun e -> feed st e) s;
   finalize st
-
-let run_source ?design ?leaks src =
-  let st = start ?design ?leaks () in
-  match Stream.iter_source src ~f:(fun e -> feed st e) with
-  | Error _ as e -> e
-  | Ok _ -> Ok (finalize st)

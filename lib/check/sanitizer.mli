@@ -1,5 +1,6 @@
-(** Offline heap sanitizer: analyses a recorded allocation-event stream
-    without re-running the workload.
+(** Heap sanitizer: the allocator contract, checked over an
+    allocation-event stream — fed live from a replay's probe, or read
+    back from a recording without re-running the workload.
 
     Two passes over the stream, both prefix-closed:
 
@@ -53,8 +54,10 @@ val run : ?design:Dmm_core.Explorer.design -> ?leaks:bool -> Stream.t -> report
 
     The passes advance one event at a time; memory is bounded by the
     live-block maps, never by the stream length. This is how the ingest
-    daemon sanitizes sockets online and how [dmm check] reads trace
-    files of either format without materialising them. *)
+    daemon sanitizes sockets online, how [dmm check] reads trace files
+    of either format without materialising them, and how a live replay
+    is checked: attach [fun clock event -> feed st { clock; event }] to
+    the replay's probe before the manager is built, then {!finalize}. *)
 
 type incremental
 
@@ -68,9 +71,3 @@ val feed : incremental -> Stream.entry -> unit
 
 val finalize : incremental -> report
 (** Collect the verdict. The incremental state must not be fed again. *)
-
-val run_source :
-  ?design:Dmm_core.Explorer.design -> ?leaks:bool -> Stream.source -> (report, string) result
-(** Drive a {!Stream.source} to exhaustion through {!feed}. [Error] is a
-    decode failure of the underlying record (malformed line, corrupt
-    chunk) — distinct from heap diagnostics, which live in the report. *)

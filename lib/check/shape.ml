@@ -114,21 +114,3 @@ let lint_manager m =
     | Error msg -> [ Diag.v "manager-invariants" msg ]
   in
   pool_diags @ registry_diags
-
-(* --- inline audit hook ------------------------------------------------------- *)
-
-exception Corrupt of Diag.t
-
-let install_audit ?(every = 64) m =
-  if every <= 0 then invalid_arg "Shape.install_audit: every must be positive";
-  let ops = ref 0 in
-  Manager.set_audit m
-    (Some
-       (fun m ->
-         incr ops;
-         if !ops >= every then begin
-           ops := 0;
-           match lint_manager m with [] -> () | d :: _ -> raise (Corrupt d)
-         end))
-
-let uninstall_audit m = Manager.set_audit m None

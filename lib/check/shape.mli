@@ -5,8 +5,7 @@
     and byte totals match the linked contents, and linked blocks are
     genuinely free.
 
-    Runs offline over a quiesced manager ({!lint_manager}) or inline while
-    a workload executes ({!install_audit}). *)
+    Runs over a quiesced manager ({!lint_manager}). *)
 
 val lint_structure :
   ?label:string -> ?expect:Dmm_core.Manager.size_expectation -> Dmm_core.Free_structure.t -> Diag.t list
@@ -19,13 +18,3 @@ val lint_manager : Dmm_core.Manager.t -> Diag.t list
 (** Every pool view ({!Dmm_core.Manager.pool_views}) plus the registry
     cross-checks of {!Dmm_core.Manager.check_invariants} (reported under
     the [manager-invariants] rule). *)
-
-exception Corrupt of Diag.t
-(** Raised out of [alloc]/[free] by the inline audit hook on the first
-    finding, so the faulting operation is on the stack when it fires. *)
-
-val install_audit : ?every:int -> Dmm_core.Manager.t -> unit
-(** Opt-in inline audit: lint the whole manager every [every] (default 64)
-    completed operations and raise {!Corrupt} on the first finding. *)
-
-val uninstall_audit : Dmm_core.Manager.t -> unit

@@ -131,19 +131,9 @@ type source = { next : unit -> entry option; close : unit -> unit }
 let next_entry s = s.next ()
 let close_source s = s.close ()
 
-let source_of_entries (t : t) =
-  let i = ref 0 in
-  {
-    next =
-      (fun () ->
-        if !i >= Array.length t then None
-        else begin
-          let e = t.(!i) in
-          incr i;
-          Some e
-        end);
-    close = ignore;
-  }
+(* Far above the ~150 bytes [Event.add_json] writes: a peer that never
+   sends a newline must not make the reader buffer its whole stream. *)
+let max_line_bytes = 4096
 
 (* JSONL: scan for newlines through a fixed chunk window, accumulating the
    current line in one reused buffer — peak memory is one line, whatever
@@ -158,12 +148,19 @@ let jsonl_source ?path ?(close = ignore) r =
   let line = Buffer.create 256 in
   let lineno = ref 0 in
   let eof = ref false in
+  let check_length extra =
+    if Buffer.length line + extra > max_line_bytes then
+      parse_fail "%s"
+        (with_path
+           (Printf.sprintf "line %d: longer than %d bytes" (!lineno + 1) max_line_bytes))
+  in
   (* Some (line) | None at end of input. *)
   let next_line () =
     if !eof then None
     else begin
       let rec scan i =
         if i >= !chunk_len then begin
+          check_length (!chunk_len - !chunk_pos);
           Buffer.add_subbytes line chunk !chunk_pos (!chunk_len - !chunk_pos);
           chunk_pos := 0;
           chunk_len := r.fill chunk 0 (Bytes.length chunk);
@@ -180,6 +177,7 @@ let jsonl_source ?path ?(close = ignore) r =
           else scan 0
         end
         else if Bytes.unsafe_get chunk i = '\n' then begin
+          check_length (i - !chunk_pos);
           Buffer.add_subbytes line chunk !chunk_pos (i - !chunk_pos);
           chunk_pos := i + 1;
           incr lineno;
@@ -237,6 +235,17 @@ let binary_source ?path ?(close = ignore) r =
     in
     go 0
   in
+  (* The payload buffer grows as bytes arrive, never to the length a
+     header claims: a forged length costs at most twice the bytes sent. *)
+  let rec read_payload off n =
+    if off < n then begin
+      if off = Bytes.length !payload then
+        payload := Bytes.extend !payload 0 (min (n - off) off);
+      match r.fill !payload off (min n (Bytes.length !payload) - off) with
+      | 0 -> fail "truncated chunk payload (%d of %d bytes)" off n
+      | k -> read_payload (off + k) n
+    end
+  in
   let graph_ok = ref false in
   let read_magic () =
     if not (read_exact head Codec.magic_bytes ~what:"magic") then
@@ -277,10 +286,7 @@ let binary_source ?path ?(close = ignore) r =
     end
     else begin
       if h.Codec.h_count = 0 then fail "chunk of %d bytes holds no events" h.Codec.h_len;
-      if Bytes.length !payload < h.Codec.h_len then
-        payload := Bytes.create (max h.Codec.h_len (2 * Bytes.length !payload));
-      if not (read_exact !payload h.Codec.h_len ~what:"chunk payload") then
-        fail "truncated chunk payload (0 of %d bytes)" h.Codec.h_len;
+      read_payload 0 h.Codec.h_len;
       payload_s := Bytes.unsafe_to_string !payload;
       if Codec.fnv32 !payload_s 0 h.Codec.h_len <> h.Codec.h_crc then
         fail "chunk checksum mismatch (%d events at clock %d)" h.Codec.h_count

@@ -38,9 +38,6 @@ exception Parse_error of string
     that pull entries directly (the ingest daemon's batched reader)
     instead of going through {!fold_source}. *)
 
-val source_of_entries : t -> source
-(** In-memory replay of an already-materialised stream. *)
-
 val source_of_string : ?path:string -> string -> source
 (** Over an in-memory buffer; format auto-detected as in
     {!source_of_channel}. [path] prefixes error messages. *)

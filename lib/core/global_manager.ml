@@ -1,6 +1,6 @@
 module Address_space = Dmm_vmem.Address_space
 
-type design = { vector : Decision_vector.t; params : Manager.params }
+type design = Explorer.design = { vector : Decision_vector.t; params : Manager.params }
 
 type t = {
   space : Address_space.t;

@@ -8,7 +8,7 @@
     one address space, which must be exclusive to this global manager so
     that its break/high-water is the composition's footprint. *)
 
-type design = { vector : Decision_vector.t; params : Manager.params }
+type design = Explorer.design = { vector : Decision_vector.t; params : Manager.params }
 
 type t
 

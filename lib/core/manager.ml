@@ -58,7 +58,6 @@ type t = {
   mutable frees_since_sweep : int;
   mutable held_bytes : int; (* counted here: a global manager shares its space *)
   mutable max_held_bytes : int;
-  mutable audit : (t -> unit) option; (* opt-in hook, fired after alloc/free *)
 }
 
 let vector t = t.vec
@@ -168,7 +167,6 @@ let create ?(expected_live = 256) ?(params = default_params) vec space =
     frees_since_sweep = 0;
     held_bytes = 0;
     max_held_bytes = 0;
-    audit = None;
   }
 
 (* --- size classification -------------------------------------------------- *)
@@ -524,7 +522,6 @@ let alloc t payload =
   block.Block.req_size <- payload;
   Metrics.on_alloc t.metrics ~payload ~gross:block.Block.size ~tag:t.tag_bytes
     ~addr:(block.Block.addr + t.header_bytes);
-  (match t.audit with None -> () | Some f -> f t);
   block.Block.addr + t.header_bytes
 
 let free t user_addr =
@@ -549,8 +546,7 @@ let free t user_addr =
         t.frees_since_sweep <- 0;
         sweep t
       end
-    end;
-    (match t.audit with None -> () | Some f -> f t)
+    end
   end
 
 let owns t user_addr =
@@ -640,8 +636,6 @@ let pool_views t =
              fs;
            })
          arr)
-
-let set_audit t f = t.audit <- f
 
 (* --- invariants ------------------------------------------------------------------ *)
 

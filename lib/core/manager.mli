@@ -137,11 +137,5 @@ val pool_views : t -> pool_view list
 (** One view per pool, in a deterministic order (per-size pools sorted by
     size, range slots by index). *)
 
-val set_audit : t -> (t -> unit) option -> unit
-(** Install (or clear) an inline audit hook, called after every completed
-    [alloc] and [free] with the manager itself — the opt-in way to run
-    shape linting while a workload executes. The hook must not call back
-    into [alloc]/[free]. *)
-
 val allocator : t -> Allocator.t
 (** Package as the uniform interface (phase markers are ignored). *)

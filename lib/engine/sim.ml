@@ -182,12 +182,12 @@ let outcomes t designs =
 
 let sanitize t (d : Explorer.design) =
   let probe = Probe.create () in
-  let sink = Dmm_obs.Collect_sink.create ~capacity:(4 * Trace.length t.trace) () in
-  Dmm_obs.Collect_sink.attach probe sink;
+  let st = Dmm_check.Sanitizer.start ~design:d () in
+  Probe.attach probe (fun clock event ->
+      Dmm_check.Sanitizer.feed st { Dmm_check.Stream.clock; event });
   (* An observed replay must run: never a memo lookup. *)
   record_replays t [| replay ~probe t (allocator ~probe t d) |];
-  let stream = Dmm_check.Stream.of_pairs (Dmm_obs.Collect_sink.to_array sink) in
-  Dmm_check.Sanitizer.run ~design:d stream
+  Dmm_check.Sanitizer.finalize st
 
 (* Branch and bound on the incumbent, candidate 0: it is scored exactly
    first, and its score bounds every other replay of the batch. A stopped

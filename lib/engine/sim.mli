@@ -40,11 +40,11 @@ val outcomes : t -> Dmm_core.Explorer.design array -> outcome array
     {!Pool.map}. *)
 
 val sanitize : t -> Dmm_core.Explorer.design -> Dmm_check.Sanitizer.report
-(** Replay the design live with an in-memory event capture and run the
-    full {!Dmm_check.Sanitizer} (heap invariants plus design conformance)
-    over the recorded stream — the [explore --check] safety net on a
-    winning candidate. Never memoised (the events must exist), but counted
-    in {!replays}. *)
+(** Replay the design live with the full {!Dmm_check.Sanitizer} (heap
+    invariants plus design conformance) fed from the replay's probe, one
+    event at a time — the [explore --check] safety net on a winning
+    candidate, in memory bounded by the live set. Never memoised (the
+    events must exist), but counted in {!replays}. *)
 
 val score_all : ?alpha:float -> t -> Dmm_core.Explorer.design array -> int array
 (** [Explorer.tradeoff_score ~alpha] ([alpha] defaults to [0.], the pure

@@ -65,6 +65,21 @@ let of_traceparent s =
 
 let preamble t = Printf.sprintf "%s %s\n" magic (to_traceparent t)
 
+let max_preamble_bytes = 128
+
+let input_preamble ic =
+  let b = Buffer.create 64 in
+  let rec go () =
+    if Buffer.length b < max_preamble_bytes - String.length magic then
+      match input_char ic with
+      | c ->
+        Buffer.add_char b c;
+        if c <> '\n' then go ()
+      | exception (End_of_file | Sys_error _) -> ()
+  in
+  go ();
+  Buffer.contents b
+
 let of_preamble_line line =
   let line = String.trim line in
   let mlen = String.length magic in

@@ -35,6 +35,12 @@ val preamble : t -> string
 (** The full wire preamble line, newline included:
     ["DMMC 00-…-…-01\n"]. *)
 
+val input_preamble : in_channel -> string
+(** The rest of a preamble line whose {!magic} the caller has read: up
+    to and including the first newline, but at most 124 bytes (128 with
+    the magic; a {!preamble} is 61), so a peer that sends no newline
+    costs a bounded read. *)
+
 val of_preamble_line : string -> (t, string) result
 (** Parse a received preamble line (with or without the trailing
     newline). *)

@@ -62,16 +62,11 @@ let custom_manager (design : Explorer.design) ?probe () =
 
 type global_spec = { default : Explorer.design; overrides : (int * Explorer.design) list }
 
-let to_gm_design (d : Explorer.design) =
-  { Dmm_core.Global_manager.vector = d.vector; params = d.params }
-
 let custom_global spec ?probe () =
   let gm =
     Dmm_core.Global_manager.create
       (Address_space.create ?probe ())
-      ~default:(to_gm_design spec.default)
-      ~overrides:(List.map (fun (p, d) -> (p, to_gm_design d)) spec.overrides)
-      ()
+      ~default:spec.default ~overrides:spec.overrides ()
   in
   Dmm_core.Global_manager.allocator gm
 

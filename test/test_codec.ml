@@ -1,14 +1,14 @@
 (* The binary trace codec: varint/event round trips, chunked file framing
    (including the sniffing loader), the differential JSONL/binary
-   properties behind `dmm convert`, and the incremental sanitizer's
-   equivalence with the batch driver. *)
+   properties behind `dmm convert`, and the decoders' allocation bound on
+   forged lengths and unterminated lines. *)
 
 module Event = Dmm_obs.Event
 module Codec = Dmm_obs.Codec
 module Binary_sink = Dmm_obs.Binary_sink
 module Jsonl_sink = Dmm_obs.Jsonl_sink
 module Stream = Dmm_check.Stream
-module Sanitizer = Dmm_check.Sanitizer
+module Trace_ctx = Dmm_obs.Trace_ctx
 
 (* --- generators ---------------------------------------------------------- *)
 
@@ -222,33 +222,6 @@ let prop_corruption_detected =
       with_temp_data (Bytes.to_string b) (fun p ->
           match Stream.load p with Ok _ -> false | Error _ -> true))
 
-(* Clock tampering exercised too: the incremental sanitizer must agree
-   with the batch driver on faithful and on gap-damaged streams alike. *)
-let prop_incremental_sanitizer =
-  QCheck.Test.make
-    ~name:"incremental sanitizer = batch sanitizer (with and without gaps)"
-    ~count:80
-    (QCheck.make
-       ~print:(fun (evs, gap) ->
-         Printf.sprintf "%d events, gap=%b" (List.length evs) gap)
-       QCheck.Gen.(pair gen_events bool))
-    (fun (events, inject_gap) ->
-      let entries = Stream.of_events events in
-      let entries =
-        if inject_gap && Array.length entries > 0 then begin
-          let i = Array.length entries / 2 in
-          let e = entries.(i) in
-          let damaged = Array.copy entries in
-          damaged.(i) <- { e with Stream.clock = e.Stream.clock + 7 };
-          damaged
-        end
-        else entries
-      in
-      let batch = Sanitizer.run entries in
-      match Sanitizer.run_source (Stream.source_of_entries entries) with
-      | Error m -> QCheck.Test.fail_reportf "run_source failed: %s" m
-      | Ok incr -> incr = batch)
-
 let prop_jsonl_sink_buffering =
   QCheck.Test.make
     ~name:"buffered Jsonl_sink writes exactly the to_json lines" ~count:40
@@ -343,6 +316,64 @@ let unknown_feature_bits_rejected () =
         Alcotest.(check bool) (Printf.sprintf "error names the bits (%s)" m) true
           (contains ~needle:"unsupported feature bits" m))
 
+(* --- hostile lengths ---------------------------------------------------------
+   A decoder allocates in proportion to the bytes it has been sent, never
+   to a length the sender claims: each repro below is refused with a
+   one-line error after well under 1 MiB of allocation. *)
+
+let allocation_of f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (r, Gc.allocated_bytes () -. before)
+
+let check_under_1mib what bytes =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.0f bytes allocated, under 1 MiB" what bytes)
+    true (bytes < 1048576.)
+
+let decode s = Stream.iter_source (Stream.source_of_string s) ~f:ignore
+
+let forged_chunk_length () =
+  (* Magic, version 2, feature word 0, then a chunk header claiming a
+     1 GiB payload for one event, and no payload at all. *)
+  let b = Buffer.create 32 in
+  Codec.add_magic ~features:0 b;
+  Codec.add_header b { Codec.h_len = 1 lsl 30; h_count = 1; h_first_clock = 0; h_crc = 0 };
+  let forged = Buffer.contents b in
+  Alcotest.(check int) "29-byte file" 29 (String.length forged);
+  let r, bytes = allocation_of (fun () -> decode forged) in
+  Alcotest.(check (result int string)) "one-line error"
+    (Error "truncated chunk payload (0 of 1073741824 bytes)") r;
+  check_under_1mib "forged chunk length" bytes
+
+let unterminated_jsonl_line () =
+  let s = "{" ^ String.make (8 lsl 20) 'x' in
+  let r, bytes = allocation_of (fun () -> decode s) in
+  Alcotest.(check (result int string)) "one-line error"
+    (Error "line 1: longer than 4096 bytes") r;
+  check_under_1mib "8 MiB JSONL line" bytes
+
+(* The daemon's preamble read: [dmm serve] sniffs the magic, then reads
+   the rest of the line with [Trace_ctx.input_preamble]. *)
+let read_preamble data =
+  with_temp_data data (fun p ->
+      In_channel.with_open_bin p (fun ic ->
+          let magic = really_input_string ic (String.length Trace_ctx.magic) in
+          let line, bytes = allocation_of (fun () -> magic ^ Trace_ctx.input_preamble ic) in
+          (line, bytes, In_channel.input_all ic)))
+
+let unterminated_preamble () =
+  let line, bytes, _ = read_preamble (Trace_ctx.magic ^ String.make (8 lsl 20) 'x') in
+  Alcotest.(check int) "read stops at 128 bytes" 128 (String.length line);
+  Alcotest.(check bool) "refused" true (Result.is_error (Trace_ctx.of_preamble_line line));
+  check_under_1mib "8 MiB preamble" bytes;
+  (* A well-formed preamble is read through its newline and no further. *)
+  let c = Trace_ctx.make () in
+  let line, _, rest = read_preamble (Trace_ctx.preamble c ^ "{}\n") in
+  Alcotest.(check string) "whole line" (Trace_ctx.preamble c) line;
+  Alcotest.(check bool) "parses" true (Trace_ctx.of_preamble_line line = Ok c);
+  Alcotest.(check string) "stream untouched" "{}\n" rest
+
 let tests =
   ( "codec",
     [
@@ -355,6 +386,12 @@ let tests =
       Alcotest.test_case "v1 rejects graph tags" `Quick v1_rejects_graph_tags;
       Alcotest.test_case "unknown feature bits rejected" `Quick
         unknown_feature_bits_rejected;
+      Alcotest.test_case "forged chunk length: bounded allocation" `Quick
+        forged_chunk_length;
+      Alcotest.test_case "unterminated JSONL line: bounded allocation" `Quick
+        unterminated_jsonl_line;
+      Alcotest.test_case "unterminated preamble: bounded read" `Quick
+        unterminated_preamble;
     ]
     @ List.map QCheck_alcotest.to_alcotest
         [
@@ -362,7 +399,6 @@ let tests =
           prop_jsonl_binary_agree;
           prop_truncation_detected;
           prop_corruption_detected;
-          prop_incremental_sanitizer;
           prop_jsonl_sink_buffering;
           prop_v1_decodes_identically;
         ] )

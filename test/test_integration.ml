@@ -183,17 +183,6 @@ let qcheck =
         let f1 = fp trace framework and f2 = fp trace Scenario.kingsley in
         let ratio = float_of_int f1 /. float_of_int (max 1 f2) in
         ratio > 0.5 && ratio < 2.0);
-    QCheck.Test.make ~name:"all managers safe under the checker on random traces"
-      ~count:40 (QCheck.make random_trace_gen)
-      (fun input ->
-        let trace = trace_of input in
-        List.for_all
-          (fun (_, (make : Scenario.maker)) ->
-            match Replay.run trace (Dmm_trace.Checker.wrap (make ())) with
-            | () -> true
-            | exception Dmm_trace.Checker.Violation _ -> false)
-          (Scenario.baselines ()
-          @ [ ("custom", Scenario.custom_manager (Scenario.drr_paper_design ())) ]));
   ]
 
 let tests =

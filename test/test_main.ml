@@ -36,7 +36,6 @@ let () =
       Test_reconstruct.tests;
       Test_render.tests;
       Test_breakdown.tests;
-      Test_checker.tests;
       Test_sanitizer.tests;
       Test_oracle.tests;
       Test_profiler.tests;

@@ -81,13 +81,19 @@ let check_series_tracks_footprint () =
       let ss = Series_sink.create () in
       Series_sink.attach probe ss;
       let a = make ~probe () in
-      let mismatches = ref 0 in
+      let mismatches = ref 0 and peak_mismatches = ref 0 in
       Replay.run ~probe
         ~on_event:(fun _ a ->
           if Series_sink.current ss <> Allocator.current_footprint a then
-            incr mismatches)
+            incr mismatches;
+          (* The maximum footprint is the stream's running peak at every
+             event, so it never decreases, trims included. *)
+          if Series_sink.peak ss <> Allocator.max_footprint a then incr peak_mismatches)
         trace a;
       Alcotest.(check int) (name ^ " series matches polled footprint") 0 !mismatches;
+      Alcotest.(check int)
+        (name ^ " running peak matches polled maximum footprint")
+        0 !peak_mismatches;
       Alcotest.(check int)
         (name ^ " series peak is the manager's high-water mark")
         (Allocator.max_footprint a) (Series_sink.peak ss))

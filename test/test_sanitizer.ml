@@ -170,27 +170,19 @@ let shape_lint () =
   Free_structure.unsafe_push_front ov (block 32 64);
   check_rule "overlapping free blocks" "free-structure-overlap" (Shape.lint_structure ov)
 
-let manager_lint_and_audit () =
+let manager_lint () =
   let space = Address_space.create () in
   let m = Manager.create Decision_vector.drr_custom space in
   let a = Manager.allocator m in
-  Shape.install_audit ~every:1 m;
   let addrs = List.init 32 (fun i -> Dmm_core.Allocator.alloc a (16 + (8 * i))) in
   List.iteri (fun i addr -> if i mod 2 = 0 then Dmm_core.Allocator.free a addr) addrs;
   check_clean "healthy manager" (Shape.lint_manager m);
-  (* Plant a bogus used block in a pool and watch both the offline lint and
-     the inline audit hook catch it. *)
+  (* Plant a bogus used block in a pool and watch the lint catch it. *)
   (match Manager.pool_views m with
   | [] -> Alcotest.fail "manager has no pools"
   | { Manager.fs; _ } :: _ ->
     Free_structure.unsafe_push_front fs (block ~status:Block.Used 2_000_000 64));
-  check_rule "planted corruption" "free-structure-status" (Shape.lint_manager m);
-  (match Dmm_core.Allocator.alloc a 64 with
-  | (_ : int) -> Alcotest.fail "inline audit did not fire"
-  | exception Shape.Corrupt d ->
-    Alcotest.(check string)
-      "audit reports the planted defect" "free-structure-status" d.Diag.rule_id);
-  Shape.uninstall_audit m
+  check_rule "planted corruption" "free-structure-status" (Shape.lint_manager m)
 
 (* --- whole-manager clean pass ---------------------------------------------- *)
 
@@ -243,6 +235,13 @@ let capture trace (make : Scenario.maker) =
   Replay.run ~probe trace (make ~probe ());
   Stream.of_pairs (Collect_sink.to_array sink)
 
+(* Every shipped manager aligns payloads to its 4-byte tag word. *)
+let aligned stream =
+  Array.for_all
+    (fun { Stream.event; _ } ->
+      match event with Event.Alloc { addr; _ } -> addr mod 4 = 0 | _ -> true)
+    stream
+
 let qcheck_grid_clean =
   QCheck.Test.make ~name:"every shipped manager sanitizes clean" ~count:30
     QCheck.(list_of_size Gen.(5 -- 80) (pair small_nat small_nat))
@@ -251,7 +250,7 @@ let qcheck_grid_clean =
       List.for_all
         (fun (_, make) ->
           let stream = capture trace make in
-          Sanitizer.clean (Sanitizer.run stream))
+          Sanitizer.clean (Sanitizer.run stream) && aligned stream)
         (grid_managers ()))
 
 let drr_conformance_clean () =
@@ -379,7 +378,7 @@ let tests =
       Alcotest.test_case "conformance gates" `Quick conformance_gates;
       Alcotest.test_case "fit-policy lies" `Quick fit_policy_lie;
       Alcotest.test_case "free-structure shape lint" `Quick shape_lint;
-      Alcotest.test_case "manager lint and inline audit" `Quick manager_lint_and_audit;
+      Alcotest.test_case "manager lint" `Quick manager_lint;
       Alcotest.test_case "drr design conformance-clean" `Slow drr_conformance_clean;
       Alcotest.test_case "jsonl round trip" `Quick jsonl_roundtrip;
       QCheck_alcotest.to_alcotest qcheck_grid_clean;

@@ -4,6 +4,9 @@ module Address_space = Dmm_vmem.Address_space
 module Experiments = Dmm_workloads.Experiments
 module Trace = Dmm_trace.Trace
 module Event = Dmm_trace.Event
+module Probe = Dmm_obs.Probe
+module Stream = Dmm_check.Stream
+module Sanitizer = Dmm_check.Sanitizer
 
 let fresh ?margin capacities = SP.create ?margin (Address_space.create ()) capacities
 
@@ -98,12 +101,20 @@ let check_static_report_shape () =
   Alcotest.(check int) "three stress seeds" 3
     (List.length r.Experiments.overflows_on_other_inputs)
 
-let check_checker_accepts () =
+let check_sanitizer_accepts () =
   let trace = Dmm_workloads.Scenario.drr_trace () in
   let caps = Experiments.class_capacities trace in
-  let make () = SP.allocator (fresh caps) in
-  try Dmm_trace.Replay.run trace (Dmm_trace.Checker.wrap (make ()))
-  with Dmm_trace.Checker.Violation msg -> Alcotest.fail msg
+  (* Attached before the pool reserves its slab, so the sanitizer sees
+     the stream from clock 0. *)
+  let probe = Probe.create () in
+  let st = Sanitizer.start () in
+  Probe.attach probe (fun clock event -> Sanitizer.feed st { Stream.clock; event });
+  let sp = SP.create (Address_space.create ~probe ()) caps in
+  Dmm_trace.Replay.run ~probe trace (SP.allocator sp);
+  let r = Sanitizer.finalize st in
+  Alcotest.(check (list string)) "no diagnostics" []
+    (List.map Dmm_check.Diag.to_string r.Sanitizer.diags);
+  Alcotest.(check bool) "events checked" true (r.Sanitizer.events > 0)
 
 let tests =
   ( "static_pool",
@@ -118,5 +129,5 @@ let tests =
       Alcotest.test_case "worst case covers its own input" `Quick
         check_capacities_suffice_on_design_input;
       Alcotest.test_case "static report shape" `Slow check_static_report_shape;
-      Alcotest.test_case "checker accepts it" `Slow check_checker_accepts;
+      Alcotest.test_case "sanitizer accepts it" `Slow check_sanitizer_accepts;
     ] )
