@@ -167,8 +167,7 @@ let oracle_section () =
   let config =
     { Gcheap.default_config with Gcheap.nodes_per_phase = 400; free_lag = Some 50 }
   in
-  let gc_stream, stats = Scenario.gcheap_stream ~config Scenario.lea in
-  let g = Oracle.run gc_stream in
+  let g, stats = Scenario.gcheap_oracle ~config Scenario.lea in
   let orc_gc_defects = Oracle.defect_count g.Oracle.r_defects in
   let orc_gc_drag_p50 = Dmm_obs.Log_hist.percentile g.Oracle.r_drag 0.5
   and orc_gc_drag_p99 = Dmm_obs.Log_hist.percentile g.Oracle.r_drag 0.99 in

@@ -892,12 +892,12 @@ let oracle_cmd =
             free_lag = lag;
           }
         in
-        let stream, stats = Scenario.gcheap_stream ~config make in
+        let report, stats = Scenario.gcheap_oracle ~config make in
         Format.printf
           "gcheap: %d allocs, %d frees, %d ptr writes, %d root ops, %d referenced at exit@."
           stats.Gcheap.g_allocs stats.Gcheap.g_frees stats.Gcheap.g_ptr_writes
           stats.Gcheap.g_root_ops stats.Gcheap.g_refcount_live;
-        (Oracle.run stream, Printf.sprintf "gcheap/%s live run" (conv_name manager_conv manager))
+        (report, Printf.sprintf "gcheap/%s live run" (conv_name manager_conv manager))
       | None, None, false -> die "pass --stream FILE, a workload (-w) or --gcheap"
     in
     Format.printf "%a" Oracle.pp report;

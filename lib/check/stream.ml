@@ -7,7 +7,6 @@ type t = entry array
 let of_events evs = Array.of_list (List.mapi (fun i event -> { clock = i; event }) evs)
 let of_pairs pairs = Array.map (fun (clock, event) -> { clock; event }) pairs
 let length = Array.length
-let events t = Array.to_list (Array.map (fun e -> e.event) t)
 
 (* --- JSONL parsing ---------------------------------------------------------
    The [Jsonl_sink] format is flat: one object per line, integer fields plus

@@ -23,8 +23,6 @@ val of_pairs : (int * Dmm_obs.Event.t) array -> t
 
 val length : t -> int
 
-val events : t -> Dmm_obs.Event.t list
-
 (** {1 Incremental sources} *)
 
 type source

@@ -16,6 +16,7 @@ module Flat = struct
     mutable head : int;
     mutable tail : int;
     mutable free_slot : int; (* head of the free-slot chain (via nxt) *)
+    mutable visited : int; (* nodes the last scan visited *)
     dummy : Block.t;
   }
 
@@ -29,6 +30,7 @@ module Flat = struct
       head = -1;
       tail = -1;
       free_slot = -1;
+      visited = 0;
       dummy = Block.v ~addr:0 ~size:1 ~status:Block.Free ~run_id:(-1);
     }
 
@@ -84,13 +86,10 @@ module Flat = struct
      address scan backs up callers that pass a reconstructed twin of the
      stored block (same address, fresh record), as the boundary-tag
      managers do when they rebuild neighbours from in-band tags. *)
-  let slot_of t (b : Block.t) =
-    if mem t b then b.fs_slot
-    else
-      let rec go cur =
-        if cur < 0 then -1 else if t.addrs.(cur) = b.addr then cur else go t.nxt.(cur)
-      in
-      go t.head
+  let rec slot_at (addrs : int array) (nxt : int array) (addr : int) (cur : int) =
+    if cur < 0 || addrs.(cur) = addr then cur else slot_at addrs nxt addr nxt.(cur)
+
+  let slot_of t (b : Block.t) = if mem t b then b.fs_slot else slot_at t.addrs t.nxt b.addr t.head
 
   let push_front t (b : Block.t) =
     let s = alloc_slot t b in
@@ -99,15 +98,25 @@ module Flat = struct
     if t.head >= 0 then t.prv.(t.head) <- s else t.tail <- s;
     t.head <- s
 
+  (* The loops below return a slot (-1 = none) and [stop] leaves the nodes
+     they visited in [t.visited], so a scan allocates nothing. Their int
+     arguments are annotated: unannotated, [=] and [<] on the array reads
+     would be polymorphic compares. *)
+  let stop t (visited : int) (slot : int) =
+    t.visited <- visited;
+    slot
+
+  (* Successor of [addr] in address order (-1 = append). *)
+  let rec find_pos t (addrs : int array) (nxt : int array) (addr : int) (cur : int)
+      (visited : int) =
+    if cur < 0 then stop t visited (-1)
+    else if addrs.(cur) > addr then stop t (visited + 1) cur
+    else find_pos t addrs nxt addr nxt.(cur) (visited + 1)
+
   (* Insert keeping ascending address order; returns the nodes visited: the
      successor's 0-based index + 1, or the length when appending. *)
   let insert_sorted t (b : Block.t) =
-    let rec find_pos cur visited =
-      if cur < 0 then (-1, visited)
-      else if t.addrs.(cur) > b.addr then (cur, visited + 1)
-      else find_pos t.nxt.(cur) (visited + 1)
-    in
-    let succ, visited = find_pos t.head 0 in
+    let succ = find_pos t t.addrs t.nxt b.addr t.head 0 in
     let s = alloc_slot t b in
     (if succ < 0 then begin
        (* Append at tail. *)
@@ -122,7 +131,7 @@ module Flat = struct
        if t.prv.(succ) >= 0 then t.nxt.(t.prv.(succ)) <- s else t.head <- s;
        t.prv.(succ) <- s
      end);
-    visited
+    t.visited
 
   let unlink t s =
     let p = t.prv.(s) and n = t.nxt.(s) in
@@ -136,16 +145,15 @@ module Flat = struct
 
   (* Linear removal for the singly linked list: walk from the head, return
      the 1-based position of the match as the traversal charge. *)
-  let remove_scan t (b : Block.t) =
-    let rec go cur visited =
-      if cur < 0 then raise Not_found
-      else if t.addrs.(cur) = b.addr then begin
-        unlink t cur;
-        visited + 1
-      end
-      else go t.nxt.(cur) (visited + 1)
-    in
-    go t.head 0
+  let rec remove_at t (addr : int) (cur : int) (visited : int) =
+    if cur < 0 then raise Not_found
+    else if t.addrs.(cur) = addr then begin
+      unlink t cur;
+      visited + 1
+    end
+    else remove_at t addr t.nxt.(cur) (visited + 1)
+
+  let remove_scan t (b : Block.t) = remove_at t b.addr t.head 0
 
   let iter f t =
     let rec go s =
@@ -164,73 +172,58 @@ module Flat = struct
      reads — every slot index reachable through [head]/[nxt] is a live slot
      below the arrays' length by construction. *)
 
-  let scan_first t need =
-    let nxt = t.nxt and sizes = t.sizes in
-    let rec go cur steps =
-      if cur < 0 then (-1, steps)
-      else
-        let steps = steps + 1 in
-        if Array.unsafe_get sizes cur >= need then (cur, steps)
-        else go (Array.unsafe_get nxt cur) steps
-    in
-    go t.head 0
+  let rec scan_first t (nxt : int array) (sizes : int array) (need : int) (cur : int)
+      (steps : int) =
+    if cur < 0 then stop t steps (-1)
+    else if Array.unsafe_get sizes cur >= need then stop t (steps + 1) cur
+    else scan_first t nxt sizes need (Array.unsafe_get nxt cur) (steps + 1)
 
   (* Exact and best fit share a loop: stop on an exact hit, otherwise keep
      the smallest block that fits (first encountered wins ties). *)
-  let scan_exact t need =
-    let nxt = t.nxt and sizes = t.sizes in
-    let rec go cur best best_sz steps =
-      if cur < 0 then (best, steps)
-      else
-        let sz = Array.unsafe_get sizes cur in
-        let steps = steps + 1 in
-        if sz = need then (cur, steps)
-        else if sz > need && sz < best_sz then
-          go (Array.unsafe_get nxt cur) cur sz steps
-        else go (Array.unsafe_get nxt cur) best best_sz steps
-    in
-    go t.head (-1) max_int 0
+  let rec scan_exact t (nxt : int array) (sizes : int array) (need : int) (cur : int)
+      (best : int) (best_sz : int) (steps : int) =
+    if cur < 0 then stop t steps best
+    else
+      let sz = Array.unsafe_get sizes cur in
+      let steps = steps + 1 in
+      if sz = need then stop t steps cur
+      else if sz > need && sz < best_sz then
+        scan_exact t nxt sizes need (Array.unsafe_get nxt cur) cur sz steps
+      else scan_exact t nxt sizes need (Array.unsafe_get nxt cur) best best_sz steps
 
   (* Full scan keeping the largest fitting block (earlier node wins ties). *)
-  let scan_worst t need =
-    let nxt = t.nxt and sizes = t.sizes in
-    let rec go cur best best_sz steps =
-      if cur < 0 then (best, steps)
-      else
-        let sz = Array.unsafe_get sizes cur in
-        let steps = steps + 1 in
-        if sz >= need && not (best >= 0 && best_sz >= sz) then
-          go (Array.unsafe_get nxt cur) cur sz steps
-        else go (Array.unsafe_get nxt cur) best best_sz steps
-    in
-    go t.head (-1) 0 0
+  let rec scan_worst t (nxt : int array) (sizes : int array) (need : int) (cur : int)
+      (best : int) (best_sz : int) (steps : int) =
+    if cur < 0 then stop t steps best
+    else
+      let sz = Array.unsafe_get sizes cur in
+      let steps = steps + 1 in
+      if sz >= need && not (best >= 0 && best_sz >= sz) then
+        scan_worst t nxt sizes need (Array.unsafe_get nxt cur) cur sz steps
+      else scan_worst t nxt sizes need (Array.unsafe_get nxt cur) best best_sz steps
 
   (* Next fit with a roving pointer: first fitting node not equal to the
      previous winner; the skipped previous winner is the fallback. *)
-  let scan_next t need ~after =
-    let nxt = t.nxt and sizes = t.sizes and addrs = t.addrs in
-    let rec go cur best steps =
-      if cur < 0 then (best, steps)
-      else
-        let sz = Array.unsafe_get sizes cur in
-        let steps = steps + 1 in
-        if sz < need then go (Array.unsafe_get nxt cur) best steps
-        else if Array.unsafe_get addrs cur <> after then (cur, steps)
-        else go (Array.unsafe_get nxt cur) (if best < 0 then cur else best) steps
-    in
-    go t.head (-1) 0
+  let rec scan_next t (need : int) (after : int) (cur : int) (best : int) (steps : int) =
+    if cur < 0 then stop t steps best
+    else
+      let steps = steps + 1 in
+      let next = Array.unsafe_get t.nxt cur in
+      if Array.unsafe_get t.sizes cur < need then scan_next t need after next best steps
+      else if Array.unsafe_get t.addrs cur <> after then stop t steps cur
+      else scan_next t need after next (if best < 0 then cur else best) steps
 
-  (* The chosen slot (-1 = none) and the nodes visited. [after] is the
-     roving pointer; without one, next fit is first fit. *)
+  (* The chosen slot (-1 = none); the nodes visited are in [t.visited].
+     [after] is the roving pointer (-1 = none); without one, next fit is
+     first fit. *)
   let scan_fit t fit need ~after =
     match fit with
-    | First_fit -> scan_first t need
-    | Next_fit -> (
-      match after with
-      | None -> scan_first t need
-      | Some a -> scan_next t need ~after:a)
-    | Exact_fit | Best_fit -> scan_exact t need
-    | Worst_fit -> scan_worst t need
+    | First_fit -> scan_first t t.nxt t.sizes need t.head 0
+    | Next_fit ->
+      if after < 0 then scan_first t t.nxt t.sizes need t.head 0
+      else scan_next t need after t.head (-1) 0
+    | Exact_fit | Best_fit -> scan_exact t t.nxt t.sizes need t.head (-1) max_int 0
+    | Worst_fit -> scan_worst t t.nxt t.sizes need t.head (-1) 0 0
 end
 
 module Size_key = struct
@@ -254,7 +247,7 @@ type t = {
   mutable steps : int;
   mutable cardinal : int;
   mutable total_bytes : int;
-  mutable last_fit_addr : int option; (* roving pointer for next fit *)
+  mutable last_fit_addr : int; (* roving pointer for next fit; -1 = none *)
 }
 
 let create structure =
@@ -271,7 +264,7 @@ let create structure =
     steps = 0;
     cardinal = 0;
     total_bytes = 0;
-    last_fit_addr = None;
+    last_fit_addr = -1;
   }
 
 let structure t = t.structure
@@ -315,9 +308,7 @@ let remove t (b : Block.t) =
     tr.map <- Size_map.remove (b.size, b.addr) tr.map);
   t.cardinal <- t.cardinal - 1;
   t.total_bytes <- t.total_bytes - b.size;
-  match t.last_fit_addr with
-  | Some a when a = b.addr -> t.last_fit_addr <- None
-  | Some _ | None -> ()
+  if t.last_fit_addr = b.addr then t.last_fit_addr <- -1
 
 let iter f t =
   match t.impl with
@@ -340,48 +331,51 @@ let to_list t =
   List.rev !acc
 
 let take_from_flat t f fit need ~after =
-  let slot, visited = Flat.scan_fit f fit need ~after in
-  charge t visited;
-  if slot < 0 then None
+  let slot = Flat.scan_fit f fit need ~after in
+  charge t f.Flat.visited;
+  if slot < 0 then Block.none
   else begin
     let b = f.Flat.blocks.(slot) in
     Flat.unlink f slot;
-    Some b
+    b
   end
 
 (* Empty-structure fast path: the scans below charge exactly 0 on an empty
    list (no node visited) and [log2_card] = 1 on an empty tree, so the
    early exit can charge that without touching the structure. This is what
    makes walking a run of empty bins cheap for the segregated managers. *)
-let take_fit t fit need =
+let take t fit need =
   if t.cardinal = 0 then begin
     (match t.impl with Tree _ -> charge t 1 | Singly _ | Doubly _ | By_addr _ -> ());
-    None
+    Block.none
   end
   else
-  let found =
-    match t.impl with
-    (* A singly linked list keeps no roving pointer: next fit is first fit. *)
-    | Singly f -> take_from_flat t f fit need ~after:None
-    | Doubly f | By_addr f -> take_from_flat t f fit need ~after:t.last_fit_addr
-    | Tree tr -> (
-      charge t (log2_card t);
-      let candidate =
-        match fit with
-        | First_fit | Next_fit | Best_fit | Exact_fit ->
-          Size_map.find_first_opt (fun (s, _) -> s >= need) tr.map
-        | Worst_fit -> Size_map.max_binding_opt tr.map
-      in
-      match candidate with
-      | Some ((s, _), b) when s >= need ->
-        tr.map <- Size_map.remove (s, b.Block.addr) tr.map;
-        Some b
-      | Some _ | None -> None)
-  in
-  match found with
-  | None -> None
-  | Some b ->
-    t.cardinal <- t.cardinal - 1;
-    t.total_bytes <- t.total_bytes - b.Block.size;
-    t.last_fit_addr <- Some b.Block.addr;
-    Some b
+    let b =
+      match t.impl with
+      (* A singly linked list keeps no roving pointer: next fit is first fit. *)
+      | Singly f -> take_from_flat t f fit need ~after:(-1)
+      | Doubly f | By_addr f -> take_from_flat t f fit need ~after:t.last_fit_addr
+      | Tree tr -> (
+        charge t (log2_card t);
+        let candidate =
+          match fit with
+          | First_fit | Next_fit | Best_fit | Exact_fit ->
+            Size_map.find_first_opt (fun (s, _) -> s >= need) tr.map
+          | Worst_fit -> Size_map.max_binding_opt tr.map
+        in
+        match candidate with
+        | Some ((s, _), b) when s >= need ->
+          tr.map <- Size_map.remove (s, b.Block.addr) tr.map;
+          b
+        | Some _ | None -> Block.none)
+    in
+    if b != Block.none then begin
+      t.cardinal <- t.cardinal - 1;
+      t.total_bytes <- t.total_bytes - b.Block.size;
+      t.last_fit_addr <- b.Block.addr
+    end;
+    b
+
+let take_fit t fit need =
+  let b = take t fit need in
+  if b == Block.none then None else Some b

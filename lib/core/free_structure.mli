@@ -10,7 +10,7 @@
     {b Order} ({!iter}): the singly and doubly linked lists newest first,
     the address-ordered list by address, the tree by (size, address).
 
-    {b Choice} ({!take_fit}), among the blocks in structure order:
+    {b Choice} ({!take}), among the blocks in structure order:
     - {e first fit}: the first adequate block (size >= need);
     - {e exact} and {e best fit}: the first exact match; otherwise the
       smallest adequate block, the earliest winning ties (the paper's
@@ -33,7 +33,7 @@
       the tree, 1 on the doubly linked and address-ordered lists even
       when the block is absent. An absent block costs 0 on the singly
       linked list and the tree;
-    - {!take_fit}: on a list the 1-based index of the node where the scan
+    - {!take}: on a list the 1-based index of the node where the scan
       stops, or n for a full scan (0 when empty); log on the tree, 1
       when it is empty. *)
 
@@ -56,9 +56,13 @@ val cardinal : t -> int
 val total_bytes : t -> int
 (** Sum of the sizes of the free blocks held. *)
 
+val take : t -> Decision.fit_algorithm -> int -> Block.t
+(** [take t fit need] finds a block per the fit algorithm and removes it
+    from the structure; {!Block.none} when none fits. Allocates nothing
+    on the list structures. *)
+
 val take_fit : t -> Decision.fit_algorithm -> int -> Block.t option
-(** [take_fit t fit need] finds a block per the fit algorithm and removes it
-    from the structure. *)
+(** {!take} with [None] for {!Block.none}. *)
 
 val iter : (Block.t -> unit) -> t -> unit
 (** Iteration in structure order. *)

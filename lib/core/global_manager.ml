@@ -8,7 +8,7 @@ type t = {
   overrides : (int, design) Hashtbl.t;
   managers : (int, Manager.t) Hashtbl.t;
   mutable current : int;
-  mutable order : int list; (* phases in instantiation order, most recent first *)
+  mutable order : Manager.t list; (* instantiation order, most recent first *)
   mutable live_payload : int; (* the composition's, across its managers *)
   mutable peak_live_payload : int;
 }
@@ -43,13 +43,13 @@ let set_phase t p = t.current <- p
 let current_phase t = t.current
 
 let manager_for t phase =
-  match Hashtbl.find_opt t.managers phase with
-  | Some m -> m
-  | None ->
+  match Hashtbl.find t.managers phase with
+  | m -> m
+  | exception Not_found ->
     let d = design_for t phase in
     let m = Manager.create ~params:d.params d.vector t.space in
     Hashtbl.replace t.managers phase m;
-    t.order <- phase :: t.order;
+    t.order <- m :: t.order;
     m
 
 let alloc t size =
@@ -58,28 +58,22 @@ let alloc t size =
   if t.live_payload > t.peak_live_payload then t.peak_live_payload <- t.live_payload;
   addr
 
+let release t m addr =
+  let before = Manager.live_payload m in
+  Manager.free m addr;
+  t.live_payload <- t.live_payload - (before - Manager.live_payload m)
+
+let rec free_in t (addr : int) = function
+  | [] -> raise (Allocator.Invalid_free addr)
+  | m :: rest -> if Manager.owns m addr then release t m addr else free_in t addr rest
+
+(* The current phase's manager is the most likely owner; fall back to the
+   others in most-recently-instantiated order. *)
 let free t addr =
-  (* The current phase's manager is the most likely owner; fall back to the
-     others in most-recently-used order. *)
-  let try_manager phase =
-    match Hashtbl.find_opt t.managers phase with
-    | Some m when Manager.owns m addr -> Some m
-    | Some _ | None -> None
-  in
-  let owner =
-    match try_manager t.current with
-    | Some m -> Some m
-    | None ->
-      List.fold_left
-        (fun acc phase -> match acc with Some _ -> acc | None -> try_manager phase)
-        None t.order
-  in
-  match owner with
-  | Some m ->
-    let before = Manager.live_payload m in
-    Manager.free m addr;
-    t.live_payload <- t.live_payload - (before - Manager.live_payload m)
-  | None -> raise (Allocator.Invalid_free addr)
+  match Hashtbl.find t.managers t.current with
+  | m when Manager.owns m addr -> release t m addr
+  | _ -> free_in t addr t.order
+  | exception Not_found -> free_in t addr t.order
 
 let managers t =
   Hashtbl.fold (fun p m acc -> (p, m) :: acc) t.managers []

@@ -47,6 +47,7 @@ type t = {
   space : Address_space.t;
   metrics : Metrics.t;
   by_base : Block.t Int_table.t;
+  mutable phys_first : Block.t; (* lowest-addressed block; chain head *)
   mutable phys_last : Block.t; (* highest-addressed block; chain tail *)
   pools : pools;
   classes : int array; (* ascending gross ceilings; empty in varying regimes *)
@@ -156,6 +157,7 @@ let create ?(expected_live = 256) ?(params = default_params) vec space =
     space;
     metrics = Metrics.create ~probe:(Address_space.probe space) ();
     by_base = Int_table.create ~size:(max 16 expected_live) dummy_block;
+    phys_first = Block.none;
     phys_last = Block.none;
     pools;
     classes;
@@ -171,19 +173,22 @@ let create ?(expected_live = 256) ?(params = default_params) vec space =
 
 (* --- size classification -------------------------------------------------- *)
 
-(* Smallest class ceiling >= gross, or None for oversize requests. *)
-let class_ceiling t gross =
-  let n = Array.length t.classes in
-  let rec go i = if i >= n then None else if t.classes.(i) >= gross then Some i else go (i + 1) in
-  go 0
+(* Index of the smallest class ceiling >= gross, or -1 for oversize
+   requests. *)
+let rec ceiling_from (classes : int array) (gross : int) (i : int) =
+  if i >= Array.length classes then -1
+  else if classes.(i) >= gross then i
+  else ceiling_from classes gross (i + 1)
+
+let class_ceiling t gross = ceiling_from t.classes gross 0
 
 (* Gross block size serving a request of [payload] bytes. *)
 let gross_of_request t payload =
   let base =
     max t.min_block (Size.align_up (payload + t.tag_bytes) t.params.alignment)
   in
-  if Array.length t.classes = 0 then base
-  else match class_ceiling t base with Some i -> t.classes.(i) | None -> base
+  let i = class_ceiling t base in
+  if i < 0 then base else t.classes.(i)
 
 (* Range-pool index for a block of gross size [z]. In varying regimes the
    range boundaries are synthetic power-of-two buckets. *)
@@ -192,7 +197,8 @@ let range_index t z =
   | P_by_range arr ->
     let n = Array.length arr in
     if Array.length t.classes > 0 then begin
-      match class_ceiling t z with Some i -> i | None -> n - 1
+      let i = class_ceiling t z in
+      if i < 0 then n - 1 else i
     end
     else begin
       let i = Size.log2_ceil z in
@@ -212,9 +218,9 @@ let pool_for_size t z =
     fs
   | P_by_size tbl ->
     Metrics.add_ops t.metrics (pool_lookup_cost t 1);
-    (match Hashtbl.find_opt tbl z with
-    | Some fs -> fs
-    | None ->
+    (match Hashtbl.find tbl z with
+    | fs -> fs
+    | exception Not_found ->
       let fs = Free_structure.create t.vec.Decision_vector.a1 in
       Hashtbl.replace tbl z fs;
       fs)
@@ -236,14 +242,14 @@ let register t ~after (b : Block.t) =
   let n = if after == Block.none then Block.none else after.Block.phys_next in
   b.phys_prev <- after;
   b.phys_next <- n;
-  if after != Block.none then after.Block.phys_next <- b;
+  if after != Block.none then after.Block.phys_next <- b else t.phys_first <- b;
   if n != Block.none then n.Block.phys_prev <- b else t.phys_last <- b;
   Metrics.add_ops t.metrics 1
 
 let unregister t (b : Block.t) =
   Int_table.remove t.by_base b.addr;
   let p = b.phys_prev and n = b.phys_next in
-  if p != Block.none then p.phys_next <- n;
+  if p != Block.none then p.phys_next <- n else if t.phys_first == b then t.phys_first <- n;
   if n != Block.none then n.phys_prev <- p
   else if t.phys_last == b then t.phys_last <- p;
   b.phys_prev <- Block.none;
@@ -258,6 +264,11 @@ let insert_free t (b : Block.t) =
 let remove_free t (b : Block.t) = Free_structure.remove (pool_for_size t b.size) b
 
 (* --- splitting (category E) ------------------------------------------------ *)
+
+(* Largest class ceiling that fits in [remainder], 0 when none does. *)
+let rec largest_within (classes : int array) (remainder : int) (i : int) (acc : int) =
+  if i >= Array.length classes || classes.(i) > remainder then acc
+  else largest_within classes remainder (i + 1) classes.(i)
 
 (* [b] is not in any free structure when called. Splits the tail off [b]
    when the policy allows, registering the remainder as a free block. *)
@@ -279,13 +290,7 @@ let try_split t (b : Block.t) gross =
         let unit = max t.min_block t.params.min_split_remainder in
         if remainder >= max unit threshold then remainder / unit * unit else 0
       | Many_fixed ->
-        (* Largest class ceiling that fits in the remainder. *)
-        let rec best i acc =
-          if i >= Array.length t.classes then acc
-          else if t.classes.(i) <= remainder then best (i + 1) (t.classes.(i))
-          else acc
-        in
-        let c = best 0 0 in
+        let c = largest_within t.classes remainder 0 0 in
         if c >= threshold && c >= t.min_block then c else 0
     in
     if split_off >= t.min_block then begin
@@ -307,82 +312,77 @@ let try_split t (b : Block.t) gross =
 let within_coalesce_bound t size =
   match t.params.max_coalesced_size with None -> true | Some m -> size <= m
 
+(* [b], a physical neighbour of [a], is free, in [a]'s run and small
+   enough to merge with it. Same-run neighbours tile the run, so a run-id
+   match implies address contiguity. *)
+let mergeable t (a : Block.t) (b : Block.t) =
+  b != Block.none && Block.is_free b && b.run_id = a.run_id
+  && within_coalesce_bound t (a.size + b.size)
+
+(* Forward: [b] absorbs its successors. *)
+let rec absorb_next t (b : Block.t) =
+  let next = b.phys_next in
+  if mergeable t b next then begin
+    remove_free t next;
+    let absorbed = next.size in
+    unregister t next;
+    b.size <- b.size + absorbed;
+    Metrics.on_coalesce t.metrics ~addr:b.addr ~merged:b.size ~absorbed;
+    Metrics.add_ops t.metrics 2;
+    absorb_next t b
+  end
+
+(* Backward: [b] is absorbed by its predecessors; returns the survivor. *)
+let rec absorb_into_prev t (b : Block.t) =
+  let prev = b.phys_prev in
+  if mergeable t b prev then begin
+    remove_free t prev;
+    (* One re-registration step, as when the registries were rebuilt. *)
+    Metrics.add_ops t.metrics 1;
+    unregister t b;
+    let absorbed = b.size in
+    prev.size <- prev.size + absorbed;
+    Metrics.on_coalesce t.metrics ~addr:prev.addr ~merged:prev.size ~absorbed;
+    Metrics.add_ops t.metrics 2;
+    absorb_into_prev t prev
+  end
+  else b
+
 (* Merge [b] (free, not in any free structure) with free neighbours in the
    same run. Returns the surviving block, also not in any free structure. *)
-let merge_neighbours t (b : Block.t) =
-  let b = ref b in
-  (* Neighbours come straight off the physical chain. Same-run neighbours
-     tile the run, so a run-id match implies address contiguity. *)
-  (* Forward: absorb the successor. *)
-  let rec forward () =
-    let next = !b.Block.phys_next in
-    if
-      next != Block.none
-      && Block.is_free next
-      && next.run_id = !b.run_id
-      && within_coalesce_bound t (!b.size + next.size)
-    then begin
-      remove_free t next;
-      let absorbed = next.size in
-      unregister t next;
-      !b.size <- !b.size + absorbed;
-      Metrics.on_coalesce t.metrics ~addr:!b.addr ~merged:!b.size ~absorbed;
-      Metrics.add_ops t.metrics 2;
-      forward ()
-    end
-  in
-  (* Backward: be absorbed by the predecessor. *)
-  let rec backward () =
-    let prev = !b.Block.phys_prev in
-    if
-      prev != Block.none
-      && Block.is_free prev
-      && prev.run_id = !b.run_id
-      && within_coalesce_bound t (prev.size + !b.size)
-    then begin
-      remove_free t prev;
-      (* One re-registration step, as when the registries were rebuilt. *)
-      Metrics.add_ops t.metrics 1;
-      unregister t !b;
-      let absorbed = !b.size in
-      prev.size <- prev.size + absorbed;
-      b := prev;
-      Metrics.on_coalesce t.metrics ~addr:prev.addr ~merged:prev.size ~absorbed;
-      Metrics.add_ops t.metrics 2;
-      backward ()
-    end
-  in
-  forward ();
-  backward ();
-  !b
+let merge_neighbours t b =
+  absorb_next t b;
+  absorb_into_prev t b
 
-(* Deferred coalescing sweep: merge every adjacent pair of free blocks. *)
+(* Deferred coalescing sweep: walk the address-ordered physical chain from
+   [a] and merge every adjacent same-run pair of free blocks, lowest
+   address first, keeping the survivor in its pool. *)
+let rec sweep_from t (a : Block.t) =
+  if a != Block.none then begin
+    let b = a.phys_next in
+    if Block.is_free a && mergeable t a b && Block.end_addr a = b.addr then begin
+      remove_free t a;
+      remove_free t b;
+      unregister t b;
+      a.size <- a.size + b.size;
+      insert_free t a;
+      Metrics.on_coalesce t.metrics ~addr:a.addr ~merged:a.size ~absorbed:b.size;
+      sweep_from t a
+    end
+    else sweep_from t b
+  end
+
+let free_count t =
+  match t.pools with
+  | P_single fs -> Free_structure.cardinal fs
+  | P_by_size tbl -> Hashtbl.fold (fun _ fs n -> n + Free_structure.cardinal fs) tbl 0
+  | P_by_range arr -> Array.fold_left (fun n fs -> n + Free_structure.cardinal fs) 0 arr
+
+(* Charged one step per free block: the sweep visits the free blocks in
+   address order. *)
 let sweep t =
-  let frees =
-    Int_table.fold (fun _ b acc -> if Block.is_free b then b :: acc else acc) t.by_base []
-  in
-  let sorted = List.sort (fun (a : Block.t) b -> compare a.addr b.Block.addr) frees in
-  Metrics.add_ops t.metrics (List.length sorted);
-  let rec go = function
-    | [] | [ _ ] -> ()
-    | (a : Block.t) :: (b : Block.t) :: rest ->
-      if
-        Block.is_free a && Block.is_free b
-        && Block.end_addr a = b.addr
-        && a.run_id = b.run_id
-        && within_coalesce_bound t (a.size + b.size)
-      then begin
-        remove_free t a;
-        remove_free t b;
-        unregister t b;
-        a.size <- a.size + b.size;
-        insert_free t a;
-        Metrics.on_coalesce t.metrics ~addr:a.addr ~merged:a.size ~absorbed:b.size;
-        go (a :: rest)
-      end
-      else go (b :: rest)
-  in
-  go sorted
+  Metrics.add_ops t.metrics (free_count t);
+  sweep_from t t.phys_first
 
 (* --- system memory ---------------------------------------------------------- *)
 
@@ -403,7 +403,7 @@ let note_new_run t base size =
 let grab_from_system t gross =
   Metrics.add_ops t.metrics 4 (* system-call cost *);
   let fixed = Array.length t.classes > 0 in
-  let oversize = fixed && class_ceiling t gross = None in
+  let oversize = fixed && class_ceiling t gross < 0 in
   if fixed && not oversize then begin
     (* Slab carve: request a chunk and cut it into gross-size blocks. *)
     let per_chunk = max 1 (t.params.chunk_request / gross) in
@@ -461,63 +461,54 @@ let maybe_trim t (b : Block.t) =
 
 (* --- fit search --------------------------------------------------------------- *)
 
+(* One pool's fit search, charged its traversal steps plus one. *)
+let take_from t fs gross =
+  let before = Free_structure.steps fs in
+  let b = Free_structure.take fs t.vec.Decision_vector.c1 gross in
+  Metrics.add_ops t.metrics (Free_structure.steps fs - before + 1);
+  b
+
+(* Search the block's own class, then larger classes (binmap search). *)
+let rec take_from_range t (arr : Free_structure.t array) (gross : int) (i : int) =
+  if i >= Array.length arr then Block.none
+  else begin
+    Metrics.add_ops t.metrics (pool_lookup_cost t i);
+    let b = take_from t arr.(i) gross in
+    if b != Block.none then b else take_from_range t arr gross (i + 1)
+  end
+
+(* A free block of at least [gross] bytes, out of its pool, or [Block.none]. *)
 let take_candidate t gross =
-  let fit = t.vec.Decision_vector.c1 in
   match t.pools with
-  | P_single fs ->
-    let before = Free_structure.steps fs in
-    let r = Free_structure.take_fit fs fit gross in
-    Metrics.add_ops t.metrics (Free_structure.steps fs - before + 1);
-    r
-  | P_by_size tbl ->
+  | P_single fs -> take_from t fs gross
+  | P_by_size tbl -> (
     Metrics.add_ops t.metrics (pool_lookup_cost t 1);
-    (match Hashtbl.find_opt tbl gross with
-    | None -> None
-    | Some fs ->
-      let before = Free_structure.steps fs in
-      let r = Free_structure.take_fit fs fit gross in
-      Metrics.add_ops t.metrics (Free_structure.steps fs - before + 1);
-      r)
-  | P_by_range arr ->
-    (* Search the block's own class, then larger classes (binmap search). *)
-    let start = range_index t gross in
-    let n = Array.length arr in
-    let rec go i =
-      if i >= n then None
-      else begin
-        Metrics.add_ops t.metrics (pool_lookup_cost t i);
-        let fs = arr.(i) in
-        let before = Free_structure.steps fs in
-        let r = Free_structure.take_fit fs fit gross in
-        Metrics.add_ops t.metrics (Free_structure.steps fs - before + 1);
-        match r with Some _ -> r | None -> go (i + 1)
-      end
-    in
-    go start
+    match Hashtbl.find tbl gross with
+    | fs -> take_from t fs gross
+    | exception Not_found -> Block.none)
+  | P_by_range arr -> take_from_range t arr gross (range_index t gross)
 
 (* --- public operations --------------------------------------------------------- *)
 
 let alloc t payload =
   if payload <= 0 then invalid_arg "Manager.alloc: non-positive size";
   let gross = gross_of_request t payload in
+  let b = take_candidate t gross in
+  let b =
+    if b == Block.none && t.vec.Decision_vector.d2 = Deferred then begin
+      (* Coalesce on demand, then retry once before growing the heap. *)
+      sweep t;
+      take_candidate t gross
+    end
+    else b
+  in
   let block =
-    match take_candidate t gross with
-    | Some b ->
+    if b == Block.none then grab_from_system t gross
+    else begin
       b.status <- Block.Used;
       try_split t b gross;
       b
-    | None ->
-      if t.vec.Decision_vector.d2 = Deferred then begin
-        (* Coalesce on demand, then retry once before growing the heap. *)
-        sweep t;
-        match take_candidate t gross with
-        | Some b ->
-          b.status <- Block.Used;
-          try_split t b gross;
-          b
-        | None -> grab_from_system t gross
-      end
-      else grab_from_system t gross
+    end
   in
   block.Block.req_size <- payload;
   Metrics.on_alloc t.metrics ~payload ~gross:block.Block.size ~tag:t.tag_bytes
@@ -669,7 +660,9 @@ let check_invariants t =
           Error (Format.asprintf "phys chain break after %a" Block.pp prev)
         else chain b rest
     in
-    chain Block.none sorted
+    let head = match sorted with [] -> Block.none | b :: _ -> b in
+    if t.phys_first != head then Error "phys_first out of sync with the registry"
+    else chain Block.none sorted
   in
   let in_pool (b : Block.t) =
     match t.pools with

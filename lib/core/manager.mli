@@ -63,8 +63,8 @@ val create :
     Raises [Invalid_argument] with the violated rules if the vector fails
     {!Constraints.check}, or if the parameters are inconsistent (e.g. empty
     [size_classes] under a fixed-size regime). [expected_live] pre-sizes
-    the block registries ([by_base], [by_end], request records) for
-    replays whose peak live-block count is known (default 256). *)
+    the block registry (base address to block) for replays whose peak
+    live-block count is known (default 256). *)
 
 val vector : t -> Decision_vector.t
 val params : t -> params
@@ -112,8 +112,9 @@ val free_blocks : t -> (int * int) list
 
 val check_invariants : t -> (unit, string) result
 (** Structural self-check used by the test suite: no overlapping blocks,
-    registries consistent, free structures in sync with block status,
-    adjacency tables correct. *)
+    the physical chain in address order with its head and tail in sync,
+    free structures in sync with block status, held bytes equal to the
+    sum of block sizes. *)
 
 (** {2 Shape introspection}
 

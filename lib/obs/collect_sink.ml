@@ -2,8 +2,6 @@ type t = { mutable entries : (int * Event.t) array; mutable len : int }
 
 let create ?(capacity = 1024) () = { entries = Array.make (max 1 capacity) (0, Event.Phase 0); len = 0 }
 
-let length t = t.len
-
 let record t clock ev =
   if t.len = Array.length t.entries then begin
     let grown = Array.make (2 * t.len) (0, Event.Phase 0) in
@@ -16,5 +14,3 @@ let record t clock ev =
 let attach probe t = Probe.attach probe (fun clock ev -> record t clock ev)
 
 let to_array t = Array.sub t.entries 0 t.len
-
-let to_list t = Array.to_list (to_array t)

@@ -9,10 +9,5 @@ val create : ?capacity:int -> unit -> t
 
 val attach : Probe.t -> t -> unit
 
-val length : t -> int
-(** Events recorded so far. *)
-
 val to_array : t -> (int * Event.t) array
 (** The recorded stream in emission order, clock stamps included. *)
-
-val to_list : t -> (int * Event.t) list

@@ -119,17 +119,37 @@ let validate t =
   in
   go 0
 
+(* Ids are dense small integers, so the live set is a byte per id, grown
+   like [Replay]'s id map. Re-allocating a live id and freeing a non-live
+   one change nothing. *)
 let peak_live_count t =
-  let live = Hashtbl.create 256 in
-  let peak = ref 0 in
-  iter
-    (function
-      | Event.Alloc { id; _ } ->
-        Hashtbl.replace live id ();
-        if Hashtbl.length live > !peak then peak := Hashtbl.length live
-      | Event.Free { id } -> Hashtbl.remove live id
-      | Event.Phase _ -> ())
-    t;
+  let live = ref (Bytes.make 16 '\000') in
+  let count = ref 0 and peak = ref 0 in
+  for i = 0 to t.len - 1 do
+    match t.events.(i) with
+    | Event.Alloc { id; _ } ->
+      let n = Bytes.length !live in
+      if id >= n then begin
+        let cap = ref (2 * n) in
+        while !cap <= id do
+          cap := !cap * 2
+        done;
+        let grown = Bytes.make !cap '\000' in
+        Bytes.blit !live 0 grown 0 n;
+        live := grown
+      end;
+      if Bytes.get !live id = '\000' then begin
+        Bytes.set !live id '\001';
+        incr count;
+        if !count > !peak then peak := !count
+      end
+    | Event.Free { id } ->
+      if id < Bytes.length !live && Bytes.get !live id <> '\000' then begin
+        Bytes.set !live id '\000';
+        decr count
+      end
+    | Event.Phase _ -> ()
+  done;
   !peak
 
 let live_at_end t =

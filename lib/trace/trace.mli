@@ -33,7 +33,9 @@ val validate : t -> (unit, string) result
 
 val peak_live_count : t -> int
 (** Maximum number of simultaneously live ids anywhere in the trace — the
-    natural pre-size for replay and manager registries. *)
+    natural pre-size for replay and manager registries. Allocating a live
+    id again and freeing a non-live id change nothing; a negative id
+    raises [Invalid_argument] ({!validate} rejects it). *)
 
 val live_at_end : t -> int
 (** Number of blocks never freed. *)

@@ -72,18 +72,20 @@ let custom_global spec ?probe () =
 
 let max_footprint trace (make : maker) = Replay.max_footprint_of trace (make ())
 
-let gcheap_stream ?(config = Gcheap.default_config) (make : maker) =
+(* The oracle is fed straight from the probe, so memory follows the
+   objects, not the events. *)
+let gcheap_oracle ?(config = Gcheap.default_config) (make : maker) =
   let probe = Probe.create () in
-  let sink = Dmm_obs.Collect_sink.create ~capacity:4096 () in
-  Dmm_obs.Collect_sink.attach probe sink;
-  let a = make ~probe () in
-  let stats = Gcheap.run ~probe config a in
-  (Dmm_check.Stream.of_pairs (Dmm_obs.Collect_sink.to_array sink), stats)
+  let oracle = Dmm_check.Oracle.create () in
+  Probe.attach probe (fun clock event ->
+      Dmm_check.Oracle.feed oracle { Dmm_check.Stream.clock; event });
+  let stats = Gcheap.run ~probe config (make ~probe ()) in
+  (Dmm_check.Oracle.finalize oracle, stats)
 
 module Span = Dmm_obs.Span
 
-let design_for ?(alpha = 0.0) trace =
-  let profile = Profile_builder.of_trace trace in
+(* The single-phase search on a trace already profiled. *)
+let design_of_profile ~alpha trace profile =
   (* Candidate scoring goes through the engine: memoised per design key,
      cache misses replayed on the worker pool. *)
   let sim = Dmm_engine.Sim.create trace in
@@ -96,11 +98,14 @@ let design_for ?(alpha = 0.0) trace =
   | Ok (design, _) -> design
   | Error msg -> invalid_arg ("Scenario.design_for: " ^ msg)
 
+let design_for ?(alpha = 0.0) trace =
+  design_of_profile ~alpha trace (Profile_builder.of_trace trace)
+
 let global_design_for ?(detect_phases = false) trace =
   let trace = if detect_phases then Dmm_trace.Phase_detect.annotate trace else trace in
   let profile = Profile_builder.of_trace trace in
   match Dmm_core.Profile.phases profile with
-  | [] | [ _ ] -> { default = design_for trace; overrides = [] }
+  | [] | [ _ ] -> { default = design_of_profile ~alpha:0.0 trace profile; overrides = [] }
   | phases ->
     let heuristic (s : Dmm_core.Profile.phase_summary) =
       match Explorer.heuristic_design s with

@@ -1,8 +1,10 @@
-(* Exact replay costs of every allocator core: the six baselines and the
-   paper's three custom designs on the quick seed-42 DRR, reconstruct and
-   render traces. Each cell prints the trace's events, the manager's
-   [ops], the minor words allocated by [Replay.run] alone, and for the
-   buddy the bitmap words its free-block searches read.
+(* Exact replay costs of every allocator core: the six baselines, the
+   paper's three custom designs, and the DRR paper design with deferred
+   coalescing (D2 = deferred, so its periodic sweep is charged and
+   ordered exactly) on the quick seed-42 DRR, reconstruct and render
+   traces. Each cell prints the trace's events, the manager's [ops], the
+   minor words allocated by [Replay.run] alone, and for the buddy the
+   bitmap words its free-block searches read.
 
    On one domain every figure is deterministic, so [dune runtest] diffs
    this output against the committed costs.expected: a slower search or a
@@ -32,6 +34,15 @@ let workloads () =
       fun _trace -> Scenario.custom_global (Scenario.render_paper_design ()) );
   ]
 
+(* The only row whose manager defers coalescing: no Table 1 design does. *)
+let deferred_drr_design () =
+  let design = Scenario.drr_paper_design () in
+  {
+    design with
+    Dmm_core.Explorer.vector =
+      { Dmm_core.Decision_vector.drr_custom with d2 = Dmm_core.Decision.Deferred };
+  }
+
 (* A fresh manager, and how to read its bitmap words afterwards. *)
 let instantiate name (make : Scenario.maker) =
   if name = "Buddy-bitmap" then
@@ -56,5 +67,9 @@ let () =
           let minor = Gc.minor_words () -. w0 in
           Printf.printf "%-24s %-18s %7d %9d %10s %11.0f\n" wname mname (Trace.length trace)
             (Allocator.stats a).ops (words_read ()) minor)
-        (Scenario.baselines () @ [ ("custom DM manager", custom trace) ]))
+        (Scenario.baselines ()
+        @ [
+            ("custom DM manager", custom trace);
+            ("custom D2=deferred", Scenario.custom_manager (deferred_drr_design ()));
+          ]))
     (workloads ())

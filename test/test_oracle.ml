@@ -120,8 +120,7 @@ let gcheap_differential () =
   let config =
     { Gcheap.default_config with Gcheap.nodes_per_phase = 150; free_lag = Some 20 }
   in
-  let stream, stats = Scenario.gcheap_stream ~config Scenario.lea in
-  let r = Oracle.run stream in
+  let r, stats = Scenario.gcheap_oracle ~config Scenario.lea in
   Alcotest.(check int) "defect-free" 0 (Oracle.defect_count r.Oracle.r_defects);
   Alcotest.(check int) "allocs" stats.Gcheap.g_allocs (Array.length r.Oracle.r_objects);
   Alcotest.(check int) "frees" stats.Gcheap.g_frees r.Oracle.r_freed;

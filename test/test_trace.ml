@@ -207,9 +207,37 @@ let qcheck =
           map (fun p -> Event.Phase p) small_nat;
         ])
   in
+  (* Few small ids make re-allocations of live ids and frees of non-live
+     ids common; the large ones grow the live set's id map. *)
+  let id_gen = QCheck.Gen.(frequency [ (4, int_bound 12); (1, int_bound 5000) ]) in
+  let trace_gen =
+    QCheck.Gen.(
+      list_size (0 -- 300)
+        (frequency
+           [
+             (5, map (fun id -> Event.Alloc { id; size = 8 }) id_gen);
+             (4, map (fun id -> Event.Free { id }) id_gen);
+             (1, map (fun p -> Event.Phase p) small_nat);
+           ]))
+  in
+  (* The model: a list of live ids. *)
+  let naive_peak events =
+    List.fold_left
+      (fun (live, peak) -> function
+        | Event.Alloc { id; _ } ->
+          let live = if List.mem id live then live else id :: live in
+          (live, max peak (List.length live))
+        | Event.Free { id } -> (List.filter (( <> ) id) live, peak)
+        | Event.Phase _ -> (live, peak))
+      ([], 0) events
+    |> snd
+  in
   [
     QCheck.Test.make ~name:"event line roundtrip" ~count:500 (QCheck.make event_gen)
       (fun e -> Event.of_line (Event.to_line e) = Ok e);
+    QCheck.Test.make ~name:"peak_live_count matches a naive live set" ~count:300
+      (QCheck.make ~print:(fun es -> String.concat "; " (List.map Event.to_line es)) trace_gen)
+      (fun events -> Trace.peak_live_count (Trace.of_list events) = naive_peak events);
   ]
 
 let tests =
