@@ -4,6 +4,7 @@ module Manager = Dmm_core.Manager
 module Constraints = Dmm_core.Constraints
 module Explorer = Dmm_core.Explorer
 module Size = Dmm_util.Size
+module Int_treap = Dmm_util.Int_treap
 open Dmm_core.Decision
 module Int_map = Map.Make (Int)
 
@@ -25,14 +26,17 @@ let drive_pass p (s : Stream.t) =
    Design-independent laws every allocator must obey, replayed over the
    stream with a live-range map: allocations never overlap live blocks,
    frees hit live addresses exactly once, split/coalesce conserve bytes,
-   and the footprint ledger (sbrk/trim deltas) always covers live payload. *)
+   and the footprint ledger (sbrk/trim deltas) always covers live payload.
+   The live map is an [Int_treap]: one descent binds an allocation's
+   address and finds its neighbours, and a clean event allocates
+   nothing. *)
 
 let invariants_pass () =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let live = ref Int_map.empty (* payload addr -> payload bytes *) in
+  let live = Int_treap.create () (* payload addr -> payload bytes *) in
   let live_bytes = ref 0 and held = ref 0 in
-  let brk = ref None in
+  let brk = ref 0 and brk_known = ref false in
   let feed i event =
       match event with
       | Event.Alloc { payload; gross; tag; addr } ->
@@ -50,27 +54,31 @@ let invariants_pass () =
                tag payload gross);
         if addr < 0 then
           add (Diag.vf ~index:i "negative-address" "payload address %d is negative" addr);
-        (match Int_map.find_opt addr !live with
-        | Some _ ->
+        (* A re-allocation over a live address overwrites its entry. *)
+        if Int_treap.replace live addr payload >= 0 then
           add
             (Diag.vf ~index:i "live-overlap"
                "address %d returned while still live (its free was never recorded)" addr)
-        | None ->
-          (match Int_map.find_last_opt (fun a -> a <= addr) !live with
-          | Some (a, p) when a + p > addr ->
-            add
-              (Diag.vf ~index:i "live-overlap"
-                 "new block [%d,%d) overlaps live block [%d,%d)" addr
-                 (addr + max 1 payload) a (a + p))
-          | _ -> ());
-          (match Int_map.find_first_opt (fun a -> a > addr) !live with
-          | Some (a, p) when addr + payload > a ->
-            add
-              (Diag.vf ~index:i "live-overlap"
-                 "new block [%d,%d) overlaps live block [%d,%d)" addr (addr + payload) a
-                 (a + p))
-          | _ -> ()));
-        live := Int_map.add addr payload !live;
+        else begin
+          let n = Int_treap.pred live in
+          if n >= 0 then begin
+            let a = Int_treap.key live n and p = Int_treap.value live n in
+            if a + p > addr then
+              add
+                (Diag.vf ~index:i "live-overlap"
+                   "new block [%d,%d) overlaps live block [%d,%d)" addr
+                   (addr + max 1 payload) a (a + p))
+          end;
+          let n = Int_treap.succ live in
+          if n >= 0 then begin
+            let a = Int_treap.key live n and p = Int_treap.value live n in
+            if addr + payload > a then
+              add
+                (Diag.vf ~index:i "live-overlap"
+                   "new block [%d,%d) overlaps live block [%d,%d)" addr (addr + payload) a
+                   (a + p))
+          end
+        end;
         live_bytes := !live_bytes + payload;
         if !live_bytes > !held then
           add
@@ -78,22 +86,23 @@ let invariants_pass () =
                "live payload (%d bytes) exceeds memory obtained from the system (%d \
                 bytes)"
                !live_bytes !held)
-      | Event.Free { payload; addr } -> (
-        match Int_map.find_opt addr !live with
-        | None ->
+      | Event.Free { payload; addr } ->
+        let n = Int_treap.remove live addr in
+        if n < 0 then
           add
             (Diag.vf ~index:i "invalid-free"
                "free of address %d, which is not live (double free or wild pointer)"
                addr)
-        | Some p ->
+        else begin
+          let p = Int_treap.value live n in
           if p <> payload then
             add
               (Diag.vf ~index:i "free-payload-mismatch"
                  "free of address %d records %d payload bytes but the allocation \
                   recorded %d"
                  addr payload p);
-          live := Int_map.remove addr !live;
-          live_bytes := !live_bytes - p)
+          live_bytes := !live_bytes - p
+        end
       | Event.Split { addr; parent; taken; remainder } ->
         if taken <= 0 || remainder <= 0 || taken + remainder <> parent then
           add
@@ -111,29 +120,28 @@ let invariants_pass () =
       | Event.Sbrk { bytes; brk = b } ->
         if bytes <= 0 then
           add (Diag.vf ~index:i "footprint-accounting" "sbrk of %d bytes" bytes);
-        (match !brk with
-        | Some prev when prev + bytes <> b ->
-          add
-            (Diag.vf ~index:i "footprint-accounting"
-               "sbrk of %d bytes moved the break from %d to %d" bytes prev b)
-        | Some _ -> ()
-        | None ->
-          if b < bytes then
+        if !brk_known then begin
+          if !brk + bytes <> b then
             add
               (Diag.vf ~index:i "footprint-accounting"
-                 "sbrk of %d bytes left the break at %d" bytes b));
-        brk := Some b;
+                 "sbrk of %d bytes moved the break from %d to %d" bytes !brk b)
+        end
+        else if b < bytes then
+          add
+            (Diag.vf ~index:i "footprint-accounting"
+               "sbrk of %d bytes left the break at %d" bytes b);
+        brk := b;
+        brk_known := true;
         held := !held + bytes
       | Event.Trim { bytes; brk = b } ->
         if bytes <= 0 then
           add (Diag.vf ~index:i "footprint-accounting" "trim of %d bytes" bytes);
-        (match !brk with
-        | Some prev when prev - bytes <> b ->
+        if !brk_known && !brk - bytes <> b then
           add
             (Diag.vf ~index:i "footprint-accounting"
-               "trim of %d bytes moved the break from %d to %d" bytes prev b)
-        | _ -> ());
-        brk := Some b;
+               "trim of %d bytes moved the break from %d to %d" bytes !brk b);
+        brk := b;
+        brk_known := true;
         held := !held - bytes;
         if !held < 0 then
           add
@@ -473,7 +481,7 @@ let start ?design ?(leaks = false) () =
   let oracle = if leaks then Some (Oracle.create ()) else None in
   { fed = 0; gap = None; inv = invariants_pass (); conf; oracle; checked }
 
-let feed st ({ Stream.clock; event } : Stream.entry) =
+let feed st ({ Stream.clock; event } as entry : Stream.entry) =
   (match st.gap with
   | Some _ -> () (* keep counting, but the heap passes are already moot *)
   | None ->
@@ -483,7 +491,7 @@ let feed st ({ Stream.clock; event } : Stream.entry) =
       (match st.conf with None -> () | Some p -> p.pass_feed clock event);
       match st.oracle with
       | None -> ()
-      | Some o -> Oracle.feed o { Stream.clock; event }
+      | Some o -> Oracle.feed o entry
     end);
   st.fed <- st.fed + 1
 

@@ -26,7 +26,15 @@
 
     Both passes are skipped once an event's clock differs from its position
     (the integrity gate of {!feed}), so a tampered record yields the single
-    [incomplete-stream] finding rather than phantom violations. *)
+    [incomplete-stream] finding rather than phantom violations.
+
+    The invariants pass keeps its live ranges in a {!Dmm_util.Int_treap}:
+    one descent binds an allocation's address and finds its neighbours,
+    and a clean event allocates nothing, which is what [dmm serve] runs
+    on every stream. Any [int] is an address; a re-allocation over a live
+    address overwrites its range. The conformance pass keeps a persistent
+    [Map] for its shadow free map, because it snapshots that map at each
+    fit and each sbrk and persistence makes a snapshot O(1). *)
 
 type report = {
   events : int;

@@ -216,7 +216,7 @@ let binary_source ?path ?(close = ignore) r =
   let remaining = ref 0 in
   let chunk_first = ref 0 in
   let first_of_chunk = ref false in
-  let prev_clock = ref (-1) in
+  let last_clock = ref (-1) in (* the last decoded event's *)
   let total = ref 0 in
   let seen_magic = ref false in
   let finished = ref false in
@@ -306,10 +306,11 @@ let binary_source ?path ?(close = ignore) r =
     end
     else if !remaining = 0 then if next_chunk () then next () else None
     else begin
-      let clock, event =
-        try Codec.read_event !payload_s ~pos ~limit:!limit ~prev_clock:!prev_clock
+      let event =
+        try Codec.read_event !payload_s ~pos ~limit:!limit ~clock:last_clock
         with Codec.Corrupt m -> fail "%s" m
       in
+      let clock = !last_clock in
       if !first_of_chunk && clock <> !chunk_first then
         fail "chunk header clock %d disagrees with its first event's clock %d"
           !chunk_first clock;
@@ -321,7 +322,6 @@ let binary_source ?path ?(close = ignore) r =
           | Event.Root_add _ -> 9
           | _ -> 10);
       first_of_chunk := false;
-      prev_clock := clock;
       incr total;
       decr remaining;
       if !remaining = 0 && !pos <> !limit then

@@ -9,7 +9,6 @@ module Sanitizer = Dmm_check.Sanitizer
 
 type t = {
   registry : Registry.t;
-  design : Dmm_core.Explorer.design option;
   started : float;
   streams_total : Registry.counter;
   errors_total : Registry.counter;
@@ -31,10 +30,9 @@ type t = {
   mutable slo_p99_us : int;
 }
 
-let create ?design registry =
+let create registry =
   {
     registry;
-    design;
     started = Clock.now_s ();
     streams_total =
       Registry.counter ~help:"Streams accepted by the ingest daemon" registry
@@ -210,7 +208,7 @@ let stream ctx =
   Registry.gauge_add ctx.active 1;
   {
     ctx;
-    san = Sanitizer.start ?design:ctx.design ();
+    san = Sanitizer.start ();
     reg_sink = Registry_sink.create ctx.registry;
     hist = Hist_sink.create ();
     life = Lifetime_sink.create ();

@@ -22,9 +22,9 @@
 
 type t
 
-val create : ?design:Dmm_core.Explorer.design -> Dmm_obs.Registry.t -> t
-(** Register the ingest metrics in [registry]. When [design] is given
-    every stream is additionally checked for design conformance. *)
+val create : Dmm_obs.Registry.t -> t
+(** Register the ingest metrics in [registry]. Every stream is checked
+    for the heap invariants ({!Dmm_check.Sanitizer}'s first pass). *)
 
 val registry : t -> Dmm_obs.Registry.t
 

@@ -37,18 +37,22 @@ let add_varint b n =
   done;
   Buffer.add_char b (Char.unsafe_chr !v)
 
+let rec varint_rest (s : string) (pos : int ref) (limit : int) (v : int) (shift : int) =
+  if !pos >= limit then corrupt "truncated varint";
+  if shift > 62 then corrupt "varint overflows the integer range";
+  let c = Char.code (String.unsafe_get s !pos) in
+  incr pos;
+  let v = v lor ((c land 0x7f) lsl shift) in
+  if c land 0x80 <> 0 then varint_rest s pos limit v (shift + 7) else unzigzag v
+
+(* Most fields (clock deltas, tags, small sizes) fit one byte. *)
 let read_varint s ~pos ~limit =
-  let v = ref 0 and shift = ref 0 and continue = ref true in
-  while !continue do
-    if !pos >= limit then corrupt "truncated varint";
-    if !shift > 62 then corrupt "varint overflows the integer range";
-    let c = Char.code (String.unsafe_get s !pos) in
-    incr pos;
-    v := !v lor ((c land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    continue := c land 0x80 <> 0
-  done;
-  unzigzag !v
+  let p = !pos in
+  if p < limit && Char.code (String.unsafe_get s p) < 0x80 then begin
+    pos := p + 1;
+    unzigzag (Char.code (String.unsafe_get s p))
+  end
+  else varint_rest s pos limit 0 0
 
 (* --- events ---------------------------------------------------------------- *)
 
@@ -102,56 +106,55 @@ let add_event b ~prev_clock ~clock e =
   | Event.Root_add { addr } -> add_varint b addr
   | Event.Root_remove { addr } -> add_varint b addr
 
-let read_event s ~pos ~limit ~prev_clock =
+(* Every field is a direct [read_varint] and the clock goes back through
+   [clock]: a local reader closure and a (clock, event) pair would cost
+   nine words per event, more than the event itself. *)
+let read_event s ~pos ~limit ~clock =
   if !pos >= limit then corrupt "truncated event (missing tag byte)";
   let tag = Char.code (String.unsafe_get s !pos) in
   incr pos;
-  let v () = read_varint s ~pos ~limit in
-  let clock = prev_clock + 1 + v () in
-  let event =
-    match tag with
-    | 0 ->
-      let payload = v () in
-      let gross = v () in
-      let etag = v () in
-      let addr = v () in
-      Event.Alloc { payload; gross; tag = etag; addr }
-    | 1 ->
-      let payload = v () in
-      let addr = v () in
-      Event.Free { payload; addr }
-    | 2 ->
-      let addr = v () in
-      let parent = v () in
-      let taken = v () in
-      let remainder = v () in
-      Event.Split { addr; parent; taken; remainder }
-    | 3 ->
-      let addr = v () in
-      let merged = v () in
-      let absorbed = v () in
-      Event.Coalesce { addr; merged; absorbed }
-    | 4 -> Event.Phase (v ())
-    | 5 ->
-      let bytes = v () in
-      let brk = v () in
-      Event.Sbrk { bytes; brk }
-    | 6 ->
-      let bytes = v () in
-      let brk = v () in
-      Event.Trim { bytes; brk }
-    | 7 -> Event.Fit_scan { steps = v () }
-    | 8 ->
-      let src = v () in
-      let field = v () in
-      let old_dst = v () in
-      let new_dst = v () in
-      Event.Ptr_write { src; field; old_dst; new_dst }
-    | 9 -> Event.Root_add { addr = v () }
-    | 10 -> Event.Root_remove { addr = v () }
-    | t -> corrupt "unknown event tag %d" t
-  in
-  (clock, event)
+  clock := !clock + 1 + read_varint s ~pos ~limit;
+  match tag with
+  | 0 ->
+    let payload = read_varint s ~pos ~limit in
+    let gross = read_varint s ~pos ~limit in
+    let etag = read_varint s ~pos ~limit in
+    let addr = read_varint s ~pos ~limit in
+    Event.Alloc { payload; gross; tag = etag; addr }
+  | 1 ->
+    let payload = read_varint s ~pos ~limit in
+    let addr = read_varint s ~pos ~limit in
+    Event.Free { payload; addr }
+  | 2 ->
+    let addr = read_varint s ~pos ~limit in
+    let parent = read_varint s ~pos ~limit in
+    let taken = read_varint s ~pos ~limit in
+    let remainder = read_varint s ~pos ~limit in
+    Event.Split { addr; parent; taken; remainder }
+  | 3 ->
+    let addr = read_varint s ~pos ~limit in
+    let merged = read_varint s ~pos ~limit in
+    let absorbed = read_varint s ~pos ~limit in
+    Event.Coalesce { addr; merged; absorbed }
+  | 4 -> Event.Phase (read_varint s ~pos ~limit)
+  | 5 ->
+    let bytes = read_varint s ~pos ~limit in
+    let brk = read_varint s ~pos ~limit in
+    Event.Sbrk { bytes; brk }
+  | 6 ->
+    let bytes = read_varint s ~pos ~limit in
+    let brk = read_varint s ~pos ~limit in
+    Event.Trim { bytes; brk }
+  | 7 -> Event.Fit_scan { steps = read_varint s ~pos ~limit }
+  | 8 ->
+    let src = read_varint s ~pos ~limit in
+    let field = read_varint s ~pos ~limit in
+    let old_dst = read_varint s ~pos ~limit in
+    let new_dst = read_varint s ~pos ~limit in
+    Event.Ptr_write { src; field; old_dst; new_dst }
+  | 9 -> Event.Root_add { addr = read_varint s ~pos ~limit }
+  | 10 -> Event.Root_remove { addr = read_varint s ~pos ~limit }
+  | t -> corrupt "unknown event tag %d" t
 
 (* --- chunk headers ---------------------------------------------------------
    Fixed-width little-endian fields so a reader can skip a chunk with one

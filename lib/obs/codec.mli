@@ -81,9 +81,10 @@ val read_varint : string -> pos:int ref -> limit:int -> int
 
 val add_event : Buffer.t -> prev_clock:int -> clock:int -> Event.t -> unit
 
-val read_event :
-  string -> pos:int ref -> limit:int -> prev_clock:int -> int * Event.t
-(** Returns [(clock, event)]. *)
+val read_event : string -> pos:int ref -> limit:int -> clock:int ref -> Event.t
+(** Decodes the event at [!pos] and advances [pos] past it. [clock] holds
+    the previous event's clock on entry and this event's on return.
+    Allocates only the event. *)
 
 (** {1 Chunk headers} *)
 

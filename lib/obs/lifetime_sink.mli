@@ -11,7 +11,14 @@
     address (including double-frees) and an alloc landing on a still-live
     address are counted in {!unmatched} and the affected span is
     abandoned, so a stream the sanitizer would flag still profiles — just
-    with an honest defect count attached. *)
+    with an honest defect count attached.
+
+    Live spans sit in a flat table: an {!Dmm_util.Int_table} maps each
+    payload address (any [int]) to a slot of four [int] arrays (payload,
+    gross size, birth clock, birth phase), and freed slots are reused.
+    Size classes are cells indexed by their log2 and the current phase's
+    cell is cached, so once the table has grown to the live set an
+    [Alloc] or [Free] allocates nothing. *)
 
 type span = {
   addr : int;
@@ -64,10 +71,9 @@ type phase_summary = {
 
 type t
 
-val create : ?on_span:(span -> unit) -> ?capacity:int -> unit -> t
+val create : ?on_span:(span -> unit) -> unit -> t
 (** [on_span] fires once per completed span, at its [Free] event (the
-    Chrome async-span export hook). [capacity] pre-sizes the live-span
-    table. *)
+    Chrome async-span export hook). *)
 
 val on_event : t -> int -> Event.t -> unit
 val attach : Probe.t -> t -> unit

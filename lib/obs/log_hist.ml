@@ -16,20 +16,16 @@ type t = {
   mutable min_value : int;
 }
 
-let bit_length v =
-  let rec go n v = if v = 0 then n else go (n + 1) (v lsr 1) in
-  go 0 v
-
 (* Bucket geometry: with n = 2^sub_bits, values < n map to themselves;
    a larger value of bit length L shifts right by s = L - sub_bits, landing
    its top [sub_bits] bits q in [n/2, n). Bucket = base(s) + (q - n/2). *)
 
-let index ~sub_bits v =
-  let v = max 0 v in
+let index ~sub_bits (v : int) =
+  let v = if v < 0 then 0 else v in
   let n = 1 lsl sub_bits in
   if v < n then v
   else begin
-    let s = bit_length v - sub_bits in
+    let s = Dmm_util.Size.bit_length v - sub_bits in
     let half = n lsr 1 in
     n + ((s - 1) * half) + (v lsr s) - half
   end
@@ -66,8 +62,8 @@ let create ?(sub_bits = 5) () =
     min_value = max_int;
   }
 
-let record t v =
-  let v = max 0 v in
+let record t (v : int) =
+  let v = if v < 0 then 0 else v in
   let i = index ~sub_bits:t.sub_bits v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.total <- t.total + 1;

@@ -1,4 +1,5 @@
-(** Open-addressing hash table for non-negative int keys (heap addresses).
+(** Open-addressing hash table for int keys (heap addresses); any [int]
+    is a key.
 
     A drop-in replacement for [(int, 'a) Hashtbl.t] on allocator hot paths:
     linear probing over two flat arrays, no allocation per operation. Unlike
@@ -13,6 +14,7 @@ val create : ?size:int -> 'a -> 'a t
     returned from lookups. *)
 
 val length : 'a t -> int
+(** Counts the bindings: a walk of the table, O(capacity). *)
 
 val dummy : 'a t -> 'a
 (** The value passed to [create]. Useful as a physically-distinct miss
@@ -26,7 +28,7 @@ val find : 'a t -> int -> default:'a -> 'a
 (** Option-free lookup for hot paths. *)
 
 val replace : 'a t -> int -> 'a -> unit
-(** Insert or overwrite. Raises [Invalid_argument] on a negative key. *)
+(** Insert or overwrite. *)
 
 val remove : 'a t -> int -> unit
 (** No-op when the key is absent. *)

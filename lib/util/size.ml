@@ -18,6 +18,36 @@ let pow2_ceil n =
 
 let pow2_class n = if n <= 1 then 1 else if n > 1 lsl 61 then max_int else pow2_ceil n
 
+let bit_length n =
+  (* Halve the range six times instead of shifting one bit at a time:
+     the sinks take this per event. *)
+  let v = ref n and b = ref 0 in
+  if !v >= 1 lsl 32 then begin
+    v := !v lsr 32;
+    b := 32
+  end;
+  if !v >= 1 lsl 16 then begin
+    v := !v lsr 16;
+    b := !b + 16
+  end;
+  if !v >= 1 lsl 8 then begin
+    v := !v lsr 8;
+    b := !b + 8
+  end;
+  if !v >= 1 lsl 4 then begin
+    v := !v lsr 4;
+    b := !b + 4
+  end;
+  if !v >= 1 lsl 2 then begin
+    v := !v lsr 2;
+    b := !b + 2
+  end;
+  if !v >= 2 then begin
+    v := !v lsr 1;
+    b := !b + 1
+  end;
+  !b + !v
+
 let log2_ceil n =
   let p = pow2_ceil n in
   let rec go acc v = if v = 1 then acc else go (acc + 1) (v / 2) in

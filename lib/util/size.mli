@@ -17,6 +17,11 @@ val pow2_class : int -> int
     [n <= 1], {!pow2_ceil} up to 2^61, and [max_int] above. Never
     raises. *)
 
+val bit_length : int -> int
+(** Bits needed to write a non-negative [n]: 0 for 0, [k] for
+    [2^(k-1) <= n < 2^k]. Allocation-free and branch-light, for per-event
+    use. *)
+
 val log2_ceil : int -> int
 (** [log2_ceil n] is the exponent of [pow2_ceil n]; it raises where
     {!pow2_ceil} does. *)

@@ -6,6 +6,14 @@
    minor words allocated by [Replay.run] alone, and for the buddy the
    bitmap words its free-block searches read.
 
+   Then the serve path, on the quick seed-42 DRR trace's event stream
+   under Kingsley (alloc/free heavy) and under Lea (fit-scan heavy),
+   encoded with [Binary_sink] as a client of [dmm serve] sends it: per
+   stream, its events and the minor words of decoding it alone
+   ([Stream.iter_source]) and of decoding it through the whole ingest
+   pipeline ([Ingest.run_source]: sanitizer, registry, histogram and
+   lifetime sinks). Their difference is what the pipeline allocates.
+
    On one domain every figure is deterministic, so [dune runtest] diffs
    this output against the committed costs.expected: a slower search or a
    new per-event allocation changes a cell, whatever the host's speed.
@@ -20,6 +28,8 @@ module Replay = Dmm_trace.Replay
 module Allocator = Dmm_core.Allocator
 module Buddy_bitmap = Dmm_allocators.Buddy_bitmap
 module Address_space = Dmm_vmem.Address_space
+module Stream = Dmm_check.Stream
+module Ingest = Dmm_engine.Ingest
 
 let workloads () =
   [
@@ -73,3 +83,36 @@ let () =
             ("custom D2=deferred", Scenario.custom_manager (deferred_drr_design ()));
           ]))
     (workloads ())
+
+(* The binary stream a [dmm serve] client sends for one replay. *)
+let encode trace (make : Scenario.maker) =
+  let path = Filename.temp_file "costs" ".dmmt" in
+  let oc = open_out_bin path in
+  let sink = Dmm_obs.Binary_sink.create oc in
+  let probe = Dmm_obs.Probe.create () in
+  Dmm_obs.Binary_sink.attach probe sink;
+  Replay.run ~probe trace (make ~probe ());
+  Dmm_obs.Binary_sink.finish sink;
+  close_out oc;
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (bytes, Dmm_obs.Binary_sink.events sink)
+
+let () =
+  let trace = Experiments.drr_trace_seed 42 in
+  let ctx = Ingest.create (Dmm_obs.Registry.create ()) in
+  Printf.printf "\n%-24s %-18s %7s %11s\n" "serve stream" "stage" "events" "minor_words";
+  List.iter
+    (fun (name, make) ->
+      let bytes, events = encode trace make in
+      let row stage run =
+        let w0 = Gc.minor_words () in
+        (match run (Stream.source_of_string bytes) with
+        | Ok _ -> ()
+        | Error m -> failwith (name ^ ": " ^ m));
+        Printf.printf "%-24s %-18s %7d %11.0f\n" ("DRR / " ^ name) stage events
+          (Gc.minor_words () -. w0)
+      in
+      row "decode" (fun src -> Stream.iter_source src ~f:ignore);
+      row "run_source" (Ingest.run_source ctx))
+    [ ("Kingsley-Windows", Scenario.kingsley); ("Lea-Linux", Scenario.lea) ]

@@ -1,7 +1,8 @@
 (* The binary trace codec: varint/event round trips, chunked file framing
    (including the sniffing loader), the differential JSONL/binary
-   properties behind `dmm convert`, and the decoders' allocation bound on
-   forged lengths and unterminated lines. *)
+   properties behind `dmm convert`, the decoders' allocation bound on
+   forged lengths and unterminated lines, and a byte-mutation fuzz of the
+   binary decoder. *)
 
 module Event = Dmm_obs.Event
 module Codec = Dmm_obs.Codec
@@ -374,6 +375,159 @@ let unterminated_preamble () =
   Alcotest.(check bool) "parses" true (Trace_ctx.of_preamble_line line = Ok c);
   Alcotest.(check string) "stream untouched" "{}\n" rest
 
+(* ------------------------------------------------------------------ *)
+(* byte-mutation fuzz                                                  *)
+
+(* What [dmm trace -w drr --quick --seed 1 --binary FILE -m kingsley]
+   writes for the trace's first 4,000 events: about 8,000 probe events,
+   so two chunks and the trailer. *)
+let recorded =
+  lazy
+    (Dmm_workloads.Experiments.paper_scale := false;
+     let trace = Dmm_workloads.Experiments.drr_trace_seed 1 in
+     let prefix =
+       Dmm_trace.Trace.of_list (List.filteri (fun i _ -> i < 4000) (Dmm_trace.Trace.to_list trace))
+     in
+     let path = Filename.temp_file "dmm_codec" ".dmmt" in
+     let oc = open_out_bin path in
+     let sink = Binary_sink.create oc in
+     let probe = Dmm_obs.Probe.create () in
+     Binary_sink.attach probe sink;
+     Dmm_trace.Replay.run ~probe prefix (Dmm_workloads.Scenario.kingsley ~probe ());
+     Binary_sink.finish sink;
+     close_out oc;
+     let data = read_file path in
+     Sys.remove path;
+     data)
+
+(* The byte ranges of the recorded stream, by what they hold: the magic
+   and feature word, each chunk's header and body, and the trailer. *)
+let regions data =
+  let prefix = Codec.magic_bytes + Codec.feature_bytes in
+  let rec chunks pos headers bodies =
+    let h = Codec.read_header data ~pos in
+    if Codec.is_trailer h then (List.rev headers, List.rev bodies, (pos, Codec.header_bytes))
+    else
+      let body = pos + Codec.header_bytes in
+      chunks (body + h.Codec.h_len) ((pos, Codec.header_bytes) :: headers)
+        ((body, h.Codec.h_len) :: bodies)
+  in
+  let headers, bodies, trailer = chunks prefix [] [] in
+  [ ("prefix", [ (0, prefix) ]); ("header", headers); ("body", bodies); ("trailer", [ trailer ]) ]
+
+(* [Smear] sets twelve bytes to 0xff: a varint longer than any int. *)
+type byte_mutation =
+  | Flip of int
+  | Set_byte of char
+  | Insert_byte of char
+  | Delete_byte
+  | Smear
+  | Cut
+
+let show_byte_mutation (region, (pick, at), m) =
+  Printf.sprintf "%s %.3f/%.3f %s" region pick at
+    (match m with
+    | Flip bit -> Printf.sprintf "flip bit %d" bit
+    | Set_byte c -> Printf.sprintf "set %C" c
+    | Insert_byte c -> Printf.sprintf "insert %C" c
+    | Delete_byte -> "delete"
+    | Smear -> "smear"
+    | Cut -> "cut")
+
+let gen_byte_mutations =
+  let open QCheck.Gen in
+  let kind =
+    frequency
+      [
+        (4, map (fun b -> Flip b) (0 -- 7));
+        (3, map (fun c -> Set_byte c) (map Char.chr (0 -- 255)));
+        (1, map (fun c -> Insert_byte c) (map Char.chr (0 -- 255)));
+        (1, return Delete_byte);
+        (1, return Smear);
+        (1, return Cut);
+      ]
+  in
+  list_size (1 -- 3)
+    (triple
+       (oneofl [ "prefix"; "header"; "body"; "trailer" ])
+       (pair (float_bound_exclusive 1.) (float_bound_exclusive 1.))
+       kind)
+
+(* Apply each mutation at a byte of its region: [pick] chooses the chunk,
+   [at] the offset inside it. *)
+let mutate_bytes data muts =
+  let layout = regions data in
+  List.fold_left
+    (fun data (region, (pick, at), m) ->
+      let ranges = List.assoc region layout in
+      let start, len = List.nth ranges (int_of_float (pick *. float_of_int (List.length ranges))) in
+      let n = String.length data in
+      (* An earlier cut may have removed the region: mutate the last byte. *)
+      let i = min (start + int_of_float (at *. float_of_int len)) (n - 1) in
+      let with_byte c = String.sub data 0 i ^ String.make 1 c ^ String.sub data (i + 1) (n - i - 1) in
+      if n = 0 then data
+      else
+        match m with
+        | Flip bit -> with_byte (Char.chr (Char.code data.[i] lxor (1 lsl bit)))
+        | Set_byte c -> with_byte c
+        | Insert_byte c -> String.sub data 0 i ^ String.make 1 c ^ String.sub data i (n - i)
+        | Delete_byte -> String.sub data 0 i ^ String.sub data (i + 1) (n - i - 1)
+        | Smear ->
+          let k = min 12 (n - i) in
+          String.sub data 0 i ^ String.make k '\xff' ^ String.sub data (i + k) (n - i - k)
+        | Cut -> String.sub data 0 i)
+    data muts
+
+(* Recompute every chunk's checksum, so a mutated body gets past the
+   framing and reaches the event decoder: tags, varints, clock deltas and
+   event counts. *)
+let reseal data =
+  let b = Bytes.of_string data in
+  let rec go pos =
+    if pos + Codec.header_bytes <= Bytes.length b then
+      match Codec.read_header (Bytes.to_string b) ~pos with
+      | exception Codec.Corrupt _ -> ()
+      | h when Codec.is_trailer h -> ()
+      | h ->
+        let body = pos + Codec.header_bytes in
+        if body + h.Codec.h_len <= Bytes.length b then begin
+          let crc = Codec.fnv32 (Bytes.to_string b) body h.Codec.h_len in
+          Bytes.set_int32_le b (pos + 16) (Int32.of_int crc);
+          go (body + h.Codec.h_len)
+        end
+  in
+  go (Codec.magic_bytes + Codec.feature_bytes);
+  Bytes.to_string b
+
+(* Whatever the bytes, decoding ends in [Ok] or a one-line [Error], never
+   an exception, and its minor allocation stays within a small multiple of
+   the input. ([Gc.minor_words] is exact; the major heap's counters move
+   only at collections, and the forged-length cases above bound the
+   payload buffer.) *)
+let prop_binary_mutations =
+  QCheck.Test.make ~name:"mutated binary streams fail on one line" ~count:400
+    (QCheck.make
+       ~print:(fun (muts, sealed) ->
+         String.concat "; " (List.map show_byte_mutation muts)
+         ^ if sealed then "; checksums recomputed" else "")
+       QCheck.Gen.(pair gen_byte_mutations bool))
+    (fun (muts, sealed) ->
+      let data = mutate_bytes (Lazy.force recorded) muts in
+      let data = if sealed then reseal data else data in
+      let before = Gc.minor_words () in
+      let result =
+        match Stream.iter_source (Stream.source_of_string data) ~f:ignore with
+        | exception e -> QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e)
+        | r -> r
+      in
+      let words = Gc.minor_words () -. before in
+      if words > float_of_int ((4 * String.length data) + 4096) then
+        QCheck.Test.fail_reportf "decoding %d bytes allocated %.0f minor words"
+          (String.length data) words;
+      match result with
+      | Ok _ -> true
+      | Error m -> m <> "" && not (String.contains m '\n'))
+
 let tests =
   ( "codec",
     [
@@ -392,6 +546,7 @@ let tests =
         unterminated_jsonl_line;
       Alcotest.test_case "unterminated preamble: bounded read" `Quick
         unterminated_preamble;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |]) prop_binary_mutations;
     ]
     @ List.map QCheck_alcotest.to_alcotest
         [

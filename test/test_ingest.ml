@@ -1,14 +1,16 @@
 (* The ingest daemon's engine: failure accounting must be exact under
    concurrent shards (active gauge back to zero, errors counted once,
    registry still usable), the observed driver must agree with the plain
-   one, the SLO gate must flip and recover, and the wire trace context
-   must round-trip. *)
+   one, the SLO gate must flip and recover, the wire trace context
+   must round-trip, and streams of hostile values finish. *)
 
 module Registry = Dmm_obs.Registry
 module Event = Dmm_obs.Event
 module Trace_ctx = Dmm_obs.Trace_ctx
 module Stream = Dmm_check.Stream
 module Ingest = Dmm_engine.Ingest
+module Sanitizer = Dmm_check.Sanitizer
+module Lifetime_sink = Dmm_obs.Lifetime_sink
 
 let jsonl_good =
   String.concat "\n"
@@ -290,6 +292,74 @@ let qcheck_trace_ctx_child_chain =
       leaf.Trace_ctx.trace_id = root.Trace_ctx.trace_id
       && Trace_ctx.of_preamble_line (String.trim (Trace_ctx.preamble leaf)) = Ok leaf)
 
+(* Every event kind, with the ends of the int range and values around
+   the size-class limit 2^61 in every field, through the daemon's
+   pipeline (both encodings), the sanitizer with its leak pass, and the
+   lifetime sink read back in full: each finishes and none raises. *)
+let qcheck_hostile_values =
+  let field =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, int_range (-64) 64);
+          ( 3,
+            oneofl
+              [ 0; 1; -1; min_int; min_int + 1; max_int; max_int - 1; 1 lsl 61; (1 lsl 61) + 1 ] );
+          (1, int);
+        ])
+  in
+  let event st =
+    let f () = field st in
+    match QCheck.Gen.int_bound 10 st with
+    | 0 -> Event.Alloc { payload = f (); gross = f (); tag = f (); addr = f () }
+    | 1 -> Event.Free { payload = f (); addr = f () }
+    | 2 -> Event.Split { addr = f (); parent = f (); taken = f (); remainder = f () }
+    | 3 -> Event.Coalesce { addr = f (); merged = f (); absorbed = f () }
+    | 4 -> Event.Phase (f ())
+    | 5 -> Event.Sbrk { bytes = f (); brk = f () }
+    | 6 -> Event.Trim { bytes = f (); brk = f () }
+    | 7 -> Event.Fit_scan { steps = f () }
+    | 8 -> Event.Ptr_write { src = f (); field = f (); old_dst = f (); new_dst = f () }
+    | 9 -> Event.Root_add { addr = f () }
+    | _ -> Event.Root_remove { addr = f () }
+  in
+  let binary events =
+    let path = Filename.temp_file "dmm_ingest" ".dmmt" in
+    let oc = open_out_bin path in
+    let sink = Dmm_obs.Binary_sink.create ~chunk_events:16 oc in
+    List.iteri (fun clock e -> Dmm_obs.Binary_sink.on_event sink clock e) events;
+    Dmm_obs.Binary_sink.finish sink;
+    close_out oc;
+    let data = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    data
+  in
+  let jsonl events =
+    String.concat "" (List.mapi (fun clock e -> Event.to_json ~clock e ^ "\n") events)
+  in
+  QCheck.Test.make ~name:"hostile values in every field finish" ~count:200
+    (QCheck.make
+       ~print:(fun evs -> String.concat "\n" (List.mapi (fun clock e -> Event.to_json ~clock e) evs))
+       QCheck.Gen.(list_size (0 -- 60) event))
+    (fun events ->
+      let n = List.length events in
+      let ingest = Ingest.create (Registry.create ()) in
+      let through encoded =
+        match Ingest.run_source ingest (Stream.source_of_string encoded) with
+        | Ok s -> s.Ingest.report.Sanitizer.events = n
+        | Error m -> QCheck.Test.fail_reportf "stream failed: %s" m
+      in
+      let entries = Array.of_list (List.mapi (fun clock event -> { Stream.clock; event }) events) in
+      let checked = Sanitizer.run ~leaks:true entries in
+      let life = Lifetime_sink.create () in
+      List.iteri (fun clock e -> Lifetime_sink.on_event life clock e) events;
+      let rows = Lifetime_sink.class_rows life and phases = Lifetime_sink.phase_summaries life in
+      ignore (Lifetime_sink.leaked_bytes life);
+      through (binary events) && through (jsonl events)
+      && checked.Sanitizer.events = n
+      && List.fold_left (fun acc (r : Lifetime_sink.class_row) -> acc + r.spans) 0 rows
+         = List.fold_left (fun acc (p : Lifetime_sink.phase_summary) -> acc + p.s_spans) 0 phases)
+
 let tests =
   ( "ingest",
     [
@@ -305,4 +375,5 @@ let tests =
       Alcotest.test_case "prometheus labels" `Quick check_prometheus_labels;
     ]
     @ List.map QCheck_alcotest.to_alcotest
-        [ qcheck_observed_accounting; qcheck_trace_ctx_child_chain ] )
+        [ qcheck_observed_accounting; qcheck_trace_ctx_child_chain ]
+    @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 13 |]) qcheck_hostile_values ] )

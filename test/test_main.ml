@@ -7,6 +7,8 @@ let () =
       Test_prng.tests;
       Test_stats.tests;
       Test_histogram.tests;
+      Test_int_table.tests;
+      Test_int_treap.tests;
       Test_size.tests;
       Test_address_space.tests;
       Test_decision.tests;

@@ -385,6 +385,110 @@ let event_round_trip =
                entry.Stream.clock >= 0)
              stream)
 
+(* The span table against a naive model — an association list of live
+   spans and one list of lifetimes per size class and per phase — on
+   streams that revisit phases, re-allocate live addresses, free absent
+   ones and use sizes and ids at the ends of the int range. Every
+   printed figure agrees. *)
+let span_table_model =
+  let open QCheck.Gen in
+  let addr = frequency [ (6, map (fun i -> 16 * i) (0 -- 12)); (1, oneofl [ min_int; -16; max_int ]) ] in
+  let gross =
+    frequency
+      [
+        (6, oneofl [ 0; 1; 2; 3; 16; 17; 32; 33; 4096 ]);
+        (1, oneofl [ -5; 1 lsl 61; (1 lsl 61) + 1; max_int ]);
+        (1, int);
+      ]
+  in
+  let event =
+    frequency
+      [
+        (5, map3 (fun p g a -> alloc ~payload:p ~gross:g a) (1 -- 64) gross addr);
+        (4, map2 (fun p a -> free ~payload:p a) (1 -- 64) addr);
+        (1, map (fun p -> Obs_event.Phase p) (oneofl [ 0; 1; 2; -3; max_int ]));
+      ]
+  in
+  let model events =
+    let live = ref [] and classes = ref [] and phases = ref [] in
+    let phase = ref 0 and fwa = ref 0 and realloc = ref 0 and completed = ref 0 in
+    let bump tbl key f =
+      let spans, lifetimes = Option.value ~default:(0, []) (List.assoc_opt key !tbl) in
+      tbl := (key, f (spans, lifetimes)) :: List.remove_assoc key !tbl
+    in
+    List.iteri
+      (fun clock -> function
+        | Obs_event.Phase p -> phase := p
+        | Obs_event.Alloc { gross; addr; _ } ->
+          if List.mem_assoc addr !live then incr realloc;
+          live := (addr, (gross, clock, !phase)) :: List.remove_assoc addr !live;
+          bump classes (Dmm_util.Size.pow2_class gross) (fun (n, l) -> (n + 1, l));
+          bump phases !phase (fun (n, l) -> (n + 1, l))
+        | Obs_event.Free { addr; _ } -> (
+          match List.assoc_opt addr !live with
+          | None -> incr fwa
+          | Some (gross, born, p) ->
+            live := List.remove_assoc addr !live;
+            incr completed;
+            let life = clock - born and contained = p = !phase in
+            bump classes (Dmm_util.Size.pow2_class gross) (fun (n, l) -> (n, life :: l));
+            bump phases p (fun (n, l) -> (n, (life, contained) :: l)))
+        | _ -> ())
+      events;
+    (!live, !classes, !phases, !fwa, !realloc, !completed)
+  in
+  let hist_digest h = (Log_hist.count h, Log_hist.sum h, Log_hist.max_value h) in
+  let digest_of l = (List.length l, List.fold_left ( + ) 0 l, List.fold_left max 0 l) in
+  QCheck.Test.make ~name:"span table agrees with a naive span model" ~count:300
+    (QCheck.make
+       ~print:(fun evs -> String.concat "; " (List.map (Format.asprintf "%a" Obs_event.pp) evs))
+       (list_size (0 -- 80) event))
+    (fun events ->
+      let t = feed_lifetime events in
+      let live, classes, phases, fwa, realloc, completed = model events in
+      let live_in key_of = List.filter (fun (_, span) -> key_of span) live in
+      let bytes spans = List.fold_left (fun acc (_, (g, _, _)) -> acc + g) 0 spans in
+      let want_classes =
+        List.sort compare
+          (List.map
+             (fun (c, (spans, lifetimes)) ->
+               let l = live_in (fun (g, _, _) -> Dmm_util.Size.pow2_class g = c) in
+               (c, spans, List.length l, bytes l, digest_of lifetimes))
+             classes)
+      in
+      let got_classes =
+        List.map
+          (fun (r : Lifetime_sink.class_row) ->
+            (r.size_class, r.spans, r.live, r.leaked_bytes, hist_digest r.lifetimes))
+          (Lifetime_sink.class_rows t)
+      in
+      let want_phases =
+        List.sort compare
+          (List.map
+             (fun (p, (spans, lifetimes)) ->
+               let inside = List.filter snd lifetimes in
+               ( p,
+                 spans,
+                 List.length inside,
+                 List.length lifetimes - List.length inside,
+                 List.length (live_in (fun (_, _, q) -> q = p)),
+                 digest_of (List.map fst lifetimes) ))
+             phases)
+      in
+      let got_phases =
+        List.map
+          (fun (r : Lifetime_sink.phase_row) ->
+            (r.phase, r.spans, r.contained, r.escaped, r.leaked, hist_digest r.lifetimes))
+          (Lifetime_sink.phase_rows t)
+      in
+      let u = Lifetime_sink.unmatched t in
+      got_classes = want_classes && got_phases = want_phases
+      && u.Lifetime_sink.free_without_alloc = fwa
+      && u.Lifetime_sink.realloc_over_live = realloc
+      && Lifetime_sink.spans t = completed
+      && Lifetime_sink.live_spans t = List.length live
+      && Lifetime_sink.leaked_bytes t = bytes live)
+
 let unit_tests =
   [
     Alcotest.test_case "span basics and phase containment" `Quick test_span_basics;
@@ -403,4 +507,8 @@ let unit_tests =
 
 let qcheck = [ span_conservation; heatmap_deterministic; event_round_trip ]
 
-let tests = ("profiler", unit_tests @ List.map QCheck_alcotest.to_alcotest qcheck)
+let tests =
+  ( "profiler",
+    unit_tests
+    @ List.map QCheck_alcotest.to_alcotest qcheck
+    @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |]) span_table_model ] )

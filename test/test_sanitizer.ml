@@ -348,6 +348,84 @@ let qcheck_no_crash =
       in
       r.Sanitizer.events = List.length evs)
 
+(* Pass 1's live-range checks against a model over [Map.Make (Int)]: on
+   streams of sbrks, allocations and frees at clustered and extreme
+   addresses (overlaps with either neighbour, re-allocations over live
+   addresses, frees of absent addresses, payload mismatches), the
+   address and footprint diagnostics agree in rule, index and text. *)
+let qcheck_live_ranges =
+  let module M = Map.Make (Int) in
+  let rules = [ "live-overlap"; "invalid-free"; "free-payload-mismatch"; "footprint-below-live" ] in
+  let model events =
+    let out = ref [] in
+    let add i rule fmt = Format.kasprintf (fun m -> out := (rule, i, m) :: !out) fmt in
+    let live = ref M.empty and live_bytes = ref 0 and held = ref 0 in
+    List.iteri
+      (fun i -> function
+        | Event.Sbrk { bytes; _ } -> held := !held + bytes
+        | Event.Alloc { payload; addr; _ } ->
+          (if M.mem addr !live then
+             add i "live-overlap" "address %d returned while still live (its free was never recorded)" addr
+           else begin
+             (match M.find_last_opt (fun a -> a < addr) !live with
+             | Some (a, p) when a + p > addr ->
+               add i "live-overlap" "new block [%d,%d) overlaps live block [%d,%d)" addr
+                 (addr + max 1 payload) a (a + p)
+             | _ -> ());
+             match M.find_first_opt (fun a -> a > addr) !live with
+             | Some (a, p) when addr + payload > a ->
+               add i "live-overlap" "new block [%d,%d) overlaps live block [%d,%d)" addr (addr + payload)
+                 a (a + p)
+             | _ -> ()
+           end);
+          live := M.add addr payload !live;
+          live_bytes := !live_bytes + payload;
+          if !live_bytes > !held then
+            add i "footprint-below-live"
+              "live payload (%d bytes) exceeds memory obtained from the system (%d bytes)"
+              !live_bytes !held
+        | Event.Free { payload; addr } -> (
+          match M.find_opt addr !live with
+          | None ->
+            add i "invalid-free" "free of address %d, which is not live (double free or wild pointer)"
+              addr
+          | Some p ->
+            if p <> payload then
+              add i "free-payload-mismatch"
+                "free of address %d records %d payload bytes but the allocation recorded %d" addr
+                payload p;
+            live := M.remove addr !live;
+            live_bytes := !live_bytes - p)
+        | _ -> ())
+      events;
+    List.rev !out
+  in
+  let gen =
+    let open QCheck.Gen in
+    let addr = frequency [ (8, map (fun i -> 8 * i) (-4 -- 40)); (1, oneofl [ min_int; min_int + 1; max_int ]) ] in
+    let payload = frequency [ (8, 1 -- 40); (1, oneofl [ 0; -8; max_int ]) ] in
+    list_size (0 -- 80)
+      (frequency
+         [
+           (1, map (fun b -> sbrk b 0) (1 -- 256));
+           (5, map2 (fun p a -> alloc p (p + 8) a) payload addr);
+           (4, map2 (fun p a -> free_ p a) payload addr);
+         ])
+  in
+  QCheck.Test.make ~name:"live-range checks agree with a Map model" ~count:300
+    (QCheck.make
+       ~print:(fun evs -> String.concat "; " (List.map (Format.asprintf "%a" Event.pp) evs))
+       gen)
+    (fun events ->
+      let got =
+        List.filter_map
+          (fun (d : Diag.t) ->
+            if List.mem d.Diag.rule_id rules then Some (d.Diag.rule_id, Option.get d.Diag.index, d.Diag.explanation)
+            else None)
+          (Sanitizer.invariants (Stream.of_events events))
+      in
+      got = model events)
+
 (* --- JSONL round trip ------------------------------------------------------- *)
 
 let jsonl_roundtrip () =
@@ -385,4 +463,5 @@ let tests =
       QCheck_alcotest.to_alcotest qcheck_tampered;
       QCheck_alcotest.to_alcotest qcheck_truncated_tail;
       QCheck_alcotest.to_alcotest qcheck_no_crash;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 37 |]) qcheck_live_ranges;
     ] )

@@ -75,10 +75,22 @@ let qcheck =
         Size.is_power_of_two p && p >= max 1 n && (p = 1 || p / 2 < max 1 n));
   ]
 
+(* Every power of two, its neighbours and max_int, against a shift loop. *)
+let check_bit_length () =
+  let rec naive n = if n = 0 then 0 else 1 + naive (n lsr 1) in
+  let values =
+    List.concat_map (fun k -> let p = 1 lsl k in [ p - 1; p; p + 1 ]) (List.init 62 Fun.id)
+    @ [ 0; max_int; max_int - 1 ]
+  in
+  List.iter
+    (fun n -> Alcotest.(check int) (Printf.sprintf "bit_length %d" n) (naive n) (Size.bit_length n))
+    values
+
 let tests =
   ( "size",
     [
       Alcotest.test_case "align_up" `Quick check_align_up;
+      Alcotest.test_case "bit_length" `Quick check_bit_length;
       Alcotest.test_case "pow2" `Quick check_pow2;
       Alcotest.test_case "pow2_class is total" `Quick check_pow2_class;
       Alcotest.test_case "log2 and units" `Quick check_log2;
