@@ -80,33 +80,33 @@ let obs_section tables =
 (* ------------------------------------------------------------------ *)
 (* EXP-CHECK: heap sanitizer over the replayed event streams           *)
 
-module Collect_sink = Dmm_obs.Collect_sink
 module Sanitizer = Dmm_check.Sanitizer
 module Stream = Dmm_check.Stream
 
 (* Every baseline's DRR event stream must pass the heap-invariant pass
    clean, and the custom design must additionally pass design
-   conformance. Always runs at quick scale (like the Bechamel section) so
-   the captured streams stay bounded; diagnostic counts are deterministic
-   and land in test/bench.t's jobs-identity diff. *)
+   conformance. Each replay feeds the sanitizer from its probe, as [dmm
+   check -w] does. Always runs at quick scale (like the Bechamel section);
+   diagnostic counts are deterministic and land in test/bench.t's
+   jobs-identity diff. *)
 let check_section () =
   section "EXP-CHECK: heap sanitizer over replayed DRR event streams";
   let saved = !Experiments.paper_scale in
   Experiments.paper_scale := false;
   Fun.protect ~finally:(fun () -> Experiments.paper_scale := saved) @@ fun () ->
   let trace = Experiments.drr_trace_seed 42 in
-  let capture (make : Scenario.maker) =
+  let check (make : Scenario.maker) =
     let probe = Probe.create () in
-    let sink = Collect_sink.create () in
-    Collect_sink.attach probe sink;
+    let st = Sanitizer.start () in
+    Probe.attach probe (fun clock event -> Sanitizer.feed st { Stream.clock; event });
     Replay.run ~probe trace (make ~probe ());
-    Stream.of_pairs (Collect_sink.to_array sink)
+    Sanitizer.finalize st
   in
   let report name (r : Sanitizer.report) =
     let n = List.length r.Sanitizer.diags in
     Printf.printf "  %-22s %8d events  %d diagnostics (%s)%s\n" name
       r.Sanitizer.events n
-      (if r.Sanitizer.conformance_checked then "invariants + design conformance"
+      (if r.conformance_checked then "invariants + design conformance"
        else "invariants")
       (if n = 0 then "  clean" else "");
     List.iter
@@ -114,7 +114,7 @@ let check_section () =
       r.Sanitizer.diags
   in
   List.iter
-    (fun (name, make) -> report name (Sanitizer.run (capture make)))
+    (fun (name, make) -> report name (check make))
     (Scenario.baselines ());
   let sim = Dmm_engine.Sim.create trace in
   report "custom" (Dmm_engine.Sim.sanitize sim (Scenario.drr_paper_design ()))
@@ -151,12 +151,11 @@ let oracle_section () =
   Fun.protect ~finally:(fun () -> Experiments.paper_scale := saved) @@ fun () ->
   let trace = Experiments.drr_trace_seed 42 in
   let probe = Probe.create () in
-  let sink = Collect_sink.create () in
-  Collect_sink.attach probe sink;
+  let oracle = Oracle.create () in
+  Probe.attach probe (fun clock event -> Oracle.feed oracle { Stream.clock; event });
   Replay.run ~probe ~graph:true trace (Scenario.lea ~probe ());
-  let stream = Stream.of_pairs (Collect_sink.to_array sink) in
-  let orc_events = Stream.length stream in
-  let r = Oracle.run stream in
+  let orc_events = Probe.clock probe in
+  let r = Oracle.finalize oracle in
   let orc_drr_leaks = List.length r.Oracle.r_leaks in
   let orc_drr_drag = Dmm_obs.Log_hist.sum r.Oracle.r_drag in
   Printf.printf "  drr/lea: %d events (%d graph), %d objects, leaks %d, total drag %d\n"

@@ -231,11 +231,7 @@ let explore_cmd =
     if telemetry then Registry.reset Registry.global;
     let t_start = Clock.now_s () in
     let sims_c = Registry.counter Registry.global "dmm_sim_replays_total" in
-    let hits_c = Registry.counter Registry.global "dmm_sim_memo_hits_total" in
-    let miss_c = Registry.counter Registry.global "dmm_sim_memo_misses_total" in
     let sims0 = Registry.value sims_c in
-    let hits0 = Registry.value hits_c in
-    let miss0 = Registry.value miss_c in
     let rounds_total = ref 0 in
     let rounds_done = ref 0 in
     let best_seen = ref max_int in
@@ -252,12 +248,6 @@ let explore_cmd =
           if best_score < !best_seen then best_seen := best_score;
           let elapsed = Clock.now_s () -. t_start in
           let sims = Registry.value sims_c - sims0 in
-          let hits = Registry.value hits_c - hits0 in
-          let misses = Registry.value miss_c - miss0 in
-          let lookups = hits + misses in
-          let hit_rate =
-            if lookups = 0 then 0.0 else 100.0 *. float_of_int hits /. float_of_int lookups
-          in
           let rate = if elapsed > 0.0 then float_of_int sims /. elapsed else 0.0 in
           let eta =
             if !rounds_done > 0 && !rounds_total > !rounds_done then
@@ -265,10 +255,8 @@ let explore_cmd =
               *. float_of_int (!rounds_total - !rounds_done)
             else 0.0
           in
-          Log.info
-            "[progress] batch %d candidates | %d sims (%.1f/s, cache hit %.0f%%) | best \
-             %d B | eta %.1fs"
-            candidates sims rate hit_rate !best_seen eta);
+          Log.info "[progress] batch %d candidates | %d sims (%.1f/s) | best %d B | eta %.1fs"
+            candidates sims rate !best_seen eta);
     let tracer =
       match trace_self with
       | None -> None
@@ -354,14 +342,14 @@ let explore_cmd =
       value & flag
       & info [ "telemetry" ]
           ~doc:
-            "Print the engine self-metrics registry (simulator memo hits/misses,              explorer candidate counts, pool scheduling) after the run. Counter lines              are deterministic for a fixed grid; wall-clock histogram lines carry a              [time] prefix.")
+            "Print the engine self-metrics registry (simulator replays and replayed              events, explorer candidate counts, pool scheduling) after the run. Counter              lines are deterministic for a fixed grid; wall-clock histogram lines carry              a [time] prefix.")
   in
   let progress =
     Arg.(
       value & flag
       & info [ "progress" ]
           ~doc:
-            "Stream live search progress to stderr: one line per refinement round and              per scored candidate batch (candidates, simulations/sec, memo-cache hit              rate, best footprint so far, ETA).")
+            "Stream live search progress to stderr: one line per refinement round and              per scored candidate batch (candidates, simulations/sec, best footprint so              far, ETA).")
   in
   let trace_self =
     Arg.(
@@ -768,7 +756,7 @@ let check_cmd =
       Format.printf "%d events, %d diagnostics%s@." report.Sanitizer.events
         (List.length diags)
         (Printf.sprintf " (%s%s)"
-           (if report.Sanitizer.conformance_checked then
+           (if report.conformance_checked then
               "invariants + design conformance"
             else "invariants")
            (if leaks then " + leaks" else ""));
@@ -904,16 +892,7 @@ let oracle_cmd =
     (match synth with
     | None -> ()
     | Some path ->
-      let ops = Oracle.synthesize report in
-      let trace = Trace.create ~capacity:(List.length ops) () in
-      List.iter
-        (fun op ->
-          Trace.add trace
-            (match op with
-            | Oracle.Op_alloc { id; size } -> Dmm_trace.Event.Alloc { id; size }
-            | Oracle.Op_free { id } -> Dmm_trace.Event.Free { id }
-            | Oracle.Op_phase p -> Dmm_trace.Event.Phase p))
-        ops;
+      let trace = Oracle.synthesize report in
       (match Trace.validate trace with
       | Ok () -> ()
       | Error msg -> die (Printf.sprintf "synthesized trace is invalid: %s" msg));

@@ -23,6 +23,8 @@
 
 module Event = Dmm_obs.Event
 module Log_hist = Dmm_obs.Log_hist
+module Trace = Dmm_trace.Trace
+module Tevent = Dmm_trace.Event
 
 type obj = {
   o_id : int;
@@ -367,11 +369,6 @@ let finalize t =
     r_phases = List.rev t.phases_rev;
   }
 
-let run (s : Stream.t) =
-  let t = create () in
-  Array.iter (fun e -> feed t e) s;
-  finalize t
-
 (* --- consumers -------------------------------------------------------------- *)
 
 let leak_diags r =
@@ -385,26 +382,28 @@ let leak_diags r =
 
 (* --- oracle-free rewriting -------------------------------------------------- *)
 
-type op = Op_alloc of { id : int; size : int } | Op_free of { id : int } | Op_phase of int
-
 let synthesize r =
   (* Rebuild the workload timeline with the oracle's frees: allocations
      and phase markers keep their stream order; each dead object is
      freed at its death clock (ties resolve after the event already at
      that clock); end-live objects stay allocated. *)
   let ops = ref [] in
-  let push clock rank op = ops := (clock, rank, op) :: !ops in
+  let push clock rank ev = ops := (clock, rank, ev) :: !ops in
   Array.iter
     (fun o ->
-      push o.o_birth 0 (Op_alloc { id = o.o_id; size = o.o_payload });
+      push o.o_birth 0 (Tevent.Alloc { id = o.o_id; size = o.o_payload });
       let dead = o.o_free <> None || not o.o_reached in
-      if dead then push o.o_death 1 (Op_free { id = o.o_id }))
+      if dead then push o.o_death 1 (Tevent.Free { id = o.o_id }))
     r.r_objects;
-  List.iter (fun (clock, p) -> push clock 0 (Op_phase p)) r.r_phases;
-  List.stable_sort
-    (fun (c1, k1, _) (c2, k2, _) -> if c1 <> c2 then compare c1 c2 else compare k1 k2)
-    (List.rev !ops)
-  |> List.map (fun (_, _, op) -> op)
+  List.iter (fun (clock, p) -> push clock 0 (Tevent.Phase p)) r.r_phases;
+  let ops =
+    List.stable_sort
+      (fun (c1, k1, _) (c2, k2, _) -> if c1 <> c2 then compare c1 c2 else compare k1 k2)
+      (List.rev !ops)
+  in
+  let trace = Trace.create ~capacity:(List.length ops) () in
+  List.iter (fun (_, _, ev) -> Trace.add trace ev) ops;
+  trace
 
 (* --- rendering -------------------------------------------------------------- *)
 

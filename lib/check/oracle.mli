@@ -75,8 +75,9 @@ type report = {
 
 (** {1 Running the analysis}
 
-    Incremental ([create]/[feed]/[finalize]) and batch ([run]) drivers
-    agree exactly — [run] is implemented on the incremental state. *)
+    The forward pass takes one entry at a time — from a live run's probe
+    ([Dmm_workloads.Scenario.gcheap_oracle]), a file or a socket — and
+    keeps one record per object, never the events. *)
 
 type t
 
@@ -86,20 +87,16 @@ val feed : t -> Stream.entry -> unit
 val finalize : t -> report
 (** Backward pass + report. The state must not be fed again. *)
 
-val run : Stream.t -> report
-
 (** {1 Consumers} *)
 
 val leak_diags : report -> Diag.t list
 (** One [oracle-leak] diagnostic per leak, indexed by the death clock. *)
 
-type op = Op_alloc of { id : int; size : int } | Op_free of { id : int } | Op_phase of int
-
-val synthesize : report -> op list
-(** The stream rewritten with the oracle's frees: allocations and phase
-    markers in stream order, every dead object freed at its death clock,
-    end-live objects left allocated. Object ids are dense in allocation
-    order, so the result maps 1:1 onto a {!Dmm_trace.Trace} for replay
-    against any manager. *)
+val synthesize : report -> Dmm_trace.Trace.t
+(** The stream rewritten with the oracle's frees, as a trace to replay
+    against any manager: allocations and phase markers in stream order,
+    every dead object freed at its death clock, end-live objects left
+    allocated. Block ids are the object ids, dense in allocation
+    order. *)
 
 val pp : Format.formatter -> report -> unit

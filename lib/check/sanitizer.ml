@@ -13,14 +13,71 @@ type report = { events : int; diags : Diag.t list; conformance_checked : bool }
 let clean r = r.diags = []
 
 (* Each pass is an incremental stepper: feed entries one at a time, then
-   collect the diagnostics. Batch [invariants]/[conformance] and the
-   streaming sanitizer drive the very same steppers, so file-at-once and
-   socket-fed checking cannot drift apart. *)
+   collect the diagnostics. A live replay's probe, a file, a socket and a
+   string all reach the passes through {!feed}. *)
 type pass = { pass_feed : int -> Event.t -> unit; pass_done : unit -> Diag.t list }
 
-let drive_pass p (s : Stream.t) =
-  Array.iter (fun { Stream.clock; event } -> p.pass_feed clock event) s;
-  p.pass_done ()
+(* --- overflow-free arithmetic ------------------------------------------------
+   A stream may carry any int in any field, so a sum of two fields can wrap
+   past [max_int] or [min_int] and turn a failing check into a passing one.
+   [a + b] wraps exactly when both operands share a sign the sum lacks. *)
+
+let wraps a b =
+  let s = a + b in
+  (a lxor s) land (b lxor s) < 0
+
+(* [a + b > c] over the integers: a sum that wraps upwards exceeds every
+   int, one that wraps downwards none. *)
+let sum_exceeds a b c = if wraps a b then a > 0 else a + b > c
+
+(* [a + b <> c] over the integers: a wrapped sum equals no int. *)
+let sum_differs a b c = wraps a b || a + b <> c
+
+(* [[a, a + n)] in a message; an end past the int range prints as the
+   length instead. *)
+let range a n =
+  if wraps a n then Printf.sprintf "[%d,+%d)" a n else Printf.sprintf "[%d,%d)" a (a + n)
+
+(* The live payload and the bytes held from the system, as exact sums of
+   stream fields: each is [hi * 10^18 + lo] with [0 <= lo < 10^18], so no
+   size can wrap it and a message prints it in decimal. Both live in one
+   record that the pass's closures capture once, which keeps the set-up
+   words [test/costs] pins for the serve path. *)
+type ledger = {
+  mutable live_hi : int;
+  mutable live_lo : int;
+  mutable held_hi : int;
+  mutable held_lo : int;
+}
+
+let e18 = 1_000_000_000_000_000_000
+
+(* The carry out of [lo + r] and the new low part, for [|r| < 10^18]. *)
+let carry lo r =
+  let s = lo + r in
+  if s >= e18 then 1 else if s < 0 then -1 else 0
+
+let low lo r =
+  let s = lo + r in
+  if s >= e18 then s - e18 else if s < 0 then s + e18 else s
+
+(* Add [q * 10^18 + r]: [x] is [x / e18] and [x mod e18], [-x] their
+   negations, neither of which can wrap. *)
+let add_live l q r =
+  l.live_hi <- l.live_hi + q + carry l.live_lo r;
+  l.live_lo <- low l.live_lo r
+
+let add_held l q r =
+  l.held_hi <- l.held_hi + q + carry l.held_lo r;
+  l.held_lo <- low l.held_lo r
+
+let decimal hi lo =
+  if hi = 0 then string_of_int lo
+  else if hi > 0 || lo = 0 then Printf.sprintf "%d%018d" hi lo
+  else
+    (* [hi * 10^18 + lo = -((-hi - 1) * 10^18 + (10^18 - lo))]. *)
+    let h = -hi - 1 and l = e18 - lo in
+    if h = 0 then Printf.sprintf "-%d" l else Printf.sprintf "-%d%018d" h l
 
 (* --- pass 1: heap invariants -----------------------------------------------
    Design-independent laws every allocator must obey, replayed over the
@@ -35,7 +92,7 @@ let invariants_pass () =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let live = Int_treap.create () (* payload addr -> payload bytes *) in
-  let live_bytes = ref 0 and held = ref 0 in
+  let sums = { live_hi = 0; live_lo = 0; held_hi = 0; held_lo = 0 } in
   let brk = ref 0 and brk_known = ref false in
   let feed i event =
       match event with
@@ -46,7 +103,7 @@ let invariants_pass () =
           add
             (Diag.vf ~index:i "gross-below-payload"
                "gross block size %d cannot hold the %d-byte payload" gross payload);
-        if tag < 0 || tag + payload > gross then
+        if tag < 0 || sum_exceeds tag payload gross then
           add
             (Diag.vf ~index:i "tag-overflow"
                "%d tag bytes plus the %d-byte payload do not fit the %d-byte gross \
@@ -63,29 +120,29 @@ let invariants_pass () =
           let n = Int_treap.pred live in
           if n >= 0 then begin
             let a = Int_treap.key live n and p = Int_treap.value live n in
-            if a + p > addr then
+            if sum_exceeds a p addr then
               add
-                (Diag.vf ~index:i "live-overlap"
-                   "new block [%d,%d) overlaps live block [%d,%d)" addr
-                   (addr + max 1 payload) a (a + p))
+                (Diag.vf ~index:i "live-overlap" "new block %s overlaps live block %s"
+                   (range addr (max 1 payload)) (range a p))
           end;
           let n = Int_treap.succ live in
           if n >= 0 then begin
             let a = Int_treap.key live n and p = Int_treap.value live n in
-            if addr + payload > a then
+            if sum_exceeds addr payload a then
               add
-                (Diag.vf ~index:i "live-overlap"
-                   "new block [%d,%d) overlaps live block [%d,%d)" addr (addr + payload) a
-                   (a + p))
+                (Diag.vf ~index:i "live-overlap" "new block %s overlaps live block %s"
+                   (range addr payload) (range a p))
           end
         end;
-        live_bytes := !live_bytes + payload;
-        if !live_bytes > !held then
+        add_live sums (payload / e18) (payload mod e18);
+        if sums.live_hi > sums.held_hi
+           || (sums.live_hi = sums.held_hi && sums.live_lo > sums.held_lo)
+        then
           add
             (Diag.vf ~index:i "footprint-below-live"
-               "live payload (%d bytes) exceeds memory obtained from the system (%d \
+               "live payload (%s bytes) exceeds memory obtained from the system (%s \
                 bytes)"
-               !live_bytes !held)
+               (decimal sums.live_hi sums.live_lo) (decimal sums.held_hi sums.held_lo))
       | Event.Free { payload; addr } ->
         let n = Int_treap.remove live addr in
         if n < 0 then
@@ -101,10 +158,10 @@ let invariants_pass () =
                  "free of address %d records %d payload bytes but the allocation \
                   recorded %d"
                  addr payload p);
-          live_bytes := !live_bytes - p
+          add_live sums (-(p / e18)) (-(p mod e18))
         end
       | Event.Split { addr; parent; taken; remainder } ->
-        if taken <= 0 || remainder <= 0 || taken + remainder <> parent then
+        if taken <= 0 || remainder <= 0 || sum_differs taken remainder parent then
           add
             (Diag.vf ~index:i "split-algebra"
                "split at %d does not conserve bytes: taken %d + remainder %d <> parent \
@@ -121,7 +178,7 @@ let invariants_pass () =
         if bytes <= 0 then
           add (Diag.vf ~index:i "footprint-accounting" "sbrk of %d bytes" bytes);
         if !brk_known then begin
-          if !brk + bytes <> b then
+          if sum_differs !brk bytes b then
             add
               (Diag.vf ~index:i "footprint-accounting"
                  "sbrk of %d bytes moved the break from %d to %d" bytes !brk b)
@@ -132,18 +189,19 @@ let invariants_pass () =
                "sbrk of %d bytes left the break at %d" bytes b);
         brk := b;
         brk_known := true;
-        held := !held + bytes
+        add_held sums (bytes / e18) (bytes mod e18)
       | Event.Trim { bytes; brk = b } ->
         if bytes <= 0 then
           add (Diag.vf ~index:i "footprint-accounting" "trim of %d bytes" bytes);
-        if !brk_known && !brk - bytes <> b then
+        (* [brk - bytes <> b], as a sum that cannot wrap. *)
+        if !brk_known && sum_differs b bytes !brk then
           add
             (Diag.vf ~index:i "footprint-accounting"
                "trim of %d bytes moved the break from %d to %d" bytes !brk b);
         brk := b;
         brk_known := true;
-        held := !held - bytes;
-        if !held < 0 then
+        add_held sums (-(bytes / e18)) (-(bytes mod e18));
+        if sums.held_hi < 0 then
           add
             (Diag.vf ~index:i "footprint-accounting"
                "more bytes trimmed than ever obtained from the system")
@@ -170,8 +228,6 @@ let invariants_pass () =
           add (Diag.vf ~index:i "graph-address" "root event on address %d" addr)
   in
   { pass_feed = feed; pass_done = (fun () -> List.rev !diags) }
-
-let invariants s = drive_pass (invariants_pass ()) s
 
 (* --- pass 2: design conformance --------------------------------------------
    Given the decision vector and run-time parameters the stream claims to
@@ -219,9 +275,13 @@ let conformance_pass (design : Explorer.design) =
     in
     let gross_of payload =
       (* Total even on garbage streams: the invariants pass already reports
-         non-positive payloads, so clamp instead of raising. *)
+         non-positive payloads, so clamp instead of raising, and a need
+         past the int range saturates at [max_int]. *)
       let payload = max 1 payload in
-      let base = max min_block (Size.align_up (payload + tag) alignment) in
+      let base =
+        if payload > max_int - tag - (alignment - 1) then max_int
+        else max min_block (Size.align_up (payload + tag) alignment)
+      in
       if Array.length classes = 0 then base
       else begin
         let n = Array.length classes in
@@ -446,8 +506,8 @@ let conformance_pass (design : Explorer.design) =
               free := Int_map.remove brk !free
             | None ->
               add
-                (Diag.vf ~index:i "illegal-trim"
-                   "trim released [%d,%d), which is not a free block" brk (brk + bytes)))
+                (Diag.vf ~index:i "illegal-trim" "trim released %s, which is not a free block"
+                   (range brk bytes)))
         | Event.Sbrk _ ->
           if shadow then at_last_sbrk := Some !free
         | Event.Phase _ | Event.Fit_scan _ | Event.Ptr_write _ | Event.Root_add _
@@ -456,14 +516,11 @@ let conformance_pass (design : Explorer.design) =
     in
     { pass_feed = feed; pass_done = (fun () -> List.rev !diags) }
 
-let conformance design s = drive_pass (conformance_pass design) s
-
 (* --- driver -----------------------------------------------------------------
-   The incremental sanitizer is the primary driver: the integrity gate, the
-   invariants pass and (when a design is given) the conformance pass all
-   advance one event at a time, so a socket-fed stream is checked online in
-   memory bounded by the live-block maps — never by the stream length.
-   Batch [run] replays an in-memory stream through the same machinery. *)
+   The integrity gate, the invariants pass and (when a design is given) the
+   conformance pass all advance one event at a time, so any stream is
+   checked online in memory bounded by the live-block maps — never by the
+   stream length. *)
 
 type incremental = {
   mutable fed : int;  (* events seen = the clock the next event must carry *)
@@ -498,8 +555,8 @@ let feed st ({ Stream.clock; event } as entry : Stream.entry) =
 let finalize st =
   match st.gap with
   | Some d ->
-    (* Same shape as the batch path: the single incomplete-stream finding,
-       with whatever the passes saw before the gap discarded as phantom. *)
+    (* The single incomplete-stream finding, with whatever the passes saw
+       before the gap discarded as phantom. *)
     { events = st.fed; diags = [ d ]; conformance_checked = false }
   | None ->
     let diags =
@@ -510,8 +567,3 @@ let finalize st =
         | Some o -> Oracle.leak_diags (Oracle.finalize o))
     in
     { events = st.fed; diags; conformance_checked = st.checked }
-
-let run ?design ?leaks (s : Stream.t) =
-  let st = start ?design ?leaks () in
-  Array.iter (fun e -> feed st e) s;
-  finalize st

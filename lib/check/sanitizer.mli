@@ -31,10 +31,13 @@
     The invariants pass keeps its live ranges in a {!Dmm_util.Int_treap}:
     one descent binds an allocation's address and finds its neighbours,
     and a clean event allocates nothing, which is what [dmm serve] runs
-    on every stream. Any [int] is an address; a re-allocation over a live
-    address overwrites its range. The conformance pass keeps a persistent
-    [Map] for its shadow free map, because it snapshots that map at each
-    fit and each sbrk and persistence makes a snapshot O(1). *)
+    on every stream. Any [int] is an address or a size: no sum of stream
+    fields wraps, so an overlap, an ill-fitting tag or a live payload
+    past the bytes held is caught near [max_int] as anywhere else. A
+    re-allocation over a live address overwrites its range. The
+    conformance pass keeps a persistent [Map] for its shadow free map,
+    because it snapshots that map at each fit and each sbrk and
+    persistence makes a snapshot O(1). *)
 
 type report = {
   events : int;
@@ -44,21 +47,7 @@ type report = {
 
 val clean : report -> bool
 
-val invariants : Stream.t -> Diag.t list
-
-val conformance : Dmm_core.Explorer.design -> Stream.t -> Diag.t list
-(** If the design itself violates {!Dmm_core.Constraints}, those violations
-    are returned (lifted via {!Diag.of_constraint}) and the behavioural
-    checks are skipped — a stream cannot conform to an invalid design. *)
-
-val run : ?design:Dmm_core.Explorer.design -> ?leaks:bool -> Stream.t -> report
-(** Integrity gate, then invariants, then (when [design] is given)
-    conformance, then (when [leaks] is true) the {!Oracle} leak pass —
-    its [oracle-leak] findings are appended to the report's diagnostics.
-    Implemented as {!start}/{!feed}/{!finalize} over the in-memory
-    stream, so batch and streaming checking agree exactly. *)
-
-(** {1 Incremental checking}
+(** {1 Checking a stream}
 
     The passes advance one event at a time; memory is bounded by the
     live-block maps, never by the stream length. This is how the ingest
@@ -70,6 +59,13 @@ val run : ?design:Dmm_core.Explorer.design -> ?leaks:bool -> Stream.t -> report
 type incremental
 
 val start : ?design:Dmm_core.Explorer.design -> ?leaks:bool -> unit -> incremental
+(** A fresh check: the integrity gate, then invariants, then (when
+    [design] is given) conformance, then (when [leaks] is true) the
+    {!Oracle} leak pass, whose [oracle-leak] findings follow the others
+    in the report. If the design itself violates {!Dmm_core.Constraints},
+    those violations (lifted via {!Diag.of_constraint}) stand in for the
+    conformance findings — a stream cannot conform to an invalid
+    design. *)
 
 val feed : incremental -> Stream.entry -> unit
 (** Feed the next event. The integrity gate is applied positionally: the

@@ -2,11 +2,6 @@ module Event = Dmm_obs.Event
 module Codec = Dmm_obs.Codec
 
 type entry = { clock : int; event : Event.t }
-type t = entry array
-
-let of_events evs = Array.of_list (List.mapi (fun i event -> { clock = i; event }) evs)
-let of_pairs pairs = Array.map (fun (clock, event) -> { clock; event }) pairs
-let length = Array.length
 
 (* --- JSONL parsing ---------------------------------------------------------
    The [Jsonl_sink] format is flat: one object per line, integer fields plus
@@ -81,9 +76,9 @@ let parse_line line =
 
 (* --- incremental sources ---------------------------------------------------
    One abstraction for every place a stream can come from — a JSONL file, a
-   binary-framed file, a socket, an in-memory capture — pulled one entry at
-   a time so the consumers (sanitizer passes, report/profile sinks, the
-   ingest daemon) run in memory bounded by a single event, not the file. *)
+   binary-framed file, a socket, a string — pulled one entry at a time so
+   the consumers (sanitizer passes, report/profile sinks, the ingest
+   daemon) run in memory bounded by a single event, not the file. *)
 
 exception Parse_error of string
 
@@ -405,20 +400,6 @@ let iter_source src ~f =
     ~f:(fun n e ->
       f e;
       n + 1)
-
-let collect src =
-  match
-    fold_source src ~init:[] ~f:(fun acc e -> e :: acc)
-  with
-  | Error _ as e -> e
-  | Ok entries -> Ok (Array.of_list (List.rev entries))
-
-let load path =
-  match source_of_file path with
-  | Error _ as e -> e
-  | Ok src -> collect src
-
-let of_jsonl_string s = collect (jsonl_source (reader_of_string s))
 
 (* --- stream integrity ------------------------------------------------------
    The probe's logical clock ticks exactly once per emitted event, so a

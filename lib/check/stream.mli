@@ -1,27 +1,15 @@
-(** A recorded allocation-event stream: the sanitizer's input.
+(** A recorded allocation-event stream: the sanitizer's and the oracle's
+    input, one {!entry} at a time.
 
-    Streams come from an in-memory {!Dmm_obs.Collect_sink} capture, a
-    [dmm trace] export re-read from disk (JSONL or the
-    {!Dmm_obs.Codec} binary framing, auto-detected), a socket feeding
-    the ingest daemon, or a synthetic list built by tests.
-
-    Two representations coexist: the in-memory array [t] for synthetic
-    and captured streams, and the pull-based {!source} for everything
-    read from the outside world — a source surfaces one {!entry} at a
-    time so consumers run in memory bounded by a single event, not by
-    the file. *)
+    Entries come from a live replay's probe (attach
+    [fun clock event -> feed st { clock; event }] before the manager is
+    built), from a [dmm trace] export re-read from disk (JSONL or the
+    {!Dmm_obs.Codec} binary framing, auto-detected), from a socket
+    feeding the ingest daemon, or from a string. Every consumer takes
+    one entry at a time, so it runs in memory bounded by what it keeps,
+    never by the stream's length. *)
 
 type entry = { clock : int; event : Dmm_obs.Event.t }
-
-type t = entry array
-
-val of_events : Dmm_obs.Event.t list -> t
-(** Number a synthetic event list with clocks [0,1,2,…]. *)
-
-val of_pairs : (int * Dmm_obs.Event.t) array -> t
-(** From {!Dmm_obs.Collect_sink.to_array} output (clock, event) pairs. *)
-
-val length : t -> int
 
 (** {1 Incremental sources} *)
 
@@ -76,15 +64,6 @@ val iter_source : source -> f:(entry -> unit) -> (int, string) result
 val file_format : string -> ([ `Jsonl | `Binary ], string) result
 (** Sniff a file's format from its first four bytes without decoding
     it. *)
-
-(** {1 Whole-file loading} *)
-
-val load : string -> (t, string) result
-(** Materialise a trace file of either format into memory. *)
-
-val of_jsonl_string : string -> (t, string) result
-(** Parse the {!Dmm_obs.Jsonl_sink} line format. A parse failure is an
-    I/O-level error (malformed file), not a heap diagnostic. *)
 
 (** {1 Integrity} *)
 

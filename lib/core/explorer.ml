@@ -259,8 +259,8 @@ let tradeoff_score ~alpha ~footprint ~ops =
   footprint + int_of_float (alpha *. float_of_int ops)
 
 (* The single scoring pass shared by every driver. [score_all] may fan the
-   batch out to worker domains; ties keep the lowest index, so batch and
-   sequential runs pick the same winner. It may also answer a lower bound
+   batch out to worker domains; ties keep the lowest index, so the winner
+   does not depend on the worker count. It may also answer a lower bound
    >= [scores.(0)] for a candidate that cannot beat candidate 0: such a
    candidate loses here exactly as its true score would. *)
 let refine_batch ~score_all = function
@@ -280,21 +280,6 @@ let refine_batch ~score_all = function
     progress (Batch_scored { candidates = Array.length cands; best_score = scores.(!best) });
     (cands.(!best), scores.(!best))
 
-(* In-order sequential scoring, so stateful [score] closures observe the
-   same call sequence as before the batch API existed. *)
-let scores_in_order score cands =
-  let n = Array.length cands in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n (score cands.(0)) in
-    for i = 1 to n - 1 do
-      out.(i) <- score cands.(i)
-    done;
-    out
-  end
-
-let refine ~score designs = refine_batch ~score_all:(scores_in_order score) designs
-
 let random_design rng s =
   let choose _ _ legal =
     List.nth legal (Dmm_util.Prng.int rng (List.length legal))
@@ -309,14 +294,8 @@ let random_search_batch ~rng ~samples ~profile ~score_all =
   if samples <= 0 then invalid_arg "Explorer.random_search: samples must be positive";
   refine_batch ~score_all (List.init samples (fun _ -> random_design rng profile))
 
-let random_search ~rng ~samples ~profile ~score =
-  random_search_batch ~rng ~samples ~profile ~score_all:(scores_in_order score)
-
 let explore_batch ?order ~profile ~score_all () =
   Span.with_span "explorer.explore" @@ fun () ->
   match heuristic_design ?order profile with
   | Error m -> Error m
   | Ok base -> Ok (refine_batch ~score_all (candidates profile base))
-
-let explore ?order ~profile ~score () =
-  explore_batch ?order ~profile ~score_all:(scores_in_order score) ()

@@ -7,8 +7,9 @@
     single pool, doubly linked list, header with size and status — the DRR
     derivation). The run-time parameters the paper settles "via simulation"
     are refined by scoring candidate designs against a replayable workload:
-    the caller supplies [score], typically replaying the recorded trace into
-    a fresh manager and reading its maximum footprint. *)
+    the caller supplies [score_all], typically replaying the recorded trace
+    into a fresh manager per candidate and reading its maximum footprint
+    ([Dmm_engine.Sim.score_all]). *)
 
 type design = { vector : Decision_vector.t; params : Manager.params }
 
@@ -17,9 +18,8 @@ val pp_design : Format.formatter -> design -> unit
 val design_key : design -> string
 (** Canonical replay-identity key: the fourteen decision leaves in tree
     order plus every run-time parameter. Two designs with equal keys
-    behave identically on every trace — the key under which the engine's
-    simulation cache ([Dmm_engine.Sim]) memoises scores, and the one
-    {!candidates} deduplicates by. *)
+    behave identically on every trace, so {!candidates} deduplicates by
+    it and no design is scored twice in a round. *)
 
 val heuristic_choice :
   Profile.phase_summary ->
@@ -83,33 +83,19 @@ val tradeoff_score : alpha:float -> footprint:int -> ops:int -> int
     possible using our methodology". [alpha = 0.] is the pure footprint
     objective used everywhere else; larger [alpha] buys speed with bytes. *)
 
-val refine : score:(design -> int) -> design list -> design * int
-(** Lowest score wins; ties keep the earliest candidate. [score] is called
-    once per candidate, in list order. Raises [Invalid_argument] on an
-    empty list. *)
-
 val refine_batch : score_all:(design array -> int array) -> design list -> design * int
-(** {!refine} with the whole candidate array scored in one call, so the
-    scorer can fan out to worker domains ([Dmm_engine]) or batch-memoise.
-    [score_all] must return one score per candidate, input-ordered.
-    Candidate 0 is the incumbent, and its score must be exact. Every
-    other candidate whose true score is below [scores.(0)] must get its
-    exact score; one whose true score is >= [scores.(0)] may instead get
-    any lower bound that is itself >= [scores.(0)], since it loses to
-    candidate 0 either way. The winner (lowest score, lowest index on
-    ties) and its score, which [Batch_scored] reports, are then identical
-    to the sequential {!refine}'s. [Dmm_engine.Sim.score_all] uses this
-    to stop a replay once it can no longer win. Raises [Invalid_argument]
-    on an empty list or a length-mismatched score array. *)
-
-val explore :
-  ?order:Decision.tree list ->
-  profile:Profile.phase_summary ->
-  score:(design -> int) ->
-  unit ->
-  (design * int, string) result
-(** Full methodology: heuristic walk, candidate generation, scored
-    refinement. *)
+(** Lowest score wins; ties keep the earliest candidate. The whole
+    candidate array is scored in one call, so the scorer can fan out to
+    worker domains ([Dmm_engine]). [score_all] must return one score per
+    candidate, input-ordered. Candidate 0 is the incumbent, and its score
+    must be exact. Every other candidate whose true score is below
+    [scores.(0)] must get its exact score; one whose true score is >=
+    [scores.(0)] may instead get any lower bound that is itself >=
+    [scores.(0)], since it loses to candidate 0 either way. The winner and
+    its score, which [Batch_scored] reports, are then those exact scoring
+    would pick. [Dmm_engine.Sim.score_all] uses this to stop a replay once
+    it can no longer win. Raises [Invalid_argument] on an empty list or a
+    length-mismatched score array. *)
 
 val explore_batch :
   ?order:Decision.tree list ->
@@ -117,8 +103,8 @@ val explore_batch :
   score_all:(design array -> int array) ->
   unit ->
   (design * int, string) result
-(** {!explore} through {!refine_batch}: same walk, same candidates, same
-    winner, but the simulation round is handed to [score_all] whole. *)
+(** Full methodology: heuristic walk, candidate generation, and one
+    {!refine_batch} round over the candidates. *)
 
 (** {1 Baseline search strategies}
 
@@ -133,21 +119,13 @@ val random_design : Dmm_util.Prng.t -> Profile.phase_summary -> design
     every tree of the paper order), with profile-derived run-time
     parameters. *)
 
-val random_search :
-  rng:Dmm_util.Prng.t ->
-  samples:int ->
-  profile:Profile.phase_summary ->
-  score:(design -> int) ->
-  design * int
-(** Best of [samples] random designs. [score] is called exactly [samples]
-    times. Raises [Invalid_argument] when [samples <= 0]. *)
-
 val random_search_batch :
   rng:Dmm_util.Prng.t ->
   samples:int ->
   profile:Profile.phase_summary ->
   score_all:(design array -> int array) ->
   design * int
-(** {!random_search} with the sample batch scored in one [score_all] call.
+(** Best of [samples] random designs, scored in one [score_all] call.
     Design generation stays sequential on [rng] (deterministic for a given
-    seed); only the scoring may fan out. *)
+    seed); only the scoring may fan out. Raises [Invalid_argument] when
+    [samples <= 0]. *)

@@ -25,7 +25,7 @@ let m_wait_us =
 
 (* Search-engine self-metrics, dmm_search_* prefix: wall-clock facts about the
    machinery driving the design-space search, scraped alongside the
-   memoisation counters [Sim] keeps under the same prefix. All are
+   replayed-events counter [Sim] keeps under the same prefix. All are
    machine-dependent (never part of the determinism contract). *)
 let m_queue_depth =
   Reg.gauge ~help:"Tasks outstanding in the current parallel map" Reg.global

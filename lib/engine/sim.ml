@@ -11,17 +11,9 @@ module Reg = Dmm_obs.Registry
    mutable per-[t] fields, so they stay deterministic under DMM_JOBS. The
    wall-clock histogram is observed inside [replay] on whichever domain
    runs it (its count is deterministic; its values are not). *)
-let m_hits =
-  Reg.counter ~help:"Design outcomes served from the memo table" Reg.global
-    "dmm_sim_memo_hits_total"
-
-let m_misses =
-  Reg.counter ~help:"Design outcomes that required a replay" Reg.global
-    "dmm_sim_memo_misses_total"
-
 let m_replays =
-  Reg.counter ~help:"Trace replays executed (memo misses, probed and unkeyed runs)"
-    Reg.global "dmm_sim_replays_total"
+  Reg.counter ~help:"Trace replays executed, stopped ones included" Reg.global
+    "dmm_sim_replays_total"
 
 let m_stopped =
   Reg.counter ~help:"Replays stopped early by an incumbent bound" Reg.global
@@ -51,42 +43,24 @@ type run = { outcome : outcome; events : int }
 type t = {
   trace : Trace.t;
   live_hint : int;
-  memo : (string, outcome) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
   mutable replays : int;
   mutable stopped : int;
 }
 
 let create trace =
-  {
-    trace;
-    live_hint = Trace.peak_live_count trace;
-    memo = Hashtbl.create 64;
-    hits = 0;
-    misses = 0;
-    replays = 0;
-    stopped = 0;
-  }
+  { trace; live_hint = Trace.peak_live_count trace; replays = 0; stopped = 0 }
 
-let hits t = t.hits
-let misses t = t.misses
 let replays t = t.replays
 let stopped t = t.stopped
 let complete t r = r.events = Trace.length t.trace
 
-(* The only place replay accounting happens, on the parent domain: [hits]
-   and [misses] are memo lookups, [runs] every replay behind them. *)
-let record_replays ?(hits = 0) ?(misses = 0) t runs =
+(* The only place replay accounting happens, on the parent domain. *)
+let record_replays t runs =
   let events = Array.fold_left (fun acc r -> acc + r.events) 0 runs in
   let stopped = Array.fold_left (fun acc r -> if complete t r then acc else acc + 1) 0 runs in
   let n = Array.length runs in
-  t.hits <- t.hits + hits;
-  t.misses <- t.misses + misses;
   t.replays <- t.replays + n;
   t.stopped <- t.stopped + stopped;
-  Reg.add m_hits hits;
-  Reg.add m_misses misses;
   Reg.add m_replays n;
   Reg.add m_stopped stopped;
   Reg.add m_search_events events
@@ -137,83 +111,27 @@ let allocator ?probe t (d : Explorer.design) =
     (Manager.create ~expected_live:t.live_hint ~params:d.Explorer.params d.Explorer.vector
        (Address_space.create ?probe ()))
 
-let outcome t d =
-  let key = Explorer.design_key d in
-  match Hashtbl.find_opt t.memo key with
-  | Some o ->
-    record_replays t ~hits:1 [||];
-    o
-  | None ->
-    let r = replay t (allocator t d) in
-    record_replays t ~misses:1 [| r |];
-    Hashtbl.replace t.memo key r.outcome;
-    r.outcome
-
-(* Unique cache misses among [keys], in first-occurrence order. *)
-let misses_of t keys designs =
-  let fresh = Hashtbl.create 16 in
-  let missing = ref [] in
-  Array.iteri
-    (fun i key ->
-      if not (Hashtbl.mem t.memo key || Hashtbl.mem fresh key) then begin
-        Hashtbl.add fresh key ();
-        missing := (key, designs.(i)) :: !missing
-      end)
-    keys;
-  Array.of_list (List.rev !missing)
-
-(* Replays [missing] on the pool; only complete runs enter the memo, so a
-   stopped run never answers a later exact query. *)
-let replay_misses ?alpha ?bound t missing =
-  let runs = Pool.map missing (fun (_, d) -> replay ?alpha ?bound t (allocator t d)) in
-  Array.iteri
-    (fun i (key, _) -> if complete t runs.(i) then Hashtbl.replace t.memo key runs.(i).outcome)
-    missing;
-  runs
-
 let outcomes t designs =
   Span.with_span ~args:[ ("designs", Array.length designs) ] "sim.score-batch" @@ fun () ->
-  let keys = Array.map Explorer.design_key designs in
-  let missing = misses_of t keys designs in
-  let runs = replay_misses t missing in
-  let misses = Array.length missing in
-  record_replays t ~hits:(Array.length designs - misses) ~misses runs;
-  Array.map (fun key -> Hashtbl.find t.memo key) keys
+  let runs = Pool.map designs (fun d -> replay t (allocator t d)) in
+  record_replays t runs;
+  Array.map (fun r -> r.outcome) runs
 
 let sanitize t (d : Explorer.design) =
   let probe = Probe.create () in
   let st = Dmm_check.Sanitizer.start ~design:d () in
   Probe.attach probe (fun clock event ->
       Dmm_check.Sanitizer.feed st { Dmm_check.Stream.clock; event });
-  (* An observed replay must run: never a memo lookup. *)
   record_replays t [| replay ~probe t (allocator ~probe t d) |];
   Dmm_check.Sanitizer.finalize st
 
 (* Branch and bound on the incumbent, candidate 0: it is scored exactly
-   first, and its score bounds every other replay of the batch. A stopped
-   candidate answers with its running score, which is >= the bound, so it
-   loses to candidate 0 exactly as its whole-trace score would (ties keep
-   the lowest index). The bound is known before the fan-out, so which
-   replays stop, and where, does not depend on the worker count. *)
-let score_all ?(alpha = 0.0) t designs =
-  if Array.length designs = 0 then [||]
-  else
-    Span.with_span ~args:[ ("designs", Array.length designs) ] "sim.score-batch" @@ fun () ->
-    let bound = score_of ~alpha (outcome t designs.(0)) in
-    let keys = Array.map Explorer.design_key designs in
-    let missing = misses_of t keys designs in
-    let runs = replay_misses ~alpha ~bound t missing in
-    let misses = Array.length missing in
-    record_replays t ~hits:(Array.length designs - 1 - misses) ~misses runs;
-    let scored = Hashtbl.create 16 in
-    Array.iteri (fun i (key, _) -> Hashtbl.replace scored key (score_of ~alpha runs.(i).outcome)) missing;
-    Array.map
-      (fun key ->
-        match Hashtbl.find_opt scored key with
-        | Some s -> s
-        | None -> score_of ~alpha (Hashtbl.find t.memo key))
-      keys
-
+   first (unless the caller knows its score), and its score bounds every
+   other replay of the batch. A stopped candidate answers with its running
+   score, which is >= the bound, so it loses to candidate 0 exactly as its
+   whole-trace score would (ties keep the lowest index). The bound is known
+   before the fan-out, so which replays stop, and where, does not depend on
+   the worker count. *)
 let score_allocators ?(alpha = 0.0) ?incumbent t makes =
   let n = Array.length makes in
   if n = 0 then [||]
@@ -229,3 +147,7 @@ let score_allocators ?(alpha = 0.0) ?incumbent t makes =
     let runs = Pool.map rest (fun make -> replay ~alpha ~bound t (make ())) in
     record_replays t (Array.append first runs);
     Array.append [| bound |] (Array.map (fun r -> score_of ~alpha r.outcome) runs)
+
+let score_all ?alpha t designs =
+  Span.with_span ~args:[ ("designs", Array.length designs) ] "sim.score-batch" @@ fun () ->
+  score_allocators ?alpha t (Array.map (fun d () -> allocator t d) designs)

@@ -349,9 +349,7 @@ let search_comparison ?(samples = 60) () =
   Fun.protect ~finally:(fun () -> paper_scale := saved) @@ fun () ->
   let trace = drr_trace_seed 42 in
   let profile = Profile.total (Profile_builder.of_trace trace) in
-  (* [sims] counts designs scored, as it always has; the engine memoises
-     under the hood, so duplicate candidates cost a lookup, not a replay
-     (a fresh cache per strategy keeps the comparison fair). *)
+  (* [sims] counts designs scored: each is one exact replay. *)
   let sims = ref 0 in
   let counted_score_all sim designs =
     sims := !sims + Array.length designs;

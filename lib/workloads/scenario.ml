@@ -86,8 +86,8 @@ module Span = Dmm_obs.Span
 
 (* The single-phase search on a trace already profiled. *)
 let design_of_profile ~alpha trace profile =
-  (* Candidate scoring goes through the engine: memoised per design key,
-     cache misses replayed on the worker pool. *)
+  (* Candidate scoring goes through the engine: every candidate replayed on
+     the worker pool, bounded by the round's first. *)
   let sim = Dmm_engine.Sim.create trace in
   let score_all = Dmm_engine.Sim.score_all ~alpha sim in
   Explorer.progress (Explorer.Agenda { rounds = 1 });
@@ -128,9 +128,9 @@ let global_design_for ?(detect_phases = false) trace =
         { default; overrides = List.map (fun (p, x) -> (p, if p = pid then d else x)) overrides }
       in
       let best, score =
-        (* A phase override changes the whole spec, so the memo key would
-           be the spec, not the design: score fresh, but bounded and fanned
-           out to the pool. *)
+        (* A phase override changes the whole spec: each candidate is
+           scored as the global manager it makes, bounded and fanned out
+           to the pool. *)
         Explorer.refine_batch
           ~score_all:(fun ds ->
             Dmm_engine.Sim.score_allocators ?incumbent sim

@@ -1,8 +1,8 @@
 (* The binary trace codec: varint/event round trips, chunked file framing
    (including the sniffing loader), the differential JSONL/binary
    properties behind `dmm convert`, the decoders' allocation bound on
-   forged lengths and unterminated lines, and a byte-mutation fuzz of the
-   binary decoder. *)
+   forged lengths and unterminated lines, and byte-mutation fuzzes of the
+   binary and JSONL decoders and of the trace-context preamble. *)
 
 module Event = Dmm_obs.Event
 module Codec = Dmm_obs.Codec
@@ -50,26 +50,23 @@ let arb_stream =
 
 (* --- helpers ------------------------------------------------------------- *)
 
-let write_binary ?chunk_events events =
-  let path = Filename.temp_file "dmm_codec" ".dmmt" in
-  let oc = open_out_bin path in
-  let sink = Binary_sink.create ?chunk_events oc in
-  List.iteri (fun clock e -> Binary_sink.on_event sink clock e) events;
-  Binary_sink.finish sink;
-  close_out oc;
-  path
+(* What [Binary_sink] writes for [events]. *)
+let encode ?chunk_events events =
+  Temp_file.with_written
+    (fun oc ->
+      let sink = Binary_sink.create ?chunk_events oc in
+      List.iteri (fun clock e -> Binary_sink.on_event sink clock e) events;
+      Binary_sink.finish sink)
+    Temp_file.read
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
+let entries_of src =
+  Stream.fold_source src ~init:[] ~f:(fun acc e -> e :: acc) |> Result.map List.rev
 
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
-let with_temp_data data f =
-  let path = Filename.temp_file "dmm_codec" ".dmmt" in
-  write_file path data;
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+(* Where the decoder is the subject, it reads a string; [load] reads a
+   file through [Stream.source_of_file], whose errors carry the path. *)
+let decode_entries s = entries_of (Stream.source_of_string s)
+let load path = Result.bind (Stream.source_of_file path) entries_of
+let numbered events = List.mapi (fun clock event -> { Stream.clock; event }) events
 
 let jsonl_of events =
   String.concat ""
@@ -98,20 +95,18 @@ let varint_extremes () =
   Alcotest.(check int) "zero delta is one byte" 1 (Buffer.length b)
 
 let empty_stream () =
-  let path = write_binary [] in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  (match Stream.load path with
-  | Ok arr -> Alcotest.(check int) "no entries" 0 (Array.length arr)
+  let data = encode [] in
+  (match decode_entries data with
+  | Ok l -> Alcotest.(check int) "no entries" 0 (List.length l)
   | Error m -> Alcotest.fail m);
   (* magic (5) + trailer header (20), nothing else *)
   Alcotest.(check int) "file is magic + trailer"
     (Codec.magic_bytes + Codec.feature_bytes + Codec.header_bytes)
-    (String.length (read_file path))
+    (String.length data)
 
 let format_sniffing () =
   let events = [ Event.Phase 1; Event.Sbrk { bytes = 64; brk = 64 } ] in
-  let path = write_binary events in
-  let data = Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> read_file path) in
+  let data = encode events in
   (* In-memory sniffing picks the right decoder for both encodings. *)
   let from_bin = Stream.fold_source (Stream.source_of_string data) ~init:0 ~f:(fun n _ -> n + 1) in
   Alcotest.(check (result int string)) "binary sniffed" (Ok 2) from_bin;
@@ -119,36 +114,36 @@ let format_sniffing () =
     Stream.fold_source (Stream.source_of_string (jsonl_of events)) ~init:0 ~f:(fun n _ -> n + 1)
   in
   Alcotest.(check (result int string)) "jsonl sniffed" (Ok 2) from_jsonl;
-  with_temp_data data (fun p ->
+  Temp_file.with_data data (fun p ->
       Alcotest.(check bool) "file_format binary" true (Stream.file_format p = Ok `Binary));
-  with_temp_data (jsonl_of events) (fun p ->
+  Temp_file.with_data (jsonl_of events) (fun p ->
       Alcotest.(check bool) "file_format jsonl" true (Stream.file_format p = Ok `Jsonl))
 
 let jsonl_line_numbers () =
   (* The streaming JSONL reader reports the offending line of the file,
      blank lines included in the count. *)
   let text = "{\"t\":0,\"ev\":\"phase\",\"id\":1}\n\nnot json\n" in
-  match Stream.of_jsonl_string text with
+  match decode_entries text with
   | Ok _ -> Alcotest.fail "garbage line must not parse"
   | Error m ->
     Alcotest.(check bool) (Printf.sprintf "line number in %S" m) true
       (String.length m >= 7 && String.sub m 0 7 = "line 3:")
 
+(* Read from files: the one case of [Stream.source_of_file]. *)
 let trailer_guard () =
   let events = [ Event.Phase 1; Event.Phase 2; Event.Phase 3 ] in
-  let path = write_binary events in
-  let data = Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> read_file path) in
+  let data = encode events in
   (* Trailing bytes after the trailer are an error, not silently ignored. *)
-  with_temp_data (data ^ "x") (fun p ->
-      match Stream.load p with
+  Temp_file.with_data (data ^ "x") (fun p ->
+      match load p with
       | Ok _ -> Alcotest.fail "trailing bytes must be rejected"
       | Error m ->
         Alcotest.(check bool) (Printf.sprintf "mentions trailer: %s" m) true
           (String.length m > 0));
   (* A missing trailer (clean EOF at a chunk boundary) is truncation. *)
   let cut = String.length data - Codec.header_bytes in
-  with_temp_data (String.sub data 0 cut) (fun p ->
-      match Stream.load p with
+  Temp_file.with_data (String.sub data 0 cut) (fun p ->
+      match load p with
       | Ok _ -> Alcotest.fail "missing trailer must be rejected"
       | Error _ -> ())
 
@@ -157,21 +152,16 @@ let trailer_guard () =
 let prop_roundtrip =
   QCheck.Test.make ~name:"binary file round trip: decode (encode s) = s" ~count:60
     arb_stream (fun (chunk_events, events) ->
-      let path = write_binary ~chunk_events events in
-      let r = Stream.load path in
-      Sys.remove path;
-      match r with
+      match decode_entries (encode ~chunk_events events) with
       | Error m -> QCheck.Test.fail_reportf "load failed: %s" m
-      | Ok arr -> arr = Stream.of_events events)
+      | Ok l -> l = numbered events)
 
 let prop_jsonl_binary_agree =
   QCheck.Test.make
     ~name:"jsonl and binary encodings decode to the same stream" ~count:40 arb_stream
     (fun (chunk_events, events) ->
-      let path = write_binary ~chunk_events events in
-      let from_bin = Stream.load path in
-      Sys.remove path;
-      let from_jsonl = Stream.of_jsonl_string (jsonl_of events) in
+      let from_bin = decode_entries (encode ~chunk_events events) in
+      let from_jsonl = decode_entries (jsonl_of events) in
       match (from_bin, from_jsonl) with
       | Ok b, Ok j -> b = j
       | Error m, _ | _, Error m -> QCheck.Test.fail_reportf "decode failed: %s" m)
@@ -184,18 +174,15 @@ let prop_truncation_detected =
          Printf.sprintf "chunk_events=%d, %d events, frac=%.3f" c (List.length evs) frac)
        QCheck.Gen.(pair (pair (1 -- 64) gen_events) (float_bound_inclusive 1.)))
     (fun ((chunk_events, events), frac) ->
-      let path = write_binary ~chunk_events events in
-      let data = read_file path in
-      Sys.remove path;
+      let data = encode ~chunk_events events in
       let len = String.length data in
       (* Below 5 bytes the magic itself is cut and the sniffing loader
          legitimately treats the prefix as (empty or garbage) JSONL. *)
       let cut = Codec.magic_bytes + int_of_float (frac *. float_of_int (len - Codec.magic_bytes)) in
       let cut = min cut (len - 1) in
-      with_temp_data (String.sub data 0 cut) (fun p ->
-          match Stream.load p with
-          | Ok _ -> false
-          | Error _ -> true))
+      match decode_entries (String.sub data 0 cut) with
+      | Ok _ -> false
+      | Error _ -> true)
 
 let prop_corruption_detected =
   QCheck.Test.make
@@ -208,9 +195,7 @@ let prop_corruption_detected =
        QCheck.Gen.(
          pair (pair (1 -- 64) gen_events) (pair (float_bound_inclusive 1.) (0 -- 7))))
     (fun ((chunk_events, events), (pick, bit)) ->
-      let path = write_binary ~chunk_events events in
-      let data = read_file path in
-      Sys.remove path;
+      let data = encode ~chunk_events events in
       (* Flip one bit inside the first chunk's payload. FNV-1a's
          per-byte steps are bijections on the running state, so a
          same-length payload with one byte changed can never keep its
@@ -220,22 +205,21 @@ let prop_corruption_detected =
       let idx = payload_off + int_of_float (pick *. float_of_int (h.Codec.h_len - 1)) in
       let b = Bytes.of_string data in
       Bytes.set b idx (Char.chr (Char.code (Bytes.get b idx) lxor (1 lsl bit)));
-      with_temp_data (Bytes.to_string b) (fun p ->
-          match Stream.load p with Ok _ -> false | Error _ -> true))
+      match decode_entries (Bytes.to_string b) with Ok _ -> false | Error _ -> true)
 
 let prop_jsonl_sink_buffering =
   QCheck.Test.make
     ~name:"buffered Jsonl_sink writes exactly the to_json lines" ~count:40
     (QCheck.make ~print:(fun evs -> Printf.sprintf "%d events" (List.length evs)) gen_events)
     (fun events ->
-      let path = Filename.temp_file "dmm_codec" ".jsonl" in
-      let oc = open_out_bin path in
-      let sink = Jsonl_sink.create oc in
-      List.iteri (fun clock e -> Jsonl_sink.on_event sink clock e) events;
-      Jsonl_sink.flush sink;
-      close_out oc;
-      let written = read_file path in
-      Sys.remove path;
+      let written =
+        Temp_file.with_written
+          (fun oc ->
+            let sink = Jsonl_sink.create oc in
+            List.iteri (fun clock e -> Jsonl_sink.on_event sink clock e) events;
+            Jsonl_sink.flush sink)
+          Temp_file.read
+      in
       written = jsonl_of events)
 
 (* ------------------------------------------------------------------ *)
@@ -280,11 +264,9 @@ let prop_v1_decodes_identically =
        QCheck.Gen.(pair (1 -- 64) gen_events))
     (fun (chunk_events, events) ->
       let events = List.filter (fun e -> not (Event.is_graph e)) events in
-      let path = write_binary ~chunk_events events in
-      let data = read_file path in
-      Sys.remove path;
-      let v2 = with_temp_data data Stream.load in
-      let v1 = with_temp_data (to_v1 data) Stream.load in
+      let data = encode ~chunk_events events in
+      let v2 = decode_entries data in
+      let v1 = decode_entries (to_v1 data) in
       match (v2, v1) with
       | Ok a, Ok b -> a = b
       | Error m, _ | _, Error m -> QCheck.Test.fail_reportf "decode failed: %s" m)
@@ -292,30 +274,23 @@ let prop_v1_decodes_identically =
 let v1_rejects_graph_tags () =
   (* A v1 prefix promises there are no graph tags; a stream that carries
      one anyway is corrupt, not silently accepted. *)
-  let path = write_binary [ Event.Root_add { addr = 16 } ] in
-  let data = read_file path in
-  Sys.remove path;
-  with_temp_data (to_v1 data) (fun p ->
-      match Stream.load p with
-      | Ok _ -> Alcotest.fail "graph tag decoded under a v1 prefix"
-      | Error m ->
-        Alcotest.(check bool) (Printf.sprintf "error mentions the feature (%s)" m) true
-          (contains ~needle:"does not declare the graph feature" m))
+  let data = encode [ Event.Root_add { addr = 16 } ] in
+  match decode_entries (to_v1 data) with
+  | Ok _ -> Alcotest.fail "graph tag decoded under a v1 prefix"
+  | Error m ->
+    Alcotest.(check bool) (Printf.sprintf "error mentions the feature (%s)" m) true
+      (contains ~needle:"does not declare the graph feature" m)
 
 let unknown_feature_bits_rejected () =
-  let path = write_binary [ Event.Phase 1 ] in
-  let data = read_file path in
-  Sys.remove path;
-  let b = Bytes.of_string data in
+  let b = Bytes.of_string (encode [ Event.Phase 1 ]) in
   (* Set a feature bit no reader version understands yet. *)
   Bytes.set b Codec.magic_bytes
     (Char.chr (Char.code (Bytes.get b Codec.magic_bytes) lor 0x80));
-  with_temp_data (Bytes.to_string b) (fun p ->
-      match Stream.load p with
-      | Ok _ -> Alcotest.fail "unknown feature bits accepted"
-      | Error m ->
-        Alcotest.(check bool) (Printf.sprintf "error names the bits (%s)" m) true
-          (contains ~needle:"unsupported feature bits" m))
+  match decode_entries (Bytes.to_string b) with
+  | Ok _ -> Alcotest.fail "unknown feature bits accepted"
+  | Error m ->
+    Alcotest.(check bool) (Printf.sprintf "error names the bits (%s)" m) true
+      (contains ~needle:"unsupported feature bits" m)
 
 (* --- hostile lengths ---------------------------------------------------------
    A decoder allocates in proportion to the bytes it has been sent, never
@@ -357,7 +332,7 @@ let unterminated_jsonl_line () =
 (* The daemon's preamble read: [dmm serve] sniffs the magic, then reads
    the rest of the line with [Trace_ctx.input_preamble]. *)
 let read_preamble data =
-  with_temp_data data (fun p ->
+  Temp_file.with_data data (fun p ->
       In_channel.with_open_bin p (fun ic ->
           let magic = really_input_string ic (String.length Trace_ctx.magic) in
           let line, bytes = allocation_of (fun () -> magic ^ Trace_ctx.input_preamble ic) in
@@ -388,17 +363,14 @@ let recorded =
      let prefix =
        Dmm_trace.Trace.of_list (List.filteri (fun i _ -> i < 4000) (Dmm_trace.Trace.to_list trace))
      in
-     let path = Filename.temp_file "dmm_codec" ".dmmt" in
-     let oc = open_out_bin path in
-     let sink = Binary_sink.create oc in
-     let probe = Dmm_obs.Probe.create () in
-     Binary_sink.attach probe sink;
-     Dmm_trace.Replay.run ~probe prefix (Dmm_workloads.Scenario.kingsley ~probe ());
-     Binary_sink.finish sink;
-     close_out oc;
-     let data = read_file path in
-     Sys.remove path;
-     data)
+     Temp_file.with_written
+       (fun oc ->
+         let sink = Binary_sink.create oc in
+         let probe = Dmm_obs.Probe.create () in
+         Binary_sink.attach probe sink;
+         Dmm_trace.Replay.run ~probe prefix (Dmm_workloads.Scenario.kingsley ~probe ());
+         Binary_sink.finish sink)
+       Temp_file.read)
 
 (* The byte ranges of the recorded stream, by what they hold: the magic
    and feature word, each chunk's header and body, and the trailer. *)
@@ -528,6 +500,190 @@ let prop_binary_mutations =
       | Ok _ -> true
       | Error m -> m <> "" && not (String.contains m '\n'))
 
+(* --- JSONL and trace-context preamble fuzz ------------------------------------
+   Text mutations: a flipped bit, a byte set, inserted or deleted, a cut,
+   a run of digits, quotes, commas or spaces (a run of 4,097 or more makes
+   the line too long; spaces and zeros can keep it well-formed), and a
+   newline removed, with the ones after it, until the line passes the
+   4,096-byte limit. *)
+
+type text_mutation =
+  | T_flip of int
+  | T_set of char
+  | T_insert of char
+  | T_delete
+  | T_cut
+  | T_run of char * int
+  | T_join
+
+let show_text_mutation (at, m) =
+  Printf.sprintf "%.3f %s" at
+    (match m with
+    | T_flip bit -> Printf.sprintf "flip bit %d" bit
+    | T_set c -> Printf.sprintf "set %C" c
+    | T_insert c -> Printf.sprintf "insert %C" c
+    | T_delete -> "delete"
+    | T_cut -> "cut"
+    | T_run (c, n) -> Printf.sprintf "run of %d %C" n c
+    | T_join -> "join lines")
+
+let show_text_mutations muts = String.concat "; " (List.map show_text_mutation muts)
+
+let gen_text_mutations =
+  let open QCheck.Gen in
+  (* Bytes the formats are made of, so a mutation often stays parseable;
+     any other byte as well. *)
+  let byte =
+    frequency
+      [
+        (3, oneofl [ '{'; '}'; '"'; ':'; ','; '-'; '\n'; ' '; '0'; '9'; 'a'; 'D' ]);
+        (1, map Char.chr (0 -- 255));
+      ]
+  in
+  let run_len = frequency [ (3, 1 -- 64); (1, 4000 -- 8192) ] in
+  let kind =
+    frequency
+      [
+        (3, map (fun b -> T_flip b) (0 -- 7));
+        (3, map (fun c -> T_set c) byte);
+        (2, map (fun c -> T_insert c) byte);
+        (2, return T_delete);
+        (1, return T_cut);
+        (3, map2 (fun c n -> T_run (c, n)) (oneofl [ '0'; '7'; '"'; ','; ' ' ]) run_len);
+        (1, return T_join);
+      ]
+  in
+  list_size (1 -- 3) (pair (float_bound_exclusive 1.) kind)
+
+(* Remove the newlines from [i] on until the line holding [i] is longer
+   than 4,096 bytes, or none is left. *)
+let join_from data i =
+  let n = String.length data in
+  let start =
+    match String.rindex_from_opt data (min i (n - 1)) '\n' with Some j -> j + 1 | None -> 0
+  in
+  let b = Buffer.create n in
+  Buffer.add_substring b data 0 start;
+  let rec go j len =
+    if j >= n then ()
+    else if data.[j] = '\n' && len <= 4096 then go (j + 1) len
+    else begin
+      Buffer.add_char b data.[j];
+      if len > 4096 then Buffer.add_substring b data (j + 1) (n - j - 1)
+      else go (j + 1) (len + 1)
+    end
+  in
+  go start 0;
+  Buffer.contents b
+
+let mutate_text data muts =
+  List.fold_left
+    (fun data (at, m) ->
+      let n = String.length data in
+      if n = 0 then data
+      else
+        let i = int_of_float (at *. float_of_int n) in
+        let with_byte c =
+          String.sub data 0 i ^ String.make 1 c ^ String.sub data (i + 1) (n - i - 1)
+        in
+        let insert s = String.sub data 0 i ^ s ^ String.sub data i (n - i) in
+        match m with
+        | T_flip bit -> with_byte (Char.chr (Char.code data.[i] lxor (1 lsl bit)))
+        | T_set c -> with_byte c
+        | T_insert c -> insert (String.make 1 c)
+        | T_delete -> String.sub data 0 i ^ String.sub data (i + 1) (n - i - 1)
+        | T_cut -> String.sub data 0 i
+        | T_run (c, k) -> insert (String.make k c)
+        | T_join -> join_from data i)
+    data muts
+
+let one_line = function Ok _ -> true | Error m -> m <> "" && not (String.contains m '\n')
+
+let longest_line s =
+  List.fold_left (fun acc l -> max acc (String.length l)) 0 (String.split_on_char '\n' s)
+
+(* What [dmm trace -w drr --quick --seed 1 --jsonl FILE -m kingsley]
+   writes for the trace's first 200 events. *)
+let recorded_jsonl =
+  lazy
+    (Dmm_workloads.Experiments.paper_scale := false;
+     let trace = Dmm_workloads.Experiments.drr_trace_seed 1 in
+     let prefix =
+       Dmm_trace.Trace.of_list (List.filteri (fun i _ -> i < 200) (Dmm_trace.Trace.to_list trace))
+     in
+     Temp_file.with_written
+       (fun oc ->
+         let sink = Jsonl_sink.create oc in
+         let probe = Dmm_obs.Probe.create () in
+         Jsonl_sink.attach probe sink;
+         Dmm_trace.Replay.run ~probe prefix (Dmm_workloads.Scenario.kingsley ~probe ());
+         Jsonl_sink.flush sink)
+       Temp_file.read)
+
+(* Whatever the text, the JSONL reader ends in [Ok] or a one-line
+   [Error], never an exception; it accepts no line past 4,096 bytes; and
+   its minor allocation stays within a small multiple of the input. *)
+let prop_jsonl_mutations =
+  QCheck.Test.make ~name:"mutated JSONL streams fail on one line" ~count:300
+    (QCheck.make ~print:show_text_mutations gen_text_mutations)
+    (fun muts ->
+      let data = mutate_text (Lazy.force recorded_jsonl) muts in
+      let before = Gc.minor_words () in
+      let result =
+        match Stream.iter_source (Stream.source_of_string data) ~f:ignore with
+        | exception e -> QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e)
+        | r -> r
+      in
+      let words = Gc.minor_words () -. before in
+      if words > float_of_int ((16 * String.length data) + 65536) then
+        QCheck.Test.fail_reportf "decoding %d bytes allocated %.0f minor words"
+          (String.length data) words;
+      (match result with
+      | Ok _ when longest_line data > 4096 ->
+        QCheck.Test.fail_reportf "accepted a %d-byte line" (longest_line data)
+      | _ -> ());
+      one_line result)
+
+(* The daemon's read of a mutated preamble line, from a file: peek four
+   bytes, and on the magic read the rest of the line with
+   [Trace_ctx.input_preamble] and parse it with [of_preamble_line]. The
+   read stops at 128 bytes, and parsing the whole mutated line, or what
+   was read of it, ends in [Ok] or a one-line [Error]. *)
+let prop_preamble_mutations =
+  let ctx = Trace_ctx.make () in
+  QCheck.Test.make ~name:"mutated trace-context preambles fail on one line" ~count:300
+    (QCheck.make ~print:show_text_mutations gen_text_mutations)
+    (fun muts ->
+      let line = mutate_text (Trace_ctx.preamble ctx) muts in
+      let parse l =
+        match Trace_ctx.of_preamble_line l with
+        | exception e -> QCheck.Test.fail_reportf "parser raised %s" (Printexc.to_string e)
+        | r -> r
+      in
+      one_line (parse line)
+      && Temp_file.with_data (line ^ "{\"t\":0,\"ev\":\"phase\",\"id\":1}\n") (fun path ->
+             In_channel.with_open_bin path (fun ic ->
+                 let head = Bytes.create 4 in
+                 let rec peek off =
+                   if off >= 4 then off
+                   else match input ic head off (4 - off) with 0 -> off | k -> peek (off + k)
+                 in
+                 let sniff = Bytes.sub_string head 0 (peek 0) in
+                 sniff <> Trace_ctx.magic
+                 ||
+                 let read, bytes =
+                   allocation_of (fun () ->
+                       match Trace_ctx.input_preamble ic with
+                       | exception e ->
+                         QCheck.Test.fail_reportf "input_preamble raised %s" (Printexc.to_string e)
+                       | rest -> sniff ^ rest)
+                 in
+                 if String.length read > 128 then
+                   QCheck.Test.fail_reportf "read %d bytes of preamble" (String.length read);
+                 if bytes >= 1048576. then
+                   QCheck.Test.fail_reportf "preamble read allocated %.0f bytes" bytes;
+                 one_line (parse read))))
+
 let tests =
   ( "codec",
     [
@@ -547,6 +703,8 @@ let tests =
       Alcotest.test_case "unterminated preamble: bounded read" `Quick
         unterminated_preamble;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |]) prop_binary_mutations;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |]) prop_jsonl_mutations;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 23 |]) prop_preamble_mutations;
     ]
     @ List.map QCheck_alcotest.to_alcotest
         [

@@ -107,33 +107,21 @@ let check_heuristic_choice_empty_legal () =
       ignore
         (E.heuristic_choice varied_profile Decision_vector.Partial.empty D.A2 []))
 
-let check_refine_batch_matches_refine () =
-  let mk chunk =
-    {
-      E.vector = Decision_vector.drr_custom;
-      params = { Manager.default_params with chunk_request = chunk };
-    }
-  in
-  let designs = [ mk 1000; mk 2000; mk 3000; mk 1500 ] in
-  let score (d : E.design) = abs (d.E.params.Manager.chunk_request - 1800) in
-  let seq = E.refine ~score designs in
-  let batch = E.refine_batch ~score_all:(fun ds -> Array.map score ds) designs in
-  Alcotest.(check bool) "same winner and score" true (seq = batch);
-  Alcotest.check_raises "length mismatch rejected"
-    (Invalid_argument "Explorer.refine_batch: score_all changed the candidate count")
-    (fun () -> ignore (E.refine_batch ~score_all:(fun _ -> [| 1 |]) designs))
-
 let check_refine_picks_minimum () =
   let mk name = { E.vector = Decision_vector.drr_custom; params = { Manager.default_params with chunk_request = name } } in
   let designs = [ mk 1000; mk 2000; mk 3000 ] in
   let score (d : E.design) = abs (d.params.Manager.chunk_request - 2000) in
-  let best, s = E.refine ~score designs in
+  let best, s = E.refine_batch ~score_all:(Array.map score) designs in
   Alcotest.(check int) "minimum score" 0 s;
   Alcotest.(check int) "right design" 2000 best.E.params.Manager.chunk_request
 
 let check_refine_empty () =
   Alcotest.check_raises "no candidates" (Invalid_argument "Explorer.refine: no candidates")
-    (fun () -> ignore (E.refine ~score:(fun _ -> 0) []))
+    (fun () -> ignore (E.refine_batch ~score_all:(Array.map (fun _ -> 0)) []));
+  let d = { E.vector = Decision_vector.drr_custom; params = Manager.default_params } in
+  Alcotest.check_raises "length mismatch rejected"
+    (Invalid_argument "Explorer.refine_batch: score_all changed the candidate count")
+    (fun () -> ignore (E.refine_batch ~score_all:(fun _ -> [| 1 |]) [ d; d ]))
 
 let check_explore_not_worse_than_heuristic () =
   (* Score = real replay footprint over a synthetic trace. *)
@@ -147,7 +135,7 @@ let check_explore_not_worse_than_heuristic () =
   match E.heuristic_design profile with
   | Error msg -> Alcotest.fail msg
   | Ok base -> (
-    match E.explore ~profile ~score () with
+    match E.explore_batch ~profile ~score_all:(Array.map score) () with
     | Error msg -> Alcotest.fail msg
     | Ok (_, best_score) ->
       Alcotest.(check bool) "refinement can only improve" true (best_score <= score base))
@@ -166,12 +154,16 @@ let check_random_search () =
     incr calls;
     100 - !calls (* later candidates score lower *)
   in
-  let _, best = E.random_search ~rng ~samples:7 ~profile:varied_profile ~score in
+  let _, best =
+    E.random_search_batch ~rng ~samples:7 ~profile:varied_profile ~score_all:(Array.map score)
+  in
   Alcotest.(check int) "exactly samples simulations" 7 !calls;
   Alcotest.(check int) "minimum found" 93 best;
   Alcotest.check_raises "no samples"
     (Invalid_argument "Explorer.random_search: samples must be positive") (fun () ->
-      ignore (E.random_search ~rng ~samples:0 ~profile:varied_profile ~score))
+      ignore
+        (E.random_search_batch ~rng ~samples:0 ~profile:varied_profile
+           ~score_all:(Array.map score)))
 
 let check_methodology_beats_random () =
   (* Fixed seeds: the ordered heuristic walk must not lose to a small
@@ -185,7 +177,9 @@ let check_methodology_beats_random () =
   | Error msg -> Alcotest.fail msg
   | Ok heuristic ->
     let rng = Dmm_util.Prng.create 77 in
-    let _, random_best = E.random_search ~rng ~samples:15 ~profile ~score in
+    let _, random_best =
+      E.random_search_batch ~rng ~samples:15 ~profile ~score_all:(Array.map score)
+    in
     Alcotest.(check bool) "heuristic <= best of 15 random" true
       (score heuristic <= random_best)
 
@@ -224,8 +218,6 @@ let tests =
       Alcotest.test_case "empty legal set is diagnosable" `Quick
         check_heuristic_choice_empty_legal;
       Alcotest.test_case "refine picks the minimum" `Quick check_refine_picks_minimum;
-      Alcotest.test_case "refine_batch matches refine" `Quick
-        check_refine_batch_matches_refine;
       Alcotest.test_case "refine rejects empty" `Quick check_refine_empty;
       Alcotest.test_case "explore not worse than heuristic" `Slow
         check_explore_not_worse_than_heuristic;

@@ -324,15 +324,12 @@ let qcheck_hostile_values =
     | _ -> Event.Root_remove { addr = f () }
   in
   let binary events =
-    let path = Filename.temp_file "dmm_ingest" ".dmmt" in
-    let oc = open_out_bin path in
-    let sink = Dmm_obs.Binary_sink.create ~chunk_events:16 oc in
-    List.iteri (fun clock e -> Dmm_obs.Binary_sink.on_event sink clock e) events;
-    Dmm_obs.Binary_sink.finish sink;
-    close_out oc;
-    let data = In_channel.with_open_bin path In_channel.input_all in
-    Sys.remove path;
-    data
+    Temp_file.with_written
+      (fun oc ->
+        let sink = Dmm_obs.Binary_sink.create ~chunk_events:16 oc in
+        List.iteri (fun clock e -> Dmm_obs.Binary_sink.on_event sink clock e) events;
+        Dmm_obs.Binary_sink.finish sink)
+      Temp_file.read
   in
   let jsonl events =
     String.concat "" (List.mapi (fun clock e -> Event.to_json ~clock e ^ "\n") events)
@@ -349,8 +346,9 @@ let qcheck_hostile_values =
         | Ok s -> s.Ingest.report.Sanitizer.events = n
         | Error m -> QCheck.Test.fail_reportf "stream failed: %s" m
       in
-      let entries = Array.of_list (List.mapi (fun clock event -> { Stream.clock; event }) events) in
-      let checked = Sanitizer.run ~leaks:true entries in
+      let st = Sanitizer.start ~leaks:true () in
+      List.iteri (fun clock event -> Sanitizer.feed st { Stream.clock; event }) events;
+      let checked = Sanitizer.finalize st in
       let life = Lifetime_sink.create () in
       List.iteri (fun clock e -> Lifetime_sink.on_event life clock e) events;
       let rows = Lifetime_sink.class_rows life and phases = Lifetime_sink.phase_summaries life in

@@ -1,6 +1,6 @@
 (* The Merlin-style lifetime oracle: exact death times on hand-built
-   streams, leak detection, and qcheck properties tying the incremental
-   and batch drivers together and pinning the soundness envelope
+   streams, leak detection, and qcheck properties tying a decoded stream
+   to the same events fed from memory and pinning the soundness envelope
    (birth <= death <= free, drag >= 0, planted leaks found exactly). *)
 
 module Event = Dmm_obs.Event
@@ -12,7 +12,12 @@ module Trace = Dmm_trace.Trace
 module Scenario = Dmm_workloads.Scenario
 module Gcheap = Dmm_workloads.Gcheap
 
-let stream_of pairs = Stream.of_pairs (Array.of_list pairs)
+(* Feed (clock, event) pairs one entry at a time, as a probe would. *)
+let run pairs =
+  let t = Oracle.create () in
+  List.iter (fun (clock, event) -> Oracle.feed t { Stream.clock; event }) pairs;
+  Oracle.finalize t
+
 let alloc ~addr payload = Event.Alloc { payload; gross = payload + 8; tag = 8; addr }
 let free ~addr payload = Event.Free { payload; addr }
 
@@ -23,17 +28,16 @@ let free ~addr payload = Event.Free { payload; addr }
    B is reachable only through A. Both deaths are exact. *)
 let exact_death_times () =
   let r =
-    Oracle.run
-      (stream_of
-         [
-           (0, alloc ~addr:0 16);
-           (1, Event.Root_add { addr = 0 });
-           (2, alloc ~addr:64 16);
-           (3, Event.Ptr_write { src = 0; field = 0; old_dst = -1; new_dst = 64 });
-           (4, Event.Root_remove { addr = 0 });
-           (5, free ~addr:0 16);
-           (6, free ~addr:64 16);
-         ])
+    run
+      [
+        (0, alloc ~addr:0 16);
+        (1, Event.Root_add { addr = 0 });
+        (2, alloc ~addr:64 16);
+        (3, Event.Ptr_write { src = 0; field = 0; old_dst = -1; new_dst = 64 });
+        (4, Event.Root_remove { addr = 0 });
+        (5, free ~addr:0 16);
+        (6, free ~addr:64 16);
+      ]
   in
   Alcotest.(check bool) "graph stream" true r.Oracle.r_graph;
   Alcotest.(check int) "objects" 2 (Array.length r.Oracle.r_objects);
@@ -54,13 +58,12 @@ let exact_death_times () =
    right up to the free, so death = free and drag = 0. *)
 let free_while_rooted () =
   let r =
-    Oracle.run
-      (stream_of
-         [
-           (0, alloc ~addr:0 32);
-           (1, Event.Root_add { addr = 0 });
-           (9, free ~addr:0 32);
-         ])
+    run
+      [
+        (0, alloc ~addr:0 32);
+        (1, Event.Root_add { addr = 0 });
+        (9, free ~addr:0 32);
+      ]
   in
   Alcotest.(check int) "death at free" 9 r.Oracle.r_objects.(0).Oracle.o_death;
   Alcotest.(check int) "zero drag" 0 (Log_hist.sum r.Oracle.r_drag)
@@ -70,17 +73,16 @@ let free_while_rooted () =
    leaks conservatively at the end of the stream. Rooted C stays live. *)
 let planted_leaks_found () =
   let r =
-    Oracle.run
-      (stream_of
-         [
-           (0, alloc ~addr:0 16);
-           (1, Event.Root_add { addr = 0 });
-           (2, alloc ~addr:64 16);
-           (3, Event.Ptr_write { src = 0; field = 0; old_dst = -1; new_dst = 64 });
-           (4, Event.Root_remove { addr = 0 });
-           (5, alloc ~addr:128 24);
-           (6, Event.Root_add { addr = 128 });
-         ])
+    run
+      [
+        (0, alloc ~addr:0 16);
+        (1, Event.Root_add { addr = 0 });
+        (2, alloc ~addr:64 16);
+        (3, Event.Ptr_write { src = 0; field = 0; old_dst = -1; new_dst = 64 });
+        (4, Event.Root_remove { addr = 0 });
+        (5, alloc ~addr:128 24);
+        (6, Event.Root_add { addr = 128 });
+      ]
   in
   Alcotest.(check int) "two leaks" 2 (List.length r.Oracle.r_leaks);
   Alcotest.(check int) "one live" 1 r.Oracle.r_end_live;
@@ -98,14 +100,13 @@ let planted_leaks_found () =
    explicit free, zero drag, and live-at-end objects are not leaks. *)
 let degenerate_stream_is_clean () =
   let r =
-    Oracle.run
-      (stream_of
-         [
-           (0, alloc ~addr:0 16);
-           (1, alloc ~addr:64 48);
-           (2, free ~addr:0 16);
-           (3, alloc ~addr:0 8);
-         ])
+    run
+      [
+        (0, alloc ~addr:0 16);
+        (1, alloc ~addr:64 48);
+        (2, free ~addr:0 16);
+        (3, alloc ~addr:0 8);
+      ]
   in
   Alcotest.(check bool) "degenerate" false r.Oracle.r_graph;
   Alcotest.(check int) "no leaks" 0 (List.length r.Oracle.r_leaks);
@@ -124,16 +125,7 @@ let gcheap_differential () =
   Alcotest.(check int) "defect-free" 0 (Oracle.defect_count r.Oracle.r_defects);
   Alcotest.(check int) "allocs" stats.Gcheap.g_allocs (Array.length r.Oracle.r_objects);
   Alcotest.(check int) "frees" stats.Gcheap.g_frees r.Oracle.r_freed;
-  let ops = Oracle.synthesize r in
-  let trace = Trace.create () in
-  List.iter
-    (fun op ->
-      Trace.add trace
-        (match op with
-        | Oracle.Op_alloc { id; size } -> Dmm_trace.Event.Alloc { id; size }
-        | Oracle.Op_free { id } -> Dmm_trace.Event.Free { id }
-        | Oracle.Op_phase p -> Dmm_trace.Event.Phase p))
-    ops;
+  let trace = Oracle.synthesize r in
   (match Trace.validate trace with
   | Ok () -> ()
   | Error m -> Alcotest.failf "synthesized trace invalid: %s" m);
@@ -268,7 +260,7 @@ let gen_script ~seed ~steps ~leaks ~drain =
       else g_alloc rng st
   done;
   if drain then while st.live <> [] do g_free_obj st (List.hd st.live) done;
-  (stream_of (List.rev st.script), st.planted)
+  (List.rev st.script, st.planted)
 
 let gen_params =
   QCheck.make
@@ -286,7 +278,7 @@ let prop_soundness =
   QCheck.Test.make ~name:"oracle soundness (birth <= death <= free, drag >= 0)"
     ~count:200 gen_params (fun (seed, steps, leaks, drain) ->
       let stream, _ = gen_script ~seed ~steps ~leaks ~drain in
-      let r = Oracle.run stream in
+      let r = run stream in
       if Oracle.defect_count r.Oracle.r_defects <> 0 then
         QCheck.Test.fail_reportf "coherent script produced %d defects"
           (Oracle.defect_count r.Oracle.r_defects);
@@ -313,21 +305,27 @@ let prop_planted_leaks =
   QCheck.Test.make ~name:"planted leaks detected exactly" ~count:100 gen_params
     (fun (seed, steps, leaks, _drain) ->
       let stream, planted = gen_script ~seed ~steps ~leaks ~drain:true in
-      let r = Oracle.run stream in
+      let r = run stream in
       let reported =
         List.sort compare (List.map (fun o -> o.Oracle.o_addr) r.Oracle.r_leaks)
       in
       reported = List.sort compare planted)
 
-(* The incremental driver is the batch driver: identical objects,
-   identical summary, identical drag histograms. *)
+(* The oracle fed from a decoded JSONL stream, one entry at a time, is
+   the oracle fed from memory: identical objects, identical summary,
+   identical drag histograms. *)
 let prop_incremental_is_batch =
   QCheck.Test.make ~name:"incremental feed = batch run" ~count:100 gen_params
     (fun (seed, steps, leaks, drain) ->
       let stream, _ = gen_script ~seed ~steps ~leaks ~drain in
-      let batch = Oracle.run stream in
+      let batch = run stream in
+      let text =
+        String.concat "\n" (List.map (fun (clock, ev) -> Event.to_json ~clock ev) stream)
+      in
       let t = Oracle.create () in
-      Array.iter (fun e -> Oracle.feed t e) stream;
+      (match Stream.iter_source (Stream.source_of_string text) ~f:(Oracle.feed t) with
+      | Ok _ -> ()
+      | Error m -> QCheck.Test.fail_report m);
       let inc = Oracle.finalize t in
       let hist_eq a b =
         Log_hist.count a = Log_hist.count b

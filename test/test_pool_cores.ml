@@ -10,7 +10,6 @@ module Size = Dmm_util.Size
 module Fixed_pool = Dmm_allocators.Fixed_pool
 module Buddy_bitmap = Dmm_allocators.Buddy_bitmap
 module Probe = Dmm_obs.Probe
-module Collect_sink = Dmm_obs.Collect_sink
 module Stream = Dmm_check.Stream
 module Sanitizer = Dmm_check.Sanitizer
 
@@ -328,10 +327,10 @@ let run_script (a : Allocator.t) =
 let check_sanitizer_clean () =
   for_all_cores (fun core ->
       let probe = Probe.create () in
-      let sink = Collect_sink.create () in
-      Collect_sink.attach probe sink;
+      let st = Sanitizer.start () in
+      Probe.attach probe (fun clock event -> Sanitizer.feed st { Stream.clock; event });
       run_script (core.make ~probe ());
-      let report = Sanitizer.run (Stream.of_pairs (Collect_sink.to_array sink)) in
+      let report = Sanitizer.finalize st in
       List.iter
         (fun d -> Format.printf "%s: %a@." core.name Dmm_check.Diag.pp d)
         report.Sanitizer.diags;

@@ -276,13 +276,11 @@ let test_chrome_async_span () =
     [ alloc ~payload:8 ~gross:16 0; free ~payload:8 0 ];
   (* One begin + one end per completed span. *)
   Alcotest.(check int) "b/e pair buffered" 2 (Chrome_sink.events cs);
-  let path = Filename.temp_file "dmm_spans" ".json" in
-  Chrome_sink.write_file path [ cs ];
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let body = really_input_string ic len in
-  close_in ic;
-  Sys.remove path;
+  let body =
+    Temp_file.with_fresh_path (fun path ->
+        Chrome_sink.write_file path [ cs ];
+        Temp_file.read path)
+  in
   let has needle =
     let n = String.length needle and h = String.length body in
     let rec go i = i + n <= h && (String.sub body i n = needle || go (i + 1)) in
@@ -373,14 +371,17 @@ let event_round_trip =
           (List.mapi (fun clock e -> Obs_event.to_json ~clock e) events)
         ^ "\n"
       in
-      match Stream.of_jsonl_string text with
+      match
+        Stream.fold_source (Stream.source_of_string text) ~init:[] ~f:(fun acc e -> e :: acc)
+      with
       | Error msg -> QCheck.Test.fail_reportf "parse failed: %s" msg
-      | Ok stream ->
-        Stream.length stream = List.length events
+      | Ok rev ->
+        let stream = List.rev rev in
+        List.length stream = List.length events
         && List.for_all2
              (fun e (entry : Stream.entry) -> e = entry.Stream.event)
-             events (Array.to_list stream)
-        && Array.for_all
+             events stream
+        && List.for_all
              (fun (entry : Stream.entry) ->
                entry.Stream.clock >= 0)
              stream)

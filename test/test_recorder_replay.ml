@@ -84,10 +84,7 @@ let check_csv () =
   Alcotest.(check string) "plain" "abc" (Csv.escape "abc");
   Alcotest.(check string) "comma" "\"a,b\"" (Csv.escape "a,b");
   Alcotest.(check string) "quote" "\"a\"\"b\"" (Csv.escape "a\"b");
-  let path = Filename.temp_file "dmm_csv" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  Temp_file.with_fresh_path (fun path ->
       Csv.write path ~header:[ "a"; "b" ] [ [ "1"; "x,y" ]; [ "2"; "z" ] ];
       let ic = open_in path in
       let lines = List.init 3 (fun _ -> input_line ic) in

@@ -5,7 +5,6 @@
 
 module Event = Dmm_obs.Event
 module Probe = Dmm_obs.Probe
-module Collect_sink = Dmm_obs.Collect_sink
 module Diag = Dmm_check.Diag
 module Stream = Dmm_check.Stream
 module Sanitizer = Dmm_check.Sanitizer
@@ -32,6 +31,15 @@ let check_rule what rule diags =
 let check_clean what diags =
   Alcotest.(check (list string)) (what ^ " is clean") [] (rules diags)
 
+(* One check over [entries], fed one at a time. *)
+let check ?design ?leaks entries =
+  let st = Sanitizer.start ?design ?leaks () in
+  List.iter (Sanitizer.feed st) entries;
+  Sanitizer.finalize st
+
+(* Synthetic events, numbered 0, 1, 2, ... as a probe numbers them. *)
+let numbered evs = List.mapi (fun clock event -> { Stream.clock; event }) evs
+
 (* --- invariant defects, one synthetic stream per class ------------------- *)
 
 let sbrk n brk = Event.Sbrk { bytes = n; brk }
@@ -39,7 +47,7 @@ let alloc ?(tag = 0) p g a = Event.Alloc { payload = p; gross = g; tag; addr = a
 let free_ p a = Event.Free { payload = p; addr = a }
 
 let invariant_defects () =
-  let run evs = Sanitizer.invariants (Stream.of_events evs) in
+  let run evs = (check (numbered evs)).Sanitizer.diags in
   check_clean "tiny stream"
     (run [ sbrk 4096 4096; alloc 100 104 4; free_ 100 4 ]);
   check_rule "overlapping payloads" "live-overlap"
@@ -64,13 +72,69 @@ let invariant_defects () =
     (run [ sbrk 4096 4096; Event.Trim { bytes = 8192; brk = 0 } ]);
   check_rule "zero-step scan" "fit-scan-steps" (run [ Event.Fit_scan { steps = 0 } ])
 
+(* Sizes and addresses near [max_int]: a sum of two fields that wraps
+   must not hide a defect. *)
+let sums_near_max_int () =
+  let diags evs = (check (numbered evs)).Sanitizer.diags in
+  let found evs =
+    List.map
+      (fun (d : Diag.t) -> (d.Diag.rule_id, Option.get d.Diag.index, d.Diag.explanation))
+      (diags evs)
+  in
+  Alcotest.(check (list (triple string int string)))
+    "ends past max_int, tags that do not fit, live payload past the bytes held"
+    [
+      ( "live-overlap",
+        2,
+        "new block [4611686018427387890,+16) overlaps live block [4611686018427387903,+16)" );
+      ( "tag-overflow",
+        3,
+        "4 tag bytes plus the 4611686018427387901-byte payload do not fit the \
+         4611686018427387903-byte gross block" );
+      ( "live-overlap",
+        3,
+        "new block [64,+4611686018427387901) overlaps live block [4611686018427387890,+16)" );
+      ( "footprint-below-live",
+        3,
+        "live payload (4611686018427387933 bytes) exceeds memory obtained from the system \
+         (4096 bytes)" );
+    ]
+    (found
+       [
+         sbrk 4096 4096;
+         alloc ~tag:8 16 24 max_int;
+         alloc ~tag:8 16 24 (max_int - 13);
+         alloc ~tag:4 (max_int - 2) max_int 64;
+       ]);
+  (* Ledger and split sums that wrap to the recorded value. *)
+  check_rule "sbrk moving the break past max_int" "footprint-accounting"
+    (diags [ sbrk max_int max_int; sbrk max_int (-2) ]);
+  Alcotest.(check (list (triple string int string)))
+    "trim moving the break past max_int"
+    [
+      ("footprint-accounting", 1, "trim of -2 bytes");
+      ( "footprint-accounting",
+        1,
+        "trim of -2 bytes moved the break from 4611686018427387903 to -4611686018427387903" );
+    ]
+    (found [ sbrk max_int max_int; Event.Trim { bytes = -2; brk = min_int + 1 } ]);
+  check_rule "split sizes summing past max_int" "split-algebra"
+    (diags [ Event.Split { addr = 0; parent = -2; taken = max_int; remainder = max_int } ]);
+  (* A payload near max_int under a design: the conformance pass sizes
+     the request without raising. *)
+  let r =
+    check ~design:(Scenario.drr_paper_design ())
+      (numbered [ sbrk 4096 4096; alloc ~tag:4 max_int max_int 4 ])
+  in
+  check_rule "payload of max_int under a design" "footprint-below-live" r.Sanitizer.diags
+
 (* --- conformance defects -------------------------------------------------- *)
 
 let drr = Decision_vector.drr_custom
 
 let design vec = { Explorer.vector = vec; params = Manager.default_params }
 
-let conform vec evs = Sanitizer.conformance (design vec) (Stream.of_events evs)
+let conform vec evs = (check ~design:(design vec) (numbered evs)).Sanitizer.diags
 
 let a_split = Event.Split { addr = 0; parent = 4096; taken = 504; remainder = 3592 }
 let a_coalesce = Event.Coalesce { addr = 0; merged = 560; absorbed = 56 }
@@ -228,12 +292,14 @@ let grid_managers () =
       ("custom-global", Scenario.custom_global (Scenario.render_paper_design ()));
     ]
 
+(* The replay's whole stream, for the cases that inspect or tamper with
+   it. *)
 let capture trace (make : Scenario.maker) =
   let probe = Probe.create () in
-  let sink = Collect_sink.create () in
-  Collect_sink.attach probe sink;
+  let captured = ref [] in
+  Probe.attach probe (fun clock event -> captured := { Stream.clock; event } :: !captured);
   Replay.run ~probe trace (make ~probe ());
-  Stream.of_pairs (Collect_sink.to_array sink)
+  Array.of_list (List.rev !captured)
 
 (* Every shipped manager aligns payloads to its 4-byte tag word. *)
 let aligned stream =
@@ -250,7 +316,7 @@ let qcheck_grid_clean =
       List.for_all
         (fun (_, make) ->
           let stream = capture trace make in
-          Sanitizer.clean (Sanitizer.run stream) && aligned stream)
+          Sanitizer.clean (check (Array.to_list stream)) && aligned stream)
         (grid_managers ()))
 
 let drr_conformance_clean () =
@@ -258,8 +324,8 @@ let drr_conformance_clean () =
   let trace = Dmm_workloads.Experiments.drr_trace_seed 7 in
   let sim = Dmm_engine.Sim.create trace in
   let d = Scenario.drr_paper_design () in
-  let r = Dmm_engine.Sim.sanitize sim d in
-  Alcotest.(check bool) "conformance checked" true r.Sanitizer.conformance_checked;
+  let (r : Sanitizer.report) = Dmm_engine.Sim.sanitize sim d in
+  Alcotest.(check bool) "conformance checked" true r.conformance_checked;
   check_clean "drr paper design on its own workload" r.Sanitizer.diags;
   Alcotest.(check bool) "events captured" true (r.Sanitizer.events > 0)
 
@@ -305,7 +371,7 @@ let qcheck_tampered =
           end
       in
       QCheck.assume (tampered <> stream);
-      let r = Sanitizer.run ~design:(Scenario.drr_paper_design ()) tampered in
+      let r = check ~design:(Scenario.drr_paper_design ()) (Array.to_list tampered) in
       (kind = 2 && Array.length tampered = 1 && Sanitizer.clean r)
       || only_incomplete r.Sanitizer.diags)
 
@@ -318,7 +384,7 @@ let qcheck_truncated_tail =
       let n = Array.length stream in
       QCheck.assume (n >= 2);
       let keep = 1 + (cut mod n) in
-      Sanitizer.clean (Sanitizer.run (Array.sub stream 0 keep)))
+      Sanitizer.clean (check (Array.to_list (Array.sub stream 0 keep))))
 
 let qcheck_no_crash =
   let arbitrary_event =
@@ -343,47 +409,85 @@ let qcheck_no_crash =
   QCheck.Test.make ~name:"sanitizer total on arbitrary well-clocked streams" ~count:100
     (QCheck.make QCheck.Gen.(list_size (int_range 0 60) arbitrary_event))
     (fun evs ->
-      let r =
-        Sanitizer.run ~design:(Scenario.drr_paper_design ()) (Stream.of_events evs)
-      in
+      let r = check ~design:(Scenario.drr_paper_design ()) (numbered evs) in
       r.Sanitizer.events = List.length evs)
+
+(* Exact integers for the model below: [(hi, lo)] is [hi * 2^31 + lo]
+   with [0 <= lo < 2^31], wide enough for any sum of a few hundred ints
+   and built unlike the sanitizer's own sums. *)
+module Wide = struct
+  let mask = 0x7fff_ffff
+  let of_int v = (v asr 31, v land mask)
+
+  let add (h1, l1) (h2, l2) =
+    let l = l1 + l2 in
+    (h1 + h2 + (l asr 31), l land mask)
+
+  let neg (h, l) = if l = 0 then (-h, 0) else (-h - 1, mask + 1 - l)
+  let gt (h1, l1) (h2, l2) = h1 > h2 || (h1 = h2 && l1 > l2)
+
+  (* Whether the value is an OCaml int, in [-2^62, 2^62). *)
+  let fits (h, _) = h >= -(1 lsl 31) && h < 1 lsl 31
+
+  let rec to_string (h, l) =
+    if h < 0 then "-" ^ to_string (neg (h, l))
+    else if h = 0 then string_of_int l
+    else
+      (* Long division by ten, one decimal digit at a time. *)
+      let rec digits h l acc =
+        if h = 0 && l = 0 then acc
+        else
+          let t = ((h mod 10) lsl 31) + l in
+          digits (h / 10) (t / 10) (string_of_int (t mod 10) ^ acc)
+      in
+      digits h l ""
+end
 
 (* Pass 1's live-range checks against a model over [Map.Make (Int)]: on
    streams of sbrks, allocations and frees at clustered and extreme
    addresses (overlaps with either neighbour, re-allocations over live
    addresses, frees of absent addresses, payload mismatches), the
-   address and footprint diagnostics agree in rule, index and text. *)
+   address and footprint diagnostics agree in rule, index and text. The
+   model sums in [Wide], so a block ending past [max_int] still overlaps
+   its successor and a payload of [max_int] still exceeds the bytes
+   held. *)
 let qcheck_live_ranges =
   let module M = Map.Make (Int) in
   let rules = [ "live-overlap"; "invalid-free"; "free-payload-mismatch"; "footprint-below-live" ] in
   let model events =
     let out = ref [] in
     let add i rule fmt = Format.kasprintf (fun m -> out := (rule, i, m) :: !out) fmt in
-    let live = ref M.empty and live_bytes = ref 0 and held = ref 0 in
+    let ends_past a n x = Wide.gt (Wide.add (Wide.of_int a) (Wide.of_int n)) (Wide.of_int x) in
+    let range a n =
+      if Wide.fits (Wide.add (Wide.of_int a) (Wide.of_int n)) then
+        Printf.sprintf "[%d,%d)" a (a + n)
+      else Printf.sprintf "[%d,+%d)" a n
+    in
+    let live = ref M.empty and live_bytes = ref (Wide.of_int 0) and held = ref (Wide.of_int 0) in
     List.iteri
       (fun i -> function
-        | Event.Sbrk { bytes; _ } -> held := !held + bytes
+        | Event.Sbrk { bytes; _ } -> held := Wide.add !held (Wide.of_int bytes)
         | Event.Alloc { payload; addr; _ } ->
           (if M.mem addr !live then
              add i "live-overlap" "address %d returned while still live (its free was never recorded)" addr
            else begin
              (match M.find_last_opt (fun a -> a < addr) !live with
-             | Some (a, p) when a + p > addr ->
-               add i "live-overlap" "new block [%d,%d) overlaps live block [%d,%d)" addr
-                 (addr + max 1 payload) a (a + p)
+             | Some (a, p) when ends_past a p addr ->
+               add i "live-overlap" "new block %s overlaps live block %s"
+                 (range addr (max 1 payload)) (range a p)
              | _ -> ());
              match M.find_first_opt (fun a -> a > addr) !live with
-             | Some (a, p) when addr + payload > a ->
-               add i "live-overlap" "new block [%d,%d) overlaps live block [%d,%d)" addr (addr + payload)
-                 a (a + p)
+             | Some (a, p) when ends_past addr payload a ->
+               add i "live-overlap" "new block %s overlaps live block %s" (range addr payload)
+                 (range a p)
              | _ -> ()
            end);
           live := M.add addr payload !live;
-          live_bytes := !live_bytes + payload;
-          if !live_bytes > !held then
+          live_bytes := Wide.add !live_bytes (Wide.of_int payload);
+          if Wide.gt !live_bytes !held then
             add i "footprint-below-live"
-              "live payload (%d bytes) exceeds memory obtained from the system (%d bytes)"
-              !live_bytes !held
+              "live payload (%s bytes) exceeds memory obtained from the system (%s bytes)"
+              (Wide.to_string !live_bytes) (Wide.to_string !held)
         | Event.Free { payload; addr } -> (
           match M.find_opt addr !live with
           | None ->
@@ -395,7 +499,7 @@ let qcheck_live_ranges =
                 "free of address %d records %d payload bytes but the allocation recorded %d" addr
                 payload p;
             live := M.remove addr !live;
-            live_bytes := !live_bytes - p)
+            live_bytes := Wide.add !live_bytes (Wide.neg (Wide.of_int p)))
         | _ -> ())
       events;
     List.rev !out
@@ -422,7 +526,7 @@ let qcheck_live_ranges =
           (fun (d : Diag.t) ->
             if List.mem d.Diag.rule_id rules then Some (d.Diag.rule_id, Option.get d.Diag.index, d.Diag.explanation)
             else None)
-          (Sanitizer.invariants (Stream.of_events events))
+          (check (numbered events)).Sanitizer.diags
       in
       got = model events)
 
@@ -437,15 +541,19 @@ let jsonl_roundtrip () =
             (fun { Stream.clock; event } -> Event.to_json ~clock event)
             stream))
   in
-  (match Stream.of_jsonl_string text with
+  let parse text =
+    Stream.fold_source (Stream.source_of_string text) ~init:[] ~f:(fun acc e -> e :: acc)
+    |> Result.map (fun rev -> Array.of_list (List.rev rev))
+  in
+  (match parse text with
   | Error e -> Alcotest.fail e
   | Ok parsed ->
     Alcotest.(check int) "length survives" (Array.length stream) (Array.length parsed);
     Alcotest.(check bool) "entries survive" true (parsed = stream));
-  (match Stream.of_jsonl_string "{\"t\":0,\"ev\":\"warp\"}" with
+  (match parse "{\"t\":0,\"ev\":\"warp\"}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown event kind must not parse");
-  match Stream.of_jsonl_string "not json" with
+  match parse "not json" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage must not parse"
 
@@ -453,6 +561,7 @@ let tests =
   ( "sanitizer",
     [
       Alcotest.test_case "invariant defect classes" `Quick invariant_defects;
+      Alcotest.test_case "sums near max_int do not wrap" `Quick sums_near_max_int;
       Alcotest.test_case "conformance gates" `Quick conformance_gates;
       Alcotest.test_case "fit-policy lies" `Quick fit_policy_lie;
       Alcotest.test_case "free-structure shape lint" `Quick shape_lint;

@@ -187,8 +187,7 @@ let check_balanced evs =
 let export_and_check t =
   let sink = Chrome_sink.create ~name:"test" ~pid:1 in
   Span.to_chrome t sink;
-  let path = Filename.temp_file "dmm_span" ".json" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Temp_file.with_fresh_path @@ fun path ->
   Chrome_sink.write_file path [ sink ];
   let evs = read_chrome_events path in
   let b = List.length (List.filter (fun e -> e.ev_ph = "B") evs) in

@@ -152,12 +152,12 @@ let unit_tests =
            [on_event] runs inside the measured window. *)
         Dmm_workloads.Experiments.paper_scale := false;
         let probe = Probe.create () in
-        let capture = Dmm_obs.Collect_sink.create () in
-        Dmm_obs.Collect_sink.attach probe capture;
+        let captured = ref [] in
+        Probe.attach probe (fun clock e -> captured := (clock, e) :: !captured);
         Replay.run ~probe
           (Dmm_workloads.Experiments.drr_trace_seed 42)
           (Scenario.lea ~probe ());
-        let stream = Dmm_obs.Collect_sink.to_array capture in
+        let stream = Array.of_list (List.rev !captured) in
         let n = Array.length stream in
         Alcotest.(check int) "quick DRR/Lea events" 831853 n;
         let sink = Registry_sink.create (Registry.create ()) in

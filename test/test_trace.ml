@@ -71,10 +71,7 @@ let check_event_lines () =
 
 let check_save_load () =
   let t = Trace.of_list sample_events in
-  let path = Filename.temp_file "dmm_trace" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  Temp_file.with_fresh_path (fun path ->
       Trace.save t path;
       match Trace.load path with
       | Error msg -> Alcotest.fail msg
@@ -126,12 +123,9 @@ let recorded =
   lazy
     (let t = Dmm_workloads.Scenario.drr_trace () in
      let t = Trace.of_list (List.filteri (fun i _ -> i < 400) (Trace.to_list t)) in
-     let path = Filename.temp_file "dmm_trace" ".trace" in
-     Fun.protect
-       ~finally:(fun () -> Sys.remove path)
-       (fun () ->
+     Temp_file.with_fresh_path (fun path ->
          Trace.save t path;
-         In_channel.with_open_bin path In_channel.input_all))
+         Temp_file.read path))
 
 type mutation = Set of char | Insert of char | Delete
 
@@ -174,12 +168,7 @@ let prop_mutated_traces =
   QCheck.Test.make ~name:"mutated trace files fail on one line naming the file" ~count:300
     (QCheck.make ~print:(fun muts -> String.concat "; " (List.map show_mutation muts)) gen_mutations)
     (fun muts ->
-      let path = Filename.temp_file "dmm_trace" ".trace" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          Out_channel.with_open_bin path (fun oc ->
-              output_string oc (mutate (Lazy.force recorded) muts));
+      Temp_file.with_data (mutate (Lazy.force recorded) muts) (fun path ->
           let result =
             match Trace.load path with
             | exception e ->
