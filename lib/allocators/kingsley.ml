@@ -1,5 +1,7 @@
 module Address_space = Dmm_vmem.Address_space
 module Size = Dmm_util.Size
+module Int_table = Dmm_util.Int_table
+module Int_stack = Dmm_util.Int_stack
 module Metrics = Dmm_core.Metrics
 module Allocator = Dmm_core.Allocator
 
@@ -7,12 +9,14 @@ type config = { header_bytes : int; min_class : int; chunk_bytes : int }
 
 let default_config = { header_bytes = 4; min_class = 16; chunk_bytes = 4096 }
 
+(* A live block's class follows from its requested bytes, so one table
+   holds the live set; the free lists are int stacks indexed by the
+   class's log2 (classes stop at 2^61, where [Size.pow2_ceil] does). *)
 type t = {
   config : config;
   space : Address_space.t;
-  free_lists : (int, int list ref) Hashtbl.t; (* class size -> free payload addrs *)
-  sizes : (int, int) Hashtbl.t; (* payload addr -> class size (live blocks) *)
-  req_sizes : (int, int) Hashtbl.t; (* payload addr -> requested bytes *)
+  free_lists : Int_stack.t array; (* log2 of the class -> free payload addrs *)
+  req_sizes : int Int_table.t; (* live payload addr -> requested bytes; 0 = none *)
   metrics : Metrics.t;
 }
 
@@ -24,25 +28,19 @@ let create ?(config = default_config) space =
   {
     config;
     space;
-    free_lists = Hashtbl.create 32;
-    sizes = Hashtbl.create 256;
-    req_sizes = Hashtbl.create 256;
+    free_lists = Array.init 62 (fun _ -> Int_stack.create ());
+    req_sizes = Int_table.create ~size:256 0;
     metrics = Metrics.create ~probe:(Address_space.probe space) ();
   }
 
 let class_of_request t payload =
   max t.config.min_class (Size.pow2_ceil (payload + t.config.header_bytes))
 
-let free_list t cls =
-  match Hashtbl.find_opt t.free_lists cls with
-  | Some l -> l
-  | None ->
-    let l = ref [] in
-    Hashtbl.replace t.free_lists cls l;
-    l
+let free_list t cls = t.free_lists.(Size.bit_length cls - 1)
 
 (* Grow the heap by a slab and carve it into [cls]-sized blocks, returning
-   the first payload address and pushing the rest onto the class list. *)
+   the first payload address and pushing the rest onto the class list so
+   that they pop in address order. *)
 let grow_class t cls =
   let request = max cls (t.config.chunk_bytes / cls * cls) in
   let base = Address_space.sbrk t.space request in
@@ -50,7 +48,7 @@ let grow_class t cls =
   let l = free_list t cls in
   let count = request / cls in
   for i = count - 1 downto 1 do
-    l := (base + (i * cls) + t.config.header_bytes) :: !l
+    Int_stack.push l (base + (i * cls) + t.config.header_bytes)
   done;
   base + t.config.header_bytes
 
@@ -59,31 +57,18 @@ let alloc t payload =
   let cls = class_of_request t payload in
   let l = free_list t cls in
   Metrics.add_ops t.metrics 2;
-  let addr =
-    match !l with
-    | addr :: rest ->
-      l := rest;
-      addr
-    | [] -> grow_class t cls
-  in
-  Hashtbl.replace t.sizes addr cls;
-  Hashtbl.replace t.req_sizes addr payload;
+  let addr = if Int_stack.is_empty l then grow_class t cls else Int_stack.pop l in
+  Int_table.replace t.req_sizes addr payload;
   Metrics.on_alloc t.metrics ~payload ~gross:cls ~tag:t.config.header_bytes ~addr;
   addr
 
 let free t addr =
-  match Hashtbl.find_opt t.sizes addr with
-  | None -> raise (Allocator.Invalid_free addr)
-  | Some cls ->
-    let payload =
-      match Hashtbl.find_opt t.req_sizes addr with Some p -> p | None -> 0
-    in
-    Hashtbl.remove t.sizes addr;
-    Hashtbl.remove t.req_sizes addr;
-    let l = free_list t cls in
-    l := addr :: !l;
-    Metrics.add_ops t.metrics 2;
-    Metrics.on_free t.metrics ~payload ~addr
+  let payload = Int_table.find t.req_sizes addr ~default:0 in
+  if payload = 0 then raise (Allocator.Invalid_free addr);
+  Int_table.remove t.req_sizes addr;
+  Int_stack.push (free_list t (class_of_request t payload)) addr;
+  Metrics.add_ops t.metrics 2;
+  Metrics.on_free t.metrics ~payload ~addr
 
 let current_footprint t = Address_space.brk t.space
 let max_footprint t = Address_space.high_water t.space
@@ -92,16 +77,14 @@ let metrics t = Metrics.snapshot t.metrics
 let breakdown t : Metrics.breakdown =
   let live_payload = ref 0 and tags = ref 0 and padding = ref 0 in
   let live_gross = ref 0 in
-  Hashtbl.iter
-    (fun addr cls ->
-      let payload =
-        match Hashtbl.find_opt t.req_sizes addr with Some p -> p | None -> 0
-      in
+  Int_table.iter
+    (fun _ payload ->
+      let cls = class_of_request t payload in
       live_payload := !live_payload + payload;
       tags := !tags + t.config.header_bytes;
       padding := !padding + (cls - t.config.header_bytes - payload);
       live_gross := !live_gross + cls)
-    t.sizes;
+    t.req_sizes;
   {
     Metrics.live_payload = !live_payload;
     tag_overhead = !tags;

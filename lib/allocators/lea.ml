@@ -122,14 +122,18 @@ let insert_bin t (b : Block.t) =
   binmap_update t i;
   Metrics.add_ops t.metrics 1
 
-(* Unlink the chunk at [addr]/[size] from its bin. Bins key doubly linked
-   lists by address and trees by (size, addr), so an ephemeral record with
-   the right coordinates names the stored one. *)
+(* Unlink the chunk at [addr]/[size] from its bin and return a record for
+   it. Bins key doubly linked lists by address and trees by (size, addr),
+   so a fresh record with the right coordinates names the stored one; a
+   table from address to stored record, kept up on every insert and take,
+   cost more time than the short address scan it saves. *)
 let remove_bin t ~addr ~size =
+  let b = Block.v ~addr ~size ~status:Block.Free ~run_id:0 in
   let i = bin_index t size in
-  Free_structure.remove t.bins.(i) (Block.v ~addr ~size ~status:Block.Free ~run_id:0);
+  Free_structure.remove t.bins.(i) b;
   binmap_update t i;
-  Metrics.add_ops t.metrics 1
+  Metrics.add_ops t.metrics 1;
+  b
 
 (* Carve [gross] bytes from the bottom of the top chunk. *)
 let carve_top t gross =
@@ -173,72 +177,71 @@ let split_remainder t (b : Block.t) gross =
   end
 
 (* Walking a run of empty bins charges 1 per bin visited plus 1 per empty
-   tree bin probed (a [take_fit] on an empty tree records one step). The
+   tree bin probed (a [take] on an empty tree records one step). The
    fast path below skips those bins via the occupancy bitmap and settles
    the identical charge arithmetically; tree bins are the [i >= n_small]
    suffix, and every skipped bin is empty by construction. *)
 let skipped_charge t ~from ~until =
   (until - from) + max 0 (until - max from (n_small t))
 
-let take_from_bins t gross =
-  if Metrics.probing t.metrics then begin
-    (* Probe on: each bin visit and each non-zero scan is its own Fit_scan
-       event, so walk bin by bin exactly as the stream promises. *)
-    let rec go i =
-      if i >= Array.length t.bins then None
-      else begin
-        Metrics.add_ops t.metrics 1;
-        let fs = t.bins.(i) in
-        let before = Free_structure.steps fs in
-        let r = Free_structure.take_fit fs Dmm_core.Decision.Best_fit gross in
-        Metrics.add_ops t.metrics (Free_structure.steps fs - before);
-        match r with
-        | Some _ ->
-          binmap_update t i;
-          r
-        | None -> go (i + 1)
-      end
-    in
-    go (bin_index t gross)
+(* Probe on: each bin visit and each non-zero scan is its own Fit_scan
+   event, so walk bin by bin exactly as the stream promises. The walks
+   are top level with annotated ints, so a search allocates nothing. *)
+let rec take_walk t (gross : int) (i : int) =
+  if i >= Array.length t.bins then Block.none
+  else begin
+    Metrics.add_ops t.metrics 1;
+    let fs = t.bins.(i) in
+    let before = Free_structure.steps fs in
+    let b = Free_structure.take fs Dmm_core.Decision.Best_fit gross in
+    Metrics.add_ops t.metrics (Free_structure.steps fs - before);
+    if b != Block.none then begin
+      binmap_update t i;
+      b
+    end
+    else take_walk t gross (i + 1)
+  end
+
+let rec take_skip t (gross : int) (i : int) (charge : int) =
+  let j = next_nonempty t i in
+  if j < 0 then begin
+    Metrics.add_ops t.metrics (charge + skipped_charge t ~from:i ~until:(Array.length t.bins));
+    Block.none
   end
   else begin
-    let nbins = Array.length t.bins in
-    let rec go i charge =
-      let j = next_nonempty t i in
-      if j < 0 then begin
-        Metrics.add_ops t.metrics (charge + skipped_charge t ~from:i ~until:nbins);
-        None
-      end
-      else begin
-        let charge = charge + skipped_charge t ~from:i ~until:j + 1 in
-        let fs = t.bins.(j) in
-        let before = Free_structure.steps fs in
-        let r = Free_structure.take_fit fs Dmm_core.Decision.Best_fit gross in
-        let charge = charge + (Free_structure.steps fs - before) in
-        match r with
-        | Some _ ->
-          binmap_update t j;
-          Metrics.add_ops t.metrics charge;
-          r
-        | None -> go (j + 1) charge
-      end
-    in
-    go (bin_index t gross) 0
+    let charge = charge + skipped_charge t ~from:i ~until:j + 1 in
+    let fs = t.bins.(j) in
+    let before = Free_structure.steps fs in
+    let b = Free_structure.take fs Dmm_core.Decision.Best_fit gross in
+    let charge = charge + (Free_structure.steps fs - before) in
+    if b != Block.none then begin
+      binmap_update t j;
+      Metrics.add_ops t.metrics charge;
+      b
+    end
+    else take_skip t gross (j + 1) charge
   end
+
+(* The binned block chosen for [gross], or [Block.none]. *)
+let take_from_bins t gross =
+  if Metrics.probing t.metrics then take_walk t gross (bin_index t gross)
+  else take_skip t gross (bin_index t gross) 0
 
 let alloc t payload =
   if payload <= 0 then invalid_arg "Lea.alloc: non-positive size";
   let gross = gross_of_request t payload in
+  let b = take_from_bins t gross in
   let block =
-    match take_from_bins t gross with
-    | Some b ->
+    if b != Block.none then begin
       b.status <- Block.Used;
       split_remainder t b gross;
       set_tags t b.addr b.size true;
       b
-    | None ->
+    end
+    else begin
       if t.top_size < gross then extend_top t gross;
       carve_top t gross
+    end
   in
   Dmm_util.Int_table.replace t.req_sizes block.Block.addr payload;
   let addr = block.Block.addr + t.config.header_bytes in
@@ -256,7 +259,7 @@ let merge_neighbours t (b : Block.t) =
      let v = Address_space.arena_get32 t.space nxt in
      if not (tag_used v) then begin
        let absorbed = tag_size v in
-       remove_bin t ~addr:nxt ~size:absorbed;
+       ignore (remove_bin t ~addr:nxt ~size:absorbed);
        !b.size <- !b.size + absorbed;
        set_tags t !b.addr !b.size false;
        Metrics.on_coalesce t.metrics ~addr:!b.addr ~merged:!b.size ~absorbed
@@ -266,10 +269,9 @@ let merge_neighbours t (b : Block.t) =
      let v = Address_space.arena_get32 t.space (!b.Block.addr - 4) in
      if not (tag_used v) then begin
        let psize = tag_size v in
-       let prev_addr = !b.Block.addr - psize in
-       remove_bin t ~addr:prev_addr ~size:psize;
+       let merged = remove_bin t ~addr:(!b.Block.addr - psize) ~size:psize in
        let absorbed = !b.size in
-       let merged = Block.v ~addr:prev_addr ~size:(psize + absorbed) ~status:Block.Free ~run_id:0 in
+       merged.size <- psize + absorbed;
        set_tags t merged.addr merged.size false;
        b := merged;
        Metrics.on_coalesce t.metrics ~addr:merged.addr ~merged:merged.size ~absorbed
@@ -287,9 +289,9 @@ let maybe_trim t =
 
 let free t addr =
   let base = addr - t.config.header_bytes in
-  match Dmm_util.Int_table.find_opt t.req_sizes base with
-  | None -> raise (Allocator.Invalid_free addr)
-  | Some payload ->
+  let payload = Dmm_util.Int_table.find t.req_sizes base ~default:(-1) in
+  if payload < 0 then raise (Allocator.Invalid_free addr)
+  else begin
     Dmm_util.Int_table.remove t.req_sizes base;
     Metrics.on_free t.metrics ~payload ~addr;
     let size = tag_size (Address_space.arena_get32 t.space base) in
@@ -303,6 +305,7 @@ let free t addr =
       maybe_trim t
     end
     else insert_bin t b
+  end
 
 let current_footprint t = Address_space.brk t.space
 let max_footprint t = Address_space.high_water t.space

@@ -1,5 +1,7 @@
 module Address_space = Dmm_vmem.Address_space
 module Size = Dmm_util.Size
+module Int_table = Dmm_util.Int_table
+module Int_stack = Dmm_util.Int_stack
 module Metrics = Dmm_core.Metrics
 module Allocator = Dmm_core.Allocator
 
@@ -9,18 +11,25 @@ let default_config = { min_slot = 16; chunk_bytes = 4096 }
 
 type region = {
   slot : int;
-  mutable free_slots : int list;
-  mutable chunks : int list; (* chunk base addresses; all of [chunk_size] *)
+  free_slots : Int_stack.t;
+  chunks : Int_stack.t; (* chunk bases, oldest at the bottom; all of [chunk_size] *)
   chunk_size : int;
-  live : (int, int) Hashtbl.t; (* live slot addr -> requested payload *)
+  live : int Int_table.t; (* live slot addr -> requested payload; 0 = none *)
 }
+
+(* Park in the empty cells of [by_class], [owner] and [chunk_cache]; never
+   allocated from or pushed to. *)
+let no_stack = Int_stack.create ()
+
+let no_region =
+  { slot = 0; free_slots = no_stack; chunks = no_stack; chunk_size = 0; live = Int_table.create 0 }
 
 type t = {
   config : config;
   space : Address_space.t;
-  by_class : (int, region) Hashtbl.t;
-  owner : (int, region) Hashtbl.t; (* live slot addr -> its region *)
-  chunk_cache : (int, int list ref) Hashtbl.t; (* chunk size -> free bases *)
+  by_class : region array; (* log2 of the slot size -> its region, or [no_region] *)
+  owner : region Int_table.t; (* live slot addr -> its region *)
+  chunk_cache : Int_stack.t Int_table.t; (* chunk size -> free bases *)
   metrics : Metrics.t;
 }
 
@@ -30,9 +39,9 @@ let create ?(config = default_config) space =
   {
     config;
     space;
-    by_class = Hashtbl.create 32;
-    owner = Hashtbl.create 256;
-    chunk_cache = Hashtbl.create 8;
+    by_class = Array.make 62 no_region;
+    owner = Int_table.create ~size:256 no_region;
+    chunk_cache = Int_table.create ~size:8 no_stack;
     metrics = Metrics.create ~probe:(Address_space.probe space) ();
   }
 
@@ -43,10 +52,10 @@ let chunk_size_for t slot = max t.config.chunk_bytes (Size.align_up slot t.confi
 let make_region_internal t slot =
   {
     slot;
-    free_slots = [];
-    chunks = [];
+    free_slots = Int_stack.create ();
+    chunks = Int_stack.create ();
     chunk_size = chunk_size_for t slot;
-    live = Hashtbl.create 64;
+    live = Int_table.create ~size:64 0;
   }
 
 let make_region t ~slot_size =
@@ -54,80 +63,82 @@ let make_region t ~slot_size =
   make_region_internal t (max t.config.min_slot (Size.pow2_ceil slot_size))
 
 let take_chunk t size =
-  let cached =
-    match Hashtbl.find_opt t.chunk_cache size with
-    | Some ({ contents = base :: rest } as l) ->
-      l := rest;
-      Some base
-    | Some { contents = [] } | None -> None
-  in
-  match cached with
-  | Some base ->
-    Metrics.add_ops t.metrics 1;
-    base
-  | None ->
+  let cached = Int_table.find t.chunk_cache size ~default:no_stack in
+  if Int_stack.is_empty cached then begin
     let base = Address_space.sbrk t.space size in
     Metrics.add_ops t.metrics 4;
     base
+  end
+  else begin
+    Metrics.add_ops t.metrics 1;
+    Int_stack.pop cached
+  end
 
+(* A fresh chunk serves its first slot and stacks the rest so that they
+   pop in address order. *)
 let region_alloc_payload t r payload =
   Metrics.add_ops t.metrics 2;
   let addr =
-    match r.free_slots with
-    | addr :: rest ->
-      r.free_slots <- rest;
-      addr
-    | [] ->
+    if not (Int_stack.is_empty r.free_slots) then Int_stack.pop r.free_slots
+    else begin
       let base = take_chunk t r.chunk_size in
-      r.chunks <- base :: r.chunks;
+      Int_stack.push r.chunks base;
       let count = r.chunk_size / r.slot in
       for i = count - 1 downto 1 do
-        r.free_slots <- (base + (i * r.slot)) :: r.free_slots
+        Int_stack.push r.free_slots (base + (i * r.slot))
       done;
       base
+    end
   in
-  Hashtbl.replace r.live addr payload;
-  Hashtbl.replace t.owner addr r;
+  Int_table.replace r.live addr payload;
+  Int_table.replace t.owner addr r;
   Metrics.on_alloc t.metrics ~payload ~gross:r.slot ~tag:0 ~addr;
   addr
 
 let region_free_internal t r addr =
-  match Hashtbl.find_opt r.live addr with
-  | None -> raise (Allocator.Invalid_free addr)
-  | Some payload ->
-    Hashtbl.remove r.live addr;
-    Hashtbl.remove t.owner addr;
-    r.free_slots <- addr :: r.free_slots;
-    Metrics.add_ops t.metrics 2;
-    Metrics.on_free t.metrics ~payload ~addr
+  let payload = Int_table.find r.live addr ~default:0 in
+  if payload = 0 then raise (Allocator.Invalid_free addr);
+  Int_table.remove r.live addr;
+  Int_table.remove t.owner addr;
+  Int_stack.push r.free_slots addr;
+  Metrics.add_ops t.metrics 2;
+  Metrics.on_free t.metrics ~payload ~addr
 
+(* The live slots are released in address order; the chunks go to the
+   cache newest first, so the oldest is reused first. *)
 let destroy_region t r =
-  Hashtbl.iter
-    (fun addr payload ->
-      Hashtbl.remove t.owner addr;
+  let addrs = List.sort compare (Int_table.fold (fun addr _ acc -> addr :: acc) r.live []) in
+  List.iter
+    (fun addr ->
+      let payload = Int_table.find r.live addr ~default:0 in
+      Int_table.remove r.live addr;
+      Int_table.remove t.owner addr;
       Metrics.on_free t.metrics ~payload ~addr)
-    r.live;
-  Hashtbl.reset r.live;
-  r.free_slots <- [];
+    addrs;
+  Int_stack.clear r.free_slots;
   let cache =
-    match Hashtbl.find_opt t.chunk_cache r.chunk_size with
-    | Some l -> l
-    | None ->
-      let l = ref [] in
-      Hashtbl.replace t.chunk_cache r.chunk_size l;
+    let l = Int_table.find t.chunk_cache r.chunk_size ~default:no_stack in
+    if l != no_stack then l
+    else begin
+      let l = Int_stack.create () in
+      Int_table.replace t.chunk_cache r.chunk_size l;
       l
+    end
   in
-  List.iter (fun base -> cache := base :: !cache) r.chunks;
-  Metrics.add_ops t.metrics (List.length r.chunks);
-  r.chunks <- []
+  Metrics.add_ops t.metrics (Int_stack.length r.chunks);
+  while not (Int_stack.is_empty r.chunks) do
+    Int_stack.push cache (Int_stack.pop r.chunks)
+  done
 
 let class_region t slot =
-  match Hashtbl.find_opt t.by_class slot with
-  | Some r -> r
-  | None ->
+  let i = Size.bit_length slot - 1 in
+  let r = t.by_class.(i) in
+  if r != no_region then r
+  else begin
     let r = make_region_internal t slot in
-    Hashtbl.replace t.by_class slot r;
+    t.by_class.(i) <- r;
     r
+  end
 
 let alloc t payload =
   if payload <= 0 then invalid_arg "Region.alloc: non-positive size";
@@ -135,9 +146,9 @@ let alloc t payload =
   region_alloc_payload t (class_region t slot) payload
 
 let free t addr =
-  match Hashtbl.find_opt t.owner addr with
-  | None -> raise (Allocator.Invalid_free addr)
-  | Some r -> region_free_internal t r addr
+  let r = Int_table.find t.owner addr ~default:no_region in
+  if r == no_region then raise (Allocator.Invalid_free addr);
+  region_free_internal t r addr
 
 let current_footprint t = Address_space.brk t.space
 let max_footprint t = Address_space.high_water t.space
@@ -145,11 +156,9 @@ let metrics t = Metrics.snapshot t.metrics
 
 let breakdown t : Metrics.breakdown =
   let live_payload = ref 0 and padding = ref 0 and live_gross = ref 0 in
-  Hashtbl.iter
+  Int_table.iter
     (fun addr r ->
-      let payload =
-        match Hashtbl.find_opt r.live addr with Some p -> p | None -> 0
-      in
+      let payload = Int_table.find r.live addr ~default:0 in
       live_payload := !live_payload + payload;
       padding := !padding + (r.slot - payload);
       live_gross := !live_gross + r.slot)

@@ -39,7 +39,9 @@ val region_free : t -> region -> int -> unit
 
 val destroy_region : t -> region -> unit
 (** Release all chunks of the region into the shared chunk cache. Any
-    outstanding slots become invalid. *)
+    outstanding slots become invalid: each is freed, one [Free] event per
+    slot in increasing address order. The chunks are cached so that the
+    region's oldest is reused first. *)
 
 val alloc : t -> int -> int
 val free : t -> int -> unit

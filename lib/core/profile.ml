@@ -1,5 +1,6 @@
 module Histogram = Dmm_util.Histogram
 module Stats = Dmm_util.Stats
+module Int_table = Dmm_util.Int_table
 
 type phase_summary = {
   phase : int;
@@ -17,7 +18,7 @@ type acc = {
   acc_phase : int;
   mutable acc_allocs : int;
   mutable acc_frees : int;
-  acc_size_hist : Histogram.t;
+  acc_sizes : int Int_table.t; (* request size -> allocations of that size *)
   acc_size_stats : Stats.t;
   acc_lifetime_stats : Stats.t;
   mutable acc_peak_live_bytes : int;
@@ -25,17 +26,22 @@ type acc = {
   mutable acc_lifo_frees : int;
 }
 
-type live = { size : int; born_seq : int }
-
+(* The live set is indexed by id in flat arrays, grown like [Replay]'s id
+   map: [sizes.(id)] is the live block's size, 0 when the id is not live,
+   and [born.(id)] its birth sequence number. The LIFO stack holds
+   (birth, id) pairs in two int arrays, most recent at [depth - 1]. *)
 type t = {
   accs : (int, acc) Hashtbl.t;
-  live : (int, live) Hashtbl.t;
+  mutable cur : acc; (* the current phase's, or [no_acc] before its first event *)
+  mutable sizes : int array;
+  mutable born : int array;
+  mutable stack_seq : int array;
+  mutable stack_id : int array;
+  mutable depth : int;
   mutable seq : int;
   mutable current_phase : int;
   mutable live_bytes : int;
-  mutable alloc_stack : (int * int) list;
-      (* (born_seq, id), most recent first; stale entries (freed ids) are
-         dropped lazily so LIFO detection stays amortised O(1) *)
+  mutable live_blocks : int;
 }
 
 let new_acc phase =
@@ -43,7 +49,7 @@ let new_acc phase =
     acc_phase = phase;
     acc_allocs = 0;
     acc_frees = 0;
-    acc_size_hist = Histogram.create ();
+    acc_sizes = Int_table.create 0;
     acc_size_stats = Stats.create ();
     acc_lifetime_stats = Stats.create ();
     acc_peak_live_bytes = 0;
@@ -51,78 +57,113 @@ let new_acc phase =
     acc_lifo_frees = 0;
   }
 
+let no_acc = new_acc min_int
+
 let create () =
   let t =
     {
       accs = Hashtbl.create 8;
-      live = Hashtbl.create 256;
+      cur = new_acc 0;
+      sizes = Array.make 16 0;
+      born = Array.make 16 0;
+      stack_seq = Array.make 16 0;
+      stack_id = Array.make 16 0;
+      depth = 0;
       seq = 0;
       current_phase = 0;
       live_bytes = 0;
-      alloc_stack = [];
+      live_blocks = 0;
     }
   in
-  Hashtbl.replace t.accs 0 (new_acc 0);
+  Hashtbl.replace t.accs 0 t.cur;
   t
 
-let acc_for t phase =
-  match Hashtbl.find_opt t.accs phase with
-  | Some a -> a
-  | None ->
-    let a = new_acc phase in
-    Hashtbl.replace t.accs phase a;
-    a
+let current_acc t =
+  if t.cur == no_acc then begin
+    let a = new_acc t.current_phase in
+    Hashtbl.replace t.accs t.current_phase a;
+    t.cur <- a
+  end;
+  t.cur
 
-let observe_phase t p = t.current_phase <- p
+let observe_phase t p =
+  t.current_phase <- p;
+  t.cur <- (match Hashtbl.find_opt t.accs p with Some a -> a | None -> no_acc)
 
-(* Drop stack entries whose block has been freed (or superseded). *)
-let rec top_live t =
-  match t.alloc_stack with
-  | [] -> None
-  | (seq, id) :: rest -> (
-    match Hashtbl.find_opt t.live id with
-    | Some l when l.born_seq = seq -> Some (seq, id)
-    | Some _ | None ->
-      t.alloc_stack <- rest;
-      top_live t)
+let grown a n =
+  let b = Array.make n 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grow_ids t id =
+  let cap = max (2 * Array.length t.sizes) (id + 1) in
+  t.sizes <- grown t.sizes cap;
+  t.born <- grown t.born cap
+
+let push t seq id =
+  if t.depth = Array.length t.stack_id then begin
+    t.stack_seq <- grown t.stack_seq (2 * t.depth);
+    t.stack_id <- grown t.stack_id (2 * t.depth)
+  end;
+  t.stack_seq.(t.depth) <- seq;
+  t.stack_id.(t.depth) <- id;
+  t.depth <- t.depth + 1
+
+(* Drop stack entries whose block has been freed (or superseded), so LIFO
+   detection stays amortised O(1). *)
+let rec drop_stale t =
+  if t.depth > 0 then begin
+    let top = t.depth - 1 in
+    let id = t.stack_id.(top) in
+    if t.sizes.(id) = 0 || t.born.(id) <> t.stack_seq.(top) then begin
+      t.depth <- top;
+      drop_stale t
+    end
+  end
 
 let observe_alloc t ~id ~size =
   if size <= 0 then invalid_arg "Profile.observe_alloc: non-positive size";
-  if Hashtbl.mem t.live id then invalid_arg "Profile.observe_alloc: id already live";
+  if id < 0 then invalid_arg "Profile.observe_alloc: negative id";
+  if id >= Array.length t.sizes then grow_ids t id;
+  if t.sizes.(id) > 0 then invalid_arg "Profile.observe_alloc: id already live";
   t.seq <- t.seq + 1;
-  let a = acc_for t t.current_phase in
+  let a = current_acc t in
   a.acc_allocs <- a.acc_allocs + 1;
-  Histogram.add a.acc_size_hist size;
+  Int_table.replace a.acc_sizes size (Int_table.find a.acc_sizes size ~default:0 + 1);
   Stats.add_int a.acc_size_stats size;
-  Hashtbl.replace t.live id { size; born_seq = t.seq };
+  t.sizes.(id) <- size;
+  t.born.(id) <- t.seq;
   t.live_bytes <- t.live_bytes + size;
-  t.alloc_stack <- (t.seq, id) :: t.alloc_stack;
-  let blocks = Hashtbl.length t.live in
+  t.live_blocks <- t.live_blocks + 1;
+  push t t.seq id;
   if t.live_bytes > a.acc_peak_live_bytes then a.acc_peak_live_bytes <- t.live_bytes;
-  if blocks > a.acc_peak_live_blocks then a.acc_peak_live_blocks <- blocks
+  if t.live_blocks > a.acc_peak_live_blocks then a.acc_peak_live_blocks <- t.live_blocks
 
 let observe_free t ~id =
-  match Hashtbl.find_opt t.live id with
-  | None -> invalid_arg "Profile.observe_free: id not live"
-  | Some l ->
-    t.seq <- t.seq + 1;
-    let a = acc_for t t.current_phase in
-    a.acc_frees <- a.acc_frees + 1;
-    Stats.add_int a.acc_lifetime_stats (t.seq - l.born_seq);
-    (match top_live t with
-    | Some (_, top_id) when top_id = id -> a.acc_lifo_frees <- a.acc_lifo_frees + 1
-    | Some _ | None -> ());
-    Hashtbl.remove t.live id;
-    t.live_bytes <- t.live_bytes - l.size
+  if id < 0 || id >= Array.length t.sizes || t.sizes.(id) = 0 then
+    invalid_arg "Profile.observe_free: id not live";
+  t.seq <- t.seq + 1;
+  let a = current_acc t in
+  a.acc_frees <- a.acc_frees + 1;
+  Stats.add_int a.acc_lifetime_stats (t.seq - t.born.(id));
+  drop_stale t;
+  if t.depth > 0 && t.stack_id.(t.depth - 1) = id then a.acc_lifo_frees <- a.acc_lifo_frees + 1;
+  t.live_bytes <- t.live_bytes - t.sizes.(id);
+  t.live_blocks <- t.live_blocks - 1;
+  t.sizes.(id) <- 0
 
+(* A summary is a snapshot: its histogram and statistics are copies, so
+   later observations leave it unchanged. *)
 let summary_of_acc a =
+  let size_hist = Histogram.create () in
+  Int_table.iter (fun size n -> Histogram.add_many size_hist size n) a.acc_sizes;
   {
     phase = a.acc_phase;
     allocs = a.acc_allocs;
     frees = a.acc_frees;
-    size_hist = a.acc_size_hist;
-    size_stats = a.acc_size_stats;
-    lifetime_stats = a.acc_lifetime_stats;
+    size_hist;
+    size_stats = Stats.copy a.acc_size_stats;
+    lifetime_stats = Stats.copy a.acc_lifetime_stats;
     peak_live_bytes = a.acc_peak_live_bytes;
     peak_live_blocks = a.acc_peak_live_blocks;
     lifo_frees = a.acc_lifo_frees;
@@ -155,7 +196,7 @@ let total t =
   in
   merged
 
-let leaked t = Hashtbl.length t.live
+let leaked t = t.live_blocks
 
 let size_variability s = Stats.coefficient_of_variation s.size_stats
 

@@ -4,7 +4,11 @@
     distribution, lifetimes, logical phases — and derives the custom manager
     from the profile. Feed events through {!observe_alloc} /
     {!observe_free} / {!observe_phase} (the trace recorder does this), then
-    query the summaries. Block ids are caller-chosen unique ints. *)
+    query the summaries. Block ids are caller-chosen non-negative ints,
+    unique among the live blocks: the live set is an array indexed by id,
+    so it takes memory in proportion to the largest id seen (generated
+    and [Trace.validate]d traces number their blocks densely from 0).
+    Once the arrays have grown, an observation allocates nothing. *)
 
 type t
 
@@ -25,7 +29,8 @@ val create : unit -> t
 
 val observe_phase : t -> int -> unit
 val observe_alloc : t -> id:int -> size:int -> unit
-(** Raises [Invalid_argument] if [id] is already live or [size <= 0]. *)
+(** Raises [Invalid_argument] if [size <= 0], [id < 0] or [id] is
+    already live. *)
 
 val observe_free : t -> id:int -> unit
 (** Raises [Invalid_argument] if [id] is not live. *)
@@ -34,7 +39,8 @@ val total : t -> phase_summary
 (** Whole-run summary (phase field is [-1]). *)
 
 val phases : t -> phase_summary list
-(** Per-phase summaries in increasing phase order. *)
+(** Per-phase summaries in increasing phase order. A summary is a
+    snapshot: later observations do not change it. *)
 
 val phase_ids : t -> int list
 

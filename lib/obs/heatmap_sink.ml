@@ -111,10 +111,6 @@ let snapshot t clock =
     r_brk = t.brk;
   }
 
-(* Saturating addition for the flush schedule: a hostile clock near
-   [max_int] must not wrap it into an endless catch-up loop. *)
-let sat_add a b = if a > max_int - b then max_int else a + b
-
 let flush t =
   if t.len = t.max_rows then begin
     (* Row budget full: keep the later snapshot of every pair and halve
@@ -124,11 +120,13 @@ let flush t =
       t.rows.(i) <- t.rows.((2 * i) + 1)
     done;
     t.len <- kept;
-    t.clock_per_row <- sat_add t.clock_per_row t.clock_per_row
+    t.clock_per_row <- Dmm_util.Size.sat_add t.clock_per_row t.clock_per_row
   end;
   t.rows.(t.len) <- snapshot t t.next_flush;
   t.len <- t.len + 1;
-  t.next_flush <- sat_add t.next_flush t.clock_per_row
+  (* Saturating: a hostile clock near [max_int] must not wrap the
+     schedule into an endless catch-up loop. *)
+  t.next_flush <- Dmm_util.Size.sat_add t.next_flush t.clock_per_row
 
 let on_event t clock (e : Event.t) =
   while clock >= t.next_flush && t.next_flush < max_int do

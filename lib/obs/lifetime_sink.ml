@@ -253,7 +253,12 @@ let lifetimes t = t.all
 let unmatched t =
   { free_without_alloc = t.free_without_alloc; realloc_over_live = t.realloc_over_live }
 
-let leaked_bytes t = Int_table.fold (fun _ s acc -> acc + t.gross.(s)) t.slot_of 0
+(* Leaked bytes are sums of stream sizes, so they saturate at [max_int]
+   instead of wrapping; a negative gross size counts as 0, as
+   [Log_hist.record] clamps it. *)
+let add_bytes acc gross = Size.sat_add acc (max 0 gross)
+
+let leaked_bytes t = Int_table.fold (fun _ s acc -> add_bytes acc t.gross.(s)) t.slot_of 0
 
 (* Live spans folded into per-index leak counts: (spans, gross bytes) for
    each of [n] indices, [index_of] picking a slot's. *)
@@ -263,7 +268,7 @@ let leaks t n index_of =
     (fun _ s ->
       let i = index_of s in
       count.(i) <- count.(i) + 1;
-      bytes.(i) <- bytes.(i) + t.gross.(s))
+      bytes.(i) <- add_bytes bytes.(i) t.gross.(s))
     t.slot_of;
   (count, bytes)
 

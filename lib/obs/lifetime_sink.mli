@@ -85,7 +85,9 @@ val live_spans : t -> int
 (** Spans opened but not yet freed — leaks, once the stream has ended. *)
 
 val leaked_bytes : t -> int
-(** Gross bytes held by {!live_spans}. *)
+(** Gross bytes held by {!live_spans}. Like the per-class sums in
+    {!class_rows}, it saturates at [max_int] on hostile sizes, and a
+    negative gross size counts as 0. *)
 
 val lifetimes : t -> Log_hist.t
 (** All completed-span lifetimes, one histogram. *)

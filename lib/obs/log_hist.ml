@@ -67,7 +67,7 @@ let record t (v : int) =
   let i = index ~sub_bits:t.sub_bits v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.total <- t.total + 1;
-  t.sum <- t.sum + v;
+  t.sum <- Dmm_util.Size.sat_add t.sum v;
   if v > t.max_value then t.max_value <- v;
   if v < t.min_value then t.min_value <- v
 

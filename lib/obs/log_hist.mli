@@ -16,7 +16,10 @@ val record : t -> int -> unit
 (** O(1); negative values clamp to 0. *)
 
 val count : t -> int
+
 val sum : t -> int
+(** Sum of the recorded values, saturating at [max_int]. *)
+
 val mean : t -> float
 val max_value : t -> int
 (** Exact (tracked beside the buckets), 0 when empty. *)

@@ -7,6 +7,9 @@ let align_up n a =
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
+(* [max_int - b] cannot wrap for [b >= 0], so one compare decides. *)
+let[@inline] sat_add a b = if a > max_int - b then max_int else a + b
+
 (* Top level, so no closure over [n] is allocated per call. *)
 let rec pow2_from p n = if p >= n then p else pow2_from (p * 2) n
 

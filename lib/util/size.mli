@@ -7,6 +7,12 @@ val align_up : int -> int -> int
 
 val is_power_of_two : int -> bool
 
+val sat_add : int -> int -> int
+(** [sat_add a b] is [a + b] for [b >= 0], or [max_int] where that sum
+    would pass it: byte sums over untrusted sizes saturate instead of
+    wrapping negative. One compare, for per-event use; a negative [b] is
+    outside its contract. *)
+
 val pow2_ceil : int -> int
 (** Smallest power of two >= [n] (with [pow2_ceil 0 = 1]). Raises
     [Invalid_argument] if [n < 0] or [n > 2^61], whose power of two

@@ -27,6 +27,10 @@ val min_value : t -> float
 val max_value : t -> float
 (** Raises [Invalid_argument] when empty. *)
 
+val copy : t -> t
+(** An independent copy: later samples added to either leave the other
+    unchanged. *)
+
 val merge : t -> t -> t
 (** Combined statistics of the two sample streams. *)
 

@@ -6,6 +6,9 @@
    minor words allocated by [Replay.run] alone, and for the buddy the
    bitmap words its free-block searches read.
 
+   Then the methodology's profiling step alone: per trace, its events and
+   the minor words of [Profile_builder.of_trace].
+
    Then the serve path, on the quick seed-42 DRR trace's event stream
    under Kingsley (alloc/free heavy) and under Lea (fit-scan heavy),
    encoded with [Binary_sink] as a client of [dmm serve] sends it: per
@@ -82,6 +85,16 @@ let () =
             ("custom DM manager", custom trace);
             ("custom D2=deferred", Scenario.custom_manager (deferred_drr_design ()));
           ]))
+    (workloads ())
+
+let () =
+  Printf.printf "\n%-24s %-18s %7s %11s\n" "profile" "stage" "events" "minor_words";
+  List.iter
+    (fun (wname, trace, _) ->
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Dmm_trace.Profile_builder.of_trace trace));
+      Printf.printf "%-24s %-18s %7d %11.0f\n" wname "of_trace" (Trace.length trace)
+        (Gc.minor_words () -. w0))
     (workloads ())
 
 (* The binary stream a [dmm serve] client sends for one replay. *)

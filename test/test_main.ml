@@ -32,6 +32,7 @@ let () =
       Test_pool_cores.tests;
       Test_region.tests;
       Test_obstack.tests;
+      Test_baseline_models.tests;
       Test_static_pool.tests;
       Test_traffic.tests;
       Test_drr.tests;

@@ -390,7 +390,7 @@ let event_round_trip =
    spans and one list of lifetimes per size class and per phase — on
    streams that revisit phases, re-allocate live addresses, free absent
    ones and use sizes and ids at the ends of the int range. Every
-   printed figure agrees. *)
+   printed figure agrees, byte sums saturating at [max_int]. *)
 let span_table_model =
   let open QCheck.Gen in
   let addr = frequency [ (6, map (fun i -> 16 * i) (0 -- 12)); (1, oneofl [ min_int; -16; max_int ]) ] in
@@ -448,7 +448,14 @@ let span_table_model =
       let t = feed_lifetime events in
       let live, classes, phases, fwa, realloc, completed = model events in
       let live_in key_of = List.filter (fun (_, span) -> key_of span) live in
-      let bytes spans = List.fold_left (fun acc (_, (g, _, _)) -> acc + g) 0 spans in
+      (* Leaked bytes count a negative size as 0 and stop at [max_int]:
+         summed in 64 bits, where two capped sums cannot wrap. *)
+      let bytes spans =
+        List.fold_left
+          (fun acc (_, (g, _, _)) ->
+            Int64.to_int (Int64.min (Int64.of_int max_int) (Int64.add (Int64.of_int acc) (Int64.of_int (max 0 g)))))
+          0 spans
+      in
       let want_classes =
         List.sort compare
           (List.map

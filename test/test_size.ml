@@ -86,9 +86,25 @@ let check_bit_length () =
     (fun n -> Alcotest.(check int) (Printf.sprintf "bit_length %d" n) (naive n) (Size.bit_length n))
     values
 
+let check_sat_add () =
+  List.iter
+    (fun (a, b, want) ->
+      Alcotest.(check int) (Printf.sprintf "sat_add %d %d" a b) want (Size.sat_add a b))
+    [
+      (0, 0, 0);
+      (40, 2, 42);
+      (-7, 3, -4);
+      (min_int, max_int, -1);
+      (max_int - 1, 1, max_int);
+      (max_int, 1, max_int);
+      (max_int / 2 + 1, max_int / 2 + 1, max_int);
+      (max_int, max_int, max_int);
+    ]
+
 let tests =
   ( "size",
     [
+      Alcotest.test_case "sat_add saturates at max_int" `Quick check_sat_add;
       Alcotest.test_case "align_up" `Quick check_align_up;
       Alcotest.test_case "bit_length" `Quick check_bit_length;
       Alcotest.test_case "pow2" `Quick check_pow2;

@@ -71,6 +71,14 @@ let unit_tests =
         Alcotest.(check int) "p100" 10 (Log_hist.percentile h 1.0);
         Alcotest.(check int) "count" 10 (Log_hist.count h);
         Alcotest.(check int) "sum" 55 (Log_hist.sum h));
+    Alcotest.test_case "log_hist sum saturates at max_int" `Quick (fun () ->
+        let h = Log_hist.create () in
+        List.iter (Log_hist.record h) [ 24; max_int; 16; -5 ];
+        Alcotest.(check int) "sum" max_int (Log_hist.sum h);
+        Alcotest.(check bool) "mean" true (Log_hist.mean h > 0.0);
+        let h = Log_hist.create () in
+        List.iter (Log_hist.record h) [ max_int - 10; 10 ];
+        Alcotest.(check int) "sum up to max_int" max_int (Log_hist.sum h));
     Alcotest.test_case "log_hist bucket geometry round-trips" `Quick (fun () ->
         (* upper_bound(index v) >= v, and within the relative error. *)
         let sub_bits = 5 in
