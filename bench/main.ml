@@ -6,7 +6,6 @@
      EXP-OBS  Table 1 rebuilt from the observability event stream
      EXP-CHECK Heap sanitizer - invariant + conformance pass over the
               recorded DRR event streams (quick scale, deterministic)
-     EXP-ORACLE Merlin lifetime oracle - drag and leaks
      EXP-INGEST Binary codec sizes and sharded online ingest counts
      EXP-F5   Figure 5 - DM footprint over time, Lea vs custom, DRR
      EXP-F4   Figure 4 - tree-order ablation
@@ -118,76 +117,6 @@ let check_section () =
     (Scenario.baselines ());
   let sim = Dmm_engine.Sim.create trace in
   report "custom" (Dmm_engine.Sim.sanitize sim (Scenario.drr_paper_design ()))
-
-(* ------------------------------------------------------------------ *)
-(* EXP-ORACLE: Merlin lifetime oracle - drag and leaks                 *)
-
-module Oracle = Dmm_check.Oracle
-module Gcheap = Dmm_workloads.Gcheap
-
-type oracle_report = {
-  orc_events : int;  (** events in the graph-level DRR/Lea stream *)
-  orc_drr_leaks : int;  (** must be 0: scripted replays are leak-clean *)
-  orc_drr_drag : int;  (** must be 0: death coincides with the free *)
-  orc_gc_objects : int;
-  orc_gc_freed : int;
-  orc_gc_leaks : int;
-  orc_gc_drag_p50 : int;
-  orc_gc_drag_p99 : int;
-  orc_gc_defects : int;
-}
-
-(* Two halves. First the soundness anchor: the scripted DRR replay at
-   the graph probe level must come out of the oracle with zero drag and
-   zero leaks — every free is exact, so any nonzero number is a false
-   positive. Then the GC-heap client with lagged refcount frees, where
-   drag and leaks are the expected signal: the lag shows up as
-   per-object drag and the dropped cycles as oracle-leak reports, with
-   zero graph defects. *)
-let oracle_section () =
-  section "EXP-ORACLE: Merlin lifetime oracle (drag, leaks, throughput)";
-  let saved = !Experiments.paper_scale in
-  Experiments.paper_scale := false;
-  Fun.protect ~finally:(fun () -> Experiments.paper_scale := saved) @@ fun () ->
-  let trace = Experiments.drr_trace_seed 42 in
-  let probe = Probe.create () in
-  let oracle = Oracle.create () in
-  Probe.attach probe (fun clock event -> Oracle.feed oracle { Stream.clock; event });
-  Replay.run ~probe ~graph:true trace (Scenario.lea ~probe ());
-  let orc_events = Probe.clock probe in
-  let r = Oracle.finalize oracle in
-  let orc_drr_leaks = List.length r.Oracle.r_leaks in
-  let orc_drr_drag = Dmm_obs.Log_hist.sum r.Oracle.r_drag in
-  Printf.printf "  drr/lea: %d events (%d graph), %d objects, leaks %d, total drag %d\n"
-    orc_events r.Oracle.r_graph_events (Array.length r.Oracle.r_objects)
-    orc_drr_leaks orc_drr_drag;
-  if orc_drr_leaks <> 0 || orc_drr_drag <> 0 then
-    Dmm_obs.Log.err "%s" "EXP-ORACLE: WARNING: false positives on the scripted replay!";
-  let config =
-    { Gcheap.default_config with Gcheap.nodes_per_phase = 400; free_lag = Some 50 }
-  in
-  let g, stats = Scenario.gcheap_oracle ~config Scenario.lea in
-  let orc_gc_defects = Oracle.defect_count g.Oracle.r_defects in
-  let orc_gc_drag_p50 = Dmm_obs.Log_hist.percentile g.Oracle.r_drag 0.5
-  and orc_gc_drag_p99 = Dmm_obs.Log_hist.percentile g.Oracle.r_drag 0.99 in
-  Printf.printf
-    "  gcheap (lag 50): %d objects, freed %d, leaked %d, drag p50 %d p99 %d, defects %d\n"
-    stats.Gcheap.g_allocs g.Oracle.r_freed
-    (List.length g.Oracle.r_leaks)
-    orc_gc_drag_p50 orc_gc_drag_p99 orc_gc_defects;
-  if orc_gc_defects <> 0 then
-    Dmm_obs.Log.err "%s" "EXP-ORACLE: WARNING: coherent gcheap stream produced defects!";
-  {
-    orc_events;
-    orc_drr_leaks;
-    orc_drr_drag;
-    orc_gc_objects = stats.Gcheap.g_allocs;
-    orc_gc_freed = g.Oracle.r_freed;
-    orc_gc_leaks = List.length g.Oracle.r_leaks;
-    orc_gc_drag_p50;
-    orc_gc_drag_p99;
-    orc_gc_defects;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* EXP-INGEST: codec sizes and sharded online ingest                   *)
@@ -554,13 +483,12 @@ let bechamel_tests () =
 
 (* Exact fields only, so the file is identical under any DMM_JOBS and a
    quick run must reproduce the committed one byte for byte. *)
-let write_results ~(obs : obs_report) ~(orc : oracle_report) ~(ingest : ingest_report)
-    tables =
+let write_results ~(obs : obs_report) ~(ingest : ingest_report) tables =
   let oc = open_out "BENCH_results.json" in
   Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
-  p "  \"schema\": \"dmm-bench/2\",\n";
+  p "  \"schema\": \"dmm-bench/3\",\n";
   p "  \"quick\": %b,\n" quick;
   p "  \"obs\": {\n";
   p "    \"identical\": %b,\n" obs.obs_identical;
@@ -572,17 +500,6 @@ let write_results ~(obs : obs_report) ~(orc : oracle_report) ~(ingest : ingest_r
   p "    \"binary_bytes\": %d,\n" ingest.ing_binary_bytes;
   p "    \"identical\": %b,\n" ingest.ing_identical;
   p "    \"streams\": %d\n" ingest.ing_streams;
-  p "  },\n";
-  p "  \"oracle\": {\n";
-  p "    \"events\": %d,\n" orc.orc_events;
-  p "    \"drr_leaks\": %d,\n" orc.orc_drr_leaks;
-  p "    \"drr_drag_total\": %d,\n" orc.orc_drr_drag;
-  p "    \"gcheap_objects\": %d,\n" orc.orc_gc_objects;
-  p "    \"gcheap_freed\": %d,\n" orc.orc_gc_freed;
-  p "    \"gcheap_leaks\": %d,\n" orc.orc_gc_leaks;
-  p "    \"gcheap_drag_p50\": %d,\n" orc.orc_gc_drag_p50;
-  p "    \"gcheap_drag_p99\": %d,\n" orc.orc_gc_drag_p99;
-  p "    \"gcheap_defects\": %d\n" orc.orc_gc_defects;
   p "  },\n";
   p "  \"peak_footprints\": [\n";
   let rows =
@@ -607,7 +524,6 @@ let () =
   let tables = table1 () in
   let obs = obs_section tables in
   check_section ();
-  let orc = oracle_section () in
   let ingest = ingest_section () in
   figure5 ();
   breakdown_section ();
@@ -619,4 +535,4 @@ let () =
   micro ();
   ops_summary tables;
   if not quick then bechamel_tests ();
-  write_results ~obs ~orc ~ingest tables
+  write_results ~obs ~ingest tables

@@ -22,8 +22,6 @@ module Chrome_sink = Dmm_obs.Chrome_sink
 module Diag = Dmm_check.Diag
 module Stream = Dmm_check.Stream
 module Sanitizer = Dmm_check.Sanitizer
-module Oracle = Dmm_check.Oracle
-module Gcheap = Dmm_workloads.Gcheap
 module Registry = Dmm_obs.Registry
 module Log_hist = Dmm_obs.Log_hist
 module Hist_sink = Dmm_obs.Hist_sink
@@ -89,7 +87,7 @@ let trace_for ~quick ~seed workload =
   | Render -> Experiments.render_trace_seed seed
 
 (* The one trace-file entry point for every stream-consuming subcommand
-   (check, report, profile, oracle): auto-detected format (JSONL or binary),
+   (check, report, profile): auto-detected format (JSONL or binary),
    incremental iteration in memory bounded by one event, same one-line
    error, same exit code. Returns the event count. *)
 let iter_stream_or_exit ~cmd path ~f =
@@ -595,7 +593,7 @@ let manager_arg ~default ~doc =
 (* A workload's or manager's name as the command line spells it. *)
 let conv_name conv v = Format.asprintf "%a" (Arg.conv_printer conv) v
 
-(* The one stream input of check, report, profile and oracle. *)
+(* The one stream input of check, report and profile. *)
 let stream_arg =
   Arg.(
     value
@@ -605,12 +603,11 @@ let stream_arg =
           "Analyse a recorded event stream offline — a $(b,dmm trace) export in \
            either JSONL or compact binary framing, auto-detected.")
 
-(* The event source of report, profile and oracle: the recorded stream
-   when one is given, else a live replay of the workload against the
-   manager, with the scripted client's object-graph events when [graph].
+(* The event source of report and profile: the recorded stream when one
+   is given, else a live replay of the workload against the manager.
    Feeds every event to [f] in clock order and returns the event count
    and a label naming the source. *)
-let event_source ~cmd ?(graph = false) ~stream ~workload ~quick ~seed ~manager f =
+let event_source ~cmd ~stream ~workload ~quick ~seed ~manager f =
   match (stream, workload) with
   | Some path, _ ->
     (iter_stream_or_exit ~cmd path ~f:(fun (e : Stream.entry) -> f e.clock e.event), path)
@@ -619,11 +616,10 @@ let event_source ~cmd ?(graph = false) ~stream ~workload ~quick ~seed ~manager f
     let trace = trace_for ~quick ~seed w in
     let probe = Probe.create () in
     Probe.attach probe f;
-    Replay.run ~probe ~graph trace (maker_for manager trace ~probe ());
+    Replay.run ~probe trace (maker_for manager trace ~probe ());
     ( Probe.clock probe,
-      Printf.sprintf "%s/%s %s replay" (conv_name workload_conv w)
-        (conv_name manager_conv manager)
-        (if graph then "graph" else "live") )
+      Printf.sprintf "%s/%s live replay" (conv_name workload_conv w)
+        (conv_name manager_conv manager) )
 
 let trace_cmd =
   let run workload quick seed out jsonl binary manager =
@@ -749,17 +745,14 @@ let replay_cmd =
 (* check                                                               *)
 
 let check_cmd =
-  let run stream workload quick seed manager strict leaks =
+  let run stream workload quick seed manager strict =
     let finish (report : Sanitizer.report) extra_diags =
       let diags = report.Sanitizer.diags @ extra_diags in
       List.iter (fun d -> Format.printf "%s@." (Diag.to_string d)) diags;
-      Format.printf "%d events, %d diagnostics%s@." report.Sanitizer.events
+      Format.printf "%d events, %d diagnostics (%s)@." report.Sanitizer.events
         (List.length diags)
-        (Printf.sprintf " (%s%s)"
-           (if report.conformance_checked then
-              "invariants + design conformance"
-            else "invariants")
-           (if leaks then " + leaks" else ""));
+        (if report.conformance_checked then "invariants + design conformance"
+         else "invariants");
       if diags = [] then Format.printf "clean@." else if strict then exit 1
     in
     match (stream, workload) with
@@ -767,7 +760,7 @@ let check_cmd =
       (* File mode: the design behind the stream is unknown, so only the
          integrity gate and the design-independent invariants apply. The
          file is checked incrementally — never materialised. *)
-      let st = Sanitizer.start ~leaks () in
+      let st = Sanitizer.start () in
       let (_ : int) =
         iter_stream_or_exit ~cmd:"check" path ~f:(fun e -> Sanitizer.feed st e)
       in
@@ -779,9 +772,7 @@ let check_cmd =
          is bounded by the live set, not by the stream. For an atomic
          custom design the stream is also conformance-checked against that
          design and the quiesced manager's free structures are
-         shape-linted. With --leaks the replay also emits the scripted
-         client's object-graph events (one root per live block), so the
-         oracle pass has reachability to work with. *)
+         shape-linted. *)
       let trace = trace_for ~quick ~seed w in
       let spec =
         match manager with `Custom -> Some (Scenario.global_design_for trace) | _ -> None
@@ -794,20 +785,20 @@ let check_cmd =
       (* Attached before the manager exists, so the sanitizer sees the
          stream from clock 0. *)
       let probe = Probe.create () in
-      let st = Sanitizer.start ?design ~leaks () in
+      let st = Sanitizer.start ?design () in
       Probe.attach probe (fun clock event -> Sanitizer.feed st { Stream.clock; event });
       let shape_diags =
         match (design, spec) with
         | Some d, _ ->
           let space = Dmm_vmem.Address_space.create ~probe () in
           let m = Dmm_core.Manager.create ~params:d.Explorer.params d.Explorer.vector space in
-          Replay.run ~probe ~graph:leaks trace (Dmm_core.Manager.allocator m);
+          Replay.run ~probe trace (Dmm_core.Manager.allocator m);
           Dmm_check.Shape.lint_manager m
         | None, Some spec ->
-          Replay.run ~probe ~graph:leaks trace (Scenario.custom_global spec ~probe ());
+          Replay.run ~probe trace (Scenario.custom_global spec ~probe ());
           []
         | None, None ->
-          Replay.run ~probe ~graph:leaks trace (maker_for manager trace ~probe ());
+          Replay.run ~probe trace (maker_for manager trace ~probe ());
           []
       in
       finish (Sanitizer.finalize st) shape_diags
@@ -829,180 +820,11 @@ let check_cmd =
       value & flag
       & info [ "strict" ] ~doc:"Exit with status 1 when any diagnostic is reported.")
   in
-  let leaks =
-    Arg.(
-      value & flag
-      & info [ "leaks" ]
-          ~doc:
-            "Also run the Merlin lifetime oracle over the stream and report every object              that ended the stream unreachable but was never freed (rule              $(b,oracle-leak)). In workload mode the replay emits the scripted              client's object-graph events so reachability is observable. Streams              without object-graph events report no leaks (see $(b,dmm oracle)).")
-  in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Heap sanitizer: verify allocator invariants and design conformance over a          recorded allocation-event stream, offline or against a live replay.")
-    Term.(const run $ stream_arg $ workload $ quick_arg $ seed_arg $ manager $ strict $ leaks)
-
-(* ------------------------------------------------------------------ *)
-(* oracle                                                              *)
-
-let oracle_cmd =
-  let run stream workload gcheap quick seed manager lag nodes json_out synth =
-    let die msg =
-      prerr_endline (Printf.sprintf "dmm oracle: %s" msg);
-      exit 2
-    in
-    let report, source =
-      match (stream, workload, gcheap) with
-      | Some _, _, _ | None, Some _, _ ->
-        (* A recorded stream, or a scripted-workload replay at the graph
-           probe level. The scripted client holds exactly one root per
-           live block, so a replay is the zero-drag, zero-leak baseline
-           for the manager. *)
-        let t = Oracle.create () in
-        let (_ : int), source =
-          event_source ~cmd:"oracle" ~graph:true ~stream ~workload ~quick ~seed ~manager
-            (fun clock event -> Oracle.feed t { Stream.clock; event })
-        in
-        (Oracle.finalize t, source)
-      | None, None, true ->
-        (* GC-heap mode: the pointer-aware mutator never frees (or frees
-           late with --lag); the oracle reconstructs the free schedule. *)
-        let make =
-          match manager with
-          | `Custom -> die "--gcheap has no recorded trace to derive a custom design from"
-          | m -> maker_for m (Trace.create ())
-        in
-        let config =
-          {
-            Gcheap.default_config with
-            Gcheap.seed;
-            nodes_per_phase = nodes;
-            free_lag = lag;
-          }
-        in
-        let report, stats = Scenario.gcheap_oracle ~config make in
-        Format.printf
-          "gcheap: %d allocs, %d frees, %d ptr writes, %d root ops, %d referenced at exit@."
-          stats.Gcheap.g_allocs stats.Gcheap.g_frees stats.Gcheap.g_ptr_writes
-          stats.Gcheap.g_root_ops stats.Gcheap.g_refcount_live;
-        (report, Printf.sprintf "gcheap/%s live run" (conv_name manager_conv manager))
-      | None, None, false -> die "pass --stream FILE, a workload (-w) or --gcheap"
-    in
-    Format.printf "%a" Oracle.pp report;
-    (match synth with
-    | None -> ()
-    | Some path ->
-      let trace = Oracle.synthesize report in
-      (match Trace.validate trace with
-      | Ok () -> ()
-      | Error msg -> die (Printf.sprintf "synthesized trace is invalid: %s" msg));
-      write_or_exit ~cmd:"oracle" (fun () -> Trace.save trace path);
-      Format.printf "wrote %s (%d events: %d allocs, %d frees)@." path
-        (Trace.length trace) (Trace.alloc_count trace) (Trace.free_count trace));
-    match json_out with
-    | None -> ()
-    | Some path ->
-      let b = Buffer.create 2048 in
-      let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-      bpf "{\n  \"source\": \"%s\",\n" (Json.escape source);
-      bpf "  \"events\": %d,\n  \"graph_events\": %d,\n  \"graph\": %b,\n"
-        report.Oracle.r_events report.Oracle.r_graph_events report.Oracle.r_graph;
-      bpf "  \"objects\": %d,\n  \"freed\": %d,\n  \"end_live\": %d,\n"
-        (Array.length report.Oracle.r_objects)
-        report.Oracle.r_freed report.Oracle.r_end_live;
-      bpf "  \"drag\": %s,\n" (hist_json report.Oracle.r_drag);
-      bpf "  \"drag_by_class\": [\n";
-      let classes = report.Oracle.r_drag_by_class in
-      List.iteri
-        (fun i (cls, h) ->
-          bpf "    {\"class\": %d, \"drag\": %s}%s\n" cls (hist_json h)
-            (if i = List.length classes - 1 then "" else ","))
-        classes;
-      bpf "  ],\n  \"drag_by_phase\": [\n";
-      let phases = report.Oracle.r_drag_by_phase in
-      List.iteri
-        (fun i (p, h) ->
-          bpf "    {\"phase\": %d, \"drag\": %s}%s\n" p (hist_json h)
-            (if i = List.length phases - 1 then "" else ","))
-        phases;
-      bpf "  ],\n  \"defects\": %d,\n" (Oracle.defect_count report.Oracle.r_defects);
-      bpf "  \"leaks\": [\n";
-      let leaks = report.Oracle.r_leaks in
-      List.iteri
-        (fun i (o : Oracle.obj) ->
-          bpf
-            "    {\"id\": %d, \"addr\": %d, \"payload\": %d, \"birth\": %d, \
-             \"birth_phase\": %d, \"death\": %d}%s\n"
-            o.Oracle.o_id o.Oracle.o_addr o.Oracle.o_payload o.Oracle.o_birth
-            o.Oracle.o_birth_phase o.Oracle.o_death
-            (if i = List.length leaks - 1 then "" else ","))
-        leaks;
-      bpf "  ]\n}\n";
-      write_or_exit ~cmd:"oracle" (fun () ->
-          let oc = open_out path in
-          Buffer.output_buffer oc b;
-          close_out oc);
-      Format.printf "wrote %s@." path
-  in
-  let workload =
-    Arg.(
-      value
-      & opt (some workload_conv) None
-      & info [ "w"; "workload" ] ~docv:"WORKLOAD"
-          ~doc:
-            "Record this workload (drr, reconstruct or render) and replay it against              $(b,--manager) at the graph probe level (one root per live block): the              zero-drag baseline.")
-  in
-  let gcheap =
-    Arg.(
-      value & flag
-      & info [ "gcheap" ]
-          ~doc:
-            "Run the pointer-aware GC-heap mutator against $(b,--manager): linked              structures, root table, no frees — the oracle reconstructs every              object's death time and $(b,--synthesize) turns them into a replayable              free schedule.")
-  in
-  let manager =
-    manager_arg ~default:`Lea
-      ~doc:
-        "Manager driven in workload/gcheap mode: kingsley, lea, regions, obstacks,          fixed-pool, buddy-bitmap or custom (workload mode only). Default lea."
-  in
-  let lag =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "lag" ] ~docv:"N"
-          ~doc:
-            "In $(b,--gcheap) mode, model a sloppy deferred-reference-counting client:              a node whose last reference drops is freed $(docv) allocations late              (every free shows positive drag) and reference cycles leak.")
-  in
-  let nodes =
-    positive "--nodes"
-      Arg.(
-        value
-        & opt int Gcheap.default_config.Gcheap.nodes_per_phase
-        & info [ "nodes" ] ~docv:"N"
-            ~doc:"Nodes allocated per phase in $(b,--gcheap) mode.")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write the full oracle report (drag histograms per size class and birth              phase, leak list, graph defects) as JSON to $(docv).")
-  in
-  let synth =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "synthesize" ] ~docv:"FILE"
-          ~doc:
-            "Write the stream rewritten with the oracle's death times as a replayable              $(b,dmm replay) trace: allocations in stream order, every dead object              freed at its death clock, end-live objects left allocated.")
-  in
-  Cmd.v
-    (Cmd.info "oracle"
-       ~doc:
-         "Merlin-style lifetime oracle: reconstruct object death times from          reachability (pointer-write and root events), report drag — bytes held          between last reachability and the explicit free — per size class and birth          phase, detect leaks, and optionally synthesize the ideal free schedule.")
-    Term.(
-      const run $ stream_arg $ workload $ gcheap $ quick_arg $ seed_arg $ manager $ lag
-      $ nodes $ json_out $ synth)
+    Term.(const run $ stream_arg $ workload $ quick_arg $ seed_arg $ manager $ strict)
 
 (* ------------------------------------------------------------------ *)
 (* report                                                              *)
@@ -2220,7 +2042,6 @@ let () =
             trace_cmd;
             replay_cmd;
             check_cmd;
-            oracle_cmd;
             report_cmd;
             convert_cmd;
             serve_cmd;

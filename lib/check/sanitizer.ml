@@ -212,20 +212,6 @@ let invariants_pass () =
             (Diag.vf ~index:i "fit-scan-steps"
                "fit scan of %d steps (zero-step scans are suppressed at the emitter)"
                steps)
-      | Event.Ptr_write { src; old_dst; new_dst; _ } ->
-        (* Graph events carry payload addresses: -1 is the null object,
-           anything else must look like an address the stream could have
-           handed out. Reachability itself is the oracle's concern. *)
-        if src < 0 then
-          add (Diag.vf ~index:i "graph-address" "pointer write from address %d" src);
-        if old_dst < -1 || new_dst < -1 then
-          add
-            (Diag.vf ~index:i "graph-address"
-               "pointer write to address %d (null is -1)"
-               (min old_dst new_dst))
-      | Event.Root_add { addr } | Event.Root_remove { addr } ->
-        if addr < 0 then
-          add (Diag.vf ~index:i "graph-address" "root event on address %d" addr)
   in
   { pass_feed = feed; pass_done = (fun () -> List.rev !diags) }
 
@@ -510,9 +496,7 @@ let conformance_pass (design : Explorer.design) =
                    (range brk bytes)))
         | Event.Sbrk _ ->
           if shadow then at_last_sbrk := Some !free
-        | Event.Phase _ | Event.Fit_scan _ | Event.Ptr_write _ | Event.Root_add _
-        | Event.Root_remove _ ->
-          ()
+        | Event.Phase _ | Event.Fit_scan _ -> ()
     in
     { pass_feed = feed; pass_done = (fun () -> List.rev !diags) }
 
@@ -527,28 +511,23 @@ type incremental = {
   mutable gap : Diag.t option;  (* first integrity violation, if any *)
   inv : pass;
   conf : pass option;
-  oracle : Oracle.t option;  (* the opt-in leak pass *)
   checked : bool;
 }
 
-let start ?design ?(leaks = false) () =
+let start ?design () =
   let conf, checked =
     match design with None -> (None, false) | Some d -> (Some (conformance_pass d), true)
   in
-  let oracle = if leaks then Some (Oracle.create ()) else None in
-  { fed = 0; gap = None; inv = invariants_pass (); conf; oracle; checked }
+  { fed = 0; gap = None; inv = invariants_pass (); conf; checked }
 
-let feed st ({ Stream.clock; event } as entry : Stream.entry) =
+let feed st ({ Stream.clock; event } : Stream.entry) =
   (match st.gap with
   | Some _ -> () (* keep counting, but the heap passes are already moot *)
   | None ->
     if clock <> st.fed then st.gap <- Some (Stream.clock_gap ~clock ~position:st.fed)
     else begin
       st.inv.pass_feed clock event;
-      (match st.conf with None -> () | Some p -> p.pass_feed clock event);
-      match st.oracle with
-      | None -> ()
-      | Some o -> Oracle.feed o entry
+      match st.conf with None -> () | Some p -> p.pass_feed clock event
     end);
   st.fed <- st.fed + 1
 
@@ -560,10 +539,6 @@ let finalize st =
     { events = st.fed; diags = [ d ]; conformance_checked = false }
   | None ->
     let diags =
-      st.inv.pass_done ()
-      @ (match st.conf with None -> [] | Some p -> p.pass_done ())
-      @ (match st.oracle with
-        | None -> []
-        | Some o -> Oracle.leak_diags (Oracle.finalize o))
+      st.inv.pass_done () @ match st.conf with None -> [] | Some p -> p.pass_done ()
     in
     { events = st.fed; diags; conformance_checked = st.checked }

@@ -58,14 +58,12 @@ val clean : report -> bool
 
 type incremental
 
-val start : ?design:Dmm_core.Explorer.design -> ?leaks:bool -> unit -> incremental
+val start : ?design:Dmm_core.Explorer.design -> unit -> incremental
 (** A fresh check: the integrity gate, then invariants, then (when
-    [design] is given) conformance, then (when [leaks] is true) the
-    {!Oracle} leak pass, whose [oracle-leak] findings follow the others
-    in the report. If the design itself violates {!Dmm_core.Constraints},
-    those violations (lifted via {!Diag.of_constraint}) stand in for the
-    conformance findings — a stream cannot conform to an invalid
-    design. *)
+    [design] is given) conformance. If the design itself violates
+    {!Dmm_core.Constraints}, those violations (lifted via
+    {!Diag.of_constraint}) stand in for the conformance findings — a
+    stream cannot conform to an invalid design. *)
 
 val feed : incremental -> Stream.entry -> unit
 (** Feed the next event. The integrity gate is applied positionally: the

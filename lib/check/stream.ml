@@ -64,12 +64,6 @@ let parse_line line =
     | "sbrk" -> Event.Sbrk { bytes = int "bytes"; brk = int "brk" }
     | "trim" -> Event.Trim { bytes = int "bytes"; brk = int "brk" }
     | "fit_scan" -> Event.Fit_scan { steps = int "steps" }
-    | "ptr_write" ->
-      Event.Ptr_write
-        { src = int "src"; field = int "field"; old_dst = int "old_dst";
-          new_dst = int "new_dst" }
-    | "root_add" -> Event.Root_add { addr = int "addr" }
-    | "root_remove" -> Event.Root_remove { addr = int "addr" }
     | other -> fail "unknown event kind %S" other
   in
   { clock; event }
@@ -240,7 +234,6 @@ let binary_source ?path ?(close = ignore) r =
       | k -> read_payload (off + k) n
     end
   in
-  let graph_ok = ref false in
   let read_magic () =
     if not (read_exact head Codec.magic_bytes ~what:"magic") then
       fail "empty stream (missing %S magic)" Codec.magic;
@@ -248,17 +241,16 @@ let binary_source ?path ?(close = ignore) r =
     if m <> Codec.magic then fail "not a binary trace (bad magic %S)" m;
     let v = Char.code (Bytes.get head (String.length Codec.magic)) in
     if v <> 1 && v <> Codec.version then fail "unsupported binary trace version %d" v;
-    (* Version 1 predates the feature word: no graph events, nothing to
-       read. Version 2 declares its features up front so an old reader
-       fails here rather than mid-stream on an unknown tag. *)
+    (* Version 1 predates the feature word. Version 2 declares its
+       features up front so an old reader fails here rather than
+       mid-stream on an unknown tag. *)
     if v >= 2 then begin
       if not (read_exact head Codec.feature_bytes ~what:"feature word") then
         fail "truncated feature word (0 of %d bytes)" Codec.feature_bytes;
       let features = Codec.get_u32 (Bytes.unsafe_to_string head) 0 in
       if features land lnot Codec.supported_features <> 0 then
         fail "unsupported feature bits 0x%x in the stream header"
-          (features land lnot Codec.supported_features);
-      graph_ok := features land Codec.feature_graph <> 0
+          (features land lnot Codec.supported_features)
     end;
     seen_magic := true
   in
@@ -309,13 +301,6 @@ let binary_source ?path ?(close = ignore) r =
       if !first_of_chunk && clock <> !chunk_first then
         fail "chunk header clock %d disagrees with its first event's clock %d"
           !chunk_first clock;
-      if (not !graph_ok) && Event.is_graph event then
-        fail "object-graph event (tag %d) in a stream that does not declare the \
-              graph feature"
-          (match event with
-          | Event.Ptr_write _ -> 8
-          | Event.Root_add _ -> 9
-          | _ -> 10);
       first_of_chunk := false;
       incr total;
       decr remaining;

@@ -1,5 +1,5 @@
-(** A recorded allocation-event stream: the sanitizer's and the oracle's
-    input, one {!entry} at a time.
+(** A recorded allocation-event stream: the sanitizer's and the
+    profiler's input, one {!entry} at a time.
 
     Entries come from a live replay's probe (attach
     [fun clock event -> feed st { clock; event }] before the manager is
@@ -56,7 +56,11 @@ val close_source : source -> unit
 val fold_source : source -> init:'a -> f:('a -> entry -> 'a) -> ('a, string) result
 (** Drive the source to exhaustion, folding each entry. Always closes
     the source. [Error] carries ["<path>: line N: <why>"] for JSONL
-    and ["<path>: <why>"] for binary corruption or truncation. *)
+    and ["<path>: <why>"] for binary corruption or truncation. An event
+    outside {!Dmm_obs.Event.t} is such an error ([unknown event kind]
+    in JSONL, [unknown event tag N] in binary), the object-graph kinds
+    of older recordings ([ptr_write], [root_add], [root_remove]; tags
+    8–10) included. *)
 
 val iter_source : source -> f:(entry -> unit) -> (int, string) result
 (** Like {!fold_source}; returns the number of entries seen. *)

@@ -101,7 +101,7 @@ let on_event t _clock (e : Obs_event.t) =
   | Split _ -> t.splits <- t.splits + 1
   | Coalesce _ -> t.coalesces <- t.coalesces + 1
   | Fit_scan { steps } -> t.ops <- t.ops + steps
-  | Phase _ | Sbrk _ | Trim _ | Ptr_write _ | Root_add _ | Root_remove _ -> ()
+  | Phase _ | Sbrk _ | Trim _ -> ()
 
 let snapshot t : snapshot =
   {

@@ -40,9 +40,7 @@ let on_event t clock (e : Event.t) =
       (Printf.sprintf
          "{\"name\":\"phase %d\",\"ph\":\"i\",\"s\":\"p\",\"ts\":%d,\"pid\":%d,\"tid\":0}"
          p clock t.pid)
-  | Event.Split _ | Event.Coalesce _ | Event.Fit_scan _ | Event.Ptr_write _
-  | Event.Root_add _ | Event.Root_remove _ ->
-    ()
+  | Event.Split _ | Event.Coalesce _ | Event.Fit_scan _ -> ()
 
 let attach probe t = Probe.attach probe (on_event t)
 let events t = t.events

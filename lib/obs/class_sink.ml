@@ -78,7 +78,7 @@ let on_event t _clock (e : Event.t) =
     c.live_blocks <- c.live_blocks - 1;
     c.live_bytes <- c.live_bytes - gross
   | Event.Split _ | Event.Coalesce _ | Event.Phase _ | Event.Sbrk _ | Event.Trim _
-  | Event.Fit_scan _ | Event.Ptr_write _ | Event.Root_add _ | Event.Root_remove _ ->
+  | Event.Fit_scan _ ->
     ()
 
 let attach probe t = Probe.attach probe (on_event t)

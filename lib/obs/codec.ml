@@ -6,9 +6,10 @@ let header_bytes = 20
 
 (* Feature bits carried by version-2 streams in a u32 word right after
    the magic. A version-1 stream has no feature word and implicitly
-   declares zero bits. *)
-let feature_graph = 1
-let supported_features = feature_graph
+   declares zero bits. Bit 0 once declared object-graph events; the
+   format no longer has them, but every version-2 stream ever written
+   sets it, so writers keep setting it and readers keep accepting it. *)
+let supported_features = 1
 
 (* Chunks past this are certainly garbage: a length field this large can
    only come from reading non-chunk bytes as a header, and trusting it
@@ -65,9 +66,6 @@ let tag_of = function
   | Event.Sbrk _ -> 5
   | Event.Trim _ -> 6
   | Event.Fit_scan _ -> 7
-  | Event.Ptr_write _ -> 8
-  | Event.Root_add _ -> 9
-  | Event.Root_remove _ -> 10
 
 let add_event b ~prev_clock ~clock e =
   Buffer.add_char b (Char.unsafe_chr (tag_of e));
@@ -98,13 +96,6 @@ let add_event b ~prev_clock ~clock e =
     add_varint b bytes;
     add_varint b brk
   | Event.Fit_scan { steps } -> add_varint b steps
-  | Event.Ptr_write { src; field; old_dst; new_dst } ->
-    add_varint b src;
-    add_varint b field;
-    add_varint b old_dst;
-    add_varint b new_dst
-  | Event.Root_add { addr } -> add_varint b addr
-  | Event.Root_remove { addr } -> add_varint b addr
 
 (* Every field is a direct [read_varint] and the clock goes back through
    [clock]: a local reader closure and a (clock, event) pair would cost
@@ -146,14 +137,6 @@ let read_event s ~pos ~limit ~clock =
     let brk = read_varint s ~pos ~limit in
     Event.Trim { bytes; brk }
   | 7 -> Event.Fit_scan { steps = read_varint s ~pos ~limit }
-  | 8 ->
-    let src = read_varint s ~pos ~limit in
-    let field = read_varint s ~pos ~limit in
-    let old_dst = read_varint s ~pos ~limit in
-    let new_dst = read_varint s ~pos ~limit in
-    Event.Ptr_write { src; field; old_dst; new_dst }
-  | 9 -> Event.Root_add { addr = read_varint s ~pos ~limit }
-  | 10 -> Event.Root_remove { addr = read_varint s ~pos ~limit }
   | t -> corrupt "unknown event tag %d" t
 
 (* --- chunk headers ---------------------------------------------------------
@@ -189,11 +172,11 @@ let get_i64 s off =
   done;
   Int64.to_int !v
 
-let add_magic ?(version = version) ?(features = supported_features) b =
+let add_magic ?(version = version) b =
   Buffer.add_string b magic;
   Buffer.add_char b (Char.chr version);
   (* Version 1 predates the feature word; only the v2 prefix carries it. *)
-  if version >= 2 then add_u32 b features
+  if version >= 2 then add_u32 b supported_features
 
 let add_header b h =
   add_u32 b h.h_len;

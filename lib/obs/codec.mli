@@ -10,9 +10,9 @@
     trailer                      a zero-length chunk carrying the event total
     v}
 
-    Version 1 (pre-graph-events) streams have no feature word and no
-    graph event tags; readers accept both versions, so every pre-existing
-    [DMMT] file keeps decoding to the identical entry sequence.
+    Version 1 streams have no feature word; readers accept both
+    versions, so every pre-existing [DMMT] file keeps decoding to the
+    identical entry sequence.
 
     where each chunk is a 20-byte little-endian header followed by the
     varint-packed events:
@@ -52,13 +52,12 @@ val magic_bytes : int
 val feature_bytes : int
 (** Bytes of the version-2 feature word (4). *)
 
-val feature_graph : int
-(** Feature bit 0: the stream may carry object-graph events
-    ([Ptr_write]/[Root_add]/[Root_remove], tags 8–10). *)
-
 val supported_features : int
-(** Union of every feature bit this reader understands; unknown bits in
-    a stream's feature word are a decode error. *)
+(** The feature word every version-2 writer sets (1: bit 0) and the only
+    bits a reader accepts; any other bit is a decode error. Bit 0 once
+    declared object-graph events (tags 8–10); they are gone, and those
+    tags are unknown like any other, but the bit stays so that every
+    stream already written keeps decoding. *)
 
 val header_bytes : int
 (** Chunk header size (20). *)
@@ -92,10 +91,10 @@ type header = { h_len : int; h_count : int; h_first_clock : int; h_crc : int }
 
 val is_trailer : header -> bool
 
-val add_magic : ?version:int -> ?features:int -> Buffer.t -> unit
+val add_magic : ?version:int -> Buffer.t -> unit
 (** Appends the stream prefix: magic, version byte (default {!version})
-    and — for version 2 and up — the feature word (default
-    {!supported_features}). [~version:1] reproduces the pre-PR-8 5-byte
+    and — for version 2 and up — the feature word
+    {!supported_features}. [~version:1] reproduces the historic 5-byte
     prefix exactly. *)
 
 val add_header : Buffer.t -> header -> unit

@@ -7,9 +7,6 @@ type t =
   | Sbrk of { bytes : int; brk : int }
   | Trim of { bytes : int; brk : int }
   | Fit_scan of { steps : int }
-  | Ptr_write of { src : int; field : int; old_dst : int; new_dst : int }
-  | Root_add of { addr : int }
-  | Root_remove of { addr : int }
 
 let name = function
   | Alloc _ -> "alloc"
@@ -20,14 +17,6 @@ let name = function
   | Sbrk _ -> "sbrk"
   | Trim _ -> "trim"
   | Fit_scan _ -> "fit_scan"
-  | Ptr_write _ -> "ptr_write"
-  | Root_add _ -> "root_add"
-  | Root_remove _ -> "root_remove"
-
-let is_graph = function
-  | Ptr_write _ | Root_add _ | Root_remove _ -> true
-  | Alloc _ | Free _ | Split _ | Coalesce _ | Phase _ | Sbrk _ | Trim _ | Fit_scan _ ->
-    false
 
 (* The JSONL render is on the recording hot path (Jsonl_sink writes one
    line per probe event), so it goes through a caller-owned buffer with
@@ -73,19 +62,7 @@ let add_json b ~clock e =
     field ",\"brk\":" brk
   | Fit_scan { steps } ->
     Buffer.add_string b ",\"ev\":\"fit_scan\"";
-    field ",\"steps\":" steps
-  | Ptr_write { src; field = slot; old_dst; new_dst } ->
-    Buffer.add_string b ",\"ev\":\"ptr_write\"";
-    field ",\"src\":" src;
-    field ",\"field\":" slot;
-    field ",\"old_dst\":" old_dst;
-    field ",\"new_dst\":" new_dst
-  | Root_add { addr } ->
-    Buffer.add_string b ",\"ev\":\"root_add\"";
-    field ",\"addr\":" addr
-  | Root_remove { addr } ->
-    Buffer.add_string b ",\"ev\":\"root_remove\"";
-    field ",\"addr\":" addr);
+    field ",\"steps\":" steps);
   Buffer.add_char b '}'
 
 let to_json ~clock e =
@@ -107,8 +84,3 @@ let pp ppf e =
   | Sbrk { bytes; brk } -> Format.fprintf ppf "sbrk bytes=%d brk=%d" bytes brk
   | Trim { bytes; brk } -> Format.fprintf ppf "trim bytes=%d brk=%d" bytes brk
   | Fit_scan { steps } -> Format.fprintf ppf "fit_scan steps=%d" steps
-  | Ptr_write { src; field; old_dst; new_dst } ->
-    Format.fprintf ppf "ptr_write src=%d field=%d old_dst=%d new_dst=%d" src field
-      old_dst new_dst
-  | Root_add { addr } -> Format.fprintf ppf "root_add addr=%d" addr
-  | Root_remove { addr } -> Format.fprintf ppf "root_remove addr=%d" addr

@@ -39,32 +39,10 @@ type t =
       (** The manager spent [steps] abstract operations searching free
           structures, probing pools or paying system-call cost — the
           platform-independent work measure behind EXP-PERF. *)
-  | Ptr_write of { src : int; field : int; old_dst : int; new_dst : int }
-      (** The application overwrote pointer slot [field] of the live
-          object at payload address [src]: it used to reference the object
-          at [old_dst] and now references [new_dst] ([-1] encodes null on
-          either side). These object-graph events are opt-in — managers
-          never emit them on their own; pointer-aware clients and
-          generators do — and they are what the Merlin-style
-          {!Dmm_check.Oracle} computes ideal death times from. *)
-  | Root_add of { addr : int }
-      (** The object at payload address [addr] became directly reachable
-          from outside the heap (a stack slot, global, or register took a
-          reference). Roots are counted: two [Root_add]s need two
-          [Root_remove]s. *)
-  | Root_remove of { addr : int }
-      (** One external root referencing the object at [addr] was
-          dropped. *)
 
 val name : t -> string
 (** Lowercase tag: ["alloc"], ["free"], ["split"], ["coalesce"],
-    ["phase"], ["sbrk"], ["trim"], ["fit_scan"], ["ptr_write"],
-    ["root_add"] or ["root_remove"]. *)
-
-val is_graph : t -> bool
-(** [true] exactly for the object-graph events ({!Ptr_write},
-    {!Root_add}, {!Root_remove}) that only version-2 binary streams may
-    carry. *)
+    ["phase"], ["sbrk"], ["trim"] or ["fit_scan"]. *)
 
 val add_json : Buffer.t -> clock:int -> t -> unit
 (** Append the JSON render to a caller-owned buffer — the allocation-free

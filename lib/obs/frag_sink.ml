@@ -138,9 +138,7 @@ let on_event t clock (e : Event.t) =
   | Event.Trim { bytes; _ } ->
     t.footprint <- t.footprint - bytes;
     sample t clock
-  | Event.Split _ | Event.Coalesce _ | Event.Phase _ | Event.Fit_scan _
-  | Event.Ptr_write _ | Event.Root_add _ | Event.Root_remove _ ->
-    ()
+  | Event.Split _ | Event.Coalesce _ | Event.Phase _ | Event.Fit_scan _ -> ()
 
 let attach probe t = Probe.attach probe (on_event t)
 

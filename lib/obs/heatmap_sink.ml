@@ -155,9 +155,7 @@ let on_event t clock (e : Event.t) =
     rescale_addr t brk;
     t.brk <- brk
   | Event.Trim { brk; _ } -> t.brk <- brk
-  | Event.Split _ | Event.Coalesce _ | Event.Phase _ | Event.Fit_scan _
-  | Event.Ptr_write _ | Event.Root_add _ | Event.Root_remove _ ->
-    ()
+  | Event.Split _ | Event.Coalesce _ | Event.Phase _ | Event.Fit_scan _ -> ()
 
 let attach probe t = Probe.attach probe (on_event t)
 

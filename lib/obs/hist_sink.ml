@@ -18,7 +18,7 @@ let on_event t _clock (e : Event.t) =
     Log_hist.record t.gross gross
   | Event.Fit_scan { steps } -> Log_hist.record t.fit_steps steps
   | Event.Free _ | Event.Split _ | Event.Coalesce _ | Event.Phase _ | Event.Sbrk _
-  | Event.Trim _ | Event.Ptr_write _ | Event.Root_add _ | Event.Root_remove _ ->
+  | Event.Trim _ ->
     ()
 
 let attach probe t = Probe.attach probe (on_event t)

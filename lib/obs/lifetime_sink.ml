@@ -241,9 +241,7 @@ let on_event t clock (e : Event.t) =
             freed_phase = t.phase;
           }
     end
-  | Event.Split _ | Event.Coalesce _ | Event.Sbrk _ | Event.Trim _ | Event.Fit_scan _
-  | Event.Ptr_write _ | Event.Root_add _ | Event.Root_remove _ ->
-    ()
+  | Event.Split _ | Event.Coalesce _ | Event.Sbrk _ | Event.Trim _ | Event.Fit_scan _ -> ()
 
 let attach probe t = Probe.attach probe (on_event t)
 

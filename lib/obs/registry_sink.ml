@@ -19,7 +19,6 @@ type t = {
   c_sbrks : Registry.counter;
   c_trims : Registry.counter;
   c_phases : Registry.counter;
-  c_graph_events : Registry.counter;
   c_alloc_bytes : Registry.counter;
   c_freed_bytes : Registry.counter;
   g_footprint : Registry.gauge;
@@ -34,7 +33,6 @@ type t = {
   mutable d_sbrks : int;
   mutable d_trims : int;
   mutable d_phases : int;
-  mutable d_graph_events : int;
   mutable d_alloc_bytes : int;
   mutable d_freed_bytes : int;
   mutable cur_footprint : int;
@@ -55,7 +53,6 @@ let create ?(flush_every = 1024) registry =
     c_sbrks = c "dmm_sbrks_total" "Sbrk events";
     c_trims = c "dmm_trims_total" "Trim events";
     c_phases = c "dmm_phases_total" "Phase events";
-    c_graph_events = c "dmm_graph_events_total" "Object-graph events (ptr_write/root_*)";
     c_alloc_bytes = c "dmm_alloc_bytes_total" "Gross bytes allocated";
     c_freed_bytes = c "dmm_freed_bytes_total" "Payload bytes freed";
     g_footprint =
@@ -71,7 +68,6 @@ let create ?(flush_every = 1024) registry =
     d_sbrks = 0;
     d_trims = 0;
     d_phases = 0;
-    d_graph_events = 0;
     d_alloc_bytes = 0;
     d_freed_bytes = 0;
     cur_footprint = 0;
@@ -93,7 +89,6 @@ let flush t =
   add t.c_sbrks t.d_sbrks;
   add t.c_trims t.d_trims;
   add t.c_phases t.d_phases;
-  add t.c_graph_events t.d_graph_events;
   add t.c_alloc_bytes t.d_alloc_bytes;
   add t.c_freed_bytes t.d_freed_bytes;
   t.d_events <- 0;
@@ -105,7 +100,6 @@ let flush t =
   t.d_sbrks <- 0;
   t.d_trims <- 0;
   t.d_phases <- 0;
-  t.d_graph_events <- 0;
   t.d_alloc_bytes <- 0;
   t.d_freed_bytes <- 0;
   Registry.set t.g_footprint t.cur_footprint;
@@ -130,9 +124,7 @@ let on_event t _clock (e : Event.t) =
   | Event.Trim { bytes; _ } ->
     t.d_trims <- t.d_trims + 1;
     t.cur_footprint <- t.cur_footprint - bytes
-  | Event.Phase _ -> t.d_phases <- t.d_phases + 1
-  | Event.Ptr_write _ | Event.Root_add _ | Event.Root_remove _ ->
-    t.d_graph_events <- t.d_graph_events + 1);
+  | Event.Phase _ -> t.d_phases <- t.d_phases + 1);
   if t.d_events >= t.flush_every then flush t
 
 let attach probe t = Probe.attach probe (on_event t)

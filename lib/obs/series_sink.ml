@@ -1,60 +1,18 @@
-type point = { clock : int; footprint : int; maximum : int }
+type t = { mutable current : int; mutable maximum : int }
 
-type t = {
-  mutable current : int;
-  mutable maximum : int;
-  (* Points live in a growable array, already in stream order; the list
-     view is built at most once per burst of queries and invalidated on
-     the next record. *)
-  mutable points : point array;
-  mutable count : int;
-  mutable cache : point list option;
-}
+let create () = { current = 0; maximum = 0 }
 
-let origin = { clock = 0; footprint = 0; maximum = 0 }
-
-let create () =
-  { current = 0; maximum = 0; points = Array.make 256 origin; count = 0; cache = None }
-
-let record t clock =
-  if t.count = Array.length t.points then begin
-    let grown = Array.make (2 * t.count) origin in
-    Array.blit t.points 0 grown 0 t.count;
-    t.points <- grown
-  end;
-  t.points.(t.count) <- { clock; footprint = t.current; maximum = t.maximum };
-  t.count <- t.count + 1;
-  t.cache <- None
-
-let on_event t clock (e : Event.t) =
+let on_event t _clock (e : Event.t) =
   match e with
   | Event.Sbrk { bytes; _ } ->
     t.current <- t.current + bytes;
-    if t.current > t.maximum then t.maximum <- t.current;
-    record t clock
-  | Event.Trim { bytes; _ } ->
-    t.current <- t.current - bytes;
-    record t clock
+    if t.current > t.maximum then t.maximum <- t.current
+  | Event.Trim { bytes; _ } -> t.current <- t.current - bytes
   | Event.Alloc _ | Event.Free _ | Event.Split _ | Event.Coalesce _ | Event.Phase _
-  | Event.Fit_scan _ | Event.Ptr_write _ | Event.Root_add _ | Event.Root_remove _ ->
+  | Event.Fit_scan _ ->
     ()
 
 let attach probe t = Probe.attach probe (on_event t)
 
 let current t = t.current
 let peak t = t.maximum
-
-let iter f t =
-  for i = 0 to t.count - 1 do
-    f t.points.(i)
-  done
-
-let points t =
-  match t.cache with
-  | Some l -> l
-  | None ->
-    let l = Array.to_list (Array.sub t.points 0 t.count) in
-    t.cache <- Some l;
-    l
-
-let length t = t.count

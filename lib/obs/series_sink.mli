@@ -1,14 +1,12 @@
-(** Exact footprint-over-time sink.
+(** Exact footprint sink.
 
     Where the polling approach ({!Dmm_trace.Footprint_series}) samples the
     footprint every N replay events and can miss a short-lived spike
-    between samples, this sink sees {e every} break movement: each
-    {!Event.Sbrk} / {!Event.Trim} produces one point, so [peak] is exactly
-    the high-water mark the manager reports. Footprint is accumulated from
-    the event deltas, so a probe threaded through several address spaces
-    yields their combined footprint. *)
-
-type point = { clock : int; footprint : int; maximum : int }
+    between samples, this sink sees {e every} break movement
+    ({!Event.Sbrk} / {!Event.Trim}), so [peak] is exactly the high-water
+    mark the manager reports. Footprint is accumulated from the event
+    deltas, so a probe threaded through several address spaces yields
+    their combined footprint. *)
 
 type t
 
@@ -21,15 +19,3 @@ val current : t -> int
 
 val peak : t -> int
 (** Exact maximum footprint over the whole stream. *)
-
-val points : t -> point list
-(** One point per break movement, in stream order. The list is cached:
-    repeated calls between records return the same list without
-    rebuilding it. *)
-
-val iter : (point -> unit) -> t -> unit
-(** Visit the recorded points in stream order without materialising the
-    list — the right entry point for sinks that only fold. *)
-
-val length : t -> int
-(** Number of points recorded ([= List.length (points t)]). *)

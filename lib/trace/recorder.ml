@@ -45,37 +45,3 @@ let recording_allocator () =
     }
   in
   (t, fun () -> trace)
-
-let wrap inner =
-  let trace = Trace.create () in
-  let ids = Hashtbl.create 256 in
-  let next = ref 0 in
-  let alloc size =
-    let addr = Allocator.alloc inner size in
-    incr next;
-    let id = !next in
-    Hashtbl.replace ids addr id;
-    Trace.add trace (Event.Alloc { id; size });
-    addr
-  in
-  let free addr =
-    match Hashtbl.find_opt ids addr with
-    | None -> raise (Allocator.Invalid_free addr)
-    | Some id ->
-      Allocator.free inner addr;
-      Hashtbl.remove ids addr;
-      Trace.add trace (Event.Free { id })
-  in
-  let t =
-    {
-      inner with
-      Allocator.name = inner.Allocator.name ^ "+recorder";
-      alloc;
-      free;
-      phase =
-        (fun p ->
-          Trace.add trace (Event.Phase p);
-          Allocator.phase inner p);
-    }
-  in
-  (t, fun () -> trace)

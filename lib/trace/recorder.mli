@@ -1,15 +1,7 @@
-(** Trace capture.
-
-    Two modes: a {e pure} recorder that stands in for a manager during the
-    profiling run (fresh sequential ids as addresses, no memory model), and
-    a {e wrapping} recorder that forwards to a real manager while logging
-    the same events. *)
+(** Trace capture: a recorder that stands in for a manager during the
+    profiling run (fresh sequential ids as addresses, no memory model). *)
 
 val recording_allocator : unit -> Dmm_core.Allocator.t * (unit -> Trace.t)
 (** [recording_allocator ()] returns an allocator whose addresses are fresh
     ids and a function extracting the trace recorded so far. Footprint
     queries report the live payload (no manager is behind it). *)
-
-val wrap : Dmm_core.Allocator.t -> Dmm_core.Allocator.t * (unit -> Trace.t)
-(** [wrap inner] forwards every operation to [inner] and logs events with
-    fresh ids mapped from the returned addresses. *)

@@ -9,20 +9,20 @@ type id_map = { mutable addrs : int array }
 
 let id_map_create hint = { addrs = Array.make (max 16 hint) (-1) }
 
+(* Grow straight to [id + 1] when doubling falls short: doubling until
+   past [id] would wrap for an id near [max_int] and never end, while
+   [id + 1] wraps to a negative size there, so the store below raises
+   [Invalid_argument] instead. *)
 let id_map_set m id addr =
   let n = Array.length m.addrs in
   if id >= n then begin
-    let cap = ref (max 16 (2 * n)) in
-    while !cap <= id do
-      cap := !cap * 2
-    done;
-    let grown = Array.make !cap (-1) in
+    let grown = Array.make (max (2 * n) (id + 1)) (-1) in
     Array.blit m.addrs 0 grown 0 n;
     m.addrs <- grown
   end;
   m.addrs.(id) <- addr
 
-let run ?(probe = Probe.null) ?(graph = false) ?on_event ?(live_hint = 256) trace a =
+let run ?(probe = Probe.null) ?on_event ?(live_hint = 256) trace a =
   Dmm_obs.Span.with_span ~args:[ ("events", Trace.length trace) ] "replay.run" @@ fun () ->
   let addrs = id_map_create live_hint in
   (* Hoisted once per run: sinks can only ever be attached, never
@@ -30,20 +30,9 @@ let run ?(probe = Probe.null) ?(graph = false) ?on_event ?(live_hint = 256) trac
      replay and the per-event observer test compiles down to a register
      check instead of a load+branch on the probe record. *)
   let observed = not (Probe.is_empty probe) in
-  (* The graph probe level models the scripted client faithfully: each
-     trace id is one rooted object, and the client holds that root right
-     up to the free (freeing a still-rooted object is how the oracle
-     learns the object was reachable until then — death coincides with
-     the explicit free, zero drag). No Root_remove is emitted: the free
-     itself retires the root. This is the baseline the GC-heap
-     scenarios are measured against. *)
-  let graph = graph && observed in
   let step event =
     match event with
-    | Event.Alloc { id; size } ->
-      let addr = Allocator.alloc a size in
-      if graph then Probe.emit probe (Obs_event.Root_add { addr });
-      id_map_set addrs id addr
+    | Event.Alloc { id; size } -> id_map_set addrs id (Allocator.alloc a size)
     | Event.Free { id } ->
       let addr =
         if id < 0 || id >= Array.length addrs.addrs then -1 else addrs.addrs.(id)

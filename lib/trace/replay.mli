@@ -6,7 +6,6 @@
 
 val run :
   ?probe:Dmm_obs.Probe.t ->
-  ?graph:bool ->
   ?on_event:(int -> Dmm_core.Allocator.t -> unit) ->
   ?live_hint:int ->
   Trace.t ->
@@ -14,16 +13,11 @@ val run :
   unit
 (** [run trace a] feeds every event to [a], mapping trace ids to the
     addresses [a] returns. [on_event i a] fires after event [i]. Raises
-    [Invalid_argument] on an invalid trace (free of a non-live id).
+    [Invalid_argument] on an invalid trace (free of a non-live id, or an
+    id too large to index an array, such as [max_int]).
     [probe] receives one {!Dmm_obs.Event.Phase} per phase marker replayed
     (pass the probe the manager's address space was built with, so the
     whole event stream shares one logical clock).
-    [graph] (default false) additionally emits the opt-in object-graph
-    probe level: a {!Dmm_obs.Event.Root_add} after each allocation. The
-    scripted client holds that single root until the block's free — no
-    {!Dmm_obs.Event.Root_remove} is emitted, the free itself retires the
-    root — so the Merlin oracle's death times coincide with the explicit
-    frees (zero drag, no leaks).
     [live_hint] pre-sizes the id-to-address table (use
     {!Trace.peak_live_count} when replaying the same trace repeatedly;
     default 256). *)

@@ -72,16 +72,6 @@ let custom_global spec ?probe () =
 
 let max_footprint trace (make : maker) = Replay.max_footprint_of trace (make ())
 
-(* The oracle is fed straight from the probe, so memory follows the
-   objects, not the events. *)
-let gcheap_oracle ?(config = Gcheap.default_config) (make : maker) =
-  let probe = Probe.create () in
-  let oracle = Dmm_check.Oracle.create () in
-  Probe.attach probe (fun clock event ->
-      Dmm_check.Oracle.feed oracle { Dmm_check.Stream.clock; event });
-  let stats = Gcheap.run ~probe config (make ~probe ()) in
-  (Dmm_check.Oracle.finalize oracle, stats)
-
 module Span = Dmm_obs.Span
 
 (* The single-phase search on a trace already profiled. *)

@@ -83,12 +83,3 @@ val render_paper_design : unit -> global_spec
 
 val max_footprint : Dmm_trace.Trace.t -> maker -> int
 (** Replay the trace on a fresh manager; return its maximum footprint. *)
-
-val gcheap_oracle :
-  ?config:Gcheap.config -> maker -> Dmm_check.Oracle.report * Gcheap.stats
-(** Run the {!Gcheap} mutator against a fresh manager and return the
-    Merlin oracle's report on its event stream — manager events and
-    object-graph events interleaved on one logical clock, the oracle's
-    richest input ([dmm oracle --gcheap]). The oracle is fed from the
-    probe as the run goes, so nothing holds the stream: memory grows
-    with the objects, not with the events. *)

@@ -27,7 +27,7 @@ let gen_field st =
 
 let gen_event st =
   let f () = gen_field st in
-  match QCheck.Gen.int_bound 10 st with
+  match QCheck.Gen.int_bound 7 st with
   | 0 -> Event.Alloc { payload = f (); gross = f (); tag = f (); addr = f () }
   | 1 -> Event.Free { payload = f (); addr = f () }
   | 2 -> Event.Split { addr = f (); parent = f (); taken = f (); remainder = f () }
@@ -35,9 +35,6 @@ let gen_event st =
   | 4 -> Event.Phase (f ())
   | 5 -> Event.Sbrk { bytes = f (); brk = f () }
   | 6 -> Event.Trim { bytes = f (); brk = f () }
-  | 7 -> Event.Ptr_write { src = f (); field = f (); old_dst = f (); new_dst = f () }
-  | 8 -> Event.Root_add { addr = f () }
-  | 9 -> Event.Root_remove { addr = f () }
   | _ -> Event.Fit_scan { steps = f () }
 
 let gen_events = QCheck.Gen.(list_size (1 -- 200) gen_event)
@@ -227,7 +224,7 @@ let prop_jsonl_sink_buffering =
 
 (* Chunk framing is identical across versions; only the prefix differs
    (v1 has no feature word). Rewriting a v2 file's prefix to v1 therefore
-   produces exactly the bytes a pre-graph-events writer emitted. *)
+   produces exactly the bytes a version-1 writer emitted. *)
 let to_v1 data =
   let skip = Codec.magic_bytes + Codec.feature_bytes in
   let b = Buffer.create (String.length data - Codec.feature_bytes) in
@@ -254,8 +251,8 @@ let v1_prefix_pin () =
   Alcotest.(check string) "v2 magic+version" "DMMT\002" (String.sub s 0 5);
   Alcotest.(check int) "v2 feature word" Codec.supported_features (Codec.get_u32 s 5)
 
-(* A pre-PR-8 stream (no graph events, v1 prefix) decodes to the exact
-   entry sequence its v2 re-encoding does. *)
+(* A version-1 stream decodes to the exact entry sequence its v2
+   re-encoding does. *)
 let prop_v1_decodes_identically =
   QCheck.Test.make ~name:"version-1 streams decode identically" ~count:100
     (QCheck.make
@@ -263,7 +260,6 @@ let prop_v1_decodes_identically =
          Printf.sprintf "chunk_events=%d, %d events" chunk (List.length evs))
        QCheck.Gen.(pair (1 -- 64) gen_events))
     (fun (chunk_events, events) ->
-      let events = List.filter (fun e -> not (Event.is_graph e)) events in
       let data = encode ~chunk_events events in
       let v2 = decode_entries data in
       let v1 = decode_entries (to_v1 data) in
@@ -271,15 +267,40 @@ let prop_v1_decodes_identically =
       | Ok a, Ok b -> a = b
       | Error m, _ | _, Error m -> QCheck.Test.fail_reportf "decode failed: %s" m)
 
+(* Tags 8-10 and the JSONL kinds ptr_write, root_add and root_remove
+   were object-graph events. The format no longer has them, so a stream
+   that carries one, under either prefix, fails on one line like any
+   unknown tag or kind. The bytes are built by hand: one chunk holding
+   the event with the fields its writer gave it, then the trailer. *)
 let v1_rejects_graph_tags () =
-  (* A v1 prefix promises there are no graph tags; a stream that carries
-     one anyway is corrupt, not silently accepted. *)
-  let data = encode [ Event.Root_add { addr = 16 } ] in
-  match decode_entries (to_v1 data) with
-  | Ok _ -> Alcotest.fail "graph tag decoded under a v1 prefix"
-  | Error m ->
-    Alcotest.(check bool) (Printf.sprintf "error mentions the feature (%s)" m) true
-      (contains ~needle:"does not declare the graph feature" m)
+  let stream ~prefix tag =
+    let fields = if tag = 8 then [ 16; 0; -1; 32 ] else [ 16 ] in
+    let payload = Buffer.create 16 in
+    Buffer.add_char payload (Char.chr tag);
+    List.iter (Codec.add_varint payload) (0 :: fields);
+    let payload = Buffer.contents payload in
+    let len = String.length payload in
+    let b = Buffer.create 64 in
+    Buffer.add_string b prefix;
+    Codec.add_header b
+      { Codec.h_len = len; h_count = 1; h_first_clock = 0; h_crc = Codec.fnv32 payload 0 len };
+    Buffer.add_string b payload;
+    Codec.add_header b { Codec.h_len = 0; h_count = 0; h_first_clock = 1; h_crc = 0 };
+    Buffer.contents b
+  in
+  List.iter
+    (fun tag ->
+      List.iter
+        (fun (version, prefix) ->
+          Alcotest.(check (result int string))
+            (Printf.sprintf "%s, tag %d" version tag)
+            (Error (Printf.sprintf "unknown event tag %d" tag))
+            (Result.map List.length (decode_entries (stream ~prefix tag))))
+        [ ("v1", "DMMT\001"); ("v2", "DMMT\002\001\000\000\000") ])
+    [ 8; 9; 10 ];
+  Alcotest.(check (result int string)) "jsonl root_add"
+    (Error "line 1: unknown event kind \"root_add\"")
+    (Result.map List.length (decode_entries "{\"t\":0,\"ev\":\"root_add\",\"addr\":16}\n"))
 
 let unknown_feature_bits_rejected () =
   let b = Bytes.of_string (encode [ Event.Phase 1 ]) in
@@ -313,7 +334,7 @@ let forged_chunk_length () =
   (* Magic, version 2, feature word 0, then a chunk header claiming a
      1 GiB payload for one event, and no payload at all. *)
   let b = Buffer.create 32 in
-  Codec.add_magic ~features:0 b;
+  Buffer.add_string b "DMMT\002\000\000\000\000";
   Codec.add_header b { Codec.h_len = 1 lsl 30; h_count = 1; h_first_clock = 0; h_crc = 0 };
   let forged = Buffer.contents b in
   Alcotest.(check int) "29-byte file" 29 (String.length forged);

@@ -87,6 +87,20 @@ let check_hostile_sizes_complete () =
   Alcotest.(check int) "active back to zero" 0 (gauge_value registry "dmm_ingest_active_streams");
   Alcotest.(check int) "no errors" 0 (counter_value registry "dmm_ingest_errors_total")
 
+(* The object-graph kinds are gone from the format: a stream that still
+   carries one is a decode error that fails the stream, not an exception.
+   Both encodings raise the same [Parse_error] here; test_codec pins the
+   binary tags 8-10. *)
+let check_removed_kinds_fail () =
+  let registry = Registry.create () in
+  let ingest = Ingest.create registry in
+  let src = Stream.source_of_string ({|{"t":0,"ev":"root_add","addr":16}|} ^ "\n") in
+  (match Ingest.run_source ingest src with
+  | Ok _ -> Alcotest.fail "stream with a removed kind accepted"
+  | Error m -> Alcotest.(check string) "one-line error" {|line 1: unknown event kind "root_add"|} m);
+  Alcotest.(check int) "active back to zero" 0 (gauge_value registry "dmm_ingest_active_streams");
+  Alcotest.(check int) "one error" 1 (counter_value registry "dmm_ingest_errors_total")
+
 let check_observed_matches_plain () =
   let run f =
     let registry = Registry.create () in
@@ -310,7 +324,7 @@ let qcheck_hostile_values =
   in
   let event st =
     let f () = field st in
-    match QCheck.Gen.int_bound 10 st with
+    match QCheck.Gen.int_bound 7 st with
     | 0 -> Event.Alloc { payload = f (); gross = f (); tag = f (); addr = f () }
     | 1 -> Event.Free { payload = f (); addr = f () }
     | 2 -> Event.Split { addr = f (); parent = f (); taken = f (); remainder = f () }
@@ -318,10 +332,7 @@ let qcheck_hostile_values =
     | 4 -> Event.Phase (f ())
     | 5 -> Event.Sbrk { bytes = f (); brk = f () }
     | 6 -> Event.Trim { bytes = f (); brk = f () }
-    | 7 -> Event.Fit_scan { steps = f () }
-    | 8 -> Event.Ptr_write { src = f (); field = f (); old_dst = f (); new_dst = f () }
-    | 9 -> Event.Root_add { addr = f () }
-    | _ -> Event.Root_remove { addr = f () }
+    | _ -> Event.Fit_scan { steps = f () }
   in
   let binary events =
     Temp_file.with_written
@@ -346,7 +357,7 @@ let qcheck_hostile_values =
         | Ok s -> s.Ingest.report.Sanitizer.events = n
         | Error m -> QCheck.Test.fail_reportf "stream failed: %s" m
       in
-      let st = Sanitizer.start ~leaks:true () in
+      let st = Sanitizer.start () in
       List.iteri (fun clock event -> Sanitizer.feed st { Stream.clock; event }) events;
       let checked = Sanitizer.finalize st in
       let life = Lifetime_sink.create () in
@@ -365,6 +376,7 @@ let tests =
       Alcotest.test_case "mid-decode drops under concurrent shards" `Quick
         check_mid_decode_drop_concurrent;
       Alcotest.test_case "hostile sizes complete" `Quick check_hostile_sizes_complete;
+      Alcotest.test_case "removed graph kinds fail the stream" `Quick check_removed_kinds_fail;
       Alcotest.test_case "observed driver matches plain" `Quick check_observed_matches_plain;
       Alcotest.test_case "health gate flips and recovers" `Quick check_health_gate;
       Alcotest.test_case "slo validation" `Quick check_slo_validation;

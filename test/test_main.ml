@@ -40,7 +40,6 @@ let () =
       Test_render.tests;
       Test_breakdown.tests;
       Test_sanitizer.tests;
-      Test_oracle.tests;
       Test_profiler.tests;
       Test_phase_detect.tests;
       Test_energy.tests;

@@ -319,14 +319,7 @@ let test_event_field_sets () =
     (Obs_event.Trim { bytes = 4096; brk = 4096 })
     {|{"t":7,"ev":"trim","bytes":4096,"brk":4096}|};
   check_json "fit_scan" (Obs_event.Fit_scan { steps = 5 })
-    {|{"t":7,"ev":"fit_scan","steps":5}|};
-  check_json "ptr_write"
-    (Obs_event.Ptr_write { src = 32; field = 1; old_dst = -1; new_dst = 64 })
-    {|{"t":7,"ev":"ptr_write","src":32,"field":1,"old_dst":-1,"new_dst":64}|};
-  check_json "root_add" (Obs_event.Root_add { addr = 32 })
-    {|{"t":7,"ev":"root_add","addr":32}|};
-  check_json "root_remove" (Obs_event.Root_remove { addr = 32 })
-    {|{"t":7,"ev":"root_remove","addr":32}|}
+    {|{"t":7,"ev":"fit_scan","steps":5}|}
 
 let gen_event =
   let open QCheck.Gen in
@@ -348,13 +341,6 @@ let gen_event =
       map (fun (b, k) -> Obs_event.Sbrk { bytes = b; brk = k }) (pair nat nat);
       map (fun (b, k) -> Obs_event.Trim { bytes = b; brk = k }) (pair nat nat);
       map (fun s -> Obs_event.Fit_scan { steps = s }) nat;
-      (* -1 is the null pointer in graph events; keep it in range. *)
-      map
-        (fun ((s, f), (o, n)) ->
-          Obs_event.Ptr_write { src = s; field = f; old_dst = o - 1; new_dst = n - 1 })
-        (pair (pair nat nat) (pair nat nat));
-      map (fun a -> Obs_event.Root_add { addr = a }) nat;
-      map (fun a -> Obs_event.Root_remove { addr = a }) nat;
     ]
 
 let arb_event =

@@ -22,21 +22,6 @@ let check_recording_allocator () =
     Alcotest.fail "double free accepted"
   with Allocator.Invalid_free _ -> ()
 
-let check_wrap_forwards () =
-  let inner =
-    Dmm_core.Manager.allocator
-      (Dmm_core.Manager.create Dmm_core.Decision_vector.drr_custom
-         (Dmm_vmem.Address_space.create ()))
-  in
-  let wrapped, get = Recorder.wrap inner in
-  let x = Allocator.alloc wrapped 100 in
-  Allocator.free wrapped x;
-  let t = get () in
-  Alcotest.(check int) "events recorded" 2 (Trace.length t);
-  Alcotest.(check bool) "inner did the work" true
-    ((Allocator.stats inner).Dmm_core.Metrics.allocs = 1);
-  match Trace.validate t with Ok () -> () | Error m -> Alcotest.fail m
-
 let check_replay_reproduces () =
   (* Record a random workload, then replay it into another recorder: the
      second trace must be identical event for event. *)
@@ -57,6 +42,14 @@ let check_replay_reproduces () =
   Replay.run t1 b;
   let t2 = get2 () in
   Alcotest.(check bool) "identical traces" true (Trace.to_list t1 = Trace.to_list t2)
+
+(* An id near [max_int] cannot index the id table: the replay must refuse
+   the trace rather than loop trying to grow the table past it. *)
+let check_replay_huge_id () =
+  let t = Trace.of_list [ Event.Alloc { id = max_int; size = 8 } ] in
+  match Replay.run t (Dmm_workloads.Scenario.kingsley ()) with
+  | () -> Alcotest.fail "id max_int replayed"
+  | exception Invalid_argument _ -> ()
 
 let check_replay_footprint_deterministic () =
   let t = Dmm_workloads.Scenario.drr_trace () in
@@ -112,8 +105,8 @@ let tests =
   ( "recorder_replay",
     [
       Alcotest.test_case "recording allocator" `Quick check_recording_allocator;
-      Alcotest.test_case "wrap forwards" `Quick check_wrap_forwards;
       Alcotest.test_case "replay reproduces the trace" `Quick check_replay_reproduces;
+      Alcotest.test_case "replay refuses id max_int" `Quick check_replay_huge_id;
       Alcotest.test_case "replay footprint deterministic" `Quick check_replay_footprint_deterministic;
       Alcotest.test_case "footprint series" `Quick check_footprint_series;
       Alcotest.test_case "csv" `Quick check_csv;

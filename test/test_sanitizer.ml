@@ -32,8 +32,8 @@ let check_clean what diags =
   Alcotest.(check (list string)) (what ^ " is clean") [] (rules diags)
 
 (* One check over [entries], fed one at a time. *)
-let check ?design ?leaks entries =
-  let st = Sanitizer.start ?design ?leaks () in
+let check ?design entries =
+  let st = Sanitizer.start ?design () in
   List.iter (Sanitizer.feed st) entries;
   Sanitizer.finalize st
 

@@ -10,7 +10,6 @@ module Log_hist = Dmm_obs.Log_hist
 module Hist_sink = Dmm_obs.Hist_sink
 module Frag_sink = Dmm_obs.Frag_sink
 module Class_sink = Dmm_obs.Class_sink
-module Series_sink = Dmm_obs.Series_sink
 module Registry = Dmm_obs.Registry
 module Registry_sink = Dmm_obs.Registry_sink
 module Metrics = Dmm_core.Metrics
@@ -121,21 +120,6 @@ let unit_tests =
         | _ -> Alcotest.fail "kind clash not rejected");
         Registry.reset reg;
         Alcotest.(check int) "reset" 0 (Registry.value c));
-    Alcotest.test_case "series_sink points cached and iter agrees" `Quick (fun () ->
-        let s = Series_sink.create () in
-        for i = 0 to 999 do
-          Series_sink.on_event s (2 * i) (Obs_event.Sbrk { bytes = 8; brk = 8 * (i + 1) });
-          Series_sink.on_event s ((2 * i) + 1) (Obs_event.Trim { bytes = 4; brk = 0 })
-        done;
-        let l1 = Series_sink.points s in
-        let l2 = Series_sink.points s in
-        if not (l1 == l2) then Alcotest.fail "points not cached between records";
-        let via_iter = ref [] in
-        Series_sink.iter (fun p -> via_iter := p :: !via_iter) s;
-        Alcotest.(check int) "lengths" (List.length l1) (List.length !via_iter);
-        if List.rev !via_iter <> l1 then Alcotest.fail "iter disagrees with points";
-        Alcotest.(check int) "length" 2000 (Series_sink.length s);
-        Alcotest.(check int) "current" 4000 (Series_sink.current s));
     (* What keeps the registry sink cheap on the hot path: it publishes
        only every [flush_every] events and allocates nothing per event. *)
     Alcotest.test_case "registry sink publishes every 1024 events, allocation-free"
