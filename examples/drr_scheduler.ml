@@ -17,7 +17,7 @@ let () =
   (* 1. Simulate the router on one traffic trace, recording DM behaviour. *)
   let traffic = { Traffic.default_config with duration = 3.0 } in
   let packets = Traffic.generate traffic in
-  Format.printf "traffic: %d packets, %d bytes@." (List.length packets)
+  Format.printf "traffic: %d packets, %d bytes@." (Traffic.length packets)
     (Traffic.total_bytes packets);
 
   let recorder, get_trace = Dmm_trace.Recorder.recording_allocator () in

@@ -1,4 +1,5 @@
 module Allocator = Dmm_core.Allocator
+module Int_ring = Dmm_util.Int_ring
 
 type config = {
   quantum : int;
@@ -31,8 +32,6 @@ type stats = {
   checksum : int;
 }
 
-type queued = { buf : int; node : int; psize : int }
-
 (* Simulated per-packet processing (classification on ingress, checksum and
    copy-out on egress): real router work that dilutes the DM manager's share
    of the execution time, as in the paper's 10%-overhead observation. *)
@@ -43,39 +42,48 @@ let process_packet checksum size =
   done;
   !acc land 0x3FFFFFFF
 
+(* Per-flow state, one record per flow id allocated up front. A queued
+   packet is three consecutive ints of [queue]: its buffer's address, its
+   queue node's address and its size. *)
 type flow_state = {
-  id : int;
-  queue : queued Queue.t;
+  queue : Int_ring.t;
   mutable deficit : int;
   mutable active : bool; (* enqueued in the DRR active ring *)
+  mutable arrived : bool; (* saw a packet, admitted or dropped *)
   mutable sent_bytes : int;
   mutable backlog : int; (* queued payload bytes *)
 }
 
-let run ?(config = default_config) a packets =
+(* The simulated clock. A float record field is stored unboxed, so
+   advancing the clock allocates nothing, where a captured [float ref]
+   would box every update. *)
+type clock = { mutable now : float; mutable finish : float }
+
+let flow_count (packets : Traffic.t) =
+  Array.fold_left
+    (fun acc flow ->
+      if flow < 0 then invalid_arg "Drr.run: negative flow id";
+      max acc (flow + 1))
+    0 packets.flow_ids
+
+let run ?(config = default_config) a (packets : Traffic.t) =
   if config.quantum <= 0 || config.service_rate_mbps <= 0.0 || config.queue_node_bytes <= 0
   then invalid_arg "Drr.run: bad config";
-  let flows = Hashtbl.create 16 in
-  let flow_state id =
-    match Hashtbl.find_opt flows id with
-    | Some f -> f
-    | None ->
-      let f =
+  let n = Traffic.length packets in
+  let flows =
+    Array.init (flow_count packets) (fun _ ->
         {
-          id;
-          queue = Queue.create ();
+          queue = Int_ring.create ();
           deficit = 0;
           active = false;
+          arrived = false;
           sent_bytes = 0;
           backlog = 0;
-        }
-      in
-      Hashtbl.replace flows id f;
-      f
+        })
   in
-  let active : flow_state Queue.t = Queue.create () in
-  let arrivals = ref packets in
-  let sim_time = ref 0.0 in
+  let active = Int_ring.create () in
+  let next = ref 0 in
+  let clock = { now = 0.0; finish = 0.0 } in
   let backlog_bytes = ref 0 in
   let backlog_packets = ref 0 in
   let max_backlog_bytes = ref 0 in
@@ -85,28 +93,31 @@ let run ?(config = default_config) a packets =
   let packets_dropped = ref 0 in
   let packets_out = ref 0 in
   let bytes_out = ref 0 in
-  let finish_time = ref 0.0 in
   let bytes_per_sec = config.service_rate_mbps *. 1e6 /. 8.0 in
-  let enqueue (p : Traffic.packet) =
+  let over limit backlog size = match limit with Some l -> backlog + size > l | None -> false in
+  let enqueue i =
     incr packets_in;
-    let f = flow_state p.flow in
-    let over limit backlog = match limit with Some l -> backlog + p.size > l | None -> false in
-    let over_limit =
-      over config.flow_queue_limit f.backlog || over config.total_queue_limit !backlog_bytes
-    in
-    if over_limit then incr packets_dropped
+    let fid = packets.flow_ids.(i) and size = packets.sizes.(i) in
+    let f = flows.(fid) in
+    f.arrived <- true;
+    if
+      over config.flow_queue_limit f.backlog size
+      || over config.total_queue_limit !backlog_bytes size
+    then incr packets_dropped
     else begin
-      checksum := process_packet !checksum p.size;
-      let buf = Allocator.alloc a p.size in
+      checksum := process_packet !checksum size;
+      let buf = Allocator.alloc a size in
       let node = Allocator.alloc a config.queue_node_bytes in
-      Queue.add { buf; node; psize = p.size } f.queue;
-      f.backlog <- f.backlog + p.size;
+      Int_ring.push f.queue buf;
+      Int_ring.push f.queue node;
+      Int_ring.push f.queue size;
+      f.backlog <- f.backlog + size;
       if not f.active then begin
         f.active <- true;
         f.deficit <- 0;
-        Queue.add f active
+        Int_ring.push active fid
       end;
-      backlog_bytes := !backlog_bytes + p.size;
+      backlog_bytes := !backlog_bytes + size;
       incr backlog_packets;
       if !backlog_bytes > !max_backlog_bytes then max_backlog_bytes := !backlog_bytes;
       if !backlog_packets > !max_backlog_packets then
@@ -114,68 +125,60 @@ let run ?(config = default_config) a packets =
     end
   in
   (* Admit every packet that has arrived by the current simulated time. *)
-  let rec admit_due () =
-    match !arrivals with
-    | p :: rest when p.Traffic.arrival <= !sim_time ->
-      arrivals := rest;
-      enqueue p;
-      admit_due ()
-    | _ :: _ | [] -> ()
+  let admit_due () =
+    while !next < n && packets.arrivals.(!next) <= clock.now do
+      enqueue !next;
+      incr next
+    done
   in
-  let transmit f (q : queued) =
-    checksum := process_packet !checksum q.psize;
-    Allocator.free a q.buf;
-    Allocator.free a q.node;
-    f.sent_bytes <- f.sent_bytes + q.psize;
-    f.backlog <- f.backlog - q.psize;
+  (* Send the packet at the head of [f]'s queue. *)
+  let transmit f =
+    let buf = Int_ring.pop f.queue in
+    let node = Int_ring.pop f.queue in
+    let psize = Int_ring.pop f.queue in
+    f.deficit <- f.deficit - psize;
+    checksum := process_packet !checksum psize;
+    Allocator.free a buf;
+    Allocator.free a node;
+    f.sent_bytes <- f.sent_bytes + psize;
+    f.backlog <- f.backlog - psize;
     incr packets_out;
-    bytes_out := !bytes_out + q.psize;
-    backlog_bytes := !backlog_bytes - q.psize;
+    bytes_out := !bytes_out + psize;
+    backlog_bytes := !backlog_bytes - psize;
     decr backlog_packets;
-    sim_time := !sim_time +. (float_of_int q.psize /. bytes_per_sec);
-    finish_time := !sim_time;
+    clock.now <- clock.now +. (float_of_int psize /. bytes_per_sec);
+    clock.finish <- clock.now;
     admit_due ()
   in
-  (* One DRR service opportunity for the flow at the head of the ring. *)
+  (* One DRR service opportunity for the flow at the head of the ring:
+     it sends while its head packet fits the deficit, packets admitted
+     meanwhile included. *)
   let serve_turn () =
-    let f = Queue.pop active in
+    let fid = Int_ring.pop active in
+    let f = flows.(fid) in
     f.deficit <- f.deficit + config.quantum;
-    let rec drain () =
-      match Queue.peek_opt f.queue with
-      | Some q when q.psize <= f.deficit ->
-        ignore (Queue.pop f.queue);
-        f.deficit <- f.deficit - q.psize;
-        transmit f q;
-        drain ()
-      | Some _ | None -> ()
-    in
-    drain ();
-    if Queue.is_empty f.queue then begin
+    while (not (Int_ring.is_empty f.queue)) && Int_ring.peek f.queue 2 <= f.deficit do
+      transmit f
+    done;
+    if Int_ring.is_empty f.queue then begin
       f.active <- false;
       f.deficit <- 0
     end
-    else Queue.add f active
+    else Int_ring.push active fid
   in
-  let rec loop () =
-    if Queue.is_empty active then begin
-      match !arrivals with
-      | [] -> ()
-      | p :: _ ->
-        (* Idle server: jump to the next arrival. *)
-        sim_time := Float.max !sim_time p.Traffic.arrival;
-        admit_due ();
-        loop ()
+  while not (Int_ring.is_empty active && !next >= n) do
+    if Int_ring.is_empty active then begin
+      (* Idle server: jump to the next arrival. *)
+      clock.now <- Float.max clock.now packets.arrivals.(!next);
+      admit_due ()
     end
-    else begin
-      serve_turn ();
-      loop ()
-    end
-  in
-  loop ();
-  let per_flow_bytes =
-    Hashtbl.fold (fun id f acc -> (id, f.sent_bytes) :: acc) flows []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
+    else serve_turn ()
+  done;
+  let per_flow_bytes = ref [] in
+  for fid = Array.length flows - 1 downto 0 do
+    let f = flows.(fid) in
+    if f.arrived then per_flow_bytes := (fid, f.sent_bytes) :: !per_flow_bytes
+  done;
   {
     packets_in = !packets_in;
     packets_dropped = !packets_dropped;
@@ -183,8 +186,8 @@ let run ?(config = default_config) a packets =
     bytes_out = !bytes_out;
     max_backlog_bytes = !max_backlog_bytes;
     max_backlog_packets = !max_backlog_packets;
-    per_flow_bytes;
-    finish_time = !finish_time;
+    per_flow_bytes = !per_flow_bytes;
+    finish_time = clock.finish;
     checksum = !checksum;
   }
 

@@ -39,9 +39,14 @@ type stats = {
   checksum : int;  (** digest of the simulated per-packet processing *)
 }
 
-val run : ?config:config -> Dmm_core.Allocator.t -> Traffic.packet list -> stats
-(** Run the scheduler over the packet list (must be sorted by arrival, as
-    {!Traffic.generate} returns it), allocating every buffer and queue node
-    from the given manager. All memory is freed by the end of the run. *)
+val run : ?config:config -> Dmm_core.Allocator.t -> Traffic.t -> stats
+(** Run the scheduler over the packets (sorted by arrival, as
+    {!Traffic.generate} returns them), allocating every buffer and queue
+    node from the given manager. All memory is freed by the end of the
+    run. The flows live in an array indexed by flow id, each with its
+    queue as an int ring of (buffer, node, size) triples, and the active
+    flows in an int ring of ids, so the scheduler itself allocates
+    nothing per packet. Raises [Invalid_argument] on a bad config or a
+    negative flow id. *)
 
 val pp_stats : Format.formatter -> stats -> unit

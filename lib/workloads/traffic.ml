@@ -43,19 +43,24 @@ let dominant_sizes = [| 75; 95; 150; 190; 300; 380; 600; 760; 1200; 1500 |]
 
 let profile_of_flow flow = Dominant dominant_sizes.(flow mod Array.length dominant_sizes)
 
+(* The size mixes, hoisted so that a draw builds no array. *)
+let bulk_mix = [| (0.70, `Fixed 1500); (0.10, `Fixed 576); (0.05, `Fixed 40); (0.15, `Uniform) |]
+let interactive_mix = [| (0.55, `Fixed 40); (0.25, `Fixed 576); (0.05, `Fixed 1500); (0.15, `Uniform) |]
+let mixed_mix = [| (0.30, `Fixed 40); (0.25, `Fixed 576); (0.25, `Fixed 1500); (0.20, `Uniform) |]
+
 let rec packet_size rng = function
-  | Bulk ->
-    Prng.choose_weighted rng
-      [| (0.70, `Fixed 1500); (0.10, `Fixed 576); (0.05, `Fixed 40); (0.15, `Uniform) |]
-    |> (function `Fixed n -> n | `Uniform -> Prng.int_in rng 600 1500)
-  | Interactive ->
-    Prng.choose_weighted rng
-      [| (0.55, `Fixed 40); (0.25, `Fixed 576); (0.05, `Fixed 1500); (0.15, `Uniform) |]
-    |> (function `Fixed n -> n | `Uniform -> Prng.int_in rng 40 600)
-  | Mixed ->
-    Prng.choose_weighted rng
-      [| (0.30, `Fixed 40); (0.25, `Fixed 576); (0.25, `Fixed 1500); (0.20, `Uniform) |]
-    |> (function `Fixed n -> n | `Uniform -> Prng.int_in rng 40 1500)
+  | Bulk -> (
+    match Prng.choose_weighted rng bulk_mix with
+    | `Fixed n -> n
+    | `Uniform -> Prng.int_in rng 600 1500)
+  | Interactive -> (
+    match Prng.choose_weighted rng interactive_mix with
+    | `Fixed n -> n
+    | `Uniform -> Prng.int_in rng 40 600)
+  | Mixed -> (
+    match Prng.choose_weighted rng mixed_mix with
+    | `Fixed n -> n
+    | `Uniform -> Prng.int_in rng 40 1500)
   | Dominant d ->
     if Prng.bernoulli rng 0.85 then
       Prng.int_in rng (max 40 (d * 9 / 10)) (min 1500 (d * 11 / 10))
@@ -68,7 +73,38 @@ let pareto_with_mean rng ~shape ~mean =
   let xmin = mean *. (shape -. 1.0) /. shape in
   Float.min (5.0 *. mean) (Prng.pareto rng ~alpha:shape ~xmin)
 
-let generate_flow rng config flow =
+type t = { arrivals : float array; flow_ids : int array; sizes : int array }
+
+(* Packets as the flows emit them, flow after flow; grown by doubling. *)
+type builder = {
+  mutable b_arrivals : float array;
+  mutable b_flows : int array;
+  mutable b_sizes : int array;
+  mutable len : int;
+}
+
+let grow b =
+  let n = 2 * b.len in
+  let arrivals = Array.make n 0.0 and flows = Array.make n 0 and sizes = Array.make n 0 in
+  Array.blit b.b_arrivals 0 arrivals 0 b.len;
+  Array.blit b.b_flows 0 flows 0 b.len;
+  Array.blit b.b_sizes 0 sizes 0 b.len;
+  b.b_arrivals <- arrivals;
+  b.b_flows <- flows;
+  b.b_sizes <- sizes
+
+(* Inlined, so the arrival time reaches the float array unboxed. *)
+let[@inline] push b arrival flow size =
+  if b.len = Array.length b.b_flows then grow b;
+  b.b_arrivals.(b.len) <- arrival;
+  b.b_flows.(b.len) <- flow;
+  b.b_sizes.(b.len) <- size;
+  b.len <- b.len + 1
+
+(* One flow's on/off process, its packets in arrival order. The draws
+   come in a fixed order: per burst its length, then each packet's size
+   and gap, then the off gap. *)
+let generate_flow rng (config : config) flow b =
   let profile = profile_of_flow flow in
   let pkts_per_sec =
     (* During a burst, packets arrive at the flow rate over the mean size. *)
@@ -82,37 +118,62 @@ let generate_flow rng config flow =
     config.flow_rate_mbps *. 1e6 /. 8.0 /. mean_size
   in
   (* Stagger flow start so bursts of different profiles do not line up. *)
-  let start = float_of_int flow *. config.mean_off /. float_of_int (max 1 config.flows) in
-  let rec go time acc =
-    if time >= config.duration then acc
-    else begin
-      let burst_len = pareto_with_mean rng ~shape:config.on_shape ~mean:config.mean_on in
-      let burst_end = Float.min config.duration (time +. burst_len) in
-      let rec emit t acc =
-        if t >= burst_end then (t, acc)
-        else
-          let size = packet_size rng profile in
-          let gap = Prng.exponential rng pkts_per_sec in
-          emit (t +. gap) ({ arrival = t; flow; size } :: acc)
-      in
-      let _, acc = emit time acc in
-      let gap = pareto_with_mean rng ~shape:config.on_shape ~mean:config.mean_off in
-      go (burst_end +. gap) acc
-    end
-  in
-  go start []
+  let time = ref (float_of_int flow *. config.mean_off /. float_of_int (max 1 config.flows)) in
+  while !time < config.duration do
+    let burst_len = pareto_with_mean rng ~shape:config.on_shape ~mean:config.mean_on in
+    let burst_end = Float.min config.duration (!time +. burst_len) in
+    let t = ref !time in
+    while !t < burst_end do
+      let size = packet_size rng profile in
+      let gap = Prng.exponential rng pkts_per_sec in
+      push b !t flow size;
+      t := !t +. gap
+    done;
+    let gap = pareto_with_mean rng ~shape:config.on_shape ~mean:config.mean_off in
+    time := burst_end +. gap
+  done
 
 let generate config =
   if config.flows <= 0 || config.duration <= 0.0 then
     invalid_arg "Traffic.generate: bad config";
   let rng = Prng.create config.seed in
-  let all =
-    List.concat_map
-      (fun flow -> generate_flow (Prng.split rng) config flow)
-      (List.init config.flows Fun.id)
+  let b =
+    { b_arrivals = Array.make 1024 0.0; b_flows = Array.make 1024 0; b_sizes = Array.make 1024 0; len = 0 }
   in
-  List.sort (fun p1 p2 -> compare p1.arrival p2.arrival) all
+  let starts = Array.make (config.flows + 1) 0 in
+  for flow = 0 to config.flows - 1 do
+    generate_flow (Prng.split rng) config flow b;
+    starts.(flow + 1) <- b.len
+  done;
+  (* Merge by arrival with the tie order the packets have always had:
+     a stable sort of the flows' lists concatenated, each list newest
+     first. So the index array starts as each flow's packets reversed,
+     flow after flow, and one stable sort on arrival orders it. *)
+  let order = Array.make b.len 0 in
+  for flow = 0 to config.flows - 1 do
+    let first = starts.(flow) and stop = starts.(flow + 1) in
+    for k = first to stop - 1 do
+      order.(k) <- first + stop - 1 - k
+    done
+  done;
+  let arrivals = b.b_arrivals in
+  Array.stable_sort (fun i j -> Float.compare arrivals.(i) arrivals.(j)) order;
+  let n = b.len in
+  let t = { arrivals = Array.make n 0.0; flow_ids = Array.make n 0; sizes = Array.make n 0 } in
+  for k = 0 to n - 1 do
+    let i = order.(k) in
+    t.arrivals.(k) <- arrivals.(i);
+    t.flow_ids.(k) <- b.b_flows.(i);
+    t.sizes.(k) <- b.b_sizes.(i)
+  done;
+  t
 
-let total_bytes packets = List.fold_left (fun acc p -> acc + p.size) 0 packets
+let length t = Array.length t.sizes
+
+let to_list t =
+  List.init (length t) (fun i ->
+      { arrival = t.arrivals.(i); flow = t.flow_ids.(i); size = t.sizes.(i) })
+
+let total_bytes t = Array.fold_left ( + ) 0 t.sizes
 
 let pp_packet ppf p = Format.fprintf ppf "%.6fs flow=%d %dB" p.arrival p.flow p.size

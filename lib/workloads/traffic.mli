@@ -9,6 +9,7 @@
     separates the managers of Table 1. Deterministic given the seed. *)
 
 type packet = { arrival : float; (** seconds *) flow : int; size : int (** bytes *) }
+(** One packet of the list view, {!to_list}. *)
 
 type profile =
   | Bulk  (** mostly 1500-byte segments *)
@@ -44,9 +45,32 @@ val packet_size : Dmm_util.Prng.t -> profile -> int
 (** One packet size draw: trimodal 40/576/1500 plus a uniform component,
     weighted by profile. *)
 
-val generate : config -> packet list
-(** Packets of all flows merged in arrival order. *)
+type t = {
+  arrivals : float array;  (** seconds, non-decreasing *)
+  flow_ids : int array;  (** in [\[0, flows)] *)
+  sizes : int array;  (** bytes *)
+}
+(** Packets of all flows merged in arrival order, one flat array per
+    field: packet [i] arrives at [arrivals.(i)] on flow [flow_ids.(i)]
+    with [sizes.(i)] bytes. The three arrays have the same length. *)
 
-val total_bytes : packet list -> int
+val generate : config -> t
+(** Generates each flow's on/off process in flow order, each from its own
+    {!Dmm_util.Prng.split} of the seed's generator, into flat arrays, and
+    merges them by arrival with one stable index sort. Packets that
+    arrive at the same instant keep the order of a stable sort of the
+    flows' packet lists concatenated, each newest first: the lower flow
+    first, and within a flow the later packet first. Allocates no block
+    per packet. Raises [Invalid_argument] on a config with no flows or
+    no duration. *)
+
+val length : t -> int
+(** Number of packets. *)
+
+val to_list : t -> packet list
+(** The packets as a list of records, in order: a view for tests and
+    examples; the simulation reads the arrays. *)
+
+val total_bytes : t -> int
 
 val pp_packet : Format.formatter -> packet -> unit

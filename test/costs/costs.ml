@@ -17,6 +17,11 @@
    pipeline ([Ingest.run_source]: sanitizer, registry, histogram and
    lifetime sinks). Their difference is what the pipeline allocates.
 
+   Last, the generators: per case study, the events of its quick seed-42
+   trace, the words the finished trace holds ([Obj.reachable_words]) in
+   all and per event, and the minor words of generating it (the
+   simulated application, the recorder and the trace together).
+
    On one domain every figure is deterministic, so [dune runtest] diffs
    this output against the committed costs.expected: a slower search or a
    new per-event allocation changes a cell, whatever the host's speed.
@@ -129,3 +134,22 @@ let () =
       row "decode" (fun src -> Stream.iter_source src ~f:ignore);
       row "run_source" (Ingest.run_source ctx))
     [ ("Kingsley-Windows", Scenario.kingsley); ("Lea-Linux", Scenario.lea) ]
+
+let () =
+  Printf.printf "\n%-24s %-18s %7s %9s %6s %11s\n" "generate" "stage" "events" "resident" "per_ev"
+    "minor_words";
+  List.iter
+    (fun (wname, generate) ->
+      let w0 = Gc.minor_words () in
+      let trace = generate 42 in
+      let minor = Gc.minor_words () -. w0 in
+      let events = Trace.length trace in
+      let resident = Obj.reachable_words (Obj.repr trace) in
+      Printf.printf "%-24s %-18s %7d %9d %6.2f %11.0f\n" wname "trace" events resident
+        (float_of_int resident /. float_of_int events)
+        minor)
+    [
+      ("DRR scheduler", Experiments.drr_trace_seed);
+      ("3D image reconstruction", Experiments.reconstruct_trace_seed);
+      ("3D scalable rendering", Experiments.render_trace_seed);
+    ]

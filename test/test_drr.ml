@@ -16,7 +16,7 @@ let check_conservation () =
   Alcotest.(check int) "in = out + dropped" stats.Drr.packets_in
     (stats.Drr.packets_out + stats.Drr.packets_dropped);
   Alcotest.(check int) "nothing dropped without limits" 0 stats.Drr.packets_dropped;
-  Alcotest.(check int) "all packets arrived" (List.length packets) stats.Drr.packets_in
+  Alcotest.(check int) "all packets arrived" (Traffic.length packets) stats.Drr.packets_in
 
 let check_all_memory_freed () =
   let _, trace, a = run_with_recorder packets in
@@ -119,6 +119,188 @@ let check_quantum_respected () =
   let stats, _, _ = run_with_recorder ~config packets in
   Alcotest.(check int) "everything delivered" stats.Drr.packets_in stats.Drr.packets_out
 
+(* The [Queue]/[Hashtbl] scheduler the flat one replaced, kept as its
+   model: it reads the list view of the packets. *)
+module Model = struct
+  type queued = { buf : int; node : int; psize : int }
+
+  type flow_state = {
+    queue : queued Queue.t;
+    mutable deficit : int;
+    mutable active : bool;
+    mutable sent_bytes : int;
+    mutable backlog : int;
+  }
+
+  let run (config : Drr.config) a (packets : Traffic.packet list) =
+    let flows = Hashtbl.create 16 in
+    let flow_state id =
+      match Hashtbl.find_opt flows id with
+      | Some f -> f
+      | None ->
+        let f = { queue = Queue.create (); deficit = 0; active = false; sent_bytes = 0; backlog = 0 } in
+        Hashtbl.replace flows id f;
+        f
+    in
+    let active : flow_state Queue.t = Queue.create () in
+    let arrivals = ref packets in
+    let sim_time = ref 0.0 in
+    let backlog_bytes = ref 0 and backlog_packets = ref 0 in
+    let max_backlog_bytes = ref 0 and max_backlog_packets = ref 0 in
+    let checksum = ref 0 and packets_in = ref 0 and packets_dropped = ref 0 in
+    let packets_out = ref 0 and bytes_out = ref 0 and finish_time = ref 0.0 in
+    let bytes_per_sec = config.service_rate_mbps *. 1e6 /. 8.0 in
+    let process checksum size =
+      let acc = ref checksum in
+      for i = 1 to size do
+        acc := (!acc * 31) + i
+      done;
+      !acc land 0x3FFFFFFF
+    in
+    let enqueue (p : Traffic.packet) =
+      incr packets_in;
+      let f = flow_state p.flow in
+      let over limit backlog = match limit with Some l -> backlog + p.size > l | None -> false in
+      if over config.flow_queue_limit f.backlog || over config.total_queue_limit !backlog_bytes
+      then incr packets_dropped
+      else begin
+        checksum := process !checksum p.size;
+        let buf = Allocator.alloc a p.size in
+        let node = Allocator.alloc a config.queue_node_bytes in
+        Queue.add { buf; node; psize = p.size } f.queue;
+        f.backlog <- f.backlog + p.size;
+        if not f.active then begin
+          f.active <- true;
+          f.deficit <- 0;
+          Queue.add f active
+        end;
+        backlog_bytes := !backlog_bytes + p.size;
+        incr backlog_packets;
+        if !backlog_bytes > !max_backlog_bytes then max_backlog_bytes := !backlog_bytes;
+        if !backlog_packets > !max_backlog_packets then max_backlog_packets := !backlog_packets
+      end
+    in
+    let rec admit_due () =
+      match !arrivals with
+      | p :: rest when p.Traffic.arrival <= !sim_time ->
+        arrivals := rest;
+        enqueue p;
+        admit_due ()
+      | _ :: _ | [] -> ()
+    in
+    let transmit f q =
+      checksum := process !checksum q.psize;
+      Allocator.free a q.buf;
+      Allocator.free a q.node;
+      f.sent_bytes <- f.sent_bytes + q.psize;
+      f.backlog <- f.backlog - q.psize;
+      incr packets_out;
+      bytes_out := !bytes_out + q.psize;
+      backlog_bytes := !backlog_bytes - q.psize;
+      decr backlog_packets;
+      sim_time := !sim_time +. (float_of_int q.psize /. bytes_per_sec);
+      finish_time := !sim_time;
+      admit_due ()
+    in
+    let serve_turn () =
+      let f = Queue.pop active in
+      f.deficit <- f.deficit + config.quantum;
+      let rec drain () =
+        match Queue.peek_opt f.queue with
+        | Some q when q.psize <= f.deficit ->
+          ignore (Queue.pop f.queue);
+          f.deficit <- f.deficit - q.psize;
+          transmit f q;
+          drain ()
+        | Some _ | None -> ()
+      in
+      drain ();
+      if Queue.is_empty f.queue then begin
+        f.active <- false;
+        f.deficit <- 0
+      end
+      else Queue.add f active
+    in
+    let rec loop () =
+      if Queue.is_empty active then begin
+        match !arrivals with
+        | [] -> ()
+        | p :: _ ->
+          sim_time := Float.max !sim_time p.Traffic.arrival;
+          admit_due ();
+          loop ()
+      end
+      else begin
+        serve_turn ();
+        loop ()
+      end
+    in
+    loop ();
+    let per_flow_bytes =
+      Hashtbl.fold (fun id f acc -> (id, f.sent_bytes) :: acc) flows []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+    in
+    {
+      Drr.packets_in = !packets_in;
+      packets_dropped = !packets_dropped;
+      packets_out = !packets_out;
+      bytes_out = !bytes_out;
+      max_backlog_bytes = !max_backlog_bytes;
+      max_backlog_packets = !max_backlog_packets;
+      per_flow_bytes;
+      finish_time = !finish_time;
+      checksum = !checksum;
+    }
+end
+
+(* Keep only the packets of the flows [keep] accepts: the flow ids then
+   have gaps, and a flow below the highest id may see no packet. *)
+let filter_flows keep (p : Traffic.t) =
+  let idx = List.filter (fun i -> keep p.flow_ids.(i)) (List.init (Traffic.length p) Fun.id) in
+  let pick a = Array.of_list (List.map (fun i -> a.(i)) idx) in
+  {
+    Traffic.arrivals = Array.of_list (List.map (fun i -> p.arrivals.(i)) idx);
+    flow_ids = pick p.flow_ids;
+    sizes = pick p.sizes;
+  }
+
+let gen_case =
+  QCheck.Gen.(
+    let limit bound = opt (int_range 1500 bound) in
+    map
+      (fun ((seed, flows, duration), (quantum, flow_limit, total_limit), mask) ->
+        ( { Traffic.default_config with seed; flows; duration },
+          {
+            Drr.default_config with
+            quantum;
+            flow_queue_limit = flow_limit;
+            total_queue_limit = total_limit;
+          },
+          mask ))
+      (triple
+         (triple int (int_range 1 8) (float_range 0.05 0.6))
+         (triple (oneof [ int_range 1 200; int_range 200 3000 ]) (limit 20000) (limit 60000))
+         (int_bound 255)))
+
+let show_case ((t : Traffic.config), (d : Drr.config), mask) =
+  let opt = function Some l -> string_of_int l | None -> "none" in
+  Printf.sprintf "seed=%d flows=%d duration=%h quantum=%d flow_limit=%s total_limit=%s mask=%d"
+    t.seed t.flows t.duration d.quantum (opt d.flow_queue_limit) (opt d.total_queue_limit) mask
+
+let prop_matches_queue_model =
+  QCheck.Test.make ~name:"flat scheduler matches the Queue model" ~count:120
+    (QCheck.make ~print:show_case gen_case)
+    (fun (traffic, config, mask) ->
+      (* Bit [f] of [mask] drops flow [f]'s packets (flow 0 always stays). *)
+      let packets =
+        filter_flows (fun f -> f = 0 || mask land (1 lsl f) = 0) (Traffic.generate traffic)
+      in
+      let a, get = Recorder.recording_allocator () in
+      let stats = Drr.run ~config a packets in
+      let b, get_model = Recorder.recording_allocator () in
+      let model = Model.run config b (Traffic.to_list packets) in
+      stats = model && Trace.to_list (get ()) = Trace.to_list (get_model ()))
+
 let tests =
   ( "drr",
     [
@@ -134,4 +316,5 @@ let tests =
       Alcotest.test_case "quantum respected" `Quick check_quantum_respected;
       Alcotest.test_case "deficit accumulates across rounds" `Quick check_deficit_accumulates;
       Alcotest.test_case "combined queue limits" `Quick check_combined_limits;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) prop_matches_queue_model;
     ] )

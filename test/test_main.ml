@@ -9,6 +9,7 @@ let () =
       Test_histogram.tests;
       Test_int_table.tests;
       Test_int_treap.tests;
+      Test_int_ring.tests;
       Test_size.tests;
       Test_address_space.tests;
       Test_decision.tests;
