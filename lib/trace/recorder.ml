@@ -19,7 +19,7 @@ let recording_allocator () =
       sizes := grown
     end;
     !sizes.(id) <- size;
-    Trace.add trace (Event.Alloc { id; size });
+    Trace.add_alloc trace ~id ~size;
     Metrics.on_alloc metrics ~payload:size ~gross:size ~tag:0 ~addr:id;
     id
   in
@@ -27,7 +27,7 @@ let recording_allocator () =
     let size = if id > 0 && id < Array.length !sizes then !sizes.(id) else 0 in
     if size = 0 then raise (Allocator.Invalid_free id);
     !sizes.(id) <- 0;
-    Trace.add trace (Event.Free { id });
+    Trace.add_free trace id;
     Metrics.on_free metrics ~payload:size ~addr:id
   in
   let t =
@@ -35,7 +35,7 @@ let recording_allocator () =
       Allocator.name = "recorder";
       alloc;
       free;
-      phase = (fun p -> Trace.add trace (Event.Phase p));
+      phase = Trace.add_phase trace;
       current_footprint = (fun () -> Metrics.live_payload metrics);
       max_footprint = (fun () -> (Metrics.snapshot metrics).peak_live_payload);
       stats = (fun () -> Metrics.snapshot metrics);
@@ -51,4 +51,7 @@ let recording_allocator () =
           });
     }
   in
-  (t, fun () -> trace)
+  (t,
+   fun () ->
+     Trace.trim trace;
+     trace)

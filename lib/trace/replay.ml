@@ -30,10 +30,12 @@ let run ?(probe = Probe.null) ?on_event ?(live_hint = 256) trace a =
      replay and the per-event observer test compiles down to a register
      check instead of a load+branch on the probe record. *)
   let observed = not (Probe.is_empty probe) in
-  let step event =
-    match event with
-    | Event.Alloc { id; size } -> id_map_set addrs id (Allocator.alloc a size)
-    | Event.Free { id } ->
+  (* Event [i] straight from the trace's flat arrays: no event is built. *)
+  let step i =
+    let id = Trace.id trace i in
+    match Trace.kind trace i with
+    | Trace.Alloc -> id_map_set addrs id (Allocator.alloc a (Trace.size trace i))
+    | Trace.Free ->
       let addr =
         if id < 0 || id >= Array.length addrs.addrs then -1 else addrs.addrs.(id)
       in
@@ -43,21 +45,24 @@ let run ?(probe = Probe.null) ?on_event ?(live_hint = 256) trace a =
         addrs.addrs.(id) <- -1;
         Allocator.free a addr
       end
-    | Event.Phase p ->
+    | Trace.Phase ->
       (* The replay driver owns phase markers: managers never re-emit
          them, so each one appears exactly once in the stream. *)
-      if observed then Probe.emit probe (Obs_event.Phase p);
-      Allocator.phase a p
+      if observed then Probe.emit probe (Obs_event.Phase id);
+      Allocator.phase a id
   in
+  let n = Trace.length trace in
   (* Hoist the observer dispatch out of the per-event loop. *)
   match on_event with
-  | None -> Trace.iteri (fun _ event -> step event) trace
+  | None ->
+    for i = 0 to n - 1 do
+      step i
+    done
   | Some f ->
-    Trace.iteri
-      (fun i event ->
-        step event;
-        f i a)
-      trace
+    for i = 0 to n - 1 do
+      step i;
+      f i a
+    done
 
 let max_footprint_of trace a =
   run trace a;

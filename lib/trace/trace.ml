@@ -1,31 +1,92 @@
-type t = { mutable events : Event.t array; mutable len : int }
+(* One event is one kind byte plus an int in [ids] and an int in [sizes]:
+   an allocation is (alloc, id, size), a free (free, id, 0) and a phase
+   marker (phase, phase number, 0). The kind keeps a byte of its own so
+   that ids and sizes hold the whole int range. The arrays have the same
+   capacity; events [0, len) are recorded. *)
+type t = {
+  mutable kinds : Bytes.t;
+  mutable ids : int array;
+  mutable sizes : int array;
+  mutable len : int;
+}
+
+type kind = Alloc | Free | Phase
+
+let alloc_code = '\000'
+let free_code = '\001'
+let phase_code = '\002'
 
 let create ?(capacity = 1024) () =
-  { events = Array.make (max 1 capacity) (Event.Phase 0); len = 0 }
+  let n = max 1 capacity in
+  { kinds = Bytes.make n alloc_code; ids = Array.make n 0; sizes = Array.make n 0; len = 0 }
 
-let add t e =
-  if t.len = Array.length t.events then begin
-    let bigger = Array.make (2 * t.len) (Event.Phase 0) in
-    Array.blit t.events 0 bigger 0 t.len;
-    t.events <- bigger
-  end;
-  t.events.(t.len) <- e;
+let resize t n =
+  let kinds = Bytes.make n alloc_code and ids = Array.make n 0 and sizes = Array.make n 0 in
+  Bytes.blit t.kinds 0 kinds 0 t.len;
+  Array.blit t.ids 0 ids 0 t.len;
+  Array.blit t.sizes 0 sizes 0 t.len;
+  t.kinds <- kinds;
+  t.ids <- ids;
+  t.sizes <- sizes
+
+let[@inline] push t code id size =
+  if t.len = Array.length t.ids then resize t (max 16 (2 * t.len));
+  Bytes.unsafe_set t.kinds t.len code;
+  Array.unsafe_set t.ids t.len id;
+  Array.unsafe_set t.sizes t.len size;
   t.len <- t.len + 1
+
+let add_alloc t ~id ~size = push t alloc_code id size
+let add_free t id = push t free_code id 0
+let add_phase t p = push t phase_code p 0
+
+let add t = function
+  | Event.Alloc { id; size } -> add_alloc t ~id ~size
+  | Event.Free { id } -> add_free t id
+  | Event.Phase p -> add_phase t p
+
+let trim t = if Array.length t.ids > t.len then resize t (max 1 t.len)
 
 let length t = t.len
 
+(* [i] is in [0, len), so the unchecked reads stay inside the arrays. *)
+let[@inline] unsafe_kind t i =
+  match Bytes.unsafe_get t.kinds i with '\000' -> Alloc | '\001' -> Free | _ -> Phase
+
+let[@inline] check t i =
+  if i < 0 || i >= t.len then invalid_arg "Trace: event index out of bounds"
+
+let[@inline] kind t i =
+  check t i;
+  unsafe_kind t i
+
+let[@inline] id t i =
+  check t i;
+  Array.unsafe_get t.ids i
+
+let[@inline] size t i =
+  check t i;
+  Array.unsafe_get t.sizes i
+
+let unsafe_get t i =
+  let id = Array.unsafe_get t.ids i in
+  match unsafe_kind t i with
+  | Alloc -> Event.Alloc { id; size = Array.unsafe_get t.sizes i }
+  | Free -> Event.Free { id }
+  | Phase -> Event.Phase id
+
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Trace.get: index out of bounds";
-  t.events.(i)
+  unsafe_get t i
 
 let iter f t =
   for i = 0 to t.len - 1 do
-    f t.events.(i)
+    f (unsafe_get t i)
   done
 
 let iteri f t =
   for i = 0 to t.len - 1 do
-    f i t.events.(i)
+    f i (unsafe_get t i)
   done
 
 let of_list events =
@@ -33,7 +94,7 @@ let of_list events =
   List.iter (add t) events;
   t
 
-let to_list t = List.init t.len (fun i -> t.events.(i))
+let to_list t = List.init t.len (unsafe_get t)
 
 let interleave ?(seed = 0) sources =
   let rng = Dmm_util.Prng.create seed in
@@ -90,51 +151,55 @@ let interleave ?(seed = 0) sources =
   go total;
   out
 
+(* Ids of a valid trace lie in [0, len], so the state of every id fits
+   a byte map of that size: 0 never allocated, 1 live, 2 freed. An id
+   outside the map was never allocated, so freeing it is an error. *)
 let validate t =
-  let seen = Hashtbl.create 256 in
-  let live = Hashtbl.create 256 in
+  let state = Bytes.make (t.len + 1) '\000' in
+  let state_of id = if id < 0 || id > t.len then '\000' else Bytes.get state id in
   let rec go i =
     if i >= t.len then Ok ()
     else
-      match t.events.(i) with
-      | Event.Alloc { id; size } ->
-        if size <= 0 then Error (Printf.sprintf "event %d: non-positive size" i)
+      let id = t.ids.(i) in
+      match unsafe_kind t i with
+      | Alloc ->
+        if t.sizes.(i) <= 0 then Error (Printf.sprintf "event %d: non-positive size" i)
         else if id < 0 || id > t.len then
           Error (Printf.sprintf "event %d: id %d out of range" i id)
-        else if Hashtbl.mem seen id then
+        else if state_of id <> '\000' then
           Error (Printf.sprintf "event %d: id %d allocated twice" i id)
         else begin
-          Hashtbl.replace seen id ();
-          Hashtbl.replace live id ();
+          Bytes.set state id '\001';
           go (i + 1)
         end
-      | Event.Free { id } ->
-        if not (Hashtbl.mem live id) then
+      | Free ->
+        if state_of id <> '\001' then
           Error (Printf.sprintf "event %d: free of non-live id %d" i id)
         else begin
-          Hashtbl.remove live id;
+          Bytes.set state id '\002';
           go (i + 1)
         end
-      | Event.Phase _ -> go (i + 1)
+      | Phase -> go (i + 1)
   in
   go 0
 
 (* Ids are dense small integers, so the live set is a byte per id, grown
-   like [Replay]'s id map. Re-allocating a live id and freeing a non-live
+   like [Replay]'s id map: straight to [id + 1] when doubling falls
+   short. Doubling until past [id] would wrap for an id near [max_int]
+   and never end; here such an id makes the size wrap negative (the
+   store then raises) or asks for more than a [Bytes.t] holds
+   ([Bytes.make] raises). Re-allocating a live id and freeing a non-live
    one change nothing. *)
 let peak_live_count t =
   let live = ref (Bytes.make 16 '\000') in
   let count = ref 0 and peak = ref 0 in
   for i = 0 to t.len - 1 do
-    match t.events.(i) with
-    | Event.Alloc { id; _ } ->
+    let id = t.ids.(i) in
+    match unsafe_kind t i with
+    | Alloc ->
       let n = Bytes.length !live in
       if id >= n then begin
-        let cap = ref (2 * n) in
-        while !cap <= id do
-          cap := !cap * 2
-        done;
-        let grown = Bytes.make !cap '\000' in
+        let grown = Bytes.make (max (2 * n) (id + 1)) '\000' in
         Bytes.blit !live 0 grown 0 n;
         live := grown
       end;
@@ -143,34 +208,34 @@ let peak_live_count t =
         incr count;
         if !count > !peak then peak := !count
       end
-    | Event.Free { id } ->
+    | Free ->
       if id < Bytes.length !live && Bytes.get !live id <> '\000' then begin
         Bytes.set !live id '\000';
         decr count
       end
-    | Event.Phase _ -> ()
+    | Phase -> ()
   done;
   !peak
 
 let live_at_end t =
   let live = Hashtbl.create 256 in
-  iter
-    (function
-      | Event.Alloc { id; _ } -> Hashtbl.replace live id ()
-      | Event.Free { id } -> Hashtbl.remove live id
-      | Event.Phase _ -> ())
-    t;
+  for i = 0 to t.len - 1 do
+    match unsafe_kind t i with
+    | Alloc -> Hashtbl.replace live t.ids.(i) ()
+    | Free -> Hashtbl.remove live t.ids.(i)
+    | Phase -> ()
+  done;
   Hashtbl.length live
 
-let alloc_count t =
+let count_kind t code =
   let n = ref 0 in
-  iter (function Event.Alloc _ -> incr n | Event.Free _ | Event.Phase _ -> ()) t;
+  for i = 0 to t.len - 1 do
+    if Bytes.unsafe_get t.kinds i = code then incr n
+  done;
   !n
 
-let free_count t =
-  let n = ref 0 in
-  iter (function Event.Free _ -> incr n | Event.Alloc _ | Event.Phase _ -> ()) t;
-  !n
+let alloc_count t = count_kind t alloc_code
+let free_count t = count_kind t free_code
 
 let save t path =
   let oc = open_out path in

@@ -1,19 +1,61 @@
 (** Allocation traces: growable event sequences with validation and a
-    plain-text on-disk format. *)
+    plain-text on-disk format.
+
+    A trace is stored flat: one kind byte per event, plus an [int] array
+    of ids and an [int] array of sizes. An allocation is its id and size,
+    a free its id, a phase marker its phase number in the id array. The
+    kind has a byte of its own, so ids and sizes hold the whole [int]
+    range, and a trace holds about 2.1 words per event. The hot readers
+    ({!Replay.run}, {!Profile_builder.of_trace}, {!peak_live_count},
+    {!validate}) read the arrays through {!kind}, {!id} and {!size} and
+    allocate nothing per event; the writers a generator uses
+    ({!add_alloc}, {!add_free}, {!add_phase}) allocate only when the
+    arrays double. The {!Event.t} functions build one event per call,
+    for the callers off the hot path. *)
 
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] pre-sizes the backing array (default 1024); the trace still
-    grows on demand past it. *)
+(** [capacity] pre-sizes the backing arrays (default 1024); the trace
+    still grows on demand past it. *)
 
 val add : t -> Event.t -> unit
+val add_alloc : t -> id:int -> size:int -> unit
+val add_free : t -> int -> unit
+
+val add_phase : t -> int -> unit
+(** [add_alloc], [add_free] and [add_phase] append the event that {!add}
+    would, without building it. *)
+
+val trim : t -> unit
+(** Shrink the backing arrays to {!length}, dropping the spare capacity
+    that doubling left. Adding later grows them again. *)
+
 val length : t -> int
+
 val get : t -> int -> Event.t
+(** Raises [Invalid_argument] unless the index is in [\[0, length t)]. *)
+
 val iter : (Event.t -> unit) -> t -> unit
 val iteri : (int -> Event.t -> unit) -> t -> unit
 val of_list : Event.t list -> t
 val to_list : t -> Event.t list
+
+(** {2 Flat reads}
+
+    Event [i] without building it. Each raises [Invalid_argument] unless
+    [i] is in [\[0, length t)]. *)
+
+type kind = Alloc | Free | Phase
+
+val kind : t -> int -> kind
+
+val id : t -> int -> int
+(** The block id of an allocation or a free, the phase number of a phase
+    marker. *)
+
+val size : t -> int -> int
+(** The size of an allocation; 0 for a free or a phase marker. *)
 
 val interleave : ?seed:int -> t list -> t
 (** Merge traces as concurrently running applications (the paper's other
@@ -34,8 +76,11 @@ val validate : t -> (unit, string) result
 val peak_live_count : t -> int
 (** Maximum number of simultaneously live ids anywhere in the trace — the
     natural pre-size for replay and manager registries. Allocating a live
-    id again and freeing a non-live id change nothing; a negative id
-    raises [Invalid_argument] ({!validate} rejects it). *)
+    id again and freeing a non-live id change nothing. The live set is a
+    byte per id up to the largest allocated id, so the trace's ids should
+    be dense, as every generator's are: a negative id, or an id too large
+    for a [Bytes.t] (from [Sys.max_string_length] up to [max_int]),
+    raises [Invalid_argument] ({!validate} rejects both). *)
 
 val live_at_end : t -> int
 (** Number of blocks never freed. *)

@@ -186,6 +186,159 @@ let prop_mutated_traces =
           | Error msg ->
             String.starts_with ~prefix:(path ^ ": ") msg && not (String.contains msg '\n')))
 
+(* The [Hashtbl] code the flat trace replaced, kept as its model: each
+   function reads the event list. *)
+module Model = struct
+  let validate events =
+    let len = List.length events in
+    let seen = Hashtbl.create 256 and live = Hashtbl.create 256 in
+    let rec go i = function
+      | [] -> Ok ()
+      | Event.Alloc { id; size } :: rest ->
+        if size <= 0 then Error (Printf.sprintf "event %d: non-positive size" i)
+        else if id < 0 || id > len then
+          Error (Printf.sprintf "event %d: id %d out of range" i id)
+        else if Hashtbl.mem seen id then
+          Error (Printf.sprintf "event %d: id %d allocated twice" i id)
+        else begin
+          Hashtbl.replace seen id ();
+          Hashtbl.replace live id ();
+          go (i + 1) rest
+        end
+      | Event.Free { id } :: rest ->
+        if not (Hashtbl.mem live id) then
+          Error (Printf.sprintf "event %d: free of non-live id %d" i id)
+        else begin
+          Hashtbl.remove live id;
+          go (i + 1) rest
+        end
+      | Event.Phase _ :: rest -> go (i + 1) rest
+    in
+    go 0 events
+
+  let live_at_end events =
+    let live = Hashtbl.create 256 in
+    List.iter
+      (function
+        | Event.Alloc { id; _ } -> Hashtbl.replace live id ()
+        | Event.Free { id } -> Hashtbl.remove live id
+        | Event.Phase _ -> ())
+      events;
+    Hashtbl.length live
+
+  (* A list of live ids. *)
+  let peak_live_count events =
+    List.fold_left
+      (fun (live, peak) -> function
+        | Event.Alloc { id; _ } ->
+          let live = if List.mem id live then live else id :: live in
+          (live, max peak (List.length live))
+        | Event.Free { id } -> (List.filter (( <> ) id) live, peak)
+        | Event.Phase _ -> (live, peak))
+      ([], 0) events
+    |> snd
+
+  let alloc_count events =
+    List.length
+      (List.filter (function Event.Alloc _ -> true | Event.Free _ | Event.Phase _ -> false) events)
+
+  let free_count events =
+    List.length
+      (List.filter (function Event.Free _ -> true | Event.Alloc _ | Event.Phase _ -> false) events)
+end
+
+let extremes = [ min_int; min_int + 1; -1; 0; 1; max_int - 1; max_int ]
+
+(* Any event, with the ints a packed layout would lose: negative ids and
+   sizes, zero, [min_int] and [max_int]. *)
+let gen_any_event =
+  QCheck.Gen.(
+    let int = frequency [ (2, oneofl extremes); (2, small_signed_int); (1, int) ] in
+    frequency
+      [
+        (4, map2 (fun id size -> Event.Alloc { id; size }) int int);
+        (3, map (fun id -> Event.Free { id }) int);
+        (1, map (fun p -> Event.Phase p) int);
+      ])
+
+(* Mostly-valid traces: small ids, so the live discipline holds for long
+   stretches and breaks in every way [validate] reports. *)
+let gen_small_events =
+  QCheck.Gen.(
+    let id = frequency [ (8, int_bound 40); (1, oneofl extremes) ] in
+    let size = frequency [ (8, 1 -- 64); (1, oneofl [ 0; -1; min_int; max_int ]) ] in
+    list_size (0 -- 120)
+      (frequency
+         [
+           (5, map2 (fun id size -> Event.Alloc { id; size }) id size);
+           (4, map (fun id -> Event.Free { id }) id);
+           (1, map (fun p -> Event.Phase p) small_nat);
+         ]))
+
+(* Ids a byte map indexes: [peak_live_count] raises on the others. *)
+let dense = function
+  | Event.Alloc { id; _ } | Event.Free { id } -> id >= 0 && id <= 1000
+  | Event.Phase _ -> true
+
+let print_events es = String.concat "; " (List.map Event.to_line es)
+
+let prop_flat_round_trip =
+  QCheck.Test.make ~name:"flat storage round-trips every event" ~count:300
+    (QCheck.make ~print:print_events QCheck.Gen.(list_size (0 -- 200) gen_any_event))
+    (fun events ->
+      let t = Trace.of_list events in
+      (* Built one [add] at a time from one slot, so the arrays double. *)
+      let grown = Trace.create ~capacity:1 () in
+      List.iter (Trace.add grown) events;
+      let visited = ref [] in
+      Trace.iteri (fun i e -> visited := (i, e) :: !visited) t;
+      let flat i =
+        match Trace.kind t i with
+        | Trace.Alloc -> Event.Alloc { id = Trace.id t i; size = Trace.size t i }
+        | Trace.Free -> Event.Free { id = Trace.id t i }
+        | Trace.Phase -> Event.Phase (Trace.id t i)
+      in
+      Trace.to_list t = events
+      && Trace.to_list grown = events
+      && Trace.length t = List.length events
+      && List.rev !visited = List.mapi (fun i e -> (i, e)) events
+      && List.for_all Fun.id (List.mapi (fun i e -> Trace.get t i = e && flat i = e) events))
+
+let prop_matches_models =
+  QCheck.Test.make ~name:"queries match the Hashtbl models" ~count:500
+    (QCheck.make ~print:print_events gen_small_events)
+    (fun events ->
+      let t = Trace.of_list events in
+      Trace.validate t = Model.validate events
+      && Trace.live_at_end t = Model.live_at_end events
+      && Trace.alloc_count t = Model.alloc_count events
+      && Trace.free_count t = Model.free_count events
+      && ((not (List.for_all dense events)) || Trace.peak_live_count t = Model.peak_live_count events))
+
+(* The live set's byte map grows straight to [id + 1]: an id past what a
+   [Bytes.t] can index raises instead of doubling the size forever (it
+   used to hang from 2^61 up). *)
+let check_peak_live_huge_ids () =
+  List.iter
+    (fun id ->
+      let t = Trace.of_list [ Event.Alloc { id; size = 8 }; Event.Free { id } ] in
+      match Trace.peak_live_count t with
+      | n -> Alcotest.failf "id %d: peak %d, expected Invalid_argument" id n
+      | exception Invalid_argument _ -> ())
+    [ max_int; 1 lsl 61; (1 lsl 61) - 1; Sys.max_string_length; -1; min_int ];
+  Alcotest.(check int) "a large dense id still counts" 1
+    (Trace.peak_live_count (Trace.of_list [ Event.Alloc { id = 100_000; size = 8 } ]))
+
+let check_trim () =
+  let t = Trace.create () in
+  List.iter (Trace.add t) sample_events;
+  let before = Obj.reachable_words (Obj.repr t) in
+  Trace.trim t;
+  Alcotest.(check bool) "spare capacity dropped" true (Obj.reachable_words (Obj.repr t) < before);
+  Alcotest.(check bool) "events kept" true (Trace.to_list t = sample_events);
+  Trace.add_phase t 9;
+  Alcotest.(check bool) "grows again" true (Trace.get t 7 = Event.Phase 9)
+
 let qcheck =
   let event_gen =
     QCheck.Gen.(
@@ -241,6 +394,10 @@ let tests =
       Alcotest.test_case "save/load roundtrip" `Quick check_save_load;
       Alcotest.test_case "load errors name the file" `Quick check_load_errors;
       Alcotest.test_case "validate bounds ids" `Quick check_validate_id_range;
+      Alcotest.test_case "peak_live_count raises on huge ids" `Quick check_peak_live_huge_ids;
+      Alcotest.test_case "trim" `Quick check_trim;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 6 |]) prop_mutated_traces;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) prop_flat_round_trip;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) prop_matches_models;
     ]
     @ List.map QCheck_alcotest.to_alcotest qcheck )
