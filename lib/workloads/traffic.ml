@@ -101,6 +101,39 @@ let[@inline] push b arrival flow size =
   b.b_sizes.(b.len) <- size;
   b.len <- b.len + 1
 
+(* Stable merge of the index runs [src.(lo .. mid - 1)] and
+   [src.(mid .. hi - 1)], each in arrival order, into [dst.(lo .. hi - 1)]:
+   on equal arrivals the left run goes first. *)
+let merge (arrivals : float array) (src : int array) (dst : int array) lo mid hi =
+  let i = ref lo and j = ref mid in
+  for k = lo to hi - 1 do
+    if !j >= hi || (!i < mid && arrivals.(src.(!i)) <= arrivals.(src.(!j))) then begin
+      dst.(k) <- src.(!i);
+      incr i
+    end
+    else begin
+      dst.(k) <- src.(!j);
+      incr j
+    end
+  done
+
+(* Merge the runs [bounds.(r) .. bounds.(r + 1) - 1] of [src] pairwise,
+   through [dst] and back, until one run is left; return the array that
+   holds it. *)
+let rec merge_runs arrivals src dst bounds =
+  let runs = Array.length bounds - 1 in
+  if runs <= 1 then src
+  else begin
+    for r = 0 to (runs / 2) - 1 do
+      merge arrivals src dst bounds.(2 * r) bounds.((2 * r) + 1) bounds.((2 * r) + 2)
+    done;
+    if runs land 1 = 1 then begin
+      let last = bounds.(runs - 1) in
+      Array.blit src last dst last (bounds.(runs) - last)
+    end;
+    merge_runs arrivals dst src (Array.init (((runs + 1) / 2) + 1) (fun k -> bounds.(min (2 * k) runs)))
+  end
+
 (* One flow's on/off process, its packets in arrival order. The draws
    come in a fixed order: per burst its length, then each packet's size
    and gap, then the off gap. *)
@@ -145,19 +178,29 @@ let generate config =
     generate_flow (Prng.split rng) config flow b;
     starts.(flow + 1) <- b.len
   done;
-  (* Merge by arrival with the tie order the packets have always had:
-     a stable sort of the flows' lists concatenated, each list newest
-     first. So the index array starts as each flow's packets reversed,
-     flow after flow, and one stable sort on arrival orders it. *)
+  (* Order by arrival as the packets have always been ordered: a stable
+     sort of the flows' packet lists concatenated, each list newest
+     first. Sorted stably, flow [f]'s list is its packets in arrival
+     order with each group of equal arrivals newest first; so the index
+     array starts as those runs, flow after flow, and merging adjacent
+     runs, the left run first on ties, is that stable sort. *)
+  let arrivals = b.b_arrivals in
   let order = Array.make b.len 0 in
   for flow = 0 to config.flows - 1 do
-    let first = starts.(flow) and stop = starts.(flow + 1) in
-    for k = first to stop - 1 do
-      order.(k) <- first + stop - 1 - k
+    let stop = starts.(flow + 1) in
+    let k = ref starts.(flow) in
+    while !k < stop do
+      let g = ref (!k + 1) in
+      while !g < stop && arrivals.(!g) = arrivals.(!k) do
+        incr g
+      done;
+      for x = !k to !g - 1 do
+        order.(x) <- !k + !g - 1 - x
+      done;
+      k := !g
     done
   done;
-  let arrivals = b.b_arrivals in
-  Array.stable_sort (fun i j -> Float.compare arrivals.(i) arrivals.(j)) order;
+  let order = merge_runs arrivals order (Array.make b.len 0) starts in
   let n = b.len in
   let t = { arrivals = Array.make n 0.0; flow_ids = Array.make n 0; sizes = Array.make n 0 } in
   for k = 0 to n - 1 do
