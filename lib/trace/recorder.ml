@@ -4,29 +4,23 @@ module Metrics = Dmm_core.Metrics
 let recording_allocator () =
   let trace = Trace.create () in
   let metrics = Metrics.create () in
-  (* The size of each live id, indexed by id; 0 marks an id that is not
-     live (sizes are positive). Ids are dense from 1. *)
-  let sizes = ref (Array.make 256 0) in
+  (* The size of each live id; 0 marks an id that is not live (sizes are
+     positive). *)
+  let sizes = Id_map.create ~absent:0 256 in
   let next = ref 0 in
   let alloc size =
     if size <= 0 then invalid_arg "recording allocator: non-positive size";
     incr next;
     let id = !next in
-    let n = Array.length !sizes in
-    if id >= n then begin
-      let grown = Array.make (max (2 * n) (id + 1)) 0 in
-      Array.blit !sizes 0 grown 0 n;
-      sizes := grown
-    end;
-    !sizes.(id) <- size;
+    Id_map.set sizes id size;
     Trace.add_alloc trace ~id ~size;
     Metrics.on_alloc metrics ~payload:size ~gross:size ~tag:0 ~addr:id;
     id
   in
   let free id =
-    let size = if id > 0 && id < Array.length !sizes then !sizes.(id) else 0 in
+    let size = Id_map.find sizes id in
     if size = 0 then raise (Allocator.Invalid_free id);
-    !sizes.(id) <- 0;
+    Id_map.set sizes id 0;
     Trace.add_free trace id;
     Metrics.on_free metrics ~payload:size ~addr:id
   in

@@ -2,29 +2,10 @@ module Allocator = Dmm_core.Allocator
 module Probe = Dmm_obs.Probe
 module Obs_event = Dmm_obs.Event
 
-(* Live id -> address table. Recorder ids are dense small integers, so a
-   growable int array beats a hashtable on the replay hot path; -1 marks
-   "not live" (0 is a valid heap address, so absence needs a sentinel). *)
-type id_map = { mutable addrs : int array }
-
-let id_map_create hint = { addrs = Array.make (max 16 hint) (-1) }
-
-(* Grow straight to [id + 1] when doubling falls short: doubling until
-   past [id] would wrap for an id near [max_int] and never end, while
-   [id + 1] wraps to a negative size there, so the store below raises
-   [Invalid_argument] instead. *)
-let id_map_set m id addr =
-  let n = Array.length m.addrs in
-  if id >= n then begin
-    let grown = Array.make (max (2 * n) (id + 1)) (-1) in
-    Array.blit m.addrs 0 grown 0 n;
-    m.addrs <- grown
-  end;
-  m.addrs.(id) <- addr
-
 let run ?(probe = Probe.null) ?on_event ?(live_hint = 256) trace a =
   Dmm_obs.Span.with_span ~args:[ ("events", Trace.length trace) ] "replay.run" @@ fun () ->
-  let addrs = id_map_create live_hint in
+  (* Live id -> address; 0 is a valid heap address, so -1 marks "not live". *)
+  let addrs = Id_map.create ~absent:(-1) live_hint in
   (* Hoisted once per run: sinks can only ever be attached, never
      detached, so a probe that is empty here stays empty for the whole
      replay and the per-event observer test compiles down to a register
@@ -34,15 +15,13 @@ let run ?(probe = Probe.null) ?on_event ?(live_hint = 256) trace a =
   let step i =
     let id = Trace.id trace i in
     match Trace.kind trace i with
-    | Trace.Alloc -> id_map_set addrs id (Allocator.alloc a (Trace.size trace i))
+    | Trace.Alloc -> Id_map.set addrs id (Allocator.alloc a (Trace.size trace i))
     | Trace.Free ->
-      let addr =
-        if id < 0 || id >= Array.length addrs.addrs then -1 else addrs.addrs.(id)
-      in
+      let addr = Id_map.find addrs id in
       if addr < 0 then
         invalid_arg (Printf.sprintf "Replay.run: free of non-live id %d" id)
       else begin
-        addrs.addrs.(id) <- -1;
+        Id_map.set addrs id (-1);
         Allocator.free a addr
       end
     | Trace.Phase ->
