@@ -44,9 +44,14 @@ let dominant_sizes = [| 75; 95; 150; 190; 300; 380; 600; 760; 1200; 1500 |]
 let profile_of_flow flow = Dominant dominant_sizes.(flow mod Array.length dominant_sizes)
 
 (* The size mixes, hoisted so that a draw builds no array. *)
-let bulk_mix = [| (0.70, `Fixed 1500); (0.10, `Fixed 576); (0.05, `Fixed 40); (0.15, `Uniform) |]
-let interactive_mix = [| (0.55, `Fixed 40); (0.25, `Fixed 576); (0.05, `Fixed 1500); (0.15, `Uniform) |]
-let mixed_mix = [| (0.30, `Fixed 40); (0.25, `Fixed 576); (0.25, `Fixed 1500); (0.20, `Uniform) |]
+let bulk_mix =
+  [| (0.70, `Fixed 1500); (0.10, `Fixed 576); (0.05, `Fixed 40); (0.15, `Uniform) |]
+
+let interactive_mix =
+  [| (0.55, `Fixed 40); (0.25, `Fixed 576); (0.05, `Fixed 1500); (0.15, `Uniform) |]
+
+let mixed_mix =
+  [| (0.30, `Fixed 40); (0.25, `Fixed 576); (0.25, `Fixed 1500); (0.20, `Uniform) |]
 
 let rec packet_size rng = function
   | Bulk -> (
@@ -131,7 +136,8 @@ let rec merge_runs arrivals src dst bounds =
       let last = bounds.(runs - 1) in
       Array.blit src last dst last (bounds.(runs) - last)
     end;
-    merge_runs arrivals dst src (Array.init (((runs + 1) / 2) + 1) (fun k -> bounds.(min (2 * k) runs)))
+    let merged = Array.init (((runs + 1) / 2) + 1) (fun k -> bounds.(min (2 * k) runs)) in
+    merge_runs arrivals dst src merged
   end
 
 (* One flow's on/off process, its packets in arrival order. The draws
@@ -171,7 +177,12 @@ let generate config =
     invalid_arg "Traffic.generate: bad config";
   let rng = Prng.create config.seed in
   let b =
-    { b_arrivals = Array.make 1024 0.0; b_flows = Array.make 1024 0; b_sizes = Array.make 1024 0; len = 0 }
+    {
+      b_arrivals = Array.make 1024 0.0;
+      b_flows = Array.make 1024 0;
+      b_sizes = Array.make 1024 0;
+      len = 0;
+    }
   in
   let starts = Array.make (config.flows + 1) 0 in
   for flow = 0 to config.flows - 1 do

@@ -138,7 +138,9 @@ module Model = struct
       match Hashtbl.find_opt flows id with
       | Some f -> f
       | None ->
-        let f = { queue = Queue.create (); deficit = 0; active = false; sent_bytes = 0; backlog = 0 } in
+        let f =
+          { queue = Queue.create (); deficit = 0; active = false; sent_bytes = 0; backlog = 0 }
+        in
         Hashtbl.replace flows id f;
         f
     in

@@ -313,7 +313,8 @@ let prop_matches_models =
       && Trace.live_at_end t = Model.live_at_end events
       && Trace.alloc_count t = Model.alloc_count events
       && Trace.free_count t = Model.free_count events
-      && ((not (List.for_all dense events)) || Trace.peak_live_count t = Model.peak_live_count events))
+      && ((not (List.for_all dense events))
+         || Trace.peak_live_count t = Model.peak_live_count events))
 
 (* The live set's byte map grows straight to [id + 1]: an id past what a
    [Bytes.t] can index raises instead of doubling the size forever (it
