@@ -128,7 +128,7 @@ let first_free t l =
 (* First use: one sbrk covering the request, the whole arena a single free
    block at the top level. *)
 let init_arena t needed =
-  let request = max 4096 (Size.pow2_ceil needed) in
+  let request = Int.max 4096 (Size.pow2_ceil needed) in
   let (_ : int) = Address_space.sbrk t.space request in
   Metrics.add_ops t.metrics 4;
   t.cap <- request;
@@ -178,7 +178,7 @@ let alloc t payload =
     invalid_arg
       (Printf.sprintf "Buddy_bitmap.alloc: request of %d bytes exceeds the 32-bit payload word"
          payload);
-  let needed = max t.config.min_block (Size.pow2_ceil payload) in
+  let needed = Int.max t.config.min_block (Size.pow2_ceil payload) in
   let lt = Size.log2_ceil needed - t.shift in
   if t.cap = 0 then init_arena t needed;
   let l = ref (scan t lt) in
@@ -226,7 +226,7 @@ let free t addr =
     let buddy = !a lxor sz in
     if buddy < t.cap && bit_get t.bitmaps.(!l) (buddy asr (t.shift + !l)) then begin
       mark_used t !l (buddy asr (t.shift + !l));
-      a := min !a buddy;
+      a := Int.min !a buddy;
       incr l;
       Metrics.add_ops t.metrics 1;
       Metrics.on_coalesce t.metrics ~addr:!a ~merged:(2 * sz) ~absorbed:sz

@@ -61,7 +61,7 @@ let create ?(config = default_config) space =
   }
 
 let class_of_request t payload =
-  let cls = max t.config.min_class (Size.pow2_ceil payload) in
+  let cls = Int.max t.config.min_class (Size.pow2_ceil payload) in
   if cls > t.config.max_class then
     invalid_arg
       (Printf.sprintf "Fixed_pool.alloc: request of %d bytes exceeds max class %d"
@@ -85,7 +85,7 @@ let meta_reserve t brk =
 (* Acquire a fresh slab for class [ci] and hand out its first block; the
    rest stays behind the bump watermark — no carving loop. *)
 let grow_class t ci cls =
-  let request = max cls (t.config.chunk_bytes / cls * cls) in
+  let request = Int.max cls (t.config.chunk_bytes / cls * cls) in
   let base = Address_space.sbrk t.space request in
   meta_reserve t (base + request);
   Metrics.add_ops t.metrics 4;

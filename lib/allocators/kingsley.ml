@@ -34,7 +34,7 @@ let create ?(config = default_config) space =
   }
 
 let class_of_request t payload =
-  max t.config.min_class (Size.pow2_ceil (payload + t.config.header_bytes))
+  Int.max t.config.min_class (Size.pow2_ceil (payload + t.config.header_bytes))
 
 let free_list t cls = t.free_lists.(Size.bit_length cls - 1)
 
@@ -42,7 +42,7 @@ let free_list t cls = t.free_lists.(Size.bit_length cls - 1)
    the first payload address and pushing the rest onto the class list so
    that they pop in address order. *)
 let grow_class t cls =
-  let request = max cls (t.config.chunk_bytes / cls * cls) in
+  let request = Int.max cls (t.config.chunk_bytes / cls * cls) in
   let base = Address_space.sbrk t.space request in
   Metrics.add_ops t.metrics 4;
   let l = free_list t cls in
@@ -63,9 +63,8 @@ let alloc t payload =
   addr
 
 let free t addr =
-  let payload = Int_table.find t.req_sizes addr ~default:0 in
+  let payload = Int_table.take t.req_sizes addr ~default:0 in
   if payload = 0 then raise (Allocator.Invalid_free addr);
-  Int_table.remove t.req_sizes addr;
   Int_stack.push (free_list t (class_of_request t payload)) addr;
   Metrics.add_ops t.metrics 2;
   Metrics.on_free t.metrics ~payload ~addr

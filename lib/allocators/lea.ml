@@ -42,6 +42,8 @@ type t = {
   mutable top_addr : int;
   mutable top_size : int; (* wilderness chunk; 0 when absent *)
   min_chunk : int;
+  n_small : int; (* same-size bins, below [small_bin_max] *)
+  small_log : int; (* log2_ceil small_bin_max: the first range bin's *)
 }
 
 let n_large_bins = 18 (* log2 ranges from small_bin_max up to ~2^26 *)
@@ -51,7 +53,9 @@ let create ?(config = default_config) space =
     config.granularity <= 0 || config.header_bytes < 0 || config.alignment <= 0
     || config.small_bin_max <= 0
   then invalid_arg "Lea.create: bad config";
-  let min_chunk = max 16 (Size.align_up (config.header_bytes + config.alignment) config.alignment) in
+  let min_chunk =
+    Int.max 16 (Size.align_up (config.header_bytes + config.alignment) config.alignment)
+  in
   let n_small = (config.small_bin_max - min_chunk) / config.alignment in
   let bins =
     Array.init (n_small + n_large_bins) (fun i ->
@@ -72,20 +76,16 @@ let create ?(config = default_config) space =
     top_addr = 0;
     top_size = 0;
     min_chunk;
+    n_small;
+    small_log = Size.log2_ceil config.small_bin_max;
   }
-
-let n_small t = (t.config.small_bin_max - t.min_chunk) / t.config.alignment
 
 let bin_index t gross =
   if gross < t.config.small_bin_max then (gross - t.min_chunk) / t.config.alignment
-  else begin
-    let log = Size.log2_ceil gross in
-    let base_log = Size.log2_ceil t.config.small_bin_max in
-    min (n_small t + (log - base_log)) (Array.length t.bins - 1)
-  end
+  else Int.min (t.n_small + (Size.log2_ceil gross - t.small_log)) (Array.length t.bins - 1)
 
 let gross_of_request t payload =
-  max t.min_chunk (Size.align_up (payload + t.config.header_bytes) t.config.alignment)
+  Int.max t.min_chunk (Size.align_up (payload + t.config.header_bytes) t.config.alignment)
 
 (* Boundary tags: [size * 2 + used] at the chunk base and again in the last
    4 bytes (min_chunk >= 16 keeps the two words disjoint). *)
@@ -103,15 +103,15 @@ let binmap_update t i =
   else t.binmap.(w) <- t.binmap.(w) land lnot bit
 
 (* Index of the first non-empty bin >= [i], or -1: skip whole empty words,
-   then isolate the lowest set bit (a power of two, so [log2_ceil] is its
-   index). *)
+   then isolate the lowest set bit (a power of two, so its index is one
+   less than its [bit_length]). *)
 let rec next_nonempty t i =
   let nbins = Array.length t.bins in
   if i >= nbins then -1
   else begin
     let w = i / 62 in
     let masked = t.binmap.(w) land ((-1) lsl (i mod 62)) land max_int in
-    if masked <> 0 then (w * 62) + Size.log2_ceil (masked land -masked)
+    if masked <> 0 then (w * 62) + Size.bit_length (masked land -masked) - 1
     else next_nonempty t ((w + 1) * 62)
   end
 
@@ -151,7 +151,7 @@ let carve_top t gross =
 let max_heap = 1 lsl 30
 
 let extend_top t need =
-  let request = Size.align_up (max need t.config.granularity) t.config.granularity in
+  let request = Size.align_up (Int.max need t.config.granularity) t.config.granularity in
   let heap_end = Address_space.brk t.space + request in
   if heap_end >= max_heap then
     invalid_arg
@@ -182,7 +182,7 @@ let split_remainder t (b : Block.t) gross =
    the identical charge arithmetically; tree bins are the [i >= n_small]
    suffix, and every skipped bin is empty by construction. *)
 let skipped_charge t ~from ~until =
-  (until - from) + max 0 (until - max from (n_small t))
+  (until - from) + Int.max 0 (until - Int.max from t.n_small)
 
 (* Probe on: each bin visit and each non-zero scan is its own Fit_scan
    event, so walk bin by bin exactly as the stream promises. The walks
@@ -289,10 +289,9 @@ let maybe_trim t =
 
 let free t addr =
   let base = addr - t.config.header_bytes in
-  let payload = Dmm_util.Int_table.find t.req_sizes base ~default:(-1) in
+  let payload = Dmm_util.Int_table.take t.req_sizes base ~default:(-1) in
   if payload < 0 then raise (Allocator.Invalid_free addr)
   else begin
-    Dmm_util.Int_table.remove t.req_sizes base;
     Metrics.on_free t.metrics ~payload ~addr;
     let size = tag_size (Address_space.arena_get32 t.space base) in
     let b = Block.v ~addr:base ~size ~status:Block.Free ~run_id:0 in

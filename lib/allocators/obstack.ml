@@ -140,7 +140,7 @@ let alloc t payload =
   Metrics.add_ops t.metrics 1;
   let top = t.n_chunks - 1 in
   if not (top >= 0 && t.c_used.(top) + gross <= t.c_size.(top)) then
-    take_chunk t (max t.config.chunk_bytes gross);
+    take_chunk t (Int.max t.config.chunk_bytes gross);
   let c = t.n_chunks - 1 in
   let addr = t.c_base.(c) + t.c_used.(c) in
   t.c_used.(c) <- t.c_used.(c) + gross;

@@ -45,9 +45,9 @@ let create ?(config = default_config) space =
     metrics = Metrics.create ~probe:(Address_space.probe space) ();
   }
 
-let slot_of_request t payload = max t.config.min_slot (Size.pow2_ceil payload)
+let slot_of_request t payload = Int.max t.config.min_slot (Size.pow2_ceil payload)
 
-let chunk_size_for t slot = max t.config.chunk_bytes (Size.align_up slot t.config.chunk_bytes)
+let chunk_size_for t slot = Int.max t.config.chunk_bytes (Size.align_up slot t.config.chunk_bytes)
 
 let make_region_internal t slot =
   {
@@ -60,7 +60,7 @@ let make_region_internal t slot =
 
 let make_region t ~slot_size =
   if slot_size <= 0 then invalid_arg "Region.make_region: non-positive slot size";
-  make_region_internal t (max t.config.min_slot (Size.pow2_ceil slot_size))
+  make_region_internal t (slot_of_request t slot_size)
 
 let take_chunk t size =
   let cached = Int_table.find t.chunk_cache size ~default:no_stack in
@@ -96,9 +96,8 @@ let region_alloc_payload t r payload =
   addr
 
 let region_free_internal t r addr =
-  let payload = Int_table.find r.live addr ~default:0 in
+  let payload = Int_table.take r.live addr ~default:0 in
   if payload = 0 then raise (Allocator.Invalid_free addr);
-  Int_table.remove r.live addr;
   Int_table.remove t.owner addr;
   Int_stack.push r.free_slots addr;
   Metrics.add_ops t.metrics 2;
@@ -110,8 +109,7 @@ let destroy_region t r =
   let addrs = List.sort compare (Int_table.fold (fun addr _ acc -> addr :: acc) r.live []) in
   List.iter
     (fun addr ->
-      let payload = Int_table.find r.live addr ~default:0 in
-      Int_table.remove r.live addr;
+      let payload = Int_table.take r.live addr ~default:0 in
       Int_table.remove t.owner addr;
       Metrics.on_free t.metrics ~payload ~addr)
     addrs;

@@ -8,6 +8,7 @@ type t = {
   overrides : (int, design) Hashtbl.t;
   managers : (int, Manager.t) Hashtbl.t;
   mutable current : int;
+  mutable current_manager : Manager.t option; (* [current]'s, once its first alloc made it *)
   mutable order : Manager.t list; (* instantiation order, most recent first *)
   mutable live_payload : int; (* the composition's, across its managers *)
   mutable peak_live_payload : int;
@@ -34,26 +35,34 @@ let create space ~default ?(overrides = []) () =
     overrides = tbl;
     managers = Hashtbl.create 8;
     current = 0;
+    current_manager = None;
     order = [];
     live_payload = 0;
     peak_live_payload = 0;
   }
 
-let set_phase t p = t.current <- p
+(* Alloc and free read the current phase's manager from a field, so only
+   a phase change looks it up. *)
+let set_phase t p =
+  t.current <- p;
+  t.current_manager <- Hashtbl.find_opt t.managers p
+
 let current_phase t = t.current
 
-let manager_for t phase =
-  match Hashtbl.find t.managers phase with
-  | m -> m
-  | exception Not_found ->
-    let d = design_for t phase in
+(* A phase's manager is made at its first alloc. *)
+let current_manager t =
+  match t.current_manager with
+  | Some m -> m
+  | None ->
+    let d = design_for t t.current in
     let m = Manager.create ~params:d.params d.vector t.space in
-    Hashtbl.replace t.managers phase m;
+    Hashtbl.replace t.managers t.current m;
     t.order <- m :: t.order;
+    t.current_manager <- Some m;
     m
 
 let alloc t size =
-  let addr = Manager.alloc (manager_for t t.current) size in
+  let addr = Manager.alloc (current_manager t) size in
   t.live_payload <- t.live_payload + size;
   if t.live_payload > t.peak_live_payload then t.peak_live_payload <- t.live_payload;
   addr
@@ -70,10 +79,9 @@ let rec free_in t (addr : int) = function
 (* The current phase's manager is the most likely owner; fall back to the
    others in most-recently-instantiated order. *)
 let free t addr =
-  match Hashtbl.find t.managers t.current with
-  | m when Manager.owns m addr -> release t m addr
-  | _ -> free_in t addr t.order
-  | exception Not_found -> free_in t addr t.order
+  match t.current_manager with
+  | Some m when Manager.owns m addr -> release t m addr
+  | Some _ | None -> free_in t addr t.order
 
 let managers t =
   Hashtbl.fold (fun p m acc -> (p, m) :: acc) t.managers []

@@ -185,7 +185,7 @@ let class_ceiling t gross = ceiling_from t.classes gross 0
 (* Gross block size serving a request of [payload] bytes. *)
 let gross_of_request t payload =
   let base =
-    max t.min_block (Size.align_up (payload + t.tag_bytes) t.params.alignment)
+    Int.max t.min_block (Size.align_up (payload + t.tag_bytes) t.params.alignment)
   in
   let i = class_ceiling t base in
   if i < 0 then base else t.classes.(i)
@@ -278,7 +278,7 @@ let try_split t (b : Block.t) gross =
   else begin
     let threshold =
       match t.vec.Decision_vector.e2 with
-      | Always -> max t.min_block (max t.params.min_split_remainder 1)
+      | Always -> Int.max t.min_block (Int.max t.params.min_split_remainder 1)
       | Deferred -> 4 * t.min_block
       | Never -> max_int
     in
@@ -287,8 +287,8 @@ let try_split t (b : Block.t) gross =
       match t.vec.Decision_vector.e1 with
       | Not_fixed -> if remainder >= threshold then remainder else 0
       | One_size ->
-        let unit = max t.min_block t.params.min_split_remainder in
-        if remainder >= max unit threshold then remainder / unit * unit else 0
+        let unit = Int.max t.min_block t.params.min_split_remainder in
+        if remainder >= Int.max unit threshold then remainder / unit * unit else 0
       | Many_fixed ->
         let c = largest_within t.classes remainder 0 0 in
         if c >= threshold && c >= t.min_block then c else 0
@@ -406,7 +406,7 @@ let grab_from_system t gross =
   let oversize = fixed && class_ceiling t gross < 0 in
   if fixed && not oversize then begin
     (* Slab carve: request a chunk and cut it into gross-size blocks. *)
-    let per_chunk = max 1 (t.params.chunk_request / gross) in
+    let per_chunk = Int.max 1 (t.params.chunk_request / gross) in
     let request = per_chunk * gross in
     let base = Address_space.sbrk t.space request in
     let run_id = note_new_run t base request in

@@ -204,10 +204,9 @@ let on_event t clock (e : Event.t) =
     let p = t.phases.(ph) in
     p.c_spans <- p.c_spans + 1
   | Event.Free { addr; _ } ->
-    let s = Int_table.find t.slot_of addr ~default:(-1) in
+    let s = Int_table.take t.slot_of addr ~default:(-1) in
     if s < 0 then t.free_without_alloc <- t.free_without_alloc + 1
     else begin
-      Int_table.remove t.slot_of addr;
       let born = t.born.(s) and ph = t.born_phase.(s) in
       t.born.(s) <- t.free_slot;
       t.free_slot <- s;

@@ -4,63 +4,54 @@
    free-structure slot maps) that is most of the per-event constant. Linear
    probing over two flat arrays allocates nothing per operation.
 
-   In the arrays, [min_int] marks an empty slot and [min_int + 1] a
-   tombstone, so those two keys live in side cells instead; one compare
-   ([k <= tombstone]) sends them there. Capacity is a power of two, grown
-   (and tombstones compacted) when live + deleted entries pass 2/3 of it.
-   No field counts the live entries: nothing on a hot path asks, and
-   [resize] and [length] count them, so the side cells fit in the record
-   without making a table bigger to create. *)
+   A key's home slot is the top [log2 capacity] bits of its product with a
+   fixed odd multiplier. A bit of the product depends only on the key's
+   bits at or below it, so the top bits depend on all of them, and
+   addresses aligned to a large power of two still reach every slot; the
+   low bits would reach one slot in 2^j for keys that are multiples of
+   2^j. Removal shifts the rest of the probe run back over the freed slot
+   (backward-shift deletion), so the arrays hold no deleted markers, a
+   probe stops at the first empty slot, and only growth rehashes.
 
-(* Bit i of [bound] is set when key [min_int + i] is, its value in
-   [cells.(i)]. *)
-type 'a side = { mutable bound : int; cells : 'a array }
+   In the arrays, [min_int] marks an empty slot, so that one key lives in a
+   side cell instead; one compare sends it there. Capacity is a power of
+   two, doubled when the live entries pass half of it. *)
 
 type 'a t = {
   mutable keys : int array;
   mutable vals : 'a array;
-  mutable mask : int; (* capacity - 1 *)
-  mutable used : int; (* live + tombstones *)
+  mutable shift : int; (* 63 - log2 capacity: the home slot's shift *)
+  mutable count : int; (* bindings in the arrays *)
   dummy : 'a; (* parks in vacated value slots so they don't pin heap data *)
-  mutable side : 'a side option; (* made when a side key is first bound *)
+  mutable side : 'a option; (* the binding of [min_int] *)
 }
 
 let empty_key = min_int
-let tombstone = min_int + 1
 
-(* For the two side keys only. *)
-let side_bit k = 1 lsl (k - empty_key)
+(* The xorshift64* multiplier, odd and 62 bits wide. *)
+let multiplier = 0x2545F4914F6CDD1D
 
-let side_find t k ~default =
-  match t.side with
-  | Some s when s.bound land side_bit k <> 0 -> s.cells.(k - empty_key)
-  | _ -> default
+let[@inline] home k shift = (k * multiplier) lsr shift
+
+(* [-1] is 63 one bits, so this is capacity - 1. *)
+let[@inline] mask_of shift = -1 lsr shift
 
 let create ?(size = 16) dummy =
-  let cap = ref 16 in
+  let cap = ref 16 and bits = ref 4 in
   while !cap < size * 2 do
-    cap := !cap * 2
+    cap := !cap * 2;
+    incr bits
   done;
   {
     keys = Array.make !cap empty_key;
     vals = Array.make !cap dummy;
-    mask = !cap - 1;
-    used = 0;
+    shift = 63 - !bits;
+    count = 0;
     dummy;
     side = None;
   }
 
-(* Fibonacci hashing: spread aligned addresses across the high bits, then
-   mask. The multiplier is 2^62 / phi, odd. *)
-let slot_hash t k = (k * 0x2545F4914F6CDD1D) lsr 2 land t.mask
-
-let in_arrays keys =
-  Array.fold_left (fun n k -> if k <> empty_key && k <> tombstone then n + 1 else n) 0 keys
-
-let length t =
-  let side = match t.side with Some s -> (s.bound land 1) + (s.bound lsr 1) | None -> 0 in
-  in_arrays t.keys + side
-
+let length t = t.count + match t.side with Some _ -> 1 | None -> 0
 let dummy t = t.dummy
 
 (* Find the slot holding [k], or -1. Probe indices stay masked below the
@@ -71,99 +62,113 @@ let rec probe_find keys mask k i =
   let key = Array.unsafe_get keys i in
   if key = k then i else if key = empty_key then -1 else probe_find keys mask k ((i + 1) land mask)
 
-let find_slot t k = probe_find t.keys t.mask k (slot_hash t k)
+let find_slot t k = probe_find t.keys (mask_of t.shift) k (home k t.shift)
 
 let mem t k =
-  if k <= tombstone then
-    match t.side with Some s -> s.bound land side_bit k <> 0 | None -> false
+  if k = empty_key then (match t.side with Some _ -> true | None -> false)
   else find_slot t k >= 0
 
 (* [find t k ~default] avoids boxing an option on the hot path. *)
 let find t k ~default =
-  if k <= tombstone then side_find t k ~default
+  if k = empty_key then (match t.side with Some v -> v | None -> default)
   else begin
     let i = find_slot t k in
-    if i < 0 then default else t.vals.(i)
+    if i < 0 then default else Array.unsafe_get t.vals i
   end
 
 let find_opt t k =
-  if k <= tombstone then if mem t k then Some (side_find t k ~default:t.dummy) else None
+  if k = empty_key then t.side
   else begin
     let i = find_slot t k in
-    if i < 0 then None else Some t.vals.(i)
+    if i < 0 then None else Some (Array.unsafe_get t.vals i)
   end
 
-let rec resize t =
+let rec grow t =
   let old_keys = t.keys and old_vals = t.vals in
-  let cap = (t.mask + 1) * if in_arrays old_keys * 4 > t.mask + 1 then 2 else 1 in
+  let cap = 2 * Array.length old_keys in
   t.keys <- Array.make cap empty_key;
   t.vals <- Array.make cap t.dummy;
-  t.mask <- cap - 1;
-  t.used <- 0;
-  Array.iteri
-    (fun i k -> if k <> empty_key && k <> tombstone then set t k old_vals.(i))
-    old_keys
+  t.shift <- t.shift - 1;
+  t.count <- 0;
+  Array.iteri (fun i k -> if k <> empty_key then set t k old_vals.(i)) old_keys
 
 and set t k v =
-  if k <= tombstone then begin
-    let s =
-      match t.side with
-      | Some s -> s
-      | None ->
-        let s = { bound = 0; cells = Array.make 2 t.dummy } in
-        t.side <- Some s;
-        s
-    in
-    s.cells.(k - empty_key) <- v;
-    s.bound <- s.bound lor side_bit k
-  end
-  else probe_set t k v t.keys t.mask (slot_hash t k) (-1)
+  if k = empty_key then t.side <- Some v
+  else probe_set t k v t.keys (mask_of t.shift) (home k t.shift)
 
-and probe_set t k v keys mask i insert_at =
+and probe_set t k v keys mask i =
   let key = Array.unsafe_get keys i in
-  if key = k then begin
-    Array.unsafe_set t.vals i v (* overwrite in place *)
-  end
+  if key = k then Array.unsafe_set t.vals i v (* overwrite in place *)
   else if key = empty_key then begin
-    let i = if insert_at >= 0 then insert_at else i in
-    if Array.unsafe_get keys i = empty_key then t.used <- t.used + 1;
     Array.unsafe_set keys i k;
     Array.unsafe_set t.vals i v;
-    if t.used * 3 > (t.mask + 1) * 2 then resize t
+    t.count <- t.count + 1;
+    if t.count * 2 > mask + 1 then grow t
   end
-  else if key = tombstone then
-    probe_set t k v keys mask ((i + 1) land mask) (if insert_at >= 0 then insert_at else i)
-  else probe_set t k v keys mask ((i + 1) land mask) insert_at
+  else probe_set t k v keys mask ((i + 1) land mask)
 
 let replace = set
 
+(* Close the hole at [hole] by pulling later entries of its probe run back.
+   The entry at [j] may move into the hole when its home is not cyclically
+   in (hole, j], that is when it sits at least [j - hole] slots past its
+   home; the run ends at the first empty slot. *)
+let rec shift_back t keys mask shift hole j =
+  let key = Array.unsafe_get keys j in
+  if key = empty_key then begin
+    Array.unsafe_set keys hole empty_key;
+    Array.unsafe_set t.vals hole t.dummy
+  end
+  else if (j - home key shift) land mask >= (j - hole) land mask then begin
+    Array.unsafe_set keys hole key;
+    Array.unsafe_set t.vals hole (Array.unsafe_get t.vals j);
+    shift_back t keys mask shift j ((j + 1) land mask)
+  end
+  else shift_back t keys mask shift hole ((j + 1) land mask)
+
+let delete_slot t i =
+  let mask = mask_of t.shift in
+  t.count <- t.count - 1;
+  shift_back t t.keys mask t.shift i ((i + 1) land mask)
+
 let remove t k =
-  if k <= tombstone then begin
+  if k = empty_key then t.side <- None
+  else begin
+    let i = find_slot t k in
+    if i >= 0 then delete_slot t i
+  end
+
+let take t k ~default =
+  if k = empty_key then begin
     match t.side with
-    | Some s ->
-      s.cells.(k - empty_key) <- t.dummy;
-      s.bound <- s.bound land lnot (side_bit k)
-    | None -> ()
+    | Some v ->
+      t.side <- None;
+      v
+    | None -> default
   end
   else begin
     let i = find_slot t k in
-    if i >= 0 then begin
-      Array.unsafe_set t.keys i tombstone;
-      Array.unsafe_set t.vals i t.dummy
+    if i < 0 then default
+    else begin
+      let v = Array.unsafe_get t.vals i in
+      delete_slot t i;
+      v
     end
   end
 
 let iter f t =
-  (match t.side with
-  | Some s ->
-    if s.bound land 1 <> 0 then f empty_key s.cells.(0);
-    if s.bound land 2 <> 0 then f tombstone s.cells.(1)
-  | None -> ());
-  Array.iteri
-    (fun i k -> if k <> empty_key && k <> tombstone then f k t.vals.(i))
-    t.keys
+  (match t.side with Some v -> f empty_key v | None -> ());
+  Array.iteri (fun i k -> if k <> empty_key then f k t.vals.(i)) t.keys
 
 let fold f t init =
   let acc = ref init in
   iter (fun k v -> acc := f k v !acc) t;
   !acc
+
+let max_displacement t =
+  let mask = mask_of t.shift in
+  let worst = ref 0 in
+  Array.iteri
+    (fun i k -> if k <> empty_key then worst := Int.max !worst ((i - home k t.shift) land mask))
+    t.keys;
+  !worst

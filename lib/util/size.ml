@@ -10,17 +10,6 @@ let is_power_of_two n = n > 0 && n land (n - 1) = 0
 (* [max_int - b] cannot wrap for [b >= 0], so one compare decides. *)
 let[@inline] sat_add a b = if a > max_int - b then max_int else a + b
 
-(* Top level, so no closure over [n] is allocated per call. *)
-let rec pow2_from p n = if p >= n then p else pow2_from (p * 2) n
-
-let pow2_ceil n =
-  if n < 0 then invalid_arg "Size.pow2_ceil: negative size";
-  (* 2^62 is past max_int: doubling would wrap to 0 and never stop. *)
-  if n > 1 lsl 61 then invalid_arg "Size.pow2_ceil: size above 2^61";
-  pow2_from 1 n
-
-let pow2_class n = if n <= 1 then 1 else if n > 1 lsl 61 then max_int else pow2_ceil n
-
 let bit_length n =
   (* Halve the range six times instead of shifting one bit at a time:
      the sinks take this per event. *)
@@ -51,10 +40,18 @@ let bit_length n =
   end;
   !b + !v
 
+(* [pow2_ceil] is defined through this, so the messages keep its name.
+   2^62 is past max_int, so 2^61 is the largest power of two an int
+   holds. For n >= 2, [n - 1] needs [k] bits exactly when
+   2^(k-1) < n <= 2^k. *)
 let log2_ceil n =
-  let p = pow2_ceil n in
-  let rec go acc v = if v = 1 then acc else go (acc + 1) (v / 2) in
-  go 0 p
+  if n < 0 then invalid_arg "Size.pow2_ceil: negative size";
+  if n > 1 lsl 61 then invalid_arg "Size.pow2_ceil: size above 2^61";
+  if n <= 1 then 0 else bit_length (n - 1)
+
+let pow2_ceil n = 1 lsl log2_ceil n
+
+let pow2_class n = if n <= 1 then 1 else if n > 1 lsl 61 then max_int else pow2_ceil n
 
 let kib n = n * 1024
 let mib n = n * 1024 * 1024

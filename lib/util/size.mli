@@ -14,7 +14,8 @@ val sat_add : int -> int -> int
     outside its contract. *)
 
 val pow2_ceil : int -> int
-(** Smallest power of two >= [n] (with [pow2_ceil 0 = 1]). Raises
+(** Smallest power of two >= [n] (with [pow2_ceil 0 = 1]):
+    [1 lsl bit_length (n - 1)] for [n >= 2], in constant time. Raises
     [Invalid_argument] if [n < 0] or [n > 2^61], whose power of two
     would not fit in an [int]. *)
 
@@ -29,8 +30,9 @@ val bit_length : int -> int
     use. *)
 
 val log2_ceil : int -> int
-(** [log2_ceil n] is the exponent of [pow2_ceil n]; it raises where
-    {!pow2_ceil} does. *)
+(** [log2_ceil n] is the exponent of [pow2_ceil n]: [bit_length (n - 1)]
+    for [n >= 2], 0 below, in constant time. It raises where {!pow2_ceil}
+    does, with the same messages. *)
 
 val kib : int -> int
 val mib : int -> int

@@ -52,6 +52,23 @@ let check_phase_dispatch () =
        (fun (_, m) -> (Manager.metrics m).Metrics.live_blocks = 0)
        (GM.managers gm))
 
+(* Alloc reads the current phase's manager from a field: coming back to
+   a phase must find its manager again, not the last phase's. *)
+let check_phase_return () =
+  let gm, _ = fresh () in
+  let a0 = GM.alloc gm 100 in
+  GM.set_phase gm 1;
+  let a1 = GM.alloc gm 100 in
+  GM.set_phase gm 0;
+  let b0 = GM.alloc gm 100 in
+  let owner addr =
+    List.filter_map (fun (p, m) -> if Manager.owns m addr then Some p else None) (GM.managers gm)
+  in
+  Alcotest.(check (list int)) "first phase-0 block" [ 0 ] (owner a0);
+  Alcotest.(check (list int)) "phase-1 block" [ 1 ] (owner a1);
+  Alcotest.(check (list int)) "second phase-0 block" [ 0 ] (owner b0);
+  Alcotest.(check int) "no third manager" 2 (List.length (GM.managers gm))
+
 let check_lazy_instantiation () =
   let gm, _ = fresh () in
   Alcotest.(check int) "no managers yet" 0 (List.length (GM.managers gm));
@@ -167,6 +184,7 @@ let tests =
   ( "global_manager",
     [
       Alcotest.test_case "phase dispatch" `Quick check_phase_dispatch;
+      Alcotest.test_case "a phase finds its manager again" `Quick check_phase_return;
       Alcotest.test_case "lazy instantiation" `Quick check_lazy_instantiation;
       Alcotest.test_case "override design used" `Quick check_override_design_used;
       Alcotest.test_case "invalid free" `Quick check_invalid_free;

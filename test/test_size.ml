@@ -62,6 +62,46 @@ let check_log2 () =
   Alcotest.(check int) "kib" 2048 (Size.kib 2);
   Alcotest.(check int) "mib" 3145728 (Size.mib 3)
 
+(* Models: the definitions by doubling, one bit at a time. *)
+let rec pow2_model p n = if p >= n then p else pow2_model (p * 2) n
+
+let log2_model n =
+  let rec go acc v = if v = 1 then acc else go (acc + 1) (v / 2) in
+  go 0 (pow2_model 1 n)
+
+let agrees_with_model n =
+  Size.pow2_ceil n = pow2_model 1 n && Size.log2_ceil n = log2_model n
+
+(* Every power of two up to 2^61 and its neighbours inside [0, 2^61]. *)
+let check_pow2_model () =
+  let top = 1 lsl 61 in
+  List.iter
+    (fun k ->
+      let p = 1 lsl k in
+      List.iter
+        (fun n ->
+          if n >= 0 && n <= top && not (agrees_with_model n) then
+            Alcotest.failf "pow2_ceil/log2_ceil %d: %d/%d, model %d/%d" n (Size.pow2_ceil n)
+              (Size.log2_ceil n) (pow2_model 1 n) (log2_model n))
+        [ p - 1; p; p + 1 ])
+    (List.init 62 Fun.id)
+
+(* Outside [0, 2^61] both raise, with pow2_ceil's messages. *)
+let check_pow2_range () =
+  let negative = Invalid_argument "Size.pow2_ceil: negative size"
+  and above = Invalid_argument "Size.pow2_ceil: size above 2^61" in
+  List.iter
+    (fun (n, e) ->
+      Alcotest.check_raises (Printf.sprintf "pow2_ceil %d" n) e (fun () -> ignore (Size.pow2_ceil n));
+      Alcotest.check_raises (Printf.sprintf "log2_ceil %d" n) e (fun () -> ignore (Size.log2_ceil n)))
+    [
+      (min_int, negative);
+      (-1, negative);
+      ((1 lsl 61) + 1, above);
+      (3 lsl 60, above);
+      (max_int, above);
+    ]
+
 let qcheck =
   [
     QCheck.Test.make ~name:"align_up properties" ~count:500
@@ -73,6 +113,11 @@ let qcheck =
       (fun n ->
         let p = Size.pow2_ceil n in
         Size.is_power_of_two p && p >= max 1 n && (p = 1 || p / 2 < max 1 n));
+    (* Sizes of every magnitude: a bit count, then a size up to 2^bits. *)
+    QCheck.Test.make ~name:"pow2_ceil and log2_ceil agree with the loops" ~count:2000
+      (QCheck.make ~print:string_of_int
+         QCheck.Gen.(int_range 0 61 >>= fun bits -> int_range 0 (1 lsl bits)))
+      agrees_with_model;
   ]
 
 (* Every power of two, its neighbours and max_int, against a shift loop. *)
@@ -109,6 +154,8 @@ let tests =
       Alcotest.test_case "bit_length" `Quick check_bit_length;
       Alcotest.test_case "pow2" `Quick check_pow2;
       Alcotest.test_case "pow2_class is total" `Quick check_pow2_class;
+      Alcotest.test_case "pow2_ceil and log2_ceil at every 2^k +- 1" `Quick check_pow2_model;
+      Alcotest.test_case "pow2_ceil and log2_ceil range messages" `Quick check_pow2_range;
       Alcotest.test_case "log2 and units" `Quick check_log2;
     ]
     @ List.map QCheck_alcotest.to_alcotest qcheck )
