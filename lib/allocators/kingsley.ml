@@ -1,6 +1,6 @@
 module Address_space = Dmm_vmem.Address_space
 module Size = Dmm_util.Size
-module Int_table = Dmm_util.Int_table
+module Int_int_table = Dmm_util.Int_int_table
 module Int_stack = Dmm_util.Int_stack
 module Metrics = Dmm_core.Metrics
 module Allocator = Dmm_core.Allocator
@@ -16,7 +16,7 @@ type t = {
   config : config;
   space : Address_space.t;
   free_lists : Int_stack.t array; (* log2 of the class -> free payload addrs *)
-  req_sizes : int Int_table.t; (* live payload addr -> requested bytes; 0 = none *)
+  req_sizes : Int_int_table.t; (* live payload addr -> requested bytes; 0 = none *)
   metrics : Metrics.t;
 }
 
@@ -29,7 +29,7 @@ let create ?(config = default_config) space =
     config;
     space;
     free_lists = Array.init 62 (fun _ -> Int_stack.create ());
-    req_sizes = Int_table.create ~size:256 0;
+    req_sizes = Int_int_table.create ~size:256 ();
     metrics = Metrics.create ~probe:(Address_space.probe space) ();
   }
 
@@ -58,12 +58,12 @@ let alloc t payload =
   let l = free_list t cls in
   Metrics.add_ops t.metrics 2;
   let addr = if Int_stack.is_empty l then grow_class t cls else Int_stack.pop l in
-  Int_table.replace t.req_sizes addr payload;
+  Int_int_table.replace t.req_sizes addr payload;
   Metrics.on_alloc t.metrics ~payload ~gross:cls ~tag:t.config.header_bytes ~addr;
   addr
 
 let free t addr =
-  let payload = Int_table.take t.req_sizes addr ~default:0 in
+  let payload = Int_int_table.take t.req_sizes addr ~default:0 in
   if payload = 0 then raise (Allocator.Invalid_free addr);
   Int_stack.push (free_list t (class_of_request t payload)) addr;
   Metrics.add_ops t.metrics 2;
@@ -76,7 +76,7 @@ let metrics t = Metrics.snapshot t.metrics
 let breakdown t : Metrics.breakdown =
   let live_payload = ref 0 and tags = ref 0 and padding = ref 0 in
   let live_gross = ref 0 in
-  Int_table.iter
+  Int_int_table.iter
     (fun _ payload ->
       let cls = class_of_request t payload in
       live_payload := !live_payload + payload;

@@ -37,7 +37,7 @@ type t = {
   space : Address_space.t;
   bins : Free_structure.t array;
   binmap : int array; (* occupancy bitmap: bit (i mod 62) of word (i / 62) *)
-  req_sizes : int Dmm_util.Int_table.t;
+  req_sizes : Dmm_util.Int_int_table.t;
   metrics : Metrics.t;
   mutable top_addr : int;
   mutable top_size : int; (* wilderness chunk; 0 when absent *)
@@ -71,7 +71,7 @@ let create ?(config = default_config) space =
     space;
     bins;
     binmap = Array.make ((Array.length bins + 61) / 62) 0;
-    req_sizes = Dmm_util.Int_table.create ~size:256 (-1);
+    req_sizes = Dmm_util.Int_int_table.create ~size:256 ();
     metrics = Metrics.create ~probe:(Address_space.probe space) ();
     top_addr = 0;
     top_size = 0;
@@ -243,7 +243,7 @@ let alloc t payload =
       carve_top t gross
     end
   in
-  Dmm_util.Int_table.replace t.req_sizes block.Block.addr payload;
+  Dmm_util.Int_int_table.replace t.req_sizes block.Block.addr payload;
   let addr = block.Block.addr + t.config.header_bytes in
   Metrics.on_alloc t.metrics ~payload ~gross:block.Block.size ~tag:t.config.header_bytes ~addr;
   addr
@@ -289,7 +289,7 @@ let maybe_trim t =
 
 let free t addr =
   let base = addr - t.config.header_bytes in
-  let payload = Dmm_util.Int_table.take t.req_sizes base ~default:(-1) in
+  let payload = Dmm_util.Int_int_table.take t.req_sizes base ~default:(-1) in
   if payload < 0 then raise (Allocator.Invalid_free addr)
   else begin
     Metrics.on_free t.metrics ~payload ~addr;
@@ -315,7 +315,7 @@ let binned_bytes t = Array.fold_left (fun acc fs -> acc + Free_structure.total_b
 
 let breakdown t : Metrics.breakdown =
   let live_payload = ref 0 and tags = ref 0 and padding = ref 0 in
-  Dmm_util.Int_table.iter
+  Dmm_util.Int_int_table.iter
     (fun base payload ->
       let gross = tag_size (Address_space.arena_get32 t.space base) in
       live_payload := !live_payload + payload;

@@ -1,6 +1,7 @@
 module Address_space = Dmm_vmem.Address_space
 module Size = Dmm_util.Size
 module Int_table = Dmm_util.Int_table
+module Int_int_table = Dmm_util.Int_int_table
 module Int_stack = Dmm_util.Int_stack
 module Metrics = Dmm_core.Metrics
 module Allocator = Dmm_core.Allocator
@@ -26,7 +27,7 @@ type t = {
   mutable o_home : int array;
   mutable o_dead : bool array;
   mutable n_objs : int;
-  by_addr : int Int_table.t; (* object addr -> its index; -1 = none *)
+  by_addr : Int_int_table.t; (* object addr -> its index; -1 = none *)
   cache : Int_stack.t Int_table.t; (* chunk size -> cached bases *)
   metrics : Metrics.t;
   mutable held : int; (* counted here: the space may be shared *)
@@ -53,7 +54,7 @@ let create ?(config = default_config) space =
     o_home = Array.make 256 0;
     o_dead = Array.make 256 false;
     n_objs = 0;
-    by_addr = Int_table.create ~size:256 (-1);
+    by_addr = Int_int_table.create ~size:256 ();
     cache = Int_table.create ~size:4 no_stack;
     metrics = Metrics.create ~probe:(Address_space.probe space) ();
     held = 0;
@@ -132,7 +133,7 @@ let push_obj t addr gross payload home =
   t.o_home.(i) <- home;
   t.o_dead.(i) <- false;
   t.n_objs <- i + 1;
-  Int_table.replace t.by_addr addr i
+  Int_int_table.replace t.by_addr addr i
 
 let alloc t payload =
   if payload <= 0 then invalid_arg "Obstack.alloc: non-positive size";
@@ -155,7 +156,7 @@ let rec pop_dead t =
   let i = t.n_objs - 1 in
   if i >= 0 && t.o_dead.(i) then begin
     t.n_objs <- i;
-    Int_table.remove t.by_addr t.o_addr.(i);
+    Int_int_table.remove t.by_addr t.o_addr.(i);
     t.dead_count <- t.dead_count - 1;
     let c = t.o_home.(i) in
     t.c_used.(c) <- t.c_used.(c) - t.o_gross.(i);
@@ -169,7 +170,7 @@ let rec pop_dead t =
   end
 
 let free t addr =
-  let i = Int_table.find t.by_addr addr ~default:(-1) in
+  let i = Int_int_table.find t.by_addr addr ~default:(-1) in
   if i < 0 || t.o_dead.(i) then raise (Allocator.Invalid_free addr);
   t.o_dead.(i) <- true;
   t.dead_count <- t.dead_count + 1;

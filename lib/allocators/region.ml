@@ -1,6 +1,7 @@
 module Address_space = Dmm_vmem.Address_space
 module Size = Dmm_util.Size
 module Int_table = Dmm_util.Int_table
+module Int_int_table = Dmm_util.Int_int_table
 module Int_stack = Dmm_util.Int_stack
 module Metrics = Dmm_core.Metrics
 module Allocator = Dmm_core.Allocator
@@ -10,25 +11,38 @@ type config = { min_slot : int; chunk_bytes : int }
 let default_config = { min_slot = 16; chunk_bytes = 4096 }
 
 type region = {
+  id : int; (* its index in [regions] *)
   slot : int;
   free_slots : Int_stack.t;
   chunks : Int_stack.t; (* chunk bases, oldest at the bottom; all of [chunk_size] *)
   chunk_size : int;
-  live : int Int_table.t; (* live slot addr -> requested payload; 0 = none *)
+  live : Int_int_table.t; (* live slot addr -> requested payload; 0 = none *)
 }
 
-(* Park in the empty cells of [by_class], [owner] and [chunk_cache]; never
-   allocated from or pushed to. *)
+(* Park in the empty cells of [by_class], [regions] and [chunk_cache];
+   never allocated from or pushed to. *)
 let no_stack = Int_stack.create ()
 
 let no_region =
-  { slot = 0; free_slots = no_stack; chunks = no_stack; chunk_size = 0; live = Int_table.create 0 }
+  {
+    id = -1;
+    slot = 0;
+    free_slots = no_stack;
+    chunks = no_stack;
+    chunk_size = 0;
+    live = Int_int_table.create ();
+  }
 
+(* [owner] maps a live slot to its region's id, an int, so that a store
+   into it is a plain store; the id indexes [regions], which holds every
+   region made, so a region record lives as long as its manager. *)
 type t = {
   config : config;
   space : Address_space.t;
   by_class : region array; (* log2 of the slot size -> its region, or [no_region] *)
-  owner : region Int_table.t; (* live slot addr -> its region *)
+  mutable regions : region array; (* id -> region; [no_region] past [n_regions] *)
+  mutable n_regions : int;
+  owner : Int_int_table.t; (* live slot addr -> its region's id *)
   chunk_cache : Int_stack.t Int_table.t; (* chunk size -> free bases *)
   metrics : Metrics.t;
 }
@@ -40,7 +54,9 @@ let create ?(config = default_config) space =
     config;
     space;
     by_class = Array.make 62 no_region;
-    owner = Int_table.create ~size:256 no_region;
+    regions = Array.make 16 no_region;
+    n_regions = 0;
+    owner = Int_int_table.create ~size:256 ();
     chunk_cache = Int_table.create ~size:8 no_stack;
     metrics = Metrics.create ~probe:(Address_space.probe space) ();
   }
@@ -50,13 +66,25 @@ let slot_of_request t payload = Int.max t.config.min_slot (Size.pow2_ceil payloa
 let chunk_size_for t slot = Int.max t.config.chunk_bytes (Size.align_up slot t.config.chunk_bytes)
 
 let make_region_internal t slot =
-  {
-    slot;
-    free_slots = Int_stack.create ();
-    chunks = Int_stack.create ();
-    chunk_size = chunk_size_for t slot;
-    live = Int_table.create ~size:64 0;
-  }
+  let id = t.n_regions in
+  if id = Array.length t.regions then begin
+    let grown = Array.make (2 * id) no_region in
+    Array.blit t.regions 0 grown 0 id;
+    t.regions <- grown
+  end;
+  let r =
+    {
+      id;
+      slot;
+      free_slots = Int_stack.create ();
+      chunks = Int_stack.create ();
+      chunk_size = chunk_size_for t slot;
+      live = Int_int_table.create ~size:64 ();
+    }
+  in
+  t.regions.(id) <- r;
+  t.n_regions <- id + 1;
+  r
 
 let make_region t ~slot_size =
   if slot_size <= 0 then invalid_arg "Region.make_region: non-positive slot size";
@@ -90,15 +118,15 @@ let region_alloc_payload t r payload =
       base
     end
   in
-  Int_table.replace r.live addr payload;
-  Int_table.replace t.owner addr r;
+  Int_int_table.replace r.live addr payload;
+  Int_int_table.replace t.owner addr r.id;
   Metrics.on_alloc t.metrics ~payload ~gross:r.slot ~tag:0 ~addr;
   addr
 
 let region_free_internal t r addr =
-  let payload = Int_table.take r.live addr ~default:0 in
+  let payload = Int_int_table.take r.live addr ~default:0 in
   if payload = 0 then raise (Allocator.Invalid_free addr);
-  Int_table.remove t.owner addr;
+  Int_int_table.remove t.owner addr;
   Int_stack.push r.free_slots addr;
   Metrics.add_ops t.metrics 2;
   Metrics.on_free t.metrics ~payload ~addr
@@ -106,11 +134,11 @@ let region_free_internal t r addr =
 (* The live slots are released in address order; the chunks go to the
    cache newest first, so the oldest is reused first. *)
 let destroy_region t r =
-  let addrs = List.sort compare (Int_table.fold (fun addr _ acc -> addr :: acc) r.live []) in
+  let addrs = List.sort compare (Int_int_table.fold (fun addr _ acc -> addr :: acc) r.live []) in
   List.iter
     (fun addr ->
-      let payload = Int_table.take r.live addr ~default:0 in
-      Int_table.remove t.owner addr;
+      let payload = Int_int_table.take r.live addr ~default:0 in
+      Int_int_table.remove t.owner addr;
       Metrics.on_free t.metrics ~payload ~addr)
     addrs;
   Int_stack.clear r.free_slots;
@@ -144,9 +172,9 @@ let alloc t payload =
   region_alloc_payload t (class_region t slot) payload
 
 let free t addr =
-  let r = Int_table.find t.owner addr ~default:no_region in
-  if r == no_region then raise (Allocator.Invalid_free addr);
-  region_free_internal t r addr
+  let id = Int_int_table.find t.owner addr ~default:(-1) in
+  if id < 0 then raise (Allocator.Invalid_free addr);
+  region_free_internal t t.regions.(id) addr
 
 let current_footprint t = Address_space.brk t.space
 let max_footprint t = Address_space.high_water t.space
@@ -154,9 +182,10 @@ let metrics t = Metrics.snapshot t.metrics
 
 let breakdown t : Metrics.breakdown =
   let live_payload = ref 0 and padding = ref 0 and live_gross = ref 0 in
-  Int_table.iter
-    (fun addr r ->
-      let payload = Int_table.find r.live addr ~default:0 in
+  Int_int_table.iter
+    (fun addr id ->
+      let r = t.regions.(id) in
+      let payload = Int_int_table.find r.live addr ~default:0 in
       live_payload := !live_payload + payload;
       padding := !padding + (r.slot - payload);
       live_gross := !live_gross + r.slot)

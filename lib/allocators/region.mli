@@ -11,7 +11,12 @@
     Besides the size-class behaviour behind {!allocator}, an explicit
     region API ({!make_region}/{!destroy_region}) is provided for
     applications with true per-region lifetimes; destroyed regions donate
-    their chunks to a shared cache for reuse. *)
+    their chunks to a shared cache for reuse.
+
+    The manager keeps every region it makes, explicit or size-class, in
+    an array indexed by a region id, and maps each live slot to its
+    region's id, so a region record lives as long as its manager, even
+    after {!destroy_region}. *)
 
 type config = {
   min_slot : int;  (** smallest slot size, power of two (default 16) *)
@@ -41,7 +46,8 @@ val destroy_region : t -> region -> unit
 (** Release all chunks of the region into the shared chunk cache. Any
     outstanding slots become invalid: each is freed, one [Free] event per
     slot in increasing address order. The chunks are cached so that the
-    region's oldest is reused first. *)
+    region's oldest is reused first. The emptied region stays usable:
+    {!region_alloc} gives it a chunk again, from the cache first. *)
 
 val alloc : t -> int -> int
 val free : t -> int -> unit

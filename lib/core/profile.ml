@@ -1,6 +1,6 @@
 module Histogram = Dmm_util.Histogram
 module Stats = Dmm_util.Stats
-module Int_table = Dmm_util.Int_table
+module Int_int_table = Dmm_util.Int_int_table
 
 type phase_summary = {
   phase : int;
@@ -18,7 +18,7 @@ type acc = {
   acc_phase : int;
   mutable acc_allocs : int;
   mutable acc_frees : int;
-  acc_sizes : int Int_table.t; (* request size -> allocations of that size *)
+  acc_sizes : Int_int_table.t; (* request size -> allocations of that size *)
   acc_size_stats : Stats.t;
   acc_lifetime_stats : Stats.t;
   mutable acc_peak_live_bytes : int;
@@ -26,10 +26,11 @@ type acc = {
   mutable acc_lifo_frees : int;
 }
 
-(* The live set is indexed by id in flat arrays, grown like [Replay]'s id
-   map: [sizes.(id)] is the live block's size, 0 when the id is not live,
-   and [born.(id)] its birth sequence number. The LIFO stack holds
-   (birth, id) pairs in two int arrays, most recent at [depth - 1]. *)
+(* The live set is indexed by id in flat arrays, sized by [create]'s
+   [capacity] and grown past it on demand: [sizes.(id)] is the live
+   block's size, 0 when the id is not live, and [born.(id)] its birth
+   sequence number. The LIFO stack holds (birth, id) pairs in two int
+   arrays, most recent at [depth - 1]. *)
 type t = {
   accs : (int, acc) Hashtbl.t;
   mutable cur : acc; (* the current phase's, or [no_acc] before its first event *)
@@ -49,7 +50,7 @@ let new_acc phase =
     acc_phase = phase;
     acc_allocs = 0;
     acc_frees = 0;
-    acc_sizes = Int_table.create 0;
+    acc_sizes = Int_int_table.create ();
     acc_size_stats = Stats.create ();
     acc_lifetime_stats = Stats.create ();
     acc_peak_live_bytes = 0;
@@ -59,13 +60,14 @@ let new_acc phase =
 
 let no_acc = new_acc min_int
 
-let create () =
+let create ?(capacity = 16) () =
+  let ids = Int.max 16 capacity in
   let t =
     {
       accs = Hashtbl.create 8;
       cur = new_acc 0;
-      sizes = Array.make 16 0;
-      born = Array.make 16 0;
+      sizes = Array.make ids 0;
+      born = Array.make ids 0;
       stack_seq = Array.make 16 0;
       stack_id = Array.make 16 0;
       depth = 0;
@@ -129,7 +131,7 @@ let observe_alloc t ~id ~size =
   t.seq <- t.seq + 1;
   let a = current_acc t in
   a.acc_allocs <- a.acc_allocs + 1;
-  Int_table.replace a.acc_sizes size (Int_table.find a.acc_sizes size ~default:0 + 1);
+  Int_int_table.replace a.acc_sizes size (Int_int_table.find a.acc_sizes size ~default:0 + 1);
   Stats.add_int a.acc_size_stats size;
   t.sizes.(id) <- size;
   t.born.(id) <- t.seq;
@@ -156,7 +158,7 @@ let observe_free t ~id =
    later observations leave it unchanged. *)
 let summary_of_acc a =
   let size_hist = Histogram.create () in
-  Int_table.iter (fun size n -> Histogram.add_many size_hist size n) a.acc_sizes;
+  Int_int_table.iter (fun size n -> Histogram.add_many size_hist size n) a.acc_sizes;
   {
     phase = a.acc_phase;
     allocs = a.acc_allocs;

@@ -25,7 +25,11 @@ type phase_summary = {
       (** frees that released the most recently allocated live block *)
 }
 
-val create : unit -> t
+val create : ?capacity:int -> unit -> t
+(** [capacity] pre-sizes the live set for ids below it (default 16); an
+    id past it grows the arrays. A caller that knows its largest id, as
+    [Profile_builder.of_trace] does from the trace, passes one more than
+    it, and no observation grows them. *)
 
 val observe_phase : t -> int -> unit
 val observe_alloc : t -> id:int -> size:int -> unit

@@ -42,13 +42,13 @@ type run = { outcome : outcome; events : int }
 
 type t = {
   trace : Trace.t;
-  live_hint : int;
+  peak_live : int; (* [Manager.create]'s [expected_live] *)
   mutable replays : int;
   mutable stopped : int;
 }
 
 let create trace =
-  { trace; live_hint = Trace.peak_live_count trace; replays = 0; stopped = 0 }
+  { trace; peak_live = Trace.peak_live_count trace; replays = 0; stopped = 0 }
 
 let replays t = t.replays
 let stopped t = t.stopped
@@ -86,7 +86,7 @@ let replay ?probe ?(alpha = 0.0) ?bound t a =
   let events =
     match bound with
     | None ->
-      Replay.run ?probe ~live_hint:t.live_hint t.trace a;
+      Replay.run ?probe t.trace a;
       n
     | Some bound -> (
       let on_event i a =
@@ -96,7 +96,7 @@ let replay ?probe ?(alpha = 0.0) ?bound t a =
           then raise_notrace (Reached (i + 1))
         end
       in
-      match Replay.run ?probe ~on_event ~live_hint:t.live_hint t.trace a with
+      match Replay.run ?probe ~on_event t.trace a with
       | () -> n
       | exception Reached k -> k)
   in
@@ -108,7 +108,7 @@ let replay ?probe ?(alpha = 0.0) ?bound t a =
 
 let allocator ?probe t (d : Explorer.design) =
   Manager.allocator
-    (Manager.create ~expected_live:t.live_hint ~params:d.Explorer.params d.Explorer.vector
+    (Manager.create ~expected_live:t.peak_live ~params:d.Explorer.params d.Explorer.vector
        (Address_space.create ?probe ()))
 
 let outcomes t designs =

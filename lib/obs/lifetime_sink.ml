@@ -8,7 +8,7 @@
    each such event is counted in the [unmatched] record and the affected
    span is abandoned, so sanitizer-defective streams still profile. *)
 
-module Int_table = Dmm_util.Int_table
+module Int_int_table = Dmm_util.Int_int_table
 module Size = Dmm_util.Size
 
 type span = {
@@ -81,7 +81,7 @@ let class_index gross =
    slot of the four span arrays, and freed slots are recycled through
    [born]. A span's phase is kept as the index of its phase's cell. *)
 type t = {
-  slot_of : int Int_table.t;
+  slot_of : Int_int_table.t;
   mutable payload : int array;
   mutable gross : int array;
   mutable born : int array;
@@ -106,7 +106,7 @@ let initial_slots = 64
 
 let create ?on_span () =
   {
-    slot_of = Int_table.create ~size:initial_slots (-1);
+    slot_of = Int_int_table.create ~size:initial_slots ();
     payload = Array.make initial_slots 0;
     gross = Array.make initial_slots 0;
     born = Array.make initial_slots 0;
@@ -182,7 +182,7 @@ let on_event t clock (e : Event.t) =
        free (or the allocator is broken — the sanitizer's business, not
        ours): abandon the old span uncounted and start afresh in its
        slot. *)
-    let s = Int_table.find t.slot_of addr ~default:(-1) in
+    let s = Int_int_table.find t.slot_of addr ~default:(-1) in
     let s =
       if s >= 0 then begin
         t.realloc_over_live <- t.realloc_over_live + 1;
@@ -190,7 +190,7 @@ let on_event t clock (e : Event.t) =
       end
       else begin
         let s = new_slot t in
-        Int_table.replace t.slot_of addr s;
+        Int_int_table.replace t.slot_of addr s;
         s
       end
     in
@@ -204,7 +204,7 @@ let on_event t clock (e : Event.t) =
     let p = t.phases.(ph) in
     p.c_spans <- p.c_spans + 1
   | Event.Free { addr; _ } ->
-    let s = Int_table.take t.slot_of addr ~default:(-1) in
+    let s = Int_int_table.take t.slot_of addr ~default:(-1) in
     if s < 0 then t.free_without_alloc <- t.free_without_alloc + 1
     else begin
       let born = t.born.(s) and ph = t.born_phase.(s) in
@@ -255,13 +255,13 @@ let unmatched t =
    [Log_hist.record] clamps it. *)
 let add_bytes acc gross = Size.sat_add acc (max 0 gross)
 
-let leaked_bytes t = Int_table.fold (fun _ s acc -> add_bytes acc t.gross.(s)) t.slot_of 0
+let leaked_bytes t = Int_int_table.fold (fun _ s acc -> add_bytes acc t.gross.(s)) t.slot_of 0
 
 (* Live spans folded into per-index leak counts: (spans, gross bytes) for
    each of [n] indices, [index_of] picking a slot's. *)
 let leaks t n index_of =
   let count = Array.make n 0 and bytes = Array.make n 0 in
-  Int_table.iter
+  Int_int_table.iter
     (fun _ s ->
       let i = index_of s in
       count.(i) <- count.(i) + 1;

@@ -13,7 +13,7 @@
     abandoned, so a stream the sanitizer would flag still profiles — just
     with an honest defect count attached.
 
-    Live spans sit in a flat table: an {!Dmm_util.Int_table} maps each
+    Live spans sit in a flat table: an {!Dmm_util.Int_int_table} maps each
     payload address (any [int]) to a slot of four [int] arrays (payload,
     gross size, birth clock, birth phase), and freed slots are reused.
     Size classes are cells indexed by their log2 and the current phase's

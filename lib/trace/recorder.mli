@@ -7,8 +7,9 @@ val recording_allocator : unit -> Dmm_core.Allocator.t * (unit -> Trace.t)
     queries report the live payload (no manager is behind it).
 
     Ids are dense from 1, so the recorder keeps each live id's size in an
-    {!Id_map} and writes each event straight into the trace's flat
-    arrays: it allocates nothing per event beyond their doubling. Freeing an id that is not live raises
+    array indexed by id, doubled as the ids reach its end, and writes
+    each event straight into the trace's flat arrays: it allocates
+    nothing per event beyond their doubling. Freeing an id that is not live raises
     {!Dmm_core.Allocator.Invalid_free}. The extracting function trims the
     trace to its length ({!Trace.trim}) before handing it over; the trace
     is the recorder's own, not a copy. *)

@@ -12,15 +12,16 @@ val run :
   Dmm_core.Allocator.t ->
   unit
 (** [run trace a] feeds every event to [a], mapping trace ids to the
-    addresses [a] returns. [on_event i a] fires after event [i]. Raises
-    [Invalid_argument] on an invalid trace (free of a non-live id, or an
-    id too large to index an array, such as [max_int]).
+    addresses [a] returns through one int array of {!Trace.id_bound}
+    slots, made before the first event and never grown. [on_event i a]
+    fires after event [i]. Raises [Invalid_argument] on an invalid trace:
+    a free of a non-live id (["Replay.run: free of non-live id N"]), a
+    negative allocation id, or an id too large to size the array, such as
+    [max_int] (before the first event).
     [probe] receives one {!Dmm_obs.Event.Phase} per phase marker replayed
     (pass the probe the manager's address space was built with, so the
     whole event stream shares one logical clock).
-    [live_hint] pre-sizes the id-to-address table (use
-    {!Trace.peak_live_count} when replaying the same trace repeatedly;
-    default 256). *)
+    [live_hint] is ignored: the table's size comes from the trace. *)
 
 val max_footprint_of : Trace.t -> Dmm_core.Allocator.t -> int
 (** Replay and return the manager's maximum footprint. *)

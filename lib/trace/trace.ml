@@ -2,12 +2,15 @@
    an allocation is (alloc, id, size), a free (free, id, 0) and a phase
    marker (phase, phase number, 0). The kind keeps a byte of its own so
    that ids and sizes hold the whole int range. The arrays have the same
-   capacity; events [0, len) are recorded. *)
+   capacity; events [0, len) are recorded. [id_bound] is one more than the
+   largest allocation id, saturating at [max_int], so an id-indexed array
+   of that length holds every allocation. *)
 type t = {
   mutable kinds : Bytes.t;
   mutable ids : int array;
   mutable sizes : int array;
   mutable len : int;
+  mutable id_bound : int;
 }
 
 type kind = Alloc | Free | Phase
@@ -18,7 +21,13 @@ let phase_code = '\002'
 
 let create ?(capacity = 1024) () =
   let n = max 1 capacity in
-  { kinds = Bytes.make n alloc_code; ids = Array.make n 0; sizes = Array.make n 0; len = 0 }
+  {
+    kinds = Bytes.make n alloc_code;
+    ids = Array.make n 0;
+    sizes = Array.make n 0;
+    len = 0;
+    id_bound = 0;
+  }
 
 let resize t n =
   let kinds = Bytes.make n alloc_code and ids = Array.make n 0 and sizes = Array.make n 0 in
@@ -36,7 +45,10 @@ let[@inline] push t code id size =
   Array.unsafe_set t.sizes t.len size;
   t.len <- t.len + 1
 
-let add_alloc t ~id ~size = push t alloc_code id size
+let add_alloc t ~id ~size =
+  if id >= t.id_bound then t.id_bound <- (if id = max_int then max_int else id + 1);
+  push t alloc_code id size
+
 let add_free t id = push t free_code id 0
 let add_phase t p = push t phase_code p 0
 
@@ -48,10 +60,14 @@ let add t = function
 let trim t = if Array.length t.ids > t.len then resize t (max 1 t.len)
 
 let length t = t.len
+let id_bound t = t.id_bound
 
 (* [i] is in [0, len), so the unchecked reads stay inside the arrays. *)
 let[@inline] unsafe_kind t i =
   match Bytes.unsafe_get t.kinds i with '\000' -> Alloc | '\001' -> Free | _ -> Phase
+
+let[@inline] unsafe_id t i = Array.unsafe_get t.ids i
+let[@inline] unsafe_size t i = Array.unsafe_get t.sizes i
 
 let[@inline] check t i =
   if i < 0 || i >= t.len then invalid_arg "Trace: event index out of bounds"
@@ -183,34 +199,26 @@ let validate t =
   in
   go 0
 
-(* Ids are dense small integers, so the live set is a byte per id, grown
-   like [Replay]'s id map: straight to [id + 1] when doubling falls
-   short. Doubling until past [id] would wrap for an id near [max_int]
-   and never end; here such an id makes the size wrap negative (the
-   store then raises) or asks for more than a [Bytes.t] holds
-   ([Bytes.make] raises). Re-allocating a live id and freeing a non-live
-   one change nothing. *)
+(* The live set is a byte per id below [id_bound]: an id too large for a
+   [Bytes.t] makes [Bytes.make] raise, and a negative one the checked
+   reads. A free at or past [id_bound] was never allocated. Re-allocating
+   a live id and freeing a non-live one change nothing. *)
 let peak_live_count t =
-  let live = ref (Bytes.make 16 '\000') in
+  let n = t.id_bound in
+  let live = Bytes.make n '\000' in
   let count = ref 0 and peak = ref 0 in
   for i = 0 to t.len - 1 do
     let id = t.ids.(i) in
     match unsafe_kind t i with
     | Alloc ->
-      let n = Bytes.length !live in
-      if id >= n then begin
-        let grown = Bytes.make (max (2 * n) (id + 1)) '\000' in
-        Bytes.blit !live 0 grown 0 n;
-        live := grown
-      end;
-      if Bytes.get !live id = '\000' then begin
-        Bytes.set !live id '\001';
+      if Bytes.get live id = '\000' then begin
+        Bytes.set live id '\001';
         incr count;
         if !count > !peak then peak := !count
       end
     | Free ->
-      if id < Bytes.length !live && Bytes.get !live id <> '\000' then begin
-        Bytes.set !live id '\000';
+      if id < n && Bytes.get live id <> '\000' then begin
+        Bytes.set live id '\000';
         decr count
       end
     | Phase -> ()

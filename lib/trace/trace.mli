@@ -7,8 +7,9 @@
     kind has a byte of its own, so ids and sizes hold the whole [int]
     range, and a trace holds about 2.1 words per event. The hot readers
     ({!Replay.run}, {!Profile_builder.of_trace}, {!peak_live_count},
-    {!validate}) read the arrays through {!kind}, {!id} and {!size} and
-    allocate nothing per event; the writers a generator uses
+    {!validate}) read the arrays in place, without building events, and
+    allocate nothing per event; the first three size their id-indexed
+    arrays once, from {!id_bound}. The writers a generator uses
     ({!add_alloc}, {!add_free}, {!add_phase}) allocate only when the
     arrays double. The {!Event.t} functions build one event per call,
     for the callers off the hot path. *)
@@ -32,6 +33,14 @@ val trim : t -> unit
     that doubling left. Adding later grows them again. *)
 
 val length : t -> int
+
+val id_bound : t -> int
+(** One more than the largest id an allocation event carries, so an
+    array of [id_bound t] slots indexed by id holds every allocated id; 0
+    when the trace allocates nothing. It saturates at [max_int], which no
+    array can be sized to. Negative ids do not raise it. {!add},
+    {!add_alloc} and every constructor keep it, so reading it costs
+    nothing. *)
 
 val get : t -> int -> Event.t
 (** Raises [Invalid_argument] unless the index is in [\[0, length t)]. *)
@@ -57,6 +66,14 @@ val id : t -> int -> int
 val size : t -> int -> int
 (** The size of an allocation; 0 for a free or a phase marker. *)
 
+val unsafe_kind : t -> int -> kind
+val unsafe_id : t -> int -> int
+
+val unsafe_size : t -> int -> int
+(** {!kind}, {!id} and {!size} without the bounds check, for a loop whose
+    index runs over [\[0, length t)]; outside it the result is
+    unspecified. *)
+
 val interleave : ?seed:int -> t list -> t
 (** Merge traces as concurrently running applications (the paper's other
     source of unpredictability: "the number of applications running
@@ -75,12 +92,12 @@ val validate : t -> (unit, string) result
 
 val peak_live_count : t -> int
 (** Maximum number of simultaneously live ids anywhere in the trace — the
-    natural pre-size for replay and manager registries. Allocating a live
-    id again and freeing a non-live id change nothing. The live set is a
-    byte per id up to the largest allocated id, so the trace's ids should
-    be dense, as every generator's are: a negative id, or an id too large
-    for a [Bytes.t] (from [Sys.max_string_length] up to [max_int]),
-    raises [Invalid_argument] ({!validate} rejects both). *)
+    natural pre-size for manager registries. Allocating a live id again
+    and freeing a non-live id change nothing. The live set is a byte per
+    id below {!id_bound}, so the trace's ids should be dense, as every
+    generator's are: a negative id, or an id too large for a [Bytes.t]
+    (from [Sys.max_string_length] up to [max_int]), raises
+    [Invalid_argument] ({!validate} rejects both). *)
 
 val live_at_end : t -> int
 (** Number of blocks never freed. *)

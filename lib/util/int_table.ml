@@ -1,21 +1,21 @@
-(* Open-addressing hash table specialised to int keys (heap addresses).
-   The generic [Hashtbl] costs a seeded hash call plus a bucket allocation
-   per [replace]; on the allocator hot paths (base/end registries,
-   free-structure slot maps) that is most of the per-event constant. Linear
-   probing over two flat arrays allocates nothing per operation.
+(* Open-addressing hash table specialised to int keys (heap addresses),
+   for values that are pointers. The generic [Hashtbl] costs a seeded hash
+   call plus a bucket allocation per [replace]; on the allocator hot paths
+   that is most of the per-event constant. Linear probing over two flat
+   arrays allocates nothing per operation. The key side (home slot, probe,
+   backward-shift test) is [Int_hash], shared with [Int_int_table], whose
+   values are ints: a store into this table's ['a array] takes the write
+   barrier, one into an [int array] does not.
 
-   A key's home slot is the top [log2 capacity] bits of its product with a
-   fixed odd multiplier. A bit of the product depends only on the key's
-   bits at or below it, so the top bits depend on all of them, and
-   addresses aligned to a large power of two still reach every slot; the
-   low bits would reach one slot in 2^j for keys that are multiples of
-   2^j. Removal shifts the rest of the probe run back over the freed slot
+   Removal shifts the rest of the probe run back over the freed slot
    (backward-shift deletion), so the arrays hold no deleted markers, a
    probe stops at the first empty slot, and only growth rehashes.
 
    In the arrays, [min_int] marks an empty slot, so that one key lives in a
    side cell instead; one compare sends it there. Capacity is a power of
    two, doubled when the live entries pass half of it. *)
+
+open Int_hash
 
 type 'a t = {
   mutable keys : int array;
@@ -26,26 +26,13 @@ type 'a t = {
   mutable side : 'a option; (* the binding of [min_int] *)
 }
 
-let empty_key = min_int
-
-(* The xorshift64* multiplier, odd and 62 bits wide. *)
-let multiplier = 0x2545F4914F6CDD1D
-
-let[@inline] home k shift = (k * multiplier) lsr shift
-
-(* [-1] is 63 one bits, so this is capacity - 1. *)
-let[@inline] mask_of shift = -1 lsr shift
-
 let create ?(size = 16) dummy =
-  let cap = ref 16 and bits = ref 4 in
-  while !cap < size * 2 do
-    cap := !cap * 2;
-    incr bits
-  done;
+  let shift = shift_for size in
+  let cap = mask_of shift + 1 in
   {
-    keys = Array.make !cap empty_key;
-    vals = Array.make !cap dummy;
-    shift = 63 - !bits;
+    keys = Array.make cap empty_key;
+    vals = Array.make cap dummy;
+    shift;
     count = 0;
     dummy;
     side = None;
@@ -54,14 +41,9 @@ let create ?(size = 16) dummy =
 let length t = t.count + match t.side with Some _ -> 1 | None -> 0
 let dummy t = t.dummy
 
-(* Find the slot holding [k], or -1. Probe indices stay masked below the
-   capacity, so the reads can skip bounds checks. The probe loops are top
-   level with explicit arguments: a local loop would allocate a closure
-   over them on every call. *)
-let rec probe_find keys mask k i =
-  let key = Array.unsafe_get keys i in
-  if key = k then i else if key = empty_key then -1 else probe_find keys mask k ((i + 1) land mask)
-
+(* Probe indices stay masked below the capacity, so the reads can skip
+   bounds checks. The loops are top level with explicit arguments: a local
+   loop would allocate a closure over them on every call. *)
 let find_slot t k = probe_find t.keys (mask_of t.shift) k (home k t.shift)
 
 let mem t k =
@@ -109,17 +91,15 @@ and probe_set t k v keys mask i =
 
 let replace = set
 
-(* Close the hole at [hole] by pulling later entries of its probe run back.
-   The entry at [j] may move into the hole when its home is not cyclically
-   in (hole, j], that is when it sits at least [j - hole] slots past its
-   home; the run ends at the first empty slot. *)
+(* Close the hole at [hole] by pulling later entries of its probe run
+   back; the run ends at the first empty slot. *)
 let rec shift_back t keys mask shift hole j =
   let key = Array.unsafe_get keys j in
   if key = empty_key then begin
     Array.unsafe_set keys hole empty_key;
     Array.unsafe_set t.vals hole t.dummy
   end
-  else if (j - home key shift) land mask >= (j - hole) land mask then begin
+  else if movable key shift mask ~hole j then begin
     Array.unsafe_set keys hole key;
     Array.unsafe_set t.vals hole (Array.unsafe_get t.vals j);
     shift_back t keys mask shift j ((j + 1) land mask)
@@ -165,10 +145,4 @@ let fold f t init =
   iter (fun k v -> acc := f k v !acc) t;
   !acc
 
-let max_displacement t =
-  let mask = mask_of t.shift in
-  let worst = ref 0 in
-  Array.iteri
-    (fun i k -> if k <> empty_key then worst := Int.max !worst ((i - home k t.shift) land mask))
-    t.keys;
-  !worst
+let max_displacement t = Int_hash.max_displacement t.keys t.shift

@@ -1,5 +1,8 @@
 (** Open-addressing hash table for int keys (heap addresses); any [int]
-    is a key.
+    is a key. For values that are pointers: where the values are ints,
+    use {!Int_int_table}, which keeps them in an [int array], so a store
+    skips the write barrier this table's ['a array] pays on every insert,
+    overwrite and backward shift.
 
     A drop-in replacement for [(int, 'a) Hashtbl.t] on allocator hot paths:
     linear probing over two flat arrays, no allocation per operation. Unlike
@@ -7,13 +10,13 @@
     iteration order is unspecified — callers that expose ordering must sort,
     exactly as the managers already do for [Hashtbl].
 
-    A key's home slot is the top bits of its product with a fixed odd
-    multiplier, so keys aligned to a power of two spread over the whole
-    table, and the same operations always leave the same layout. Removing
-    a key shifts the rest of its probe run back one slot at a time
-    (backward-shift deletion): no deleted markers build up, and the table
-    rehashes only when it grows, doubling once the bindings pass half its
-    capacity. *)
+    The key side is {!Int_hash}'s: a key's home slot is the top bits of
+    its product with a fixed odd multiplier, so keys aligned to a power of
+    two spread over the whole table, and the same operations always leave
+    the same layout. Removing a key shifts the rest of its probe run back
+    one slot at a time (backward-shift deletion): no deleted markers build
+    up, and the table rehashes only when it grows, doubling once the
+    bindings pass half its capacity. *)
 
 type 'a t
 

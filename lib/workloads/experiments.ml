@@ -65,23 +65,23 @@ let render_trace_seed seed =
   Scenario.render_trace ~config ()
 
 (* Replay one trace through a fresh manager, returning footprint and ops. *)
-let measure ?live_hint trace (make : Scenario.maker) =
+let measure trace (make : Scenario.maker) =
   let a = make () in
-  Replay.run ?live_hint trace a;
+  Replay.run trace a;
   (Allocator.max_footprint a, (Allocator.stats a).Dmm_core.Metrics.ops)
 
 (* Probed variant: both numbers are rebuilt from the observability event
    stream — footprint from accumulated sbrk/trim deltas, ops from fit-scan
    steps — instead of the manager's inline accounting. Matching [measure]
    exactly is the end-to-end check that the stream is complete. *)
-let measure_probed ?live_hint trace (make : Scenario.maker) =
+let measure_probed trace (make : Scenario.maker) =
   let probe = Probe.create () in
   let ms = Dmm_core.Metrics.create () in
   Probe.attach probe (Dmm_core.Metrics.on_event ms);
   let ss = Series_sink.create () in
   Series_sink.attach probe ss;
   let a = make ~probe () in
-  Replay.run ~probe ?live_hint trace a;
+  Replay.run ~probe trace a;
   (Series_sink.peak ss, Dmm_core.Metrics.ops ms)
 
 let timed f =
@@ -102,15 +102,13 @@ let run_column ?(probe = false) ~workload ~trace_of_seed ~custom ~seeds () =
   let managers =
     Array.of_list (Scenario.baselines () @ [ ("custom DM manager", custom_make) ])
   in
-  let live_hints = Array.map Trace.peak_live_count traces in
   let cells = Array.init (Array.length managers * seeds) (fun i -> i) in
   let one_cell = if probe then measure_probed else measure in
   let measured =
     Pool.map cells (fun i ->
         let _, make = managers.(i / seeds) in
         let (fp, ops), seconds =
-          timed (fun () ->
-              one_cell ~live_hint:live_hints.(i mod seeds) traces.(i mod seeds) make)
+          timed (fun () -> one_cell traces.(i mod seeds) make)
         in
         (fp, ops, seconds))
   in
@@ -337,9 +335,7 @@ let multi_app () =
           ("custom (designed on the mix)", Scenario.custom_manager mix_design);
         ])
   in
-  let live_hint = Trace.peak_live_count mix in
-  Array.to_list
-    (Pool.map rows (fun (name, make) -> (name, fst (measure ~live_hint mix make))))
+  Array.to_list (Pool.map rows (fun (name, make) -> (name, fst (measure mix make))))
 
 let search_comparison ?(samples = 60) () =
   (* Always at light scale: this validates the search strategy, and random

@@ -3,11 +3,13 @@
    coalescing (D2 = deferred, so its periodic sweep is charged and
    ordered exactly) on the quick seed-42 DRR, reconstruct and render
    traces. Each cell prints the trace's events, the manager's [ops], the
-   minor words allocated by [Replay.run] alone, and for the buddy the
-   bitmap words its free-block searches read.
+   minor words allocated by [Replay.run] alone, the words it allocated
+   straight into the major heap (major words less promoted words: the
+   arrays too large for the minor heap), and for the buddy the bitmap
+   words its free-block searches read.
 
    Then the methodology's profiling step alone: per trace, its events and
-   the minor words of [Profile_builder.of_trace].
+   the minor and direct major words of [Profile_builder.of_trace].
 
    Then the serve path, on the quick seed-42 DRR trace's event stream
    under Kingsley (alloc/free heavy) and under Lea (fit-scan heavy),
@@ -26,8 +28,8 @@
    this output against the committed costs.expected: a slower search or a
    new per-event allocation changes a cell, whatever the host's speed.
    After a deliberate change, [dune promote] records the new figures.
-   Minor words depend on the compiler, so test/costs/dune compares them
-   only under the version named in the header. *)
+   Minor and major words depend on the compiler, so test/costs/dune
+   compares them only under the version named in the header. *)
 
 module Experiments = Dmm_workloads.Experiments
 module Scenario = Dmm_workloads.Scenario
@@ -61,6 +63,15 @@ let deferred_drr_design () =
       { Dmm_core.Decision_vector.drr_custom with d2 = Dmm_core.Decision.Deferred };
   }
 
+(* Words allocated straight into the major heap so far: major words
+   less promoted words. [Gc.counters] counts the words allocated since the
+   last major slice, which [Gc.quick_stat]'s major words leave out. Read
+   before [Gc.minor_words] opens a window and after it closes, so the
+   tuple [Gc.counters] allocates falls outside both. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
 (* A fresh manager, and how to read its bitmap words afterwards. *)
 let instantiate name (make : Scenario.maker) =
   if name = "Buddy-bitmap" then
@@ -72,19 +83,20 @@ let () =
   Experiments.paper_scale := false;
   Dmm_engine.Pool.with_jobs 1 @@ fun () ->
   Printf.printf "# minor words under OCaml %s\n" Sys.ocaml_version;
-  Printf.printf "%-24s %-18s %7s %9s %10s %11s\n" "workload" "manager" "events" "ops"
-    "words_read" "minor_words";
+  Printf.printf "%-24s %-18s %7s %9s %10s %11s %11s\n" "workload" "manager" "events" "ops"
+    "words_read" "minor_words" "major_words";
   List.iter
     (fun (wname, trace, custom) ->
-      let live_hint = Trace.peak_live_count trace in
       List.iter
         (fun (mname, make) ->
           let a, words_read = instantiate mname make in
+          let m0 = direct_major_words () in
           let w0 = Gc.minor_words () in
-          Replay.run ~live_hint trace a;
+          Replay.run trace a;
           let minor = Gc.minor_words () -. w0 in
-          Printf.printf "%-24s %-18s %7d %9d %10s %11.0f\n" wname mname (Trace.length trace)
-            (Allocator.stats a).ops (words_read ()) minor)
+          let major = direct_major_words () -. m0 in
+          Printf.printf "%-24s %-18s %7d %9d %10s %11.0f %11.0f\n" wname mname
+            (Trace.length trace) (Allocator.stats a).ops (words_read ()) minor major)
         (Scenario.baselines ()
         @ [
             ("custom DM manager", custom trace);
@@ -93,13 +105,17 @@ let () =
     (workloads ())
 
 let () =
-  Printf.printf "\n%-24s %-18s %7s %11s\n" "profile" "stage" "events" "minor_words";
+  Printf.printf "\n%-24s %-18s %7s %11s %11s\n" "profile" "stage" "events" "minor_words"
+    "major_words";
   List.iter
     (fun (wname, trace, _) ->
+      let m0 = direct_major_words () in
       let w0 = Gc.minor_words () in
       ignore (Sys.opaque_identity (Dmm_trace.Profile_builder.of_trace trace));
-      Printf.printf "%-24s %-18s %7d %11.0f\n" wname "of_trace" (Trace.length trace)
-        (Gc.minor_words () -. w0))
+      let minor = Gc.minor_words () -. w0 in
+      let major = direct_major_words () -. m0 in
+      Printf.printf "%-24s %-18s %7d %11.0f %11.0f\n" wname "of_trace" (Trace.length trace)
+        minor major)
     (workloads ())
 
 (* The binary stream a [dmm serve] client sends for one replay. *)

@@ -51,6 +51,44 @@ let check_replay_huge_id () =
   | () -> Alcotest.fail "id max_int replayed"
   | exception Invalid_argument _ -> ()
 
+(* Invalid traces raise what they raised while the id table grew on
+   demand: a negative id fails its store after the manager allocated, and
+   a free of an id that is not live names it, whether the id lies below
+   the trace's id bound, past it or below 0. Only an id too large to size
+   the table changed: it is refused before the first event (it used to
+   fail at its own event, with "index out of bounds" for [max_int] and
+   "Array.make" for 2^61). *)
+let check_replay_invalid_traces () =
+  let al id = Event.Alloc { id; size = 8 } and fr id = Event.Free { id } in
+  let outcome events =
+    let a = Dmm_workloads.Scenario.kingsley () in
+    let fired = ref 0 in
+    match Replay.run ~on_event:(fun _ _ -> incr fired) (Trace.of_list events) a with
+    | () -> Ok ((Allocator.stats a).allocs, !fired)
+    | exception Invalid_argument m -> Error (m, (Allocator.stats a).allocs, !fired)
+  in
+  let show = function
+    | Ok (allocs, fired) -> Printf.sprintf "ok: %d allocs, %d events" allocs fired
+    | Error (m, allocs, fired) -> Printf.sprintf "%S after %d allocs, %d events" m allocs fired
+  in
+  let expect name events want =
+    Alcotest.(check string) name (show want) (show (outcome events))
+  in
+  let non_live id = Printf.sprintf "Replay.run: free of non-live id %d" id in
+  expect "negative id" [ al 1; al (-1) ] (Error ("index out of bounds", 2, 1));
+  List.iter
+    (fun id ->
+      match outcome [ al 1; al id ] with
+      | Error (_, 0, 0) -> ()
+      | r -> Alcotest.failf "id %d: %s, expected a refusal before the first event" id (show r))
+    [ max_int; 1 lsl 61 ];
+  expect "sparse id" [ al 1000; al 1; fr 1000 ] (Ok (2, 3));
+  expect "free below the bound" [ al 5; fr 3 ] (Error (non_live 3, 1, 1));
+  expect "free past the bound" [ al 5; fr 7 ] (Error (non_live 7, 1, 1));
+  expect "free of a negative id" [ al 5; fr (-2) ] (Error (non_live (-2), 1, 1));
+  expect "free of max_int" [ al 5; fr max_int ] (Error (non_live max_int, 1, 1));
+  expect "double free" [ al 1; fr 1; fr 1 ] (Error (non_live 1, 1, 2))
+
 let check_replay_footprint_deterministic () =
   let t = Dmm_workloads.Scenario.drr_trace () in
   let make () = Dmm_workloads.Scenario.lea () in
@@ -107,6 +145,7 @@ let tests =
       Alcotest.test_case "recording allocator" `Quick check_recording_allocator;
       Alcotest.test_case "replay reproduces the trace" `Quick check_replay_reproduces;
       Alcotest.test_case "replay refuses id max_int" `Quick check_replay_huge_id;
+      Alcotest.test_case "replay of invalid traces" `Quick check_replay_invalid_traces;
       Alcotest.test_case "replay footprint deterministic" `Quick check_replay_footprint_deterministic;
       Alcotest.test_case "footprint series" `Quick check_footprint_series;
       Alcotest.test_case "csv" `Quick check_csv;

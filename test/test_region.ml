@@ -53,6 +53,45 @@ let check_explicit_regions () =
   let _ = Region.region_alloc t r2 in
   Alcotest.(check int) "cache reused" fp (Region.current_footprint t)
 
+(* More explicit regions than the manager's initial region array holds
+   (16), next to size-class regions: every slot is freed through the
+   address-to-region map, the breakdown finds each live slot's region,
+   and a region that [destroy_region] emptied serves slots again. *)
+let check_many_regions () =
+  let t = fresh () in
+  let regions = Array.init 40 (fun i -> Region.make_region t ~slot_size:(16 lsl (i mod 5))) in
+  let class_slot = Region.alloc t 100 in
+  let slots = Array.map (fun r -> [ Region.region_alloc t r; Region.region_alloc t r ]) regions in
+  let live () = (Region.breakdown t).Dmm_core.Metrics.live_payload in
+  let slot_bytes i = Region.slot_of_request t (16 lsl (i mod 5)) in
+  let want = ref 100 in
+  Array.iteri (fun i _ -> want := !want + (2 * slot_bytes i)) regions;
+  Alcotest.(check int) "live payload" !want (live ());
+  (* The generic free finds each slot's region by its id. *)
+  Array.iteri
+    (fun i l ->
+      Region.free t (List.hd l);
+      want := !want - slot_bytes i)
+    slots;
+  Alcotest.(check int) "after freeing one slot each" !want (live ());
+  Array.iteri
+    (fun i r ->
+      if i mod 2 = 0 then begin
+        Region.destroy_region t r;
+        want := !want - slot_bytes i
+      end)
+    regions;
+  Alcotest.(check int) "after destroying half" !want (live ());
+  Array.iteri
+    (fun i r ->
+      if i mod 2 = 0 then begin
+        let a = Region.region_alloc t r in
+        Region.free t a
+      end)
+    regions;
+  Region.free t class_slot;
+  Alcotest.(check int) "the odd regions' second slots" (!want - 100) (live ())
+
 let check_destroy_invalidates () =
   let t = fresh () in
   let r = Region.make_region t ~slot_size:32 in
@@ -107,6 +146,7 @@ let tests =
       Alcotest.test_case "never returns memory" `Quick check_never_returns_memory;
       Alcotest.test_case "internal fragmentation" `Quick check_internal_fragmentation;
       Alcotest.test_case "explicit regions" `Quick check_explicit_regions;
+      Alcotest.test_case "more regions than the initial array" `Quick check_many_regions;
       Alcotest.test_case "destroy invalidates slots" `Quick check_destroy_invalidates;
       Alcotest.test_case "invalid free" `Quick check_invalid_free;
       Alcotest.test_case "large slots" `Quick check_large_slots;

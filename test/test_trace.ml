@@ -330,6 +330,54 @@ let check_peak_live_huge_ids () =
   Alcotest.(check int) "a large dense id still counts" 1
     (Trace.peak_live_count (Trace.of_list [ Event.Alloc { id = 100_000; size = 8 } ]))
 
+(* [id_bound] against a naive maximum over the allocation ids, however
+   the trace was built: event by event from one slot, [of_list], through
+   the text format, or merged by [interleave] (which renumbers ids). *)
+let naive_id_bound events =
+  let ids = List.filter_map (function Event.Alloc { id; _ } -> Some id | _ -> None) events in
+  match ids with
+  | [] -> 0
+  | id :: rest ->
+    let m = List.fold_left Int.max id rest in
+    if m < 0 then 0 else if m = max_int then max_int else m + 1
+
+(* A source [interleave] accepts: frees only of ids it allocated. *)
+let interleavable events =
+  let allocated = Hashtbl.create 16 in
+  List.filter
+    (function
+      | Event.Alloc { id; _ } ->
+        Hashtbl.replace allocated id ();
+        true
+      | Event.Free { id } -> Hashtbl.mem allocated id
+      | Event.Phase _ -> true)
+    events
+
+let prop_id_bound =
+  QCheck.Test.make ~name:"id_bound matches a naive maximum" ~count:200
+    (QCheck.make ~print:print_events QCheck.Gen.(list_size (0 -- 60) gen_any_event))
+    (fun events ->
+      let want = naive_id_bound events in
+      let added = Trace.create ~capacity:1 () in
+      List.iter (Trace.add added) events;
+      let merged =
+        Trace.interleave ~seed:3
+          [ Trace.of_list (interleavable events); Trace.of_list (interleavable (List.rev events)) ]
+      in
+      (* The text format holds positive sizes only. *)
+      let loadable =
+        List.map (function Event.Alloc { id; _ } -> Event.Alloc { id; size = 8 } | e -> e) events
+      in
+      let loaded =
+        Temp_file.with_fresh_path (fun path ->
+            Trace.save (Trace.of_list loadable) path;
+            match Trace.load path with Ok t -> Trace.id_bound t | Error m -> failwith m)
+      in
+      Trace.id_bound (Trace.of_list events) = want
+      && Trace.id_bound added = want
+      && loaded = want
+      && Trace.id_bound merged = naive_id_bound (Trace.to_list merged))
+
 let check_trim () =
   let t = Trace.create () in
   List.iter (Trace.add t) sample_events;
@@ -400,5 +448,6 @@ let tests =
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 6 |]) prop_mutated_traces;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) prop_flat_round_trip;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) prop_matches_models;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |]) prop_id_bound;
     ]
     @ List.map QCheck_alcotest.to_alcotest qcheck )
