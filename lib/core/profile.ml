@@ -30,7 +30,8 @@ type acc = {
    [capacity] and grown past it on demand: [sizes.(id)] is the live
    block's size, 0 when the id is not live, and [born.(id)] its birth
    sequence number. The LIFO stack holds (birth, id) pairs in two int
-   arrays, most recent at [depth - 1]. *)
+   arrays, most recent at [depth - 1]. An entry is stale once its block
+   is freed or its id allocated again; staleness is permanent. *)
 type t = {
   accs : (int, acc) Hashtbl.t;
   mutable cur : acc; (* the current phase's, or [no_acc] before its first event *)
@@ -102,25 +103,48 @@ let grow_ids t id =
   t.sizes <- grown t.sizes cap;
   t.born <- grown t.born cap
 
+let[@inline] stale t i =
+  let id = t.stack_id.(i) in
+  t.sizes.(id) = 0 || t.born.(id) <> t.stack_seq.(i)
+
+(* Squeeze the stale entries out, keeping the others in order. A stale
+   entry never becomes live again, so the stack's live entries, its top
+   live entry and every later LIFO test stay as they were. *)
+let compact t =
+  let kept = ref 0 in
+  for i = 0 to t.depth - 1 do
+    if not (stale t i) then begin
+      t.stack_seq.(!kept) <- t.stack_seq.(i);
+      t.stack_id.(!kept) <- t.stack_id.(i);
+      incr kept
+    end
+  done;
+  t.depth <- !kept
+
+(* A full stack is compacted first, and doubles only if that leaves it
+   at least half full: a compaction then scans no more entries than the
+   pushes since the last one made, and the capacity stays below four
+   times the peak of live blocks (or at its first 16 slots). Without
+   it, a trace that frees in FIFO order keeps nearly every allocation:
+   its stale entries sit below live ones and never reach the top. *)
 let push t seq id =
   if t.depth = Array.length t.stack_id then begin
-    t.stack_seq <- grown t.stack_seq (2 * t.depth);
-    t.stack_id <- grown t.stack_id (2 * t.depth)
+    compact t;
+    if 2 * t.depth >= Array.length t.stack_id then begin
+      t.stack_seq <- grown t.stack_seq (2 * Array.length t.stack_seq);
+      t.stack_id <- grown t.stack_id (2 * Array.length t.stack_id)
+    end
   end;
   t.stack_seq.(t.depth) <- seq;
   t.stack_id.(t.depth) <- id;
   t.depth <- t.depth + 1
 
-(* Drop stack entries whose block has been freed (or superseded), so LIFO
-   detection stays amortised O(1). *)
+(* Drop stale entries from the top, so the top is the most recently
+   allocated live block, in amortised O(1). *)
 let rec drop_stale t =
-  if t.depth > 0 then begin
-    let top = t.depth - 1 in
-    let id = t.stack_id.(top) in
-    if t.sizes.(id) = 0 || t.born.(id) <> t.stack_seq.(top) then begin
-      t.depth <- top;
-      drop_stale t
-    end
+  if t.depth > 0 && stale t (t.depth - 1) then begin
+    t.depth <- t.depth - 1;
+    drop_stale t
   end
 
 let observe_alloc t ~id ~size =

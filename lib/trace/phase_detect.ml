@@ -76,29 +76,29 @@ let boundaries ?(config = default_config) trace =
     List.rev !cuts
 
 let strip trace =
-  let out = Trace.create () in
+  let out = Trace.Builder.create () in
   Trace.iter
     (function
       | Event.Phase _ -> ()
-      | (Event.Alloc _ | Event.Free _) as e -> Trace.add out e)
+      | (Event.Alloc _ | Event.Free _) as e -> Trace.Builder.add out e)
     trace;
-  out
+  Trace.Builder.build out
 
 let annotate ?(config = default_config) trace =
   let stripped = strip trace in
   let cuts = boundaries ~config stripped in
-  let out = Trace.create () in
-  Trace.add out (Event.Phase 0);
+  let out = Trace.Builder.create () in
+  Trace.Builder.add out (Event.Phase 0);
   let next_phase = ref 1 in
   let remaining = ref cuts in
   Trace.iteri
     (fun i e ->
       (match !remaining with
       | cut :: rest when i = cut ->
-        Trace.add out (Event.Phase !next_phase);
+        Trace.Builder.add out (Event.Phase !next_phase);
         incr next_phase;
         remaining := rest
       | _ :: _ | [] -> ());
-      Trace.add out e)
+      Trace.Builder.add out e)
     stripped;
-  out
+  Trace.Builder.build out

@@ -2,7 +2,7 @@ module Allocator = Dmm_core.Allocator
 module Metrics = Dmm_core.Metrics
 
 let recording_allocator () =
-  let trace = Trace.create () in
+  let trace = Trace.Builder.create () in
   let metrics = Metrics.create () in
   (* The size of each live id, indexed by id; 0 marks an id that is not
      live (sizes are positive). Ids are handed out one at a time from 1,
@@ -20,7 +20,7 @@ let recording_allocator () =
       sizes := grown
     end;
     !sizes.(id) <- size;
-    Trace.add_alloc trace ~id ~size;
+    Trace.Builder.add_alloc trace ~id ~size;
     Metrics.on_alloc metrics ~payload:size ~gross:size ~tag:0 ~addr:id;
     id
   in
@@ -28,7 +28,7 @@ let recording_allocator () =
     let size = if id < 0 || id >= Array.length !sizes then 0 else !sizes.(id) in
     if size = 0 then raise (Allocator.Invalid_free id);
     !sizes.(id) <- 0;
-    Trace.add_free trace id;
+    Trace.Builder.add_free trace id;
     Metrics.on_free metrics ~payload:size ~addr:id
   in
   let t =
@@ -36,7 +36,7 @@ let recording_allocator () =
       Allocator.name = "recorder";
       alloc;
       free;
-      phase = Trace.add_phase trace;
+      phase = Trace.Builder.add_phase trace;
       current_footprint = (fun () -> Metrics.live_payload metrics);
       max_footprint = (fun () -> (Metrics.snapshot metrics).peak_live_payload);
       stats = (fun () -> Metrics.snapshot metrics);
@@ -52,7 +52,4 @@ let recording_allocator () =
           });
     }
   in
-  (t,
-   fun () ->
-     Trace.trim trace;
-     trace)
+  (t, fun () -> Trace.Builder.build trace)

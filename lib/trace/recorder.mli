@@ -7,9 +7,10 @@ val recording_allocator : unit -> Dmm_core.Allocator.t * (unit -> Trace.t)
     queries report the live payload (no manager is behind it).
 
     Ids are dense from 1, so the recorder keeps each live id's size in an
-    array indexed by id, doubled as the ids reach its end, and writes
-    each event straight into the trace's flat arrays: it allocates
-    nothing per event beyond their doubling. Freeing an id that is not live raises
-    {!Dmm_core.Allocator.Invalid_free}. The extracting function trims the
-    trace to its length ({!Trace.trim}) before handing it over; the trace
-    is the recorder's own, not a copy. *)
+    array indexed by id, doubled as the ids reach its end, and appends
+    each event to a {!Trace.Builder}: it allocates nothing per event
+    beyond that array's doubling and the builder's chunks. Freeing an id
+    that is not live raises {!Dmm_core.Allocator.Invalid_free}. The
+    extracting function builds the trace recorded so far
+    ({!Trace.Builder.build}): one copy of its events into arrays of
+    exactly their number. *)

@@ -1,63 +1,70 @@
 (* One event is one kind byte plus an int in [ids] and an int in [sizes]:
    an allocation is (alloc, id, size), a free (free, id, 0) and a phase
    marker (phase, phase number, 0). The kind keeps a byte of its own so
-   that ids and sizes hold the whole int range. The arrays have the same
-   capacity; events [0, len) are recorded. [id_bound] is one more than the
-   largest allocation id, saturating at [max_int], so an id-indexed array
-   of that length holds every allocation. *)
-type t = {
-  mutable kinds : Bytes.t;
-  mutable ids : int array;
-  mutable sizes : int array;
-  mutable len : int;
-  mutable id_bound : int;
-}
+   that ids and sizes hold the whole int range. A finished trace never
+   changes: its arrays hold exactly its [len] events. [id_bound] is one
+   more than the largest allocation id, saturating at [max_int], so an
+   id-indexed array of that length holds every allocation. *)
+type t = { kinds : Bytes.t; ids : int array; sizes : int array; len : int; id_bound : int }
 
 type kind = Alloc | Free | Phase
+
+module Chunks = Dmm_util.Chunks
 
 let alloc_code = '\000'
 let free_code = '\001'
 let phase_code = '\002'
 
-let create ?(capacity = 1024) () =
-  let n = max 1 capacity in
-  {
-    kinds = Bytes.make n alloc_code;
-    ids = Array.make n 0;
-    sizes = Array.make n 0;
-    len = 0;
-    id_bound = 0;
-  }
+let[@inline] raise_bound bound id =
+  if id >= bound then if id = max_int then max_int else id + 1 else bound
 
-let resize t n =
-  let kinds = Bytes.make n alloc_code and ids = Array.make n 0 and sizes = Array.make n 0 in
-  Bytes.blit t.kinds 0 kinds 0 t.len;
-  Array.blit t.ids 0 ids 0 t.len;
-  Array.blit t.sizes 0 sizes 0 t.len;
-  t.kinds <- kinds;
-  t.ids <- ids;
-  t.sizes <- sizes
+module Builder = struct
+  type trace = t
 
-let[@inline] push t code id size =
-  if t.len = Array.length t.ids then resize t (max 16 (2 * t.len));
-  Bytes.unsafe_set t.kinds t.len code;
-  Array.unsafe_set t.ids t.len id;
-  Array.unsafe_set t.sizes t.len size;
-  t.len <- t.len + 1
+  (* One chunk of events: the three arrays of a trace, [Chunks.size] long. *)
+  type chunk = { c_kinds : Bytes.t; c_ids : int array; c_sizes : int array }
 
-let add_alloc t ~id ~size =
-  if id >= t.id_bound then t.id_bound <- (if id = max_int then max_int else id + 1);
-  push t alloc_code id size
+  type t = { events : chunk Chunks.t; mutable id_bound : int }
 
-let add_free t id = push t free_code id 0
-let add_phase t p = push t phase_code p 0
+  let create () =
+    {
+      events =
+        Chunks.create (fun n ->
+            { c_kinds = Bytes.create n; c_ids = Array.make n 0; c_sizes = Array.make n 0 });
+      id_bound = 0;
+    }
 
-let add t = function
-  | Event.Alloc { id; size } -> add_alloc t ~id ~size
-  | Event.Free { id } -> add_free t id
-  | Event.Phase p -> add_phase t p
+  let[@inline] push b code id size =
+    let i = Chunks.slot b.events in
+    let c = Chunks.current b.events in
+    Bytes.unsafe_set c.c_kinds i code;
+    Array.unsafe_set c.c_ids i id;
+    Array.unsafe_set c.c_sizes i size
 
-let trim t = if Array.length t.ids > t.len then resize t (max 1 t.len)
+  let add_alloc b ~id ~size =
+    b.id_bound <- raise_bound b.id_bound id;
+    push b alloc_code id size
+
+  let add_free b id = push b free_code id 0
+  let add_phase b p = push b phase_code p 0
+
+  let add b = function
+    | Event.Alloc { id; size } -> add_alloc b ~id ~size
+    | Event.Free { id } -> add_free b id
+    | Event.Phase p -> add_phase b p
+
+  let build b : trace =
+    let ints column = Chunks.gather b.events ~sub:Array.sub ~concat:Array.concat column in
+    {
+      kinds =
+        Chunks.gather b.events ~sub:Bytes.sub ~concat:(Bytes.concat Bytes.empty)
+          (fun c -> c.c_kinds);
+      ids = ints (fun c -> c.c_ids);
+      sizes = ints (fun c -> c.c_sizes);
+      len = Chunks.length b.events;
+      id_bound = b.id_bound;
+    }
+end
 
 let length t = t.len
 let id_bound t = t.id_bound
@@ -105,10 +112,25 @@ let iteri f t =
     f i (unsafe_get t i)
   done
 
+(* Sized from the list, so it writes each event once, in place. *)
 let of_list events =
-  let t = create ~capacity:(List.length events) () in
-  List.iter (add t) events;
-  t
+  let len = List.length events in
+  let kinds = Bytes.create len and ids = Array.make len 0 and sizes = Array.make len 0 in
+  let id_bound = ref 0 in
+  let set i code id size =
+    Bytes.set kinds i code;
+    ids.(i) <- id;
+    sizes.(i) <- size
+  in
+  List.iteri
+    (fun i -> function
+      | Event.Alloc { id; size } ->
+        id_bound := raise_bound !id_bound id;
+        set i alloc_code id size
+      | Event.Free { id } -> set i free_code id 0
+      | Event.Phase p -> set i phase_code p 0)
+    events;
+  { kinds; ids; sizes; len; id_bound = !id_bound }
 
 let to_list t = List.init t.len (unsafe_get t)
 
@@ -119,7 +141,7 @@ let interleave ?(seed = 0) sources =
   let lengths = Array.map length srcs in
   let pos = Array.make n_sources 0 in
   let total = Array.fold_left ( + ) 0 lengths in
-  let out = create ~capacity:total () in
+  let out = Builder.create () in
   (* Ids and phase markers are remapped on the fly so sources cannot
      collide: each (source, id) pair gets a fresh global id and each
      (source, phase) pair a fresh global phase number, first-seen order. *)
@@ -133,10 +155,10 @@ let interleave ?(seed = 0) sources =
     | Event.Alloc { id; size } ->
       incr next_id;
       Hashtbl.replace remap.(i) id !next_id;
-      add out (Event.Alloc { id = !next_id; size })
+      Builder.add_alloc out ~id:!next_id ~size
     | Event.Free { id } -> (
       match Hashtbl.find_opt remap.(i) id with
-      | Some id' -> add out (Event.Free { id = id' })
+      | Some id' -> Builder.add_free out id'
       | None -> invalid_arg "Trace.interleave: free of unallocated id in source")
     | Event.Phase p ->
       let p' =
@@ -148,7 +170,7 @@ let interleave ?(seed = 0) sources =
           Hashtbl.replace phase_remap.(i) p p';
           p'
       in
-      add out (Event.Phase p'));
+      Builder.add_phase out p');
     pos.(i) <- pos.(i) + 1
   in
   let rec go left =
@@ -165,7 +187,7 @@ let interleave ?(seed = 0) sources =
     end
   in
   go total;
-  out
+  Builder.build out
 
 (* Ids of a valid trace lie in [0, len], so the state of every id fits
    a byte map of that size: 0 never allocated, 1 live, 2 freed. An id
@@ -259,17 +281,15 @@ let load path =
       ~finally:(fun () -> close_in ic)
       (fun () ->
         try
-          (* Pre-size from the byte length: trace lines are short, so
-             [bytes / 8] over-estimates rarely and avoids most regrowth. *)
-          let t = create ~capacity:(max 1024 (in_channel_length ic / 8)) () in
+          let b = Builder.create () in
           let rec go lineno =
             match input_line ic with
-            | exception End_of_file -> Ok t
+            | exception End_of_file -> Ok (Builder.build b)
             | "" -> go (lineno + 1)
             | line -> (
               match Event.of_line line with
               | Ok e ->
-                add t e;
+                Builder.add b e;
                 go (lineno + 1)
               | Error m -> Error (Printf.sprintf "%s: line %d: %s" path lineno m))
           in

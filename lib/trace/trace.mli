@@ -1,36 +1,45 @@
-(** Allocation traces: growable event sequences with validation and a
+(** Allocation traces: flat event sequences with validation and a
     plain-text on-disk format.
 
     A trace is stored flat: one kind byte per event, plus an [int] array
-    of ids and an [int] array of sizes. An allocation is its id and size,
-    a free its id, a phase marker its phase number in the id array. The
-    kind has a byte of its own, so ids and sizes hold the whole [int]
-    range, and a trace holds about 2.1 words per event. The hot readers
-    ({!Replay.run}, {!Profile_builder.of_trace}, {!peak_live_count},
-    {!validate}) read the arrays in place, without building events, and
-    allocate nothing per event; the first three size their id-indexed
-    arrays once, from {!id_bound}. The writers a generator uses
-    ({!add_alloc}, {!add_free}, {!add_phase}) allocate only when the
-    arrays double. The {!Event.t} functions build one event per call,
-    for the callers off the hot path. *)
+    of ids and an [int] array of sizes, each exactly as long as the
+    trace. An allocation is its id and size, a free its id, a phase
+    marker its phase number in the id array. The kind has a byte of its
+    own, so ids and sizes hold the whole [int] range, and a trace holds
+    about 2.1 words per event. The hot readers ({!Replay.run},
+    {!Profile_builder.of_trace}, {!peak_live_count}, {!validate}) read
+    the arrays in place, without building events, and allocate nothing
+    per event; the first three size their id-indexed arrays once, from
+    {!id_bound}. A finished trace never changes: a generator appends to
+    a {!Builder}, which keeps the events in fixed-size chunks and copies
+    each one once, when it builds the trace. The {!Event.t} functions
+    build one event per call, for the callers off the hot path. *)
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] pre-sizes the backing arrays (default 1024); the trace
-    still grows on demand past it. *)
+(** An append-only trace under construction. *)
+module Builder : sig
+  type trace := t
 
-val add : t -> Event.t -> unit
-val add_alloc : t -> id:int -> size:int -> unit
-val add_free : t -> int -> unit
+  type t
+  (** Events in {!Dmm_util.Chunks}: appending never copies an event
+      already recorded, and allocates only a new chunk every
+      {!Dmm_util.Chunks.size} events. *)
 
-val add_phase : t -> int -> unit
-(** [add_alloc], [add_free] and [add_phase] append the event that {!add}
-    would, without building it. *)
+  val create : unit -> t
+  val add : t -> Event.t -> unit
+  val add_alloc : t -> id:int -> size:int -> unit
+  val add_free : t -> int -> unit
 
-val trim : t -> unit
-(** Shrink the backing arrays to {!length}, dropping the spare capacity
-    that doubling left. Adding later grows them again. *)
+  val add_phase : t -> int -> unit
+  (** [add_alloc], [add_free] and [add_phase] append the event that {!add}
+      would, without building it. *)
+
+  val build : t -> trace
+  (** The events appended so far, copied once into arrays of exactly
+      their number: the trace shares nothing with the builder, which
+      can keep appending. *)
+end
 
 val length : t -> int
 
@@ -38,8 +47,8 @@ val id_bound : t -> int
 (** One more than the largest id an allocation event carries, so an
     array of [id_bound t] slots indexed by id holds every allocated id; 0
     when the trace allocates nothing. It saturates at [max_int], which no
-    array can be sized to. Negative ids do not raise it. {!add},
-    {!add_alloc} and every constructor keep it, so reading it costs
+    array can be sized to. Negative ids do not raise it. The
+    {!Builder} and every constructor keep it, so reading it costs
     nothing. *)
 
 val get : t -> int -> Event.t
@@ -48,6 +57,8 @@ val get : t -> int -> Event.t
 val iter : (Event.t -> unit) -> t -> unit
 val iteri : (int -> Event.t -> unit) -> t -> unit
 val of_list : Event.t list -> t
+(** Sized from the list: each event is written once, in place. *)
+
 val to_list : t -> Event.t list
 
 (** {2 Flat reads}

@@ -36,17 +36,25 @@ type stats = {
   max_backlog_packets : int;
   per_flow_bytes : (int * int) list;  (** flow id, bytes forwarded *)
   finish_time : float;  (** simulated seconds when the last packet left *)
-  checksum : int;  (** digest of the simulated per-packet processing *)
+  checksum : int;
+      (** digest of the simulated per-packet processing; 0 when it is
+          skipped *)
 }
 
-val run : ?config:config -> Dmm_core.Allocator.t -> Traffic.t -> stats
+val run : ?config:config -> ?simulate:bool -> Dmm_core.Allocator.t -> Traffic.t -> stats
 (** Run the scheduler over the packets (sorted by arrival, as
     {!Traffic.generate} returns them), allocating every buffer and queue
     node from the given manager. All memory is freed by the end of the
     run. The flows live in an array indexed by flow id, each with its
     queue as an int ring of (buffer, node, size) triples, and the active
     flows in an int ring of ids, so the scheduler itself allocates
-    nothing per packet. Raises [Invalid_argument] on a bad config or a
+    nothing per packet. [simulate] (default [true]) runs the simulated
+    per-packet processing, a pass over each packet's bytes on ingress
+    and on egress that stands for the router's own work; its only output
+    is [checksum]. With [~simulate:false] it is skipped: the manager sees
+    the same calls in the same order, and every other field is the same,
+    so a caller that keeps only the DM behaviour ({!Scenario.drr_trace})
+    pays only for that. Raises [Invalid_argument] on a bad config or a
     negative flow id. *)
 
 val pp_stats : Format.formatter -> stats -> unit

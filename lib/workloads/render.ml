@@ -43,21 +43,27 @@ type stats = {
 
 let vertices_at config level = config.base_vertices * (1 lsl level)
 
-let run ?(config = default_config) a =
+let run ?(config = default_config) ?(simulate = true) a =
   if config.objects <= 0 || config.base_vertices <= 0 || config.max_level < 0 then
     invalid_arg "Render.run: bad config";
   let rng = Prng.create config.seed in
   let records_total = ref 0 in
   let buffers_total = ref 0 in
   let checksum = ref 0 in
-  let touch addr = checksum := (!checksum + (addr * 2654435761)) land 0x3FFFFFFF in
-  (* Simulated geometry processing: one pass over a buffer's bytes. *)
+  (* The simulated work, whose only output is [checksum]: a touch of each
+     new block and the geometry processing, one pass over a buffer's
+     bytes. A run that only records the DM behaviour skips both. *)
+  let touch addr =
+    if simulate then checksum := (!checksum + (addr * 2654435761)) land 0x3FFFFFFF
+  in
   let shade bytes =
-    let acc = ref !checksum in
-    for i = 1 to bytes do
-      acc := (!acc * 31) + i
-    done;
-    checksum := !acc land 0x3FFFFFFF
+    if simulate then begin
+      let acc = ref !checksum in
+      for i = 1 to bytes do
+        acc := (!acc * 31) + i
+      done;
+      checksum := !acc land 0x3FFFFFFF
+    end
   in
 
   (* Phase 0 — approach: every object refines one level per frame, staggered,

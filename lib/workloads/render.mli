@@ -33,9 +33,16 @@ type stats = {
   records_total : int;
   buffers_total : int;  (** output + tile buffers allocated in phase 2 *)
   checksum : int;
+      (** digest of the simulated work (a touch of each new block and the
+          geometry processing); 0 when it is skipped *)
 }
 
-val run : ?config:config -> Dmm_core.Allocator.t -> stats
-(** All memory is freed by the end of the run. *)
+val run : ?config:config -> ?simulate:bool -> Dmm_core.Allocator.t -> stats
+(** All memory is freed by the end of the run. [simulate] (default
+    [true]) runs the simulated work, whose only output is [checksum];
+    with [~simulate:false] it is skipped: the manager sees the same calls
+    in the same order, and every other field is the same, so a caller
+    that keeps only the DM behaviour ({!Scenario.render_trace}) pays only
+    for that. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -14,10 +14,12 @@ module Obstack = Dmm_allocators.Obstack
 module Fixed_pool = Dmm_allocators.Fixed_pool
 module Buddy_bitmap = Dmm_allocators.Buddy_bitmap
 
+(* The DRR and rendering traces keep only the DM behaviour, so their runs
+   skip the simulated work, whose only output is the checksum. *)
 let drr_trace ?(traffic = Traffic.default_config) ?(drr = Drr.default_config) () =
   let recorder, trace = Recorder.recording_allocator () in
   let packets = Traffic.generate traffic in
-  let (_ : Drr.stats) = Drr.run ~config:drr recorder packets in
+  let (_ : Drr.stats) = Drr.run ~config:drr ~simulate:false recorder packets in
   trace ()
 
 let reconstruct_trace ?(config = Reconstruct.default_config) () =
@@ -27,7 +29,7 @@ let reconstruct_trace ?(config = Reconstruct.default_config) () =
 
 let render_trace ?(config = Render.default_config) () =
   let recorder, trace = Recorder.recording_allocator () in
-  let (_ : Render.stats) = Render.run ~config recorder in
+  let (_ : Render.stats) = Render.run ~config ~simulate:false recorder in
   trace ()
 
 type maker = ?probe:Probe.t -> unit -> Allocator.t

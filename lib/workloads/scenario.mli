@@ -6,11 +6,15 @@
 
 val drr_trace :
   ?traffic:Traffic.config -> ?drr:Drr.config -> unit -> Dmm_trace.Trace.t
-(** Record the DRR scheduler's DM behaviour on one synthetic traffic trace. *)
+(** Record the DRR scheduler's DM behaviour on one synthetic traffic
+    trace. The run skips the simulated per-packet processing
+    ([Drr.run ~simulate:false]), which changes no event. *)
 
 val reconstruct_trace : ?config:Reconstruct.config -> unit -> Dmm_trace.Trace.t
 
 val render_trace : ?config:Render.config -> unit -> Dmm_trace.Trace.t
+(** Record the renderer's DM behaviour. The run skips the simulated work
+    ([Render.run ~simulate:false]), which changes no event. *)
 
 (** {1 Fresh managers}
 

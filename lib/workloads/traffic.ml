@@ -1,4 +1,5 @@
 module Prng = Dmm_util.Prng
+module Chunks = Dmm_util.Chunks
 
 type packet = { arrival : float; flow : int; size : int }
 
@@ -80,31 +81,17 @@ let pareto_with_mean rng ~shape ~mean =
 
 type t = { arrivals : float array; flow_ids : int array; sizes : int array }
 
-(* Packets as the flows emit them, flow after flow; grown by doubling. *)
-type builder = {
-  mutable b_arrivals : float array;
-  mutable b_flows : int array;
-  mutable b_sizes : int array;
-  mutable len : int;
-}
-
-let grow b =
-  let n = 2 * b.len in
-  let arrivals = Array.make n 0.0 and flows = Array.make n 0 and sizes = Array.make n 0 in
-  Array.blit b.b_arrivals 0 arrivals 0 b.len;
-  Array.blit b.b_flows 0 flows 0 b.len;
-  Array.blit b.b_sizes 0 sizes 0 b.len;
-  b.b_arrivals <- arrivals;
-  b.b_flows <- flows;
-  b.b_sizes <- sizes
+(* Packets as the flows emit them, flow after flow, in chunks: one chunk
+   is the three fields' arrays, [Chunks.size] long. *)
+type chunk = { c_arrivals : float array; c_flows : int array; c_sizes : int array }
 
 (* Inlined, so the arrival time reaches the float array unboxed. *)
 let[@inline] push b arrival flow size =
-  if b.len = Array.length b.b_flows then grow b;
-  b.b_arrivals.(b.len) <- arrival;
-  b.b_flows.(b.len) <- flow;
-  b.b_sizes.(b.len) <- size;
-  b.len <- b.len + 1
+  let i = Chunks.slot b in
+  let c = Chunks.current b in
+  Array.unsafe_set c.c_arrivals i arrival;
+  Array.unsafe_set c.c_flows i flow;
+  Array.unsafe_set c.c_sizes i size
 
 (* Stable merge of the index runs [src.(lo .. mid - 1)] and
    [src.(mid .. hi - 1)], each in arrival order, into [dst.(lo .. hi - 1)]:
@@ -177,26 +164,26 @@ let generate config =
     invalid_arg "Traffic.generate: bad config";
   let rng = Prng.create config.seed in
   let b =
-    {
-      b_arrivals = Array.make 1024 0.0;
-      b_flows = Array.make 1024 0;
-      b_sizes = Array.make 1024 0;
-      len = 0;
-    }
+    Chunks.create (fun n ->
+        { c_arrivals = Array.make n 0.0; c_flows = Array.make n 0; c_sizes = Array.make n 0 })
   in
   let starts = Array.make (config.flows + 1) 0 in
   for flow = 0 to config.flows - 1 do
     generate_flow (Prng.split rng) config flow b;
-    starts.(flow + 1) <- b.len
+    starts.(flow + 1) <- Chunks.length b
   done;
+  (* Each field copied once, into an array of exactly the packets. *)
+  let field column = Chunks.gather b ~sub:Array.sub ~concat:Array.concat column in
+  let arrivals = field (fun c -> c.c_arrivals) in
+  let flows = field (fun c -> c.c_flows) and sizes = field (fun c -> c.c_sizes) in
+  let n = Array.length arrivals in
   (* Order by arrival as the packets have always been ordered: a stable
      sort of the flows' packet lists concatenated, each list newest
      first. Sorted stably, flow [f]'s list is its packets in arrival
      order with each group of equal arrivals newest first; so the index
      array starts as those runs, flow after flow, and merging adjacent
      runs, the left run first on ties, is that stable sort. *)
-  let arrivals = b.b_arrivals in
-  let order = Array.make b.len 0 in
+  let order = Array.make n 0 in
   for flow = 0 to config.flows - 1 do
     let stop = starts.(flow + 1) in
     let k = ref starts.(flow) in
@@ -211,14 +198,13 @@ let generate config =
       k := !g
     done
   done;
-  let order = merge_runs arrivals order (Array.make b.len 0) starts in
-  let n = b.len in
+  let order = merge_runs arrivals order (Array.make n 0) starts in
   let t = { arrivals = Array.make n 0.0; flow_ids = Array.make n 0; sizes = Array.make n 0 } in
   for k = 0 to n - 1 do
     let i = order.(k) in
     t.arrivals.(k) <- arrivals.(i);
-    t.flow_ids.(k) <- b.b_flows.(i);
-    t.sizes.(k) <- b.b_sizes.(i)
+    t.flow_ids.(k) <- flows.(i);
+    t.sizes.(k) <- sizes.(i)
   done;
   t
 

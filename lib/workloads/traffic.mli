@@ -56,9 +56,10 @@ type t = {
 
 val generate : config -> t
 (** Generates each flow's on/off process in flow order, each from its own
-    {!Dmm_util.Prng.split} of the seed's generator, into flat arrays, and
-    orders them by arrival with a stable merge of the flows' runs over
-    an index array. Packets that arrive at the same instant keep the
+    {!Dmm_util.Prng.split} of the seed's generator, into
+    {!Dmm_util.Chunks} (so no packet is copied while the flows grow),
+    copies each field once into a flat array, and orders them by arrival
+    with a stable merge of the flows' runs over an index array. Packets that arrive at the same instant keep the
     order of a stable sort of the flows' packet lists concatenated, each
     newest first: the lower flow first, and within a flow the later
     packet first. Allocates no block per packet. Raises

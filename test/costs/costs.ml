@@ -21,8 +21,10 @@
 
    Last, the generators: per case study, the events of its quick seed-42
    trace, the words the finished trace holds ([Obj.reachable_words]) in
-   all and per event, and the minor words of generating it (the
-   simulated application, the recorder and the trace together).
+   all and per event, and the minor and direct major words of
+   generating it: the application run the trace records (without the
+   simulated work that [Scenario] skips), the recorder, the builder's
+   chunks and the one copy into the finished trace.
 
    On one domain every figure is deterministic, so [dune runtest] diffs
    this output against the committed costs.expected: a slower search or a
@@ -152,18 +154,20 @@ let () =
     [ ("Kingsley-Windows", Scenario.kingsley); ("Lea-Linux", Scenario.lea) ]
 
 let () =
-  Printf.printf "\n%-24s %-18s %7s %9s %6s %11s\n" "generate" "stage" "events" "resident" "per_ev"
-    "minor_words";
+  Printf.printf "\n%-24s %-18s %7s %9s %6s %11s %11s\n" "generate" "stage" "events" "resident"
+    "per_ev" "minor_words" "major_words";
   List.iter
     (fun (wname, generate) ->
+      let m0 = direct_major_words () in
       let w0 = Gc.minor_words () in
       let trace = generate 42 in
       let minor = Gc.minor_words () -. w0 in
+      let major = direct_major_words () -. m0 in
       let events = Trace.length trace in
       let resident = Obj.reachable_words (Obj.repr trace) in
-      Printf.printf "%-24s %-18s %7d %9d %6.2f %11.0f\n" wname "trace" events resident
+      Printf.printf "%-24s %-18s %7d %9d %6.2f %11.0f %11.0f\n" wname "trace" events resident
         (float_of_int resident /. float_of_int events)
-        minor)
+        minor major)
     [
       ("DRR scheduler", Experiments.drr_trace_seed);
       ("3D image reconstruction", Experiments.reconstruct_trace_seed);

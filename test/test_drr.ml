@@ -303,6 +303,37 @@ let prop_matches_queue_model =
       let model = Model.run config b (Traffic.to_list packets) in
       stats = model && Trace.to_list (get ()) = Trace.to_list (get_model ()))
 
+(* The recording path ([Scenario.drr_trace], which skips the simulated
+   processing) against a live run with it on: the same events, and the
+   live run's checksum as the generator has always produced it. *)
+let check_recording_matches_live () =
+  List.iter
+    (fun (label, (traffic : Traffic.config), config, checksum) ->
+      let stats, live, _ = run_with_recorder ~config (Traffic.generate traffic) in
+      Alcotest.(check int) (label ^ ": live checksum") checksum stats.Drr.checksum;
+      Same_trace.check label live (Dmm_workloads.Scenario.drr_trace ~traffic ~drr:config ()))
+    [
+      ("quick", Traffic.default_config, Drr.default_config, 482299110);
+      ("paper seed 1", { Traffic.paper_config with seed = 1 }, Drr.paper_config, 311939066);
+      ("paper seed 2", { Traffic.paper_config with seed = 2 }, Drr.paper_config, 715958050);
+    ]
+
+(* Skipping the processing changes the checksum alone: the manager sees
+   the same calls and every other statistic is the same. *)
+let prop_skip_matches_live =
+  QCheck.Test.make ~name:"skipped processing records the live run's trace" ~count:60
+    (QCheck.make ~print:show_case gen_case)
+    (fun (traffic, config, mask) ->
+      let packets =
+        filter_flows (fun f -> f = 0 || mask land (1 lsl f) = 0) (Traffic.generate traffic)
+      in
+      let live_stats, live, _ = run_with_recorder ~config packets in
+      let a, get = Recorder.recording_allocator () in
+      let skip_stats = Drr.run ~config ~simulate:false a packets in
+      skip_stats.Drr.checksum = 0
+      && { skip_stats with Drr.checksum = live_stats.Drr.checksum } = live_stats
+      && Same_trace.first_difference live (get ()) = None)
+
 let tests =
   ( "drr",
     [
@@ -319,4 +350,7 @@ let tests =
       Alcotest.test_case "deficit accumulates across rounds" `Quick check_deficit_accumulates;
       Alcotest.test_case "combined queue limits" `Quick check_combined_limits;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) prop_matches_queue_model;
+      Alcotest.test_case "recording path matches the live run" `Quick
+        check_recording_matches_live;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 30 |]) prop_skip_matches_live;
     ] )

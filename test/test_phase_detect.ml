@@ -18,28 +18,28 @@ let check_strip () =
 
 let check_homogeneous_trace_one_phase () =
   (* Steady churn of one size: no boundaries. *)
-  let t = Trace.create () in
+  let b = Trace.Builder.create () in
   for i = 1 to 20000 do
-    Trace.add t (Event.Alloc { id = i; size = 64 });
-    Trace.add t (Event.Free { id = i })
+    Trace.Builder.add b (Event.Alloc { id = i; size = 64 });
+    Trace.Builder.add b (Event.Free { id = i })
   done;
-  Alcotest.(check (list int)) "no cuts" [] (PD.boundaries t)
+  Alcotest.(check (list int)) "no cuts" [] (PD.boundaries (Trace.Builder.build b))
 
 let check_synthetic_two_phases () =
   (* 10k events of small-alloc churn, then 10k of pure large allocation. *)
-  let t = Trace.create () in
+  let b = Trace.Builder.create () in
   let id = ref 0 in
   for _ = 1 to 5000 do
     incr id;
-    Trace.add t (Event.Alloc { id = !id; size = 32 });
-    Trace.add t (Event.Free { id = !id })
+    Trace.Builder.add b (Event.Alloc { id = !id; size = 32 });
+    Trace.Builder.add b (Event.Free { id = !id })
   done;
-  let switch = Trace.length t in
+  let switch = 2 * !id in
   for _ = 1 to 10000 do
     incr id;
-    Trace.add t (Event.Alloc { id = !id; size = 4096 })
+    Trace.Builder.add b (Event.Alloc { id = !id; size = 4096 })
   done;
-  match PD.boundaries t with
+  match PD.boundaries (Trace.Builder.build b) with
   | [ cut ] ->
     Alcotest.(check bool)
       (Printf.sprintf "cut %d within a window of the switch %d" cut switch)
@@ -95,7 +95,7 @@ let check_design_with_detection () =
   Alcotest.(check bool) "phase overrides derived" true (List.length spec.Scenario.overrides >= 2)
 
 let check_bad_config () =
-  let t = Trace.create () in
+  let t = Trace.of_list [] in
   Alcotest.check_raises "bad window" (Invalid_argument "Phase_detect.boundaries: bad config")
     (fun () ->
       ignore (PD.boundaries ~config:{ PD.default_config with PD.window = 0 } t))

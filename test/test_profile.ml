@@ -48,6 +48,24 @@ let check_stack_likeness_fifo () =
   Alcotest.(check bool) "FIFO is not stack-like" true
     (Profile.stack_likeness (Profile.total p) < 0.1)
 
+(* A queue of 8 live blocks over 16 recycled ids, 200,000 allocations
+   long: every free releases the oldest block, so no free is LIFO and
+   every stack entry below the top goes stale. The profile must stay the
+   size of the live set, not of the allocations. *)
+let check_fifo_stack_bounded () =
+  let p = Profile.create () in
+  let window = 8 and ids = 16 and n = 200_000 in
+  for i = 0 to n - 1 do
+    if i >= window then Profile.observe_free p ~id:((i - window) mod ids);
+    Profile.observe_alloc p ~id:(i mod ids) ~size:(8 + (i mod 5))
+  done;
+  let t = Profile.total p in
+  Alcotest.(check int) "allocs" n t.Profile.allocs;
+  Alcotest.(check int) "no LIFO free" 0 t.Profile.lifo_frees;
+  Alcotest.(check int) "peak blocks" window t.Profile.peak_live_blocks;
+  let words = Obj.reachable_words (Obj.repr p) in
+  Alcotest.(check bool) (Printf.sprintf "%d words, under 4096" words) true (words < 4096)
+
 let check_phases_separate () =
   let p = Profile.create () in
   Profile.observe_alloc p ~id:1 ~size:64;
@@ -144,6 +162,7 @@ let tests =
       Alcotest.test_case "errors" `Quick check_errors;
       Alcotest.test_case "pure stack likeness" `Quick check_stack_likeness_pure_stack;
       Alcotest.test_case "FIFO not stack-like" `Quick check_stack_likeness_fifo;
+      Alcotest.test_case "long FIFO keeps a bounded stack" `Quick check_fifo_stack_bounded;
       Alcotest.test_case "phases separate" `Quick check_phases_separate;
       Alcotest.test_case "peak live crosses phases" `Quick check_peak_live_crosses_phases;
       Alcotest.test_case "dominant sizes" `Quick check_dominant_sizes;

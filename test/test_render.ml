@@ -63,6 +63,61 @@ let check_bad_config () =
       let a, _ = Recorder.recording_allocator () in
       ignore (Render.run ~config:{ small with objects = 0 } a))
 
+(* The recording path ([Scenario.render_trace], which skips the
+   simulated work) against a live run with it on: the same events, and
+   the live run's checksum as the generator has always produced it. The
+   checksum follows the recorder's ids, which no seed moves. *)
+let check_recording_matches_live () =
+  List.iter
+    (fun (label, config, checksum) ->
+      let stats, live, _ = run_recorded config in
+      Alcotest.(check int) (label ^ ": live checksum") checksum stats.Render.checksum;
+      Same_trace.check label live (Dmm_workloads.Scenario.render_trace ~config ()))
+    [
+      ("quick", Render.default_config, 813260120);
+      ("paper seed 1", { Render.paper_config with seed = 1 }, 237745456);
+      ("paper seed 2", { Render.paper_config with seed = 2 }, 237745456);
+    ]
+
+let gen_config =
+  QCheck.Gen.(
+    map
+      (fun ((objects, base_vertices, max_level), (orbit_cycles, composite_frames, output_buffers), seed) ->
+        {
+          Render.objects;
+          base_vertices;
+          max_level;
+          record_bytes = 24;
+          orbit_cycles;
+          composite_frames;
+          output_buffers;
+          seed;
+        })
+      (triple
+         (triple (int_range 1 6) (int_range 1 12) (int_range 0 4))
+         (triple (int_range 0 8) (int_range 1 12) (int_range 0 4))
+         int))
+
+let show_config (c : Render.config) =
+  Printf.sprintf
+    "objects=%d base_vertices=%d max_level=%d orbit_cycles=%d composite_frames=%d \
+     output_buffers=%d seed=%d"
+    c.objects c.base_vertices c.max_level c.orbit_cycles c.composite_frames c.output_buffers
+    c.seed
+
+(* Skipping the work changes the checksum alone: the manager sees the
+   same calls and every other statistic is the same. *)
+let prop_skip_matches_live =
+  QCheck.Test.make ~name:"skipped work records the live run's trace" ~count:100
+    (QCheck.make ~print:show_config gen_config)
+    (fun config ->
+      let live_stats, live, _ = run_recorded config in
+      let a, get = Recorder.recording_allocator () in
+      let skip_stats = Render.run ~config ~simulate:false a in
+      skip_stats.Render.checksum = 0
+      && { skip_stats with Render.checksum = live_stats.Render.checksum } = live_stats
+      && Same_trace.first_difference live (get ()) = None)
+
 let tests =
   ( "render",
     [
@@ -72,4 +127,7 @@ let tests =
       Alcotest.test_case "phase behaviours" `Quick check_phase_behaviours;
       Alcotest.test_case "records peak" `Quick check_records_peak;
       Alcotest.test_case "bad config" `Quick check_bad_config;
+      Alcotest.test_case "recording path matches the live run" `Quick
+        check_recording_matches_live;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 30 |]) prop_skip_matches_live;
     ] )

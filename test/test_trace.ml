@@ -23,11 +23,12 @@ let check_build_and_query () =
     (fun () -> ignore (Trace.get t 7))
 
 let check_growth () =
-  let t = Trace.create () in
+  let b = Trace.Builder.create () in
   for i = 1 to 5000 do
-    Trace.add t (Event.Alloc { id = i; size = 1 })
+    Trace.Builder.add b (Event.Alloc { id = i; size = 1 })
   done;
-  Alcotest.(check int) "survives resizing" 5000 (Trace.length t);
+  let t = Trace.Builder.build b in
+  Alcotest.(check int) "survives a new chunk" 5000 (Trace.length t);
   Alcotest.(check bool) "last intact" true
     (Trace.get t 4999 = Event.Alloc { id = 5000; size = 1 })
 
@@ -287,9 +288,12 @@ let prop_flat_round_trip =
     (QCheck.make ~print:print_events QCheck.Gen.(list_size (0 -- 200) gen_any_event))
     (fun events ->
       let t = Trace.of_list events in
-      (* Built one [add] at a time from one slot, so the arrays double. *)
-      let grown = Trace.create ~capacity:1 () in
-      List.iter (Trace.add grown) events;
+      (* Built one [add] at a time through a builder's chunks. *)
+      let grown =
+        let b = Trace.Builder.create () in
+        List.iter (Trace.Builder.add b) events;
+        Trace.Builder.build b
+      in
       let visited = ref [] in
       Trace.iteri (fun i e -> visited := (i, e) :: !visited) t;
       let flat i =
@@ -331,7 +335,7 @@ let check_peak_live_huge_ids () =
     (Trace.peak_live_count (Trace.of_list [ Event.Alloc { id = 100_000; size = 8 } ]))
 
 (* [id_bound] against a naive maximum over the allocation ids, however
-   the trace was built: event by event from one slot, [of_list], through
+   the trace was built: event by event through a builder, [of_list], through
    the text format, or merged by [interleave] (which renumbers ids). *)
 let naive_id_bound events =
   let ids = List.filter_map (function Event.Alloc { id; _ } -> Some id | _ -> None) events in
@@ -358,8 +362,11 @@ let prop_id_bound =
     (QCheck.make ~print:print_events QCheck.Gen.(list_size (0 -- 60) gen_any_event))
     (fun events ->
       let want = naive_id_bound events in
-      let added = Trace.create ~capacity:1 () in
-      List.iter (Trace.add added) events;
+      let added =
+        let b = Trace.Builder.create () in
+        List.iter (Trace.Builder.add b) events;
+        Trace.Builder.build b
+      in
       let merged =
         Trace.interleave ~seed:3
           [ Trace.of_list (interleavable events); Trace.of_list (interleavable (List.rev events)) ]
@@ -378,15 +385,49 @@ let prop_id_bound =
       && loaded = want
       && Trace.id_bound merged = naive_id_bound (Trace.to_list merged))
 
-let check_trim () =
-  let t = Trace.create () in
-  List.iter (Trace.add t) sample_events;
-  let before = Obj.reachable_words (Obj.repr t) in
-  Trace.trim t;
-  Alcotest.(check bool) "spare capacity dropped" true (Obj.reachable_words (Obj.repr t) < before);
-  Alcotest.(check bool) "events kept" true (Trace.to_list t = sample_events);
-  Trace.add_phase t 9;
-  Alcotest.(check bool) "grows again" true (Trace.get t 7 = Event.Phase 9)
+(* Event [i] of an [n]-event trace at the chunk edges: allocations with
+   ordinary, negative and [min_int] ids and extreme sizes, frees and
+   phase markers; with [top], the last event allocates [max_int], which
+   saturates [id_bound]. *)
+let edge_events n ~top =
+  List.init n (fun i ->
+      if top && i = n - 1 then Event.Alloc { id = max_int; size = 1 }
+      else
+        match i mod 5 with
+        | 0 -> Event.Alloc { id = i; size = i + 1 }
+        | 1 -> Event.Alloc { id = min_int; size = max_int }
+        | 2 -> Event.Free { id = -i }
+        | 3 -> Event.Phase (i / 5)
+        | _ -> Event.Alloc { id = -1; size = min_int })
+
+(* A trace built through a builder's chunks holds what [of_list], which
+   sizes its arrays exactly, holds: the same events, length, id bound and
+   words, at every count around a chunk's edge. *)
+let check_builder_chunk_edges () =
+  let c = Dmm_util.Chunks.size in
+  List.iter
+    (fun (n, top) ->
+      let events = edge_events n ~top in
+      let b = Trace.Builder.create () in
+      List.iter (Trace.Builder.add b) events;
+      let built = Trace.Builder.build b and exact = Trace.of_list events in
+      let label what = Printf.sprintf "%d events%s: %s" n (if top then " to max_int" else "") what in
+      Alcotest.(check bool) (label "events") true (Trace.to_list built = events);
+      Alcotest.(check int) (label "length") n (Trace.length built);
+      Alcotest.(check int) (label "id_bound") (naive_id_bound events) (Trace.id_bound built);
+      Alcotest.(check int) (label "id_bound of the exact trace") (Trace.id_bound exact)
+        (Trace.id_bound built);
+      Alcotest.(check int) (label "reachable words")
+        (Obj.reachable_words (Obj.repr exact))
+        (Obj.reachable_words (Obj.repr built));
+      (* The trace is a copy: appending more leaves it as it was. *)
+      Trace.Builder.add_phase b 7;
+      Alcotest.(check bool) (label "unchanged by later appends") true (Trace.to_list built = events);
+      Alcotest.(check bool) (label "the builder kept appending") true
+        (Trace.to_list (Trace.Builder.build b) = events @ [ Event.Phase 7 ]))
+    (List.concat_map
+       (fun n -> (n, false) :: (if n > 0 then [ (n, true) ] else []))
+       [ 0; 1; c - 1; c; c + 1; (3 * c) + 5 ])
 
 let qcheck =
   let event_gen =
@@ -444,7 +485,7 @@ let tests =
       Alcotest.test_case "load errors name the file" `Quick check_load_errors;
       Alcotest.test_case "validate bounds ids" `Quick check_validate_id_range;
       Alcotest.test_case "peak_live_count raises on huge ids" `Quick check_peak_live_huge_ids;
-      Alcotest.test_case "trim" `Quick check_trim;
+      Alcotest.test_case "builder chunk edges match an exact trace" `Quick check_builder_chunk_edges;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 6 |]) prop_mutated_traces;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) prop_flat_round_trip;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) prop_matches_models;
